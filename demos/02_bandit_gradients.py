@@ -28,11 +28,12 @@ def max_gap(a, b):
 def enumerate_expectation(kind, model, x, w, clip_k=0.0):
     """Sum s_t over the full sampling distribution."""
     dist = bc.distribution(model, w, x)
+    post = bc.posterior(model, w, x)
     deltas = [bc.hamming_loss(x.gold, y) for y in dist.labelings]
     expect = SparseVector()
     if kind is ObjectiveKind.EL:
         for p, y, d in zip(dist.probs, dist.labelings, deltas):
-            expect.add_scaled(bc.el_gradient(model, w, x, y, d), float(p))
+            expect.add_scaled(bc.el_gradient(post, y, d), float(p))
     elif kind.is_pairwise:
         q = np.exp(-dist.scores - logsumexp(-dist.scores))
         for pi, yi, di in zip(dist.probs, dist.labelings, deltas):
@@ -40,18 +41,19 @@ def enumerate_expectation(kind, model, x, w, clip_k=0.0):
                 fb = bc.pair_feedback(di, dj, kind.pair_mode)
                 if fb:
                     expect.add_scaled(
-                        bc.pr_gradient(model, w, x, PairSample(yi, yj), fb), float(pi * qj)
+                        bc.pr_gradient(post, PairSample(yi, yj), fb), float(pi * qj)
                     )
     else:
         for p, y, d in zip(dist.probs, dist.labelings, deltas):
-            expect.add_scaled(bc.ce_gradient(model, w, x, y, 1.0 - d, clip_k), float(p))
+            expect.add_scaled(bc.ce_gradient(post, y, 1.0 - d, clip_k), float(p))
     return expect
 
 
 def enumerated_ce_variance(model, x, w, clip_k):
     dist = bc.distribution(model, w, x)
+    post = bc.posterior(model, w, x)
     weighted = [
-        (float(p), bc.ce_gradient(model, w, x, y, 1.0 - bc.hamming_loss(x.gold, y), clip_k))
+        (float(p), bc.ce_gradient(post, y, 1.0 - bc.hamming_loss(x.gold, y), clip_k))
         for p, y in zip(dist.probs, dist.labelings)
     ]
     mean = SparseVector()

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,9 +31,11 @@ _EOS = "</S>"
 
 def _logsumexp(a: np.ndarray, axis: Optional[int] = None) -> "np.ndarray | float":
     """Stable log-sum-exp for finite inputs; lean enough for tiny DP arrays."""
-    m = np.max(a, axis=axis, keepdims=True)
+    # the ufuncs' own reductions: np.max and np.sum reduce the same way but
+    # cost more in call overhead than the arithmetic on arrays this small
+    m = np.maximum.reduce(a, axis=axis, keepdims=True)
     out = m.squeeze(axis) if axis is not None else m.reshape(())
-    return out + np.log(np.sum(np.exp(a - m), axis=axis))
+    return out + np.log(np.add.reduce(np.exp(a - m), axis=axis))
 
 
 def feature_id(template: str) -> int:
@@ -172,12 +175,6 @@ class ChainModel:
                 )
         return fid
 
-    def describe(self, fid: int) -> Optional[str]:
-        """Template string for a feature id, if it was seen by this model."""
-        if self._registry is None:
-            return None
-        return self._registry.get(fid)
-
     def compile(self, x: ChainInstance) -> _CompiledChain:
         cached = self._compiled.get(x)
         if cached is not None:
@@ -310,46 +307,6 @@ def log_partition(lattice: ChainLattice) -> float:
     return float(_logsumexp(_forward(lattice)[-1]))
 
 
-def _posteriors(lattice: ChainLattice):
-    """(log Z, node marginals (n, L), edge marginals (n-1, L, L))."""
-    alpha = _forward(lattice)
-    beta = _backward(lattice)
-    log_z = float(_logsumexp(alpha[-1]))
-    node_marg = np.exp(alpha + beta - log_z)
-    if lattice.n > 1:
-        edge_marg = np.exp(
-            alpha[:-1, :, None]
-            + lattice.edge
-            + (lattice.node[1:] + beta[1:])[:, None, :]
-            - log_z
-        )
-    else:
-        edge_marg = np.zeros_like(lattice.edge)
-    return log_z, node_marg, edge_marg
-
-
-def expected_features(model: ChainModel, w: SparseVector, x: ChainInstance) -> SparseVector:
-    """Exact E_{p_w(y|x)}[phi(x, y)] from forward-backward marginals."""
-    lattice = build_lattice(model, w, x)
-    _, node_marg, edge_marg = _posteriors(lattice)
-    compiled = model.compile(x)
-    L = len(model.alphabet)
-    acc: dict[int, float] = {}
-    for i in range(lattice.n):
-        per_label = compiled.emission[i]
-        for li in range(L):
-            m = node_marg[i, li]
-            for fid in per_label[li]:
-                acc[fid] = acc.get(fid, 0.0) + m
-    if compiled.transition is not None and lattice.n > 1:
-        pair_mass = edge_marg.sum(axis=0)
-        for a in range(L):
-            row = compiled.transition[a]
-            for b in range(L):
-                acc[row[b]] = acc.get(row[b], 0.0) + pair_mass[a, b]
-    return SparseVector(acc)
-
-
 def _categorical_rows(prob_rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One draw per row of a (k, L) matrix of row-normalized probabilities."""
     cum = np.cumsum(prob_rows, axis=1)
@@ -358,43 +315,123 @@ def _categorical_rows(prob_rows: np.ndarray, rng: np.random.Generator) -> np.nda
     return np.minimum(idx, prob_rows.shape[1] - 1)
 
 
-def sample_many(
-    model: ChainModel,
-    w: SparseVector,
-    x: ChainInstance,
-    size: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Exact i.i.d. samples from p_w(y|x), as a (size, n) array of label indices.
+class ChainPosterior:
+    """The exact distribution p_w(y|x) for one (w, x), over one lattice.
 
-    Uses backward filtering / forward sampling: the backward messages give
-    the exact conditional of each label given its predecessor, so a single
-    left-to-right pass draws from the joint. Deterministic given the rng
-    state.
+    Sampling, probabilities and feature expectations all read the same
+    lattice and messages.  The backward messages are computed on
+    construction, because every training step samples; the forward messages
+    and log Z are computed on first use, so a step whose feedback is zero
+    never runs the forward pass.  ``negated()`` is the posterior under -w:
+    its lattice is this one negated, so w is never copied.
     """
-    lattice = build_lattice(model, w, x)
-    beta = _backward(lattice)
-    n, L = lattice.node.shape
-    out = np.empty((size, n), dtype=np.int64)
-    logp0 = lattice.node[0] + beta[0]
-    p0 = np.exp(logp0 - _logsumexp(logp0))
-    p0 /= p0.sum()
-    out[:, 0] = _categorical_rows(np.broadcast_to(p0, (size, L)), rng)
-    for i in range(1, n):
-        logc = lattice.edge[i - 1] + (lattice.node[i] + beta[i])[None, :]
-        cond = np.exp(logc - _logsumexp(logc, axis=1)[:, None])
-        cond /= cond.sum(axis=1, keepdims=True)
-        out[:, i] = _categorical_rows(cond[out[:, i - 1]], rng)
-    return out
+
+    def __init__(self, model: ChainModel, x: ChainInstance, lattice: ChainLattice):
+        self.model = model
+        self.x = x
+        self.lattice = lattice
+        self.beta = _backward(lattice)
+        self._negated: Optional[ChainPosterior] = None
+
+    @cached_property
+    def alpha(self) -> np.ndarray:
+        return _forward(self.lattice)
+
+    @cached_property
+    def log_z(self) -> float:
+        return float(_logsumexp(self.alpha[-1]))
+
+    def negated(self) -> "ChainPosterior":
+        """The posterior p_{-w}(y|x), built once and shared."""
+        if self._negated is None:
+            lattice = ChainLattice(node=-self.lattice.node, edge=-self.lattice.edge)
+            self._negated = ChainPosterior(self.model, self.x, lattice)
+            self._negated._negated = self
+        return self._negated
+
+    def sample_many(self, size: int, rng: np.random.Generator) -> np.ndarray:
+        """Exact i.i.d. samples, as a (size, n) array of label indices.
+
+        Uses backward filtering / forward sampling: the backward messages give
+        the exact conditional of each label given its predecessor, so a single
+        left-to-right pass draws from the joint. Deterministic given the rng
+        state.
+        """
+        lattice, beta = self.lattice, self.beta
+        n, L = lattice.node.shape
+        out = np.empty((size, n), dtype=np.int64)
+        logp0 = lattice.node[0] + beta[0]
+        p0 = np.exp(logp0 - _logsumexp(logp0))
+        p0 /= p0.sum()
+        out[:, 0] = _categorical_rows(p0[None, :].repeat(size, axis=0), rng)
+        for i in range(1, n):
+            logc = lattice.edge[i - 1] + (lattice.node[i] + beta[i])[None, :]
+            cond = np.exp(logc - _logsumexp(logc, axis=1)[:, None])
+            cond /= cond.sum(axis=1, keepdims=True)
+            out[:, i] = _categorical_rows(cond[out[:, i - 1]], rng)
+        return out
+
+    def sample(self, rng: np.random.Generator) -> tuple[str, ...]:
+        """One exact sample as a label tuple."""
+        labels = self.model.alphabet.labels
+        return tuple(labels[i] for i in self.sample_many(1, rng)[0])
+
+    def prob(self, y: Labeling) -> float:
+        """p(y|x) = exp(score(y) - log Z), in (0, 1]."""
+        if len(y) != self.lattice.n:
+            raise ValueError(f"labeling length {len(y)} != instance length {self.lattice.n}")
+        idx = self.model.alphabet.indices(y)
+        return float(np.exp(lattice_score(self.lattice, idx) - self.log_z))
+
+    def expected_features(self) -> SparseVector:
+        """Exact E_p[phi(x, y)] from forward-backward marginals; a new vector."""
+        lattice, alpha, beta, log_z = self.lattice, self.alpha, self.beta, self.log_z
+        node_marg = np.exp(alpha + beta - log_z)
+        compiled = self.model.compile(self.x)
+        L = lattice.num_labels
+        acc: dict[int, float] = {}
+        for i in range(lattice.n):
+            per_label = compiled.emission[i]
+            for li in range(L):
+                m = node_marg[i, li]
+                for fid in per_label[li]:
+                    acc[fid] = acc.get(fid, 0.0) + m
+        if compiled.transition is not None and lattice.n > 1:
+            pair_mass = np.exp(
+                alpha[:-1, :, None]
+                + lattice.edge
+                + (lattice.node[1:] + beta[1:])[:, None, :]
+                - log_z
+            ).sum(axis=0)
+            for a in range(L):
+                row = compiled.transition[a]
+                for b in range(L):
+                    acc[row[b]] = acc.get(row[b], 0.0) + pair_mass[a, b]
+        return SparseVector(acc)
+
+
+def posterior(model: ChainModel, w: SparseVector, x: ChainInstance) -> ChainPosterior:
+    """The posterior p_w(.|x); one serves every sampling, prob and expectation query."""
+    return ChainPosterior(model, x, build_lattice(model, w, x))
+
+
+def expected_features(model: ChainModel, w: SparseVector, x: ChainInstance) -> SparseVector:
+    """Exact E_{p_w(y|x)}[phi(x, y)] from forward-backward marginals."""
+    return posterior(model, w, x).expected_features()
+
+
+def sample_many(
+    model: ChainModel, w: SparseVector, x: ChainInstance, size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Exact i.i.d. samples from p_w(y|x), as a (size, n) array of label indices."""
+    return posterior(model, w, x).sample_many(size, rng)
 
 
 def sample(
     model: ChainModel, w: SparseVector, x: ChainInstance, rng: np.random.Generator
 ) -> tuple[str, ...]:
     """One exact sample from p_w(y|x) as a label tuple."""
-    idx = sample_many(model, w, x, 1, rng)[0]
-    labels = model.alphabet.labels
-    return tuple(labels[i] for i in idx)
+    return posterior(model, w, x).sample(rng)
 
 
 def map_decode(model: ChainModel, w: SparseVector, x: ChainInstance) -> tuple[str, ...]:
@@ -417,8 +454,4 @@ def map_decode(model: ChainModel, w: SparseVector, x: ChainInstance) -> tuple[st
 
 def prob(model: ChainModel, w: SparseVector, x: ChainInstance, y: Labeling) -> float:
     """p_w(y|x) = exp(w . phi(x, y) - log Z_w(x)), in (0, 1]."""
-    if len(y) != len(x):
-        raise ValueError(f"labeling length {len(y)} != instance length {len(x)}")
-    idx = model.alphabet.indices(y)
-    lattice = build_lattice(model, w, x)
-    return float(np.exp(lattice_score(lattice, idx) - log_partition(lattice)))
+    return posterior(model, w, x).prob(y)

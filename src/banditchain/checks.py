@@ -16,15 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from .chain import (
-    ChainInstance,
-    ChainModel,
-    LabelAlphabet,
-    expected_features,
-    log_partition,
-    build_lattice,
-    prob,
-)
+from .chain import ChainInstance, ChainModel, LabelAlphabet, posterior
 from .feedback import hamming_loss
 from .objectives import (
     ObjectiveKind,
@@ -128,11 +120,13 @@ def _expected_stochastic_gradient(
     """E[s_t] with the sampling randomness summed out by enumeration."""
     model, x, w = fx.model, fx.instance, fx.weights
     dist = distribution(model, w, x)
+    post = posterior(model, w, x)
     deltas = np.array([hamming_loss(x.gold, y) for y in dist.labelings])
     expect = SparseVector()
+    # feedback goes by keyword: perfbench's tracer reads it from the call
     if kind is ObjectiveKind.EL:
         for p, y, d in zip(dist.probs, dist.labelings, deltas):
-            expect.add_scaled(el_gradient(model, w, x, y, float(d)), float(p))
+            expect.add_scaled(el_gradient(post, y, delta=float(d)), float(p))
     elif kind.is_pairwise:
         neg = -dist.scores
         q = np.exp(neg - logsumexp(neg))
@@ -141,11 +135,11 @@ def _expected_stochastic_gradient(
                 fb = pair_feedback(float(di), float(dj), kind.pair_mode)
                 if fb == 0.0:
                     continue
-                grad = pr_gradient(model, w, x, PairSample(yi, yj), fb)
+                grad = pr_gradient(post, PairSample(yi, yj), delta_pair=fb)
                 expect.add_scaled(grad, float(pi * qj))
     else:
         for p, y, d in zip(dist.probs, dist.labelings, deltas):
-            grad = ce_gradient(model, w, x, y, 1.0 - float(d), clip_k)
+            grad = ce_gradient(post, y, gain=1.0 - float(d), clip=clip_k)
             expect.add_scaled(grad, float(p))
     return expect
 
@@ -173,13 +167,11 @@ def check_exact_inference(fixtures: Sequence[Fixture]) -> CheckResult:
     for fx in fixtures:
         model, x, w = fx.model, fx.instance, fx.weights
         dist = distribution(model, w, x)
-        lattice = build_lattice(model, w, x)
-        worst = max(worst, abs(log_partition(lattice) - dist.log_z))
-        worst = max(
-            worst, _max_coord_diff(expected_features(model, w, x), dist.expected_features())
-        )
+        post = posterior(model, w, x)
+        worst = max(worst, abs(post.log_z - dist.log_z))
+        worst = max(worst, _max_coord_diff(post.expected_features(), dist.expected_features()))
         for y, p_enum in zip(dist.labelings, dist.probs):
-            worst = max(worst, abs(prob(model, w, x, y) - float(p_enum)))
+            worst = max(worst, abs(post.prob(y) - float(p_enum)))
     tol = 1e-10
     return CheckResult("exact-inference", "pass" if worst <= tol else "fail", worst, tol)
 

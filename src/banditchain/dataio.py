@@ -179,7 +179,6 @@ class RunConfig:
     epoch_size: Optional[int] = None
     eval_every: Optional[int] = None
     snapshots: int = 64
-    lr_schedule: str = "constant"
     lipschitz_pairs: int = 500
     init_checkpoint: Optional[str] = None
     report_path: str = "report.json"
@@ -210,7 +209,6 @@ class RunConfig:
             epoch_size=self.epoch_size,
             eval_every=self.eval_every,
             snapshots=self.snapshots,
-            lr_schedule=self.lr_schedule,
         )
 
     def validate(self) -> None:
@@ -227,6 +225,17 @@ class RunConfig:
             self.trainer_config().validate()
         except ValueError as exc:
             raise DataError(str(exc)) from None
+        if self.epoch_size is not None:
+            _check_two_epochs(self.iterations, self.epoch_size)
+
+
+def _check_two_epochs(iterations: int, epoch_size: int) -> None:
+    """The variance estimate in the report needs gradients at 2 epoch boundaries."""
+    if iterations < 2 * epoch_size:
+        raise DataError(
+            f"iterations ({iterations}) must be at least 2 x epoch_size ({epoch_size}): "
+            "the report's variance estimate needs 2 epoch gradients"
+        )
 
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
@@ -325,6 +334,7 @@ def run_train(config: RunConfig) -> dict:
     model = config.model()
     alphabet = model.alphabet
     train_data = read_dataset(config.train_path, alphabet)
+    _check_two_epochs(config.iterations, config.epoch_size or len(train_data))
     dev_data = read_dataset(config.dev_path, alphabet)
     test_data = read_dataset(config.test_path, alphabet) if config.test_path else None
     oracle = FeedbackOracle(config.loss)

@@ -17,20 +17,13 @@ importance weight at the cost of bias.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .chain import (
-    ChainInstance,
-    ChainModel,
-    expected_features,
-    extract_features,
-    prob,
-    sample,
-    sample_many,
-)
+from .chain import ChainPosterior, extract_features
 from .sparse import SparseVector
 
 
@@ -101,13 +94,7 @@ def _check_unit_interval(name: str, value: float) -> float:
     return value
 
 
-def el_gradient(
-    model: ChainModel,
-    w: SparseVector,
-    x: ChainInstance,
-    y_sampled,
-    delta: float,
-) -> SparseVector:
+def el_gradient(post: ChainPosterior, y_sampled, delta: float) -> SparseVector:
     """Expected-loss stochastic gradient: delta * (phi(x, y~) - E_p[phi]).
 
     The update pushes the sampled structure's features toward the mean the
@@ -116,38 +103,16 @@ def el_gradient(
     delta = _check_unit_interval("delta", delta)
     if delta == 0.0:
         return SparseVector()
-    grad = extract_features(model, x, y_sampled)
-    grad.add_scaled(expected_features(model, w, x), -1.0)
+    grad = extract_features(post.model, post.x, y_sampled)
+    grad.add_scaled(post.expected_features(), -1.0)
     return grad.scale(delta)
 
 
-def pr_sample_pair(
-    model: ChainModel,
-    w: SparseVector,
-    x: ChainInstance,
-    rng: np.random.Generator,
-) -> PairSample:
+def pr_sample_pair(post: ChainPosterior, rng: np.random.Generator) -> PairSample:
     """Draw an ordered pair: first from p_w(.|x), second from p_{-w}(.|x)."""
-    first = sample(model, w, x, rng)
-    second = sample(model, w.scaled(-1.0), x, rng)
+    first = post.sample(rng)
+    second = post.negated().sample(rng)
     return PairSample(first=first, second=second)
-
-
-def pr_sample_pairs_many(
-    model: ChainModel,
-    w: SparseVector,
-    x: ChainInstance,
-    size: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched ordered-pair draws as two (size, n) label-index arrays.
-
-    Same distribution as pr_sample_pair: the components are independent
-    chain samples under w and under -w.
-    """
-    first = sample_many(model, w, x, size, rng)
-    second = sample_many(model, w.scaled(-1.0), x, size, rng)
-    return first, second
 
 
 def pair_feedback(delta_first: float, delta_second: float, mode: str) -> float:
@@ -165,40 +130,30 @@ def pair_feedback(delta_first: float, delta_second: float, mode: str) -> float:
     return 0.0
 
 
-def pair_expected_features(
-    model: ChainModel, w: SparseVector, x: ChainInstance
-) -> SparseVector:
+def pair_expected_features(post: ChainPosterior) -> SparseVector:
     """Exact pair-feature expectation E[phi(x, y_i) - phi(x, y_j)].
 
     By the factorization of the pair model this is the difference between
     the chain expectation under w and the one under -w; no sampling needed.
     """
-    exp_pair = expected_features(model, w, x)
-    exp_pair.add_scaled(expected_features(model, w.scaled(-1.0), x), -1.0)
+    exp_pair = post.expected_features()
+    exp_pair.add_scaled(post.negated().expected_features(), -1.0)
     return exp_pair
 
 
-def pr_gradient(
-    model: ChainModel,
-    w: SparseVector,
-    x: ChainInstance,
-    pair: PairSample,
-    delta_pair: float,
-) -> SparseVector:
+def pr_gradient(post: ChainPosterior, pair: PairSample, delta_pair: float) -> SparseVector:
     """Pairwise-preference stochastic gradient over ordered output pairs."""
     delta_pair = _check_unit_interval("delta_pair", delta_pair)
     if delta_pair == 0.0:
         return SparseVector()
-    grad = extract_features(model, x, pair.first)
-    grad.add_scaled(extract_features(model, x, pair.second), -1.0)
-    grad.add_scaled(pair_expected_features(model, w, x), -1.0)
+    grad = extract_features(post.model, post.x, pair.first)
+    grad.add_scaled(extract_features(post.model, post.x, pair.second), -1.0)
+    grad.add_scaled(pair_expected_features(post), -1.0)
     return grad.scale(delta_pair)
 
 
 def ce_gradient(
-    model: ChainModel,
-    w: SparseVector,
-    x: ChainInstance,
+    post: ChainPosterior,
     y_sampled,
     gain: float,
     clip: "ClippingConfig | float | None" = None,
@@ -212,7 +167,12 @@ def ce_gradient(
     clip = ClippingConfig.coerce(clip)
     if gain == 0.0:
         return SparseVector()
-    p_hat = max(prob(model, w, x, y_sampled), clip.k)
-    grad = expected_features(model, w, x)
-    grad.add_scaled(extract_features(model, x, y_sampled), -1.0)
+    p_hat = max(post.prob(y_sampled), clip.k)
+    if p_hat == 0.0 or math.isinf(gain / p_hat):
+        raise ValueError(
+            f"cross-entropy importance weight overflows: p_w(y~|x) = {p_hat:g} underflowed; "
+            "set clip_k > 0 to bound the weight"
+        )
+    grad = post.expected_features()
+    grad.add_scaled(extract_features(post.model, post.x, y_sampled), -1.0)
     return grad.scale(gain / p_hat)

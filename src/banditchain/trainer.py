@@ -19,7 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .chain import ChainInstance, ChainModel, map_decode, sample
+from .chain import ChainInstance, ChainModel, map_decode, posterior
+from .chain import sample  # noqa: F401  (perfbench's tracer self-test checks this binding)
 from .feedback import FeedbackOracle
 from .objectives import (
     ClippingConfig,
@@ -45,16 +46,11 @@ class TrainerConfig:
     epoch_size: Optional[int] = None  # default: one pass over the training set
     eval_every: Optional[int] = None  # default: epoch_size
     snapshots: int = 64
-    lr_schedule: str = "constant"  # reserved; only constant rates are implemented
 
     def __post_init__(self):
         object.__setattr__(self, "objective", ObjectiveKind.parse(self.objective))
 
     def validate(self) -> None:
-        if self.lr_schedule != "constant":
-            raise ValueError(
-                f"only the constant learning-rate schedule is implemented, got {self.lr_schedule!r}"
-            )
         # gamma = 0 is allowed: it freezes the weights, which is useful in tests.
         if self.gamma < 0.0:
             raise ValueError(f"learning rate must be >= 0, got {self.gamma}")
@@ -143,18 +139,19 @@ def _stochastic_gradient(
     oracle: FeedbackOracle,
     clip: ClippingConfig,
 ) -> tuple[SparseVector, float]:
+    # one posterior serves the step's sampling, prob and expectations; the
+    # feedback goes by keyword, which perfbench's tracer reads
+    post = posterior(model, w, x)
     kind = config.objective
-    if kind is ObjectiveKind.EL:
-        y = sample(model, w, x, rng)
-        delta = oracle.feedback(x, y)
-        return el_gradient(model, w, x, y, delta), delta
     if kind.is_pairwise:
-        pair = pr_sample_pair(model, w, x, rng)
+        pair = pr_sample_pair(post, rng)
         delta_pair = oracle.feedback_pair(x, pair, kind.pair_mode)
-        return pr_gradient(model, w, x, pair, delta_pair), delta_pair
-    y = sample(model, w, x, rng)
+        return pr_gradient(post, pair, delta_pair=delta_pair), delta_pair
+    y = post.sample(rng)
     delta = oracle.feedback(x, y)
-    return ce_gradient(model, w, x, y, 1.0 - delta, clip), delta
+    if kind is ObjectiveKind.EL:
+        return el_gradient(post, y, delta=delta), delta
+    return ce_gradient(post, y, gain=1.0 - delta, clip=clip), delta
 
 
 def train(

@@ -134,11 +134,12 @@ def test_criterion_2_gradient_correctness(kind):
 
 def expected_stochastic_gradient(kind, model, x, w):
     dist = bc.distribution(model, w, x)
+    post = bc.posterior(model, w, x)
     deltas = [bc.hamming_loss(x.gold, y) for y in dist.labelings]
     expect = SparseVector()
     if kind is ObjectiveKind.EL:
         for p, y, d in zip(dist.probs, dist.labelings, deltas):
-            expect.add_scaled(bc.el_gradient(model, w, x, y, d), float(p))
+            expect.add_scaled(bc.el_gradient(post, y, d), float(p))
     elif kind.is_pairwise:
         q = neg_probs(dist)
         for pi, yi, di in zip(dist.probs, dist.labelings, deltas):
@@ -147,11 +148,11 @@ def expected_stochastic_gradient(kind, model, x, w):
                 if fb == 0.0:
                     continue
                 expect.add_scaled(
-                    bc.pr_gradient(model, w, x, PairSample(yi, yj), fb), float(pi * qj)
+                    bc.pr_gradient(post, PairSample(yi, yj), fb), float(pi * qj)
                 )
     else:
         for p, y, d in zip(dist.probs, dist.labelings, deltas):
-            expect.add_scaled(bc.ce_gradient(model, w, x, y, 1.0 - d, 0.0), float(p))
+            expect.add_scaled(bc.ce_gradient(post, y, 1.0 - d, 0.0), float(p))
     return expect
 
 
@@ -255,7 +256,8 @@ def test_criterion_6_sampler_exactness():
         for yi, pi in zip(dist.labelings, dist.probs)
         for yj, qj in zip(dist.labelings, q)
     }
-    first, second = bc.pr_sample_pairs_many(model, w, x, 200_000, np.random.default_rng(64))
+    post, rng = bc.posterior(model, w, x), np.random.default_rng(64)
+    first, second = post.sample_many(200_000, rng), post.negated().sample_many(200_000, rng)
     counts = {}
     for f, s in zip(map(tuple, first.tolist()), map(tuple, second.tolist())):
         counts[(f, s)] = counts.get((f, s), 0) + 1

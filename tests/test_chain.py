@@ -18,6 +18,7 @@ from banditchain import (
     lattice_score,
     log_partition,
     map_decode,
+    posterior,
     prob,
     sample,
     sample_many,
@@ -268,6 +269,68 @@ def test_sampler_determinism(ab_model, fixed_instance, fixed_weights):
         rng = np.random.default_rng(5)
         runs.append([sample(ab_model, fixed_weights, fixed_instance, rng) for _ in range(20)])
     assert runs[0] == runs[1]
+
+
+# -- one posterior per step ----------------------------------------------------------
+
+
+def test_negated_posterior_matches_negated_weights(ab_model, fixed_instance, fixed_weights):
+    neg = posterior(ab_model, fixed_weights, fixed_instance).negated()
+    direct = posterior(ab_model, fixed_weights.scaled(-1.0), fixed_instance)
+    assert np.array_equal(neg.lattice.node, direct.lattice.node)
+    assert np.array_equal(neg.lattice.edge, direct.lattice.edge)
+    assert np.array_equal(neg.beta, direct.beta)
+    assert np.array_equal(neg.sample_many(50, np.random.default_rng(4)),
+                          direct.sample_many(50, np.random.default_rng(4)))
+    assert neg.expected_features() == direct.expected_features()
+    assert neg.negated().lattice is neg.negated().lattice  # built once
+
+
+@pytest.mark.parametrize("objective", ["el", "pr-cont", "ce"])
+def test_training_step_builds_one_lattice(objective, monkeypatch, synthetic_task):
+    import banditchain.trainer as trainer_mod
+    from banditchain import FeedbackOracle, TrainerConfig, train
+
+    model, train_data, dev_data, _ = synthetic_task
+    builds = {"step": 0, "decode": 0}
+    phase = ["step"]
+    build, decode = chain_mod.build_lattice, trainer_mod.map_decode
+
+    def counting_build(*args):
+        builds[phase[0]] += 1
+        return build(*args)
+
+    def decoding(*args):
+        phase[0] = "decode"
+        try:
+            return decode(*args)
+        finally:
+            phase[0] = "step"
+
+    monkeypatch.setattr(chain_mod, "build_lattice", counting_build)
+    monkeypatch.setattr(trainer_mod, "map_decode", decoding)
+    cfg = TrainerConfig(objective=objective, gamma=0.1, iterations=30, seed=2, eval_every=30)
+    train(cfg, model, train_data, dev_data[:5], FeedbackOracle("hamming"))
+    assert builds == {"step": 30, "decode": 2 * 5}
+
+
+def test_zero_feedback_step_never_runs_the_forward_pass(monkeypatch, synthetic_task):
+    from banditchain import FeedbackOracle, TrainerConfig, train
+
+    class Perfect(FeedbackOracle):
+        def feedback(self, instance, labeling):
+            return 0.0
+
+    model, train_data, dev_data, _ = synthetic_task
+    forward_calls = []
+    forward = chain_mod._forward
+    monkeypatch.setattr(chain_mod, "_forward",
+                        lambda lattice: forward_calls.append(1) or forward(lattice))
+    cfg = TrainerConfig(objective="el", gamma=0.1, iterations=20, seed=0)
+    train(cfg, model, train_data, dev_data[:5], Perfect("hamming"))
+    assert forward_calls == []
+    posterior(model, SparseVector(), train_data[0]).log_z
+    assert forward_calls == [1]
 
 
 # -- decoding --------------------------------------------------------------------

@@ -175,3 +175,28 @@ def test_eval_bad_dataset_exit_code(workdir, tmp_path, capsys):
         ]
     )
     assert code == 2
+
+
+def test_underflowed_ce_weight_is_a_data_error(workdir, capsys):
+    # at this rate the weights reach ~1e150 and p_w(y~|x) underflows to 0
+    tmp_path, cfg_path = workdir
+    code = cli.main(["train", "--config", str(cfg_path), "--objective", "ce",
+                     "--gamma", "1e150", "--clip-k", "0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "underflowed" in err and "clip_k > 0" in err
+
+
+@pytest.mark.parametrize("edit, epoch", [
+    ({"iterations": 15}, 10),  # epoch_size in the config: rejected at load
+    ({"iterations": 25, "epoch_size": None}, 16),  # default: the 16 training instances
+])
+def test_too_few_epochs_fail_before_training(workdir, capsys, edit, epoch):
+    tmp_path, cfg_path = workdir
+    config = json.loads(cfg_path.read_text())
+    config.update(edit)
+    cfg_path.write_text(json.dumps(config))
+    assert cli.main(["train", "--config", str(cfg_path)]) == 2
+    assert f"2 x epoch_size ({epoch})" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "model.ckpt").exists()

@@ -21,7 +21,7 @@ from banditchain import (
     pair_feedback,
     pr_gradient,
     pr_sample_pair,
-    pr_sample_pairs_many,
+    posterior,
 )
 
 from conftest import random_instance_weights
@@ -71,26 +71,28 @@ def test_clipping_config_validation():
 
 
 def test_el_gradient_zero_feedback(ab_model, fixed_instance, fixed_weights):
-    grad = el_gradient(ab_model, fixed_weights, fixed_instance, ("A", "B", "A"), 0.0)
+    post = posterior(ab_model, fixed_weights, fixed_instance)
+    grad = el_gradient(post, ("A", "B", "A"), 0.0)
     assert len(grad) == 0
 
 
 def test_el_gradient_uniform_single_position(ab_model):
     x = ChainInstance(tokens=("moss",))
-    grad = el_gradient(ab_model, SparseVector(), x, ("A",), 1.0)
+    grad = el_gradient(posterior(ab_model, SparseVector(), x), ("A",), 1.0)
     assert grad[feature_id("em0\x1fmoss\x1fA")] == pytest.approx(0.5, abs=1e-12)
     assert grad[feature_id("em0\x1fmoss\x1fB")] == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_el_gradient_rejects_out_of_range_delta(ab_model, fixed_instance, fixed_weights):
     with pytest.raises(ValueError, match="delta"):
-        el_gradient(ab_model, fixed_weights, fixed_instance, ("A", "B", "A"), 1.5)
+        el_gradient(posterior(ab_model, fixed_weights, fixed_instance), ("A", "B", "A"), 1.5)
 
 
 def test_el_scale_property(ab_model, fixed_instance, fixed_weights):
     y = ("B", "A", "A")
-    base = el_gradient(ab_model, fixed_weights, fixed_instance, y, 0.8)
-    half = el_gradient(ab_model, fixed_weights, fixed_instance, y, 0.4)
+    post = posterior(ab_model, fixed_weights, fixed_instance)
+    base = el_gradient(post, y, 0.8)
+    half = el_gradient(post, y, 0.4)
     # 0.4 = 0.5 * 0.8 exactly in binary floating point
     assert half == base.scaled(0.5)
 
@@ -99,10 +101,11 @@ def test_el_unbiasedness(ab_model, fixed_instance):
     for seed in (1, 2, 3):
         w = random_instance_weights(ab_model, fixed_instance, seed)
         dist = distribution(ab_model, w, fixed_instance)
+        post = posterior(ab_model, w, fixed_instance)
         expect = SparseVector()
         for p, y in zip(dist.probs, dist.labelings):
             d = hamming_loss(fixed_instance.gold, y)
-            expect.add_scaled(el_gradient(ab_model, w, fixed_instance, y, d), float(p))
+            expect.add_scaled(el_gradient(post, y, d), float(p))
         target = brute_gradient(ObjectiveKind.EL, ab_model, w, [fixed_instance], hamming_loss)
         assert max_coord_diff(expect, target) <= 1e-10
 
@@ -110,9 +113,14 @@ def test_el_unbiasedness(ab_model, fixed_instance):
 # -- pair sampling ------------------------------------------------------------------
 
 
+def sample_pairs(post, size, rng):
+    """Batched pair draws, the way pr_sample_pair draws one: under w, then under -w."""
+    return post.sample_many(size, rng), post.negated().sample_many(size, rng)
+
+
 def test_pair_sampler_uniform(ab_model, fixed_instance):
-    first, second = pr_sample_pairs_many(
-        ab_model, SparseVector(), fixed_instance, 200_000, np.random.default_rng(2)
+    first, second = sample_pairs(
+        posterior(ab_model, SparseVector(), fixed_instance), 200_000, np.random.default_rng(2)
     )
     counts = {}
     for f, s in zip(map(tuple, first.tolist()), map(tuple, second.tolist())):
@@ -132,8 +140,8 @@ def test_pair_sampler_matches_factorized_oracle(ab_model, fixed_instance, fixed_
         for yi, pi in zip(dist.labelings, dist.probs)
         for yj, qj in zip(dist.labelings, q)
     }
-    first, second = pr_sample_pairs_many(
-        ab_model, fixed_weights, fixed_instance, 200_000, np.random.default_rng(4)
+    first, second = sample_pairs(
+        posterior(ab_model, fixed_weights, fixed_instance), 200_000, np.random.default_rng(4)
     )
     counts = {}
     for f, s in zip(map(tuple, first.tolist()), map(tuple, second.tolist())):
@@ -143,10 +151,8 @@ def test_pair_sampler_matches_factorized_oracle(ab_model, fixed_instance, fixed_
 
 
 def test_pair_sampler_determinism(ab_model, fixed_instance, fixed_weights):
-    pairs = [
-        [pr_sample_pair(ab_model, fixed_weights, fixed_instance, np.random.default_rng(9)) for _ in range(5)]
-        for _ in range(2)
-    ]
+    post = posterior(ab_model, fixed_weights, fixed_instance)
+    pairs = [[pr_sample_pair(post, np.random.default_rng(9)) for _ in range(5)] for _ in range(2)]
     assert pairs[0] == pairs[1]
 
 
@@ -176,14 +182,14 @@ def test_pair_feedback_validation():
 
 def test_pr_gradient_zero_feedback(ab_model, fixed_instance, fixed_weights):
     pair = PairSample(("A", "A", "A"), ("B", "B", "B"))
-    assert len(pr_gradient(ab_model, fixed_weights, fixed_instance, pair, 0.0)) == 0
+    assert len(pr_gradient(posterior(ab_model, fixed_weights, fixed_instance), pair, 0.0)) == 0
 
 
 def test_pr_gradient_zero_weights_reduces_to_feature_gap(ab_model, fixed_instance):
-    w = SparseVector()
-    assert len(pair_expected_features(ab_model, w, fixed_instance)) == 0
+    post = posterior(ab_model, SparseVector(), fixed_instance)
+    assert len(pair_expected_features(post)) == 0
     pair = PairSample(("A", "A", "A"), ("B", "B", "B"))
-    grad = pr_gradient(ab_model, w, fixed_instance, pair, 0.5)
+    grad = pr_gradient(post, pair, 0.5)
     gap = extract_features(ab_model, fixed_instance, pair.first) - extract_features(
         ab_model, fixed_instance, pair.second
     )
@@ -196,6 +202,7 @@ def test_pr_unbiasedness(kind, ab_model, fixed_instance):
         w = random_instance_weights(ab_model, fixed_instance, seed)
         dist = distribution(ab_model, w, fixed_instance)
         q = neg_probs(dist)
+        post = posterior(ab_model, w, fixed_instance)
         deltas = [hamming_loss(fixed_instance.gold, y) for y in dist.labelings]
         expect = SparseVector()
         for pi, yi, di in zip(dist.probs, dist.labelings, deltas):
@@ -203,7 +210,7 @@ def test_pr_unbiasedness(kind, ab_model, fixed_instance):
                 fb = pair_feedback(di, dj, kind.pair_mode)
                 if fb == 0.0:
                     continue
-                grad = pr_gradient(ab_model, w, fixed_instance, PairSample(yi, yj), fb)
+                grad = pr_gradient(post, PairSample(yi, yj), fb)
                 expect.add_scaled(grad, float(pi * qj))
         target = brute_gradient(kind, ab_model, w, [fixed_instance], hamming_loss)
         assert max_coord_diff(expect, target) <= 1e-10
@@ -211,7 +218,8 @@ def test_pr_unbiasedness(kind, ab_model, fixed_instance):
 
 def test_pr_gradient_norm_bounded_by_pair_diameter(ab_model, fixed_instance, fixed_weights):
     dist = distribution(ab_model, fixed_weights, fixed_instance)
-    exp_pair = pair_expected_features(ab_model, fixed_weights, fixed_instance)
+    post = posterior(ab_model, fixed_weights, fixed_instance)
+    exp_pair = pair_expected_features(post)
     deltas = [hamming_loss(fixed_instance.gold, y) for y in dist.labelings]
     diameter = max(
         (
@@ -225,10 +233,8 @@ def test_pr_gradient_norm_bounded_by_pair_diameter(ab_model, fixed_instance, fix
     for yi, di in zip(dist.labelings, deltas):
         for yj, dj in zip(dist.labelings, deltas):
             pair = PairSample(yi, yj)
-            s_bin = pr_gradient(ab_model, fixed_weights, fixed_instance, pair,
-                                pair_feedback(di, dj, "bin"))
-            s_cont = pr_gradient(ab_model, fixed_weights, fixed_instance, pair,
-                                 pair_feedback(di, dj, "cont"))
+            s_bin = pr_gradient(post, pair, pair_feedback(di, dj, "bin"))
+            s_cont = pr_gradient(post, pair, pair_feedback(di, dj, "cont"))
             assert s_bin.norm() <= diameter + 1e-12
             assert s_cont.norm() <= s_bin.norm() + 1e-12
 
@@ -237,51 +243,65 @@ def test_pr_gradient_norm_bounded_by_pair_diameter(ab_model, fixed_instance, fix
 
 
 def test_ce_gradient_zero_gain(ab_model, fixed_instance, fixed_weights):
-    assert len(ce_gradient(ab_model, fixed_weights, fixed_instance, ("A", "A", "A"), 0.0)) == 0
+    post = posterior(ab_model, fixed_weights, fixed_instance)
+    assert len(ce_gradient(post, ("A", "A", "A"), 0.0)) == 0
 
 
 def test_ce_gradient_clips_small_probabilities(ab_model):
     # p(A) = 1 / (1 + 9999) = 1e-4, below the clipping floor of 5e-3
     x = ChainInstance(tokens=("moss",))
     w = SparseVector({feature_id("em0\x1fmoss\x1fB"): math.log(9999.0)})
-    grad = ce_gradient(ab_model, w, x, ("A",), 0.5, clip=5e-3)
+    grad = ce_gradient(posterior(ab_model, w, x), ("A",), 0.5, clip=5e-3)
     expected = expected_features(ab_model, w, x)
     expected.add_scaled(extract_features(ab_model, x, ("A",)), -1.0)
     expected.scale(0.5 / 5e-3)
     assert max_coord_diff(grad, expected) <= 1e-12
 
 
+@pytest.mark.parametrize("weight", [300.0, 237.0])
+def test_ce_gradient_names_underflowed_importance_weight(ab_model, weight):
+    # p(B, B, B) is about exp(-3 * weight): 0 at 300, subnormal (1/p = inf) at 237
+    x = ChainInstance(tokens=("t", "t", "t"))
+    post = posterior(ab_model, SparseVector({feature_id("em0\x1ft\x1fA"): weight}), x)
+    assert post.prob(("B", "B", "B")) < 2.3e-308
+    with pytest.raises(ValueError, match="underflowed; set clip_k > 0"):
+        ce_gradient(post, ("B", "B", "B"), 1.0)
+    assert len(ce_gradient(post, ("B", "B", "B"), 1.0, clip=1e-3)) > 0
+
+
 def test_ce_unbiasedness_without_clipping(ab_model, fixed_instance):
     for seed in (1, 2, 3):
         w = random_instance_weights(ab_model, fixed_instance, seed)
         dist = distribution(ab_model, w, fixed_instance)
+        post = posterior(ab_model, w, fixed_instance)
         expect = SparseVector()
         for p, y in zip(dist.probs, dist.labelings):
             gain = 1.0 - hamming_loss(fixed_instance.gold, y)
-            expect.add_scaled(ce_gradient(ab_model, w, fixed_instance, y, gain), float(p))
+            expect.add_scaled(ce_gradient(post, y, gain), float(p))
         target = brute_gradient(ObjectiveKind.CE, ab_model, w, [fixed_instance], hamming_loss)
         assert max_coord_diff(expect, target) <= 1e-10
 
 
 def _enumerated_variance(kind, model, x, w, clip_k=0.0):
     dist = distribution(model, w, x)
+    post = posterior(model, w, x)
     deltas = [hamming_loss(x.gold, y) for y in dist.labelings]
     if kind.is_pairwise:
         q = neg_probs(dist)
         weighted = [
-            (float(pi * qj), pr_gradient(model, w, x, PairSample(yi, yj),
+            (float(pi * qj), pr_gradient(post, PairSample(yi, yj),
                                          pair_feedback(di, dj, kind.pair_mode)))
             for pi, yi, di in zip(dist.probs, dist.labelings, deltas)
             for qj, yj, dj in zip(q, dist.labelings, deltas)
         ]
     elif kind is ObjectiveKind.EL:
         weighted = [
-            (float(p), el_gradient(model, w, x, y, d))
+            (float(p), el_gradient(post, y, d))
             for p, y, d in zip(dist.probs, dist.labelings, deltas)
         ]
     else:
         weighted = [
-            (float(p), ce_gradient(model, w, x, y, 1.0 - d, clip_k))
+            (float(p), ce_gradient(post, y, 1.0 - d, clip_k))
             for p, y, d in zip(dist.probs, dist.labelings, deltas)
         ]
     mean = SparseVector()

@@ -156,9 +156,19 @@ def test_config_validation():
         TrainerConfig(objective="ce", gamma=0.1, iterations=10, clip_k=1.0).validate()
     with pytest.raises(ValueError):
         TrainerConfig(objective="ce", gamma=0.1, iterations=10, l2_lambda=-1.0).validate()
-    with pytest.raises(ValueError, match="constant"):
-        TrainerConfig(objective="el", gamma=0.1, iterations=10, lr_schedule="sqrt").validate()
     TrainerConfig(objective="el", gamma=0.0, iterations=10).validate()
+
+
+def test_lr_schedule_is_an_unknown_config_key(tmp_path):
+    import json
+
+    from banditchain import DataError, load_config
+
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"labels": ["A", "B"], "train_path": "t.tsv",
+                                "dev_path": "d.tsv", "lr_schedule": "constant"}))
+    with pytest.raises(DataError, match="unknown config keys.*lr_schedule"):
+        load_config(path)
 
 
 def test_empty_data_rejected(tiny_task):
@@ -239,3 +249,39 @@ def test_warm_start_checkpoint_zero_is_w0(tiny_task):
     traj = train(cfg, model, train_data, dev_data, FeedbackOracle("hamming"), w0=w0)
     t0, ck0 = traj.checkpoints[0]
     assert t0 == 0 and ck0 == w0
+
+
+# -- golden runs ------------------------------------------------------------------
+
+# sha256 of (final weights, dev losses, ||gamma * s_t||^2) of a 300-step seed-0 run
+# per objective on the conftest synthetic task; any change to the sampler's rng
+# draws or to the order of floating-point sums in a gradient changes them
+GOLDEN_DIGESTS = {
+    "el": "0e701b75ae1054765a9d580efc7cf3c0b9b1c749bf5df46f8f5947e7f496e9f3",
+    "pr-bin": "fc003712b7e97eca9e8c349c5cfb230911ac2f3185787a65aeb68c7762e60a11",
+    "pr-cont": "1814363b22627bed4a529e1e097f6c86c72f941a303ec330f603af7cc74da2c9",
+    "ce": "6cc771717c6193fbfe691426e586f961ab55d5a47e841f310ab194386704961f",
+}
+
+
+def trajectory_digest(traj) -> str:
+    import hashlib
+    import struct
+
+    h = hashlib.sha256()
+    for fid, value in sorted(traj.final_weights.items()):
+        h.update(struct.pack("<qd", fid, value))
+    h.update(struct.pack(f"<{len(traj.dev_losses)}d", *traj.dev_losses))
+    h.update(struct.pack(f"<{traj.iterations}d", *traj.scaled_norm_sq[1:]))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("objective", sorted(GOLDEN_DIGESTS))
+def test_seed_zero_run_matches_golden_digest(objective, synthetic_task):
+    model, train_data, dev_data, _ = synthetic_task
+    cfg = TrainerConfig(
+        objective=objective, gamma=0.1, iterations=300, seed=0, eval_every=100,
+        l2_lambda=0.5 if objective == "ce" else 0.0,
+    )
+    traj = train(cfg, model, train_data, dev_data, FeedbackOracle("hamming"))
+    assert trajectory_digest(traj) == GOLDEN_DIGESTS[objective]
