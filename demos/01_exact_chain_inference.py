@@ -24,10 +24,10 @@ def main():
 
     # every quantity below is computed twice: fast lattice DP vs enumeration
     dist = bc.distribution(model, w, x)
-    lattice = bc.build_lattice(model, w, x)
-    print(f"log Z      dp={bc.log_partition(lattice):.12f}  enum={dist.log_z:.12f}")
+    post = bc.posterior(model, w, x)
+    print(f"log Z      dp={post.log_z:.12f}  enum={dist.log_z:.12f}")
 
-    ef_dp = bc.expected_features(model, w, x)
+    ef_dp = post.expected_features()
     ef_enum = dist.expected_features()
     gap = max(abs(ef_dp[f] - ef_enum[f]) for f in ef_dp.support() | ef_enum.support())
     print(f"E[phi]     max coordinate gap dp vs enum: {gap:.2e}")
@@ -39,7 +39,7 @@ def main():
     print(f"  sum of probabilities: {dist.probs.sum():.12f}")
 
     # exact sampling: empirical frequencies approach the true distribution
-    draws = bc.sample_many(model, w, x, 50_000, np.random.default_rng(1))
+    draws = post.sample_many(50_000, np.random.default_rng(1))
     counts = {}
     for row in map(tuple, draws.tolist()):
         counts[row] = counts.get(row, 0) + 1

@@ -116,20 +116,16 @@ class ChainInstance:
         return len(self.tokens)
 
 
-@dataclass(frozen=True)
-class _CompiledChain:
-    """Per-instance feature-id tables used by every lattice operation."""
-
-    emission: tuple  # [position][label index] -> tuple of feature ids
-    transition: Optional[tuple]  # [from label][to label] -> feature id
-
-
 @dataclass
 class ChainLattice:
-    """Materialized potentials: node (n, L) and edge (n-1, L, L), log-space."""
+    """Log-space potentials of one (w, x): node (n, L) and trans (L, L).
+
+    ``node[i, l]`` scores label l at position i; ``trans[a, b]`` scores the
+    label pair (a, b), the same at every adjacent pair of positions.
+    """
 
     node: np.ndarray
-    edge: np.ndarray
+    trans: np.ndarray
 
     @property
     def n(self) -> int:
@@ -145,37 +141,31 @@ class ChainModel:
 
     Emission templates pair the token at a configurable offset from the
     current position with the position's label; the transition template
-    fires once per adjacent label pair.  Extraction is deterministic.  Ids
-    are stable hashes of the template strings; an always-on registry detects
-    hash collisions (disable with ``collision_check=False`` for bulk runs).
+    fires once per adjacent label pair, so its L x L id table ``transition``
+    ([from label][to label] -> feature id) is built once per model.
+    Extraction is deterministic.  Ids are stable hashes of the template
+    strings; an always-on registry detects hash collisions.
     """
 
-    def __init__(
-        self,
-        alphabet: LabelAlphabet,
-        emission_offsets: Sequence[int] = (0,),
-        use_transitions: bool = True,
-        collision_check: bool = True,
-    ):
-        if len(tuple(emission_offsets)) == 0 and not use_transitions:
-            raise ValueError("model needs at least one template")
+    def __init__(self, alphabet: LabelAlphabet, emission_offsets: Sequence[int] = (0,)):
         self.alphabet = alphabet
         self.emission_offsets = tuple(int(o) for o in emission_offsets)
-        self.use_transitions = bool(use_transitions)
-        self._registry: Optional[dict[int, str]] = {} if collision_check else None
-        self._compiled: dict[ChainInstance, _CompiledChain] = {}
+        self._registry: dict[int, str] = {}
+        self._compiled: dict[ChainInstance, tuple] = {}
+        labels = alphabet.labels
+        self.transition = tuple(
+            tuple(self._fid(f"tr{_SEP}{a}{_SEP}{b}") for b in labels) for a in labels
+        )
 
     def _fid(self, template: str) -> int:
         fid = feature_id(template)
-        if self._registry is not None:
-            known = self._registry.setdefault(fid, template)
-            if known != template:
-                raise RuntimeError(
-                    f"feature id collision: {template!r} vs {known!r} -> {fid}"
-                )
+        known = self._registry.setdefault(fid, template)
+        if known != template:
+            raise RuntimeError(f"feature id collision: {template!r} vs {known!r} -> {fid}")
         return fid
 
-    def compile(self, x: ChainInstance) -> _CompiledChain:
+    def compile(self, x: ChainInstance) -> tuple:
+        """The emission id table of x, [position][label index] -> tuple of ids; cached."""
         cached = self._compiled.get(x)
         if cached is not None:
             return cached
@@ -196,13 +186,7 @@ class ChainModel:
                     )
                 )
             emission.append(tuple(per_label))
-        transition = None
-        if self.use_transitions:
-            transition = tuple(
-                tuple(self._fid(f"tr{_SEP}{a}{_SEP}{b}") for b in labels)
-                for a in labels
-            )
-        compiled = _CompiledChain(emission=tuple(emission), transition=transition)
+        compiled = tuple(emission)
         self._compiled[x] = compiled
         return compiled
 
@@ -211,13 +195,12 @@ class ChainModel:
 
     def instance_feature_ids(self, x: ChainInstance) -> list[int]:
         """All feature ids that can fire for ``x`` under any labeling, sorted."""
-        compiled = self.compile(x)
         fids: set[int] = set()
-        for per_label in compiled.emission:
+        for per_label in self.compile(x):
             for group in per_label:
                 fids.update(group)
-        if compiled.transition is not None and len(x) > 1:
-            for row in compiled.transition:
+        if len(x) > 1:
+            for row in self.transition:
                 fids.update(row)
         return sorted(fids)
 
@@ -228,10 +211,7 @@ class ChainModel:
         number of firings: n templates per position plus n-1 transitions.
         """
         n = len(x)
-        total = n * len(self.emission_offsets)
-        if self.use_transitions:
-            total += n - 1
-        return float(total)
+        return float(n * len(self.emission_offsets) + n - 1)
 
 
 def extract_features(model: ChainModel, x: ChainInstance, y: Labeling) -> SparseVector:
@@ -239,37 +219,30 @@ def extract_features(model: ChainModel, x: ChainInstance, y: Labeling) -> Sparse
     if len(y) != len(x):
         raise ValueError(f"labeling length {len(y)} != instance length {len(x)}")
     idx = model.alphabet.indices(y)
-    compiled = model.compile(x)
+    emission = model.compile(x)
     acc: dict[int, float] = {}
     for i, li in enumerate(idx):
-        for fid in compiled.emission[i][li]:
+        for fid in emission[i][li]:
             acc[fid] = acc.get(fid, 0.0) + 1.0
-    if compiled.transition is not None:
-        for i in range(len(idx) - 1):
-            fid = compiled.transition[idx[i]][idx[i + 1]]
-            acc[fid] = acc.get(fid, 0.0) + 1.0
+    for i in range(len(idx) - 1):
+        fid = model.transition[idx[i]][idx[i + 1]]
+        acc[fid] = acc.get(fid, 0.0) + 1.0
     return SparseVector(acc)
 
 
 def build_lattice(model: ChainModel, w: SparseVector, x: ChainInstance) -> ChainLattice:
-    """Materialize node and edge potentials w . phi restricted to each factor."""
-    compiled = model.compile(x)
+    """Materialize node and transition potentials w . phi restricted to each factor."""
+    emission = model.compile(x)
     n = len(x)
     L = len(model.alphabet)
     node = np.zeros((n, L))
     wget = w.get
     for i in range(n):
-        per_label = compiled.emission[i]
+        per_label = emission[i]
         for li in range(L):
             node[i, li] = sum(wget(fid, 0.0) for fid in per_label[li])
-    if compiled.transition is not None and n > 1:
-        trans = np.array(
-            [[wget(fid, 0.0) for fid in row] for row in compiled.transition]
-        )
-        edge = np.broadcast_to(trans, (n - 1, L, L))
-    else:
-        edge = np.zeros((max(n - 1, 0), L, L))
-    return ChainLattice(node=node, edge=edge)
+    trans = np.array([[wget(fid, 0.0) for fid in row] for row in model.transition])
+    return ChainLattice(node=node, trans=trans)
 
 
 def lattice_score(lattice: ChainLattice, label_indices: Sequence[int]) -> float:
@@ -279,32 +252,27 @@ def lattice_score(lattice: ChainLattice, label_indices: Sequence[int]) -> float:
         raise ValueError("label path length does not match lattice")
     score = float(lattice.node[np.arange(lattice.n), idx].sum())
     if lattice.n > 1:
-        score += float(lattice.edge[np.arange(lattice.n - 1), idx[:-1], idx[1:]].sum())
+        score += float(lattice.trans[idx[:-1], idx[1:]].sum())
     return score
 
 
 def _forward(lattice: ChainLattice) -> np.ndarray:
     """Forward messages: alpha[i, l] = logsumexp over prefixes ending in l."""
-    node, edge = lattice.node, lattice.edge
+    node, trans = lattice.node, lattice.trans
     alpha = np.empty_like(node)
     alpha[0] = node[0]
     for i in range(1, lattice.n):
-        alpha[i] = node[i] + _logsumexp(alpha[i - 1][:, None] + edge[i - 1], axis=0)
+        alpha[i] = node[i] + _logsumexp(alpha[i - 1][:, None] + trans, axis=0)
     return alpha
 
 
 def _backward(lattice: ChainLattice) -> np.ndarray:
     """Backward messages: beta[i, l] = logsumexp over suffixes starting after l."""
-    node, edge = lattice.node, lattice.edge
+    node, trans = lattice.node, lattice.trans
     beta = np.zeros_like(node)
     for i in range(lattice.n - 2, -1, -1):
-        beta[i] = _logsumexp(edge[i] + (node[i + 1] + beta[i + 1])[None, :], axis=1)
+        beta[i] = _logsumexp(trans + (node[i + 1] + beta[i + 1])[None, :], axis=1)
     return beta
-
-
-def log_partition(lattice: ChainLattice) -> float:
-    """log Z_w(x) by the forward recursion."""
-    return float(_logsumexp(_forward(lattice)[-1]))
 
 
 def _categorical_rows(prob_rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -344,7 +312,7 @@ class ChainPosterior:
     def negated(self) -> "ChainPosterior":
         """The posterior p_{-w}(y|x), built once and shared."""
         if self._negated is None:
-            lattice = ChainLattice(node=-self.lattice.node, edge=-self.lattice.edge)
+            lattice = ChainLattice(node=-self.lattice.node, trans=-self.lattice.trans)
             self._negated = ChainPosterior(self.model, self.x, lattice)
             self._negated._negated = self
         return self._negated
@@ -365,7 +333,7 @@ class ChainPosterior:
         p0 /= p0.sum()
         out[:, 0] = _categorical_rows(p0[None, :].repeat(size, axis=0), rng)
         for i in range(1, n):
-            logc = lattice.edge[i - 1] + (lattice.node[i] + beta[i])[None, :]
+            logc = lattice.trans + (lattice.node[i] + beta[i])[None, :]
             cond = np.exp(logc - _logsumexp(logc, axis=1)[:, None])
             cond /= cond.sum(axis=1, keepdims=True)
             out[:, i] = _categorical_rows(cond[out[:, i - 1]], rng)
@@ -387,44 +355,32 @@ class ChainPosterior:
         """Exact E_p[phi(x, y)] from forward-backward marginals; a new vector."""
         lattice, alpha, beta, log_z = self.lattice, self.alpha, self.beta, self.log_z
         node_marg = np.exp(alpha + beta - log_z)
-        compiled = self.model.compile(self.x)
+        emission = self.model.compile(self.x)
         L = lattice.num_labels
         acc: dict[int, float] = {}
         for i in range(lattice.n):
-            per_label = compiled.emission[i]
+            per_label = emission[i]
             for li in range(L):
                 m = node_marg[i, li]
                 for fid in per_label[li]:
                     acc[fid] = acc.get(fid, 0.0) + m
-        if compiled.transition is not None and lattice.n > 1:
+        if lattice.n > 1:
             pair_mass = np.exp(
                 alpha[:-1, :, None]
-                + lattice.edge
+                + lattice.trans
                 + (lattice.node[1:] + beta[1:])[:, None, :]
                 - log_z
             ).sum(axis=0)
             for a in range(L):
-                row = compiled.transition[a]
+                row = self.model.transition[a]
                 for b in range(L):
                     acc[row[b]] = acc.get(row[b], 0.0) + pair_mass[a, b]
         return SparseVector(acc)
 
 
 def posterior(model: ChainModel, w: SparseVector, x: ChainInstance) -> ChainPosterior:
-    """The posterior p_w(.|x); one serves every sampling, prob and expectation query."""
+    """The posterior p_w(.|x): the one entry point for sampling, prob, log Z and expectations."""
     return ChainPosterior(model, x, build_lattice(model, w, x))
-
-
-def expected_features(model: ChainModel, w: SparseVector, x: ChainInstance) -> SparseVector:
-    """Exact E_{p_w(y|x)}[phi(x, y)] from forward-backward marginals."""
-    return posterior(model, w, x).expected_features()
-
-
-def sample_many(
-    model: ChainModel, w: SparseVector, x: ChainInstance, size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Exact i.i.d. samples from p_w(y|x), as a (size, n) array of label indices."""
-    return posterior(model, w, x).sample_many(size, rng)
 
 
 def sample(
@@ -441,7 +397,7 @@ def map_decode(model: ChainModel, w: SparseVector, x: ChainInstance) -> tuple[st
     back = np.zeros((n, L), dtype=np.int64)
     trellis = lattice.node[0].copy()
     for i in range(1, n):
-        scores = trellis[:, None] + lattice.edge[i - 1]
+        scores = trellis[:, None] + lattice.trans
         back[i] = np.argmax(scores, axis=0)
         trellis = lattice.node[i] + scores[back[i], np.arange(L)]
     path = np.empty(n, dtype=np.int64)
@@ -450,8 +406,3 @@ def map_decode(model: ChainModel, w: SparseVector, x: ChainInstance) -> tuple[st
         path[i - 1] = back[i, path[i]]
     labels = model.alphabet.labels
     return tuple(labels[i] for i in path)
-
-
-def prob(model: ChainModel, w: SparseVector, x: ChainInstance, y: Labeling) -> float:
-    """p_w(y|x) = exp(w . phi(x, y) - log Z_w(x)), in (0, 1]."""
-    return posterior(model, w, x).prob(y)

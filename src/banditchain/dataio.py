@@ -169,7 +169,6 @@ class RunConfig:
     test_path: Optional[str] = None
     loss: str = "hamming"
     emission_offsets: tuple[int, ...] = (0,)
-    use_transitions: bool = True
     objective: str = "el"
     gamma: float = 0.1
     iterations: int = 1000
@@ -192,11 +191,7 @@ class RunConfig:
         return d
 
     def model(self) -> ChainModel:
-        return ChainModel(
-            LabelAlphabet(self.labels),
-            emission_offsets=self.emission_offsets,
-            use_transitions=self.use_transitions,
-        )
+        return ChainModel(LabelAlphabet(self.labels), emission_offsets=self.emission_offsets)
 
     def trainer_config(self) -> TrainerConfig:
         return TrainerConfig(

@@ -14,7 +14,7 @@ They depend only on norms and differences, never on feature identities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,19 +41,7 @@ class ConvergenceReport:
     l2_lambda: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "grad_norm_sq_at_T": self.grad_norm_sq_at_T,
-            "lipschitz_est": self.lipschitz_est,
-            "variance_est": self.variance_est,
-            "T": self.T,
-            "D": self.D,
-            "K": self.K,
-            "seed": self.seed,
-            "objective": self.objective,
-            "gamma": self.gamma,
-            "clip_k": self.clip_k,
-            "l2_lambda": self.l2_lambda,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ConvergenceReport":

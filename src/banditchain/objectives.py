@@ -168,11 +168,14 @@ def ce_gradient(
     if gain == 0.0:
         return SparseVector()
     p_hat = max(post.prob(y_sampled), clip.k)
-    if p_hat == 0.0 or math.isinf(gain / p_hat):
-        raise ValueError(
-            f"cross-entropy importance weight overflows: p_w(y~|x) = {p_hat:g} underflowed; "
-            "set clip_k > 0 to bound the weight"
-        )
     grad = post.expected_features()
     grad.add_scaled(extract_features(post.model, post.x, y_sampled), -1.0)
-    return grad.scale(gain / p_hat)
+    if p_hat > 0.0:
+        # a finite but huge weight gain / p_hat can still overflow the entries
+        grad.scale(gain / p_hat)
+        if all(math.isfinite(v) for _, v in grad.items()):
+            return grad
+    raise ValueError(
+        f"cross-entropy importance weight overflows: p_w(y~|x) = {p_hat:g} underflowed; "
+        "set clip_k > 0 to bound the weight"
+    )

@@ -91,24 +91,6 @@ def distribution(
     )
 
 
-def brute_log_partition(
-    model: ChainModel,
-    w: SparseVector,
-    x: ChainInstance,
-    budget: OracleBudget = OracleBudget(),
-) -> float:
-    return distribution(model, w, x, budget).log_z
-
-
-def brute_expected_features(
-    model: ChainModel,
-    w: SparseVector,
-    x: ChainInstance,
-    budget: OracleBudget = OracleBudget(),
-) -> SparseVector:
-    return distribution(model, w, x, budget).expected_features()
-
-
 def pair_distribution(
     model: ChainModel,
     w: SparseVector,

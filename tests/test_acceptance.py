@@ -92,13 +92,13 @@ def test_criterion_1_oracle_equivalence():
     for i, (n, L) in enumerate(ORACLE_SIZES):
         model, x, w = make_fixture(100 + i, n, L)
         dist = bc.distribution(model, w, x)
-        lattice = bc.build_lattice(model, w, x)
-        worst = max(worst, abs(bc.log_partition(lattice) - dist.log_z))
-        exact = bc.expected_features(model, w, x)
+        post = bc.posterior(model, w, x)
+        worst = max(worst, abs(post.log_z - dist.log_z))
+        exact = post.expected_features()
         enum = dist.expected_features()
         worst = max(worst, max_coord_diff(exact, enum))
         for y, p in zip(dist.labelings, dist.probs):
-            worst = max(worst, abs(bc.prob(model, w, x, y) - float(p)))
+            worst = max(worst, abs(post.prob(y) - float(p)))
     elapsed = time.monotonic() - start
     assert worst <= 1e-10
     assert elapsed < 5.0
@@ -240,7 +240,7 @@ def test_criterion_6_sampler_exactness():
             tuple(model.alphabet.indices(y).tolist()): float(p)
             for y, p in zip(dist.labelings, dist.probs)
         }
-        draws = bc.sample_many(model, w, x, 100_000, np.random.default_rng(seed))
+        draws = bc.posterior(model, w, x).sample_many(100_000, np.random.default_rng(seed))
         counts = {}
         for row in map(tuple, draws.tolist()):
             counts[row] = counts.get(row, 0) + 1

@@ -11,17 +11,13 @@ from banditchain import (
     SparseVector,
     build_lattice,
     distribution,
-    expected_features,
     extract_features,
     feature_id,
     finite_diff_gradient,
     lattice_score,
-    log_partition,
     map_decode,
     posterior,
-    prob,
     sample,
-    sample_many,
 )
 
 from conftest import random_instance_weights
@@ -133,9 +129,22 @@ def test_emission_windows_pad_outside_sequence():
 
 def test_collision_detection(monkeypatch):
     monkeypatch.setattr(chain_mod, "feature_id", lambda s: 42)
-    model = ChainModel(LabelAlphabet(("A", "B")))
     with pytest.raises(RuntimeError, match="collision"):
-        model.compile(ChainInstance(tokens=("a", "b")))
+        ChainModel(LabelAlphabet(("A", "B")))
+
+
+def test_transition_ids_hashed_once_per_model(monkeypatch):
+    hashed = []
+    real = chain_mod.feature_id
+    monkeypatch.setattr(chain_mod, "feature_id", lambda s: hashed.append(s) or real(s))
+    model = ChainModel(LabelAlphabet(("A", "B", "C")))
+    w = SparseVector({feature_id("tr\x1fB\x1fC"): 1.5})
+    lattices = [build_lattice(model, w, ChainInstance(tokens=toks))
+                for toks in (("a", "b", "c"), ("d", "e"))]
+    assert sum(t.startswith("tr") for t in hashed) == 9
+    for lat in lattices:
+        assert lat.trans[1, 2] == 1.5 and np.count_nonzero(lat.trans) == 1
+    assert model.transition[1][2] == feature_id("tr\x1fB\x1fC")
 
 
 # -- lattice -------------------------------------------------------------------
@@ -144,7 +153,7 @@ def test_collision_detection(monkeypatch):
 def test_zero_weights_zero_potentials(ab_model, fixed_instance):
     lat = build_lattice(ab_model, SparseVector(), fixed_instance)
     assert np.all(lat.node == 0.0)
-    assert np.all(lat.edge == 0.0)
+    assert np.all(lat.trans == 0.0)
 
 
 def test_single_feature_scales_one_cell(ab_model, fixed_instance):
@@ -152,7 +161,8 @@ def test_single_feature_scales_one_cell(ab_model, fixed_instance):
     lat = build_lattice(ab_model, w, fixed_instance)
     assert lat.node[1, 1] == 2.5
     assert np.count_nonzero(lat.node) == 1
-    assert np.all(lat.edge == 0.0)
+    assert np.all(lat.trans == 0.0)
+    assert lat.trans.shape == (2, 2)
 
 
 def test_lattice_score_matches_direct_dot(ab_model, fixed_instance, fixed_weights):
@@ -168,7 +178,7 @@ def test_lattice_score_matches_direct_dot(ab_model, fixed_instance, fixed_weight
 
 def test_log_partition_uniform(ab_model):
     x = ChainInstance(tokens=("a", "b", "c", "d"))
-    assert log_partition(build_lattice(ab_model, SparseVector(), x)) == pytest.approx(
+    assert posterior(ab_model, SparseVector(), x).log_z == pytest.approx(
         4 * math.log(2), abs=1e-12
     )
 
@@ -180,12 +190,13 @@ def test_log_partition_single_position_closed_form(ab_model):
         {feature_id("em0\x1fmoss\x1fA"): a, feature_id("em0\x1fmoss\x1fB"): b}
     )
     expected = math.log(math.exp(a) + math.exp(b))
-    assert log_partition(build_lattice(ab_model, w, x)) == pytest.approx(expected, abs=1e-12)
+    post = posterior(ab_model, w, x)
+    assert post.log_z == pytest.approx(expected, abs=1e-12)
+    assert post.lattice.trans.shape == (2, 2)  # one table, even with no adjacent pair
 
 
 def test_log_partition_matches_frozen_oracle_value(ab_model, fixed_instance, fixed_weights):
-    lat = build_lattice(ab_model, fixed_weights, fixed_instance)
-    assert abs(log_partition(lat) - FIXED_LOG_Z) <= 1e-10
+    assert abs(posterior(ab_model, fixed_weights, fixed_instance).log_z - FIXED_LOG_Z) <= 1e-10
 
 
 @pytest.mark.parametrize("n,labels", [(1, 2), (5, 3), (8, 2), (3, 4)])
@@ -195,7 +206,7 @@ def test_log_partition_matches_enumeration(n, labels):
     x = ChainInstance(tokens=tuple(f"t{i % 3}" for i in range(n)))
     w = random_instance_weights(model, x, seed=n * 10 + labels)
     dist = distribution(model, w, x)
-    assert abs(log_partition(build_lattice(model, w, x)) - dist.log_z) <= 1e-10
+    assert abs(posterior(model, w, x).log_z - dist.log_z) <= 1e-10
 
 
 # -- expectations ----------------------------------------------------------------
@@ -203,20 +214,20 @@ def test_log_partition_matches_enumeration(n, labels):
 
 def test_expected_features_uniform_single_position(ab_model):
     x = ChainInstance(tokens=("moss",))
-    ef = expected_features(ab_model, SparseVector(), x)
+    ef = posterior(ab_model, SparseVector(), x).expected_features()
     assert ef[feature_id("em0\x1fmoss\x1fA")] == pytest.approx(0.5, abs=1e-12)
     assert ef[feature_id("em0\x1fmoss\x1fB")] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_expected_features_within_firing_bounds(ab_model, fixed_instance, fixed_weights):
-    ef = expected_features(ab_model, fixed_weights, fixed_instance)
+    ef = posterior(ab_model, fixed_weights, fixed_instance).expected_features()
     # moss appears twice, so its emission features can fire at most twice
     for fid, value in ef.items():
         assert -1e-12 <= value <= 2.0 + 1e-12
 
 
 def test_expected_features_matches_enumeration(ab_model, fixed_instance, fixed_weights):
-    ef = expected_features(ab_model, fixed_weights, fixed_instance)
+    ef = posterior(ab_model, fixed_weights, fixed_instance).expected_features()
     brute = distribution(ab_model, fixed_weights, fixed_instance).expected_features()
     for fid in ef.support() | brute.support():
         assert abs(ef[fid] - brute[fid]) <= 1e-10
@@ -224,12 +235,12 @@ def test_expected_features_matches_enumeration(ab_model, fixed_instance, fixed_w
 
 def test_log_partition_gradient_is_expected_features(ab_model, fixed_instance, fixed_weights):
     def f(w):
-        return log_partition(build_lattice(ab_model, w, fixed_instance))
+        return posterior(ab_model, w, fixed_instance).log_z
 
     fd = finite_diff_gradient(
         f, fixed_weights, h=1e-5, coords=ab_model.instance_feature_ids(fixed_instance)
     )
-    ef = expected_features(ab_model, fixed_weights, fixed_instance)
+    ef = posterior(ab_model, fixed_weights, fixed_instance).expected_features()
     fids = sorted(fd.support() | ef.support())
     np.testing.assert_allclose(
         [fd[f] for f in fids], [ef[f] for f in fids], rtol=1e-6, atol=1e-9
@@ -240,7 +251,9 @@ def test_log_partition_gradient_is_expected_features(ab_model, fixed_instance, f
 
 
 def test_sampler_uniform_under_zero_weights(ab_model, fixed_instance):
-    draws = sample_many(ab_model, SparseVector(), fixed_instance, 100_000, np.random.default_rng(3))
+    draws = posterior(ab_model, SparseVector(), fixed_instance).sample_many(
+        100_000, np.random.default_rng(3)
+    )
     counts = {}
     for row in map(tuple, draws.tolist()):
         counts[row] = counts.get(row, 0) + 1
@@ -255,7 +268,9 @@ def test_sampler_matches_skewed_oracle(ab_model, fixed_instance, fixed_weights):
         tuple(ab_model.alphabet.indices(y).tolist()): float(p)
         for y, p in zip(dist.labelings, dist.probs)
     }
-    draws = sample_many(ab_model, fixed_weights, fixed_instance, 100_000, np.random.default_rng(11))
+    draws = posterior(ab_model, fixed_weights, fixed_instance).sample_many(
+        100_000, np.random.default_rng(11)
+    )
     counts = {}
     for row in map(tuple, draws.tolist()):
         counts[row] = counts.get(row, 0) + 1
@@ -275,10 +290,12 @@ def test_sampler_determinism(ab_model, fixed_instance, fixed_weights):
 
 
 def test_negated_posterior_matches_negated_weights(ab_model, fixed_instance, fixed_weights):
-    neg = posterior(ab_model, fixed_weights, fixed_instance).negated()
+    post = posterior(ab_model, fixed_weights, fixed_instance)
+    neg = post.negated()
     direct = posterior(ab_model, fixed_weights.scaled(-1.0), fixed_instance)
+    assert np.array_equal(neg.lattice.trans, -post.lattice.trans)
     assert np.array_equal(neg.lattice.node, direct.lattice.node)
-    assert np.array_equal(neg.lattice.edge, direct.lattice.edge)
+    assert np.array_equal(neg.lattice.trans, direct.lattice.trans)
     assert np.array_equal(neg.beta, direct.beta)
     assert np.array_equal(neg.sample_many(50, np.random.default_rng(4)),
                           direct.sample_many(50, np.random.default_rng(4)))
@@ -360,35 +377,31 @@ def test_map_decode_invariant_to_constant_node_shift(ab_model, fixed_instance, f
 
 
 def test_prob_uniform_closed_form(ab_model, fixed_instance):
-    assert prob(ab_model, SparseVector(), fixed_instance, ("A", "B", "A")) == pytest.approx(
-        1 / 8, abs=1e-15
-    )
+    post = posterior(ab_model, SparseVector(), fixed_instance)
+    assert post.prob(("A", "B", "A")) == pytest.approx(1 / 8, abs=1e-15)
 
 
 def test_prob_sums_to_one_and_matches_frozen_value(ab_model, fixed_instance, fixed_weights):
-    total = sum(
-        prob(ab_model, fixed_weights, fixed_instance, y) for y in all_labelings(("A", "B"), 3)
-    )
+    post = posterior(ab_model, fixed_weights, fixed_instance)
+    total = sum(post.prob(y) for y in all_labelings(("A", "B"), 3))
     assert abs(total - 1.0) <= 1e-10
-    assert abs(
-        prob(ab_model, fixed_weights, fixed_instance, ("A", "B", "A")) - FIXED_GOLD_PROB
-    ) <= 1e-10
+    assert abs(post.prob(("A", "B", "A")) - FIXED_GOLD_PROB) <= 1e-10
 
 
 def test_prob_invariant_to_shared_shift(ab_model, fixed_instance, fixed_weights):
     y = ("B", "A", "A")
-    before = prob(ab_model, fixed_weights, fixed_instance, y)
+    before = posterior(ab_model, fixed_weights, fixed_instance).prob(y)
     shifted = fixed_weights.copy()
     # every labeling fires exactly one fern emission, so this shifts all scores equally
     for lab in ("A", "B"):
         fid = feature_id(f"em0\x1ffern\x1f{lab}")
         shifted[fid] = shifted[fid] + 2.0
-    assert prob(ab_model, shifted, fixed_instance, y) == pytest.approx(before, abs=1e-12)
+    assert posterior(ab_model, shifted, fixed_instance).prob(y) == pytest.approx(before, abs=1e-12)
 
 
 def test_prob_length_mismatch(ab_model, fixed_instance, fixed_weights):
     with pytest.raises(ValueError, match="length"):
-        prob(ab_model, fixed_weights, fixed_instance, ("A", "B"))
+        posterior(ab_model, fixed_weights, fixed_instance).prob(("A", "B"))
 
 
 # -- misc ---------------------------------------------------------------------------

@@ -97,6 +97,40 @@ def test_sample_command(workdir, capsys):
     assert label in ("O", "B", "I")
 
 
+def test_sample_command_draws_from_one_lattice_per_instance(workdir, capsys, monkeypatch):
+    import banditchain.chain as chain_mod
+    from banditchain import load_config, read_checkpoint, read_dataset, sample
+
+    tmp_path, cfg_path = workdir
+    cli.main(["train", "--config", str(cfg_path)])
+    capsys.readouterr()
+    model = load_config(cfg_path).model()
+    w = read_checkpoint(tmp_path / "model.ckpt")
+    data = read_dataset(tmp_path / "dev.tsv", model.alphabet)
+    rng = np.random.default_rng(1)
+    blocks = [
+        "".join(f"{tok}\t{lab}\n" for tok, lab in zip(x.tokens, sample(model, w, x, rng)))
+        for x in data
+        for _ in range(3)
+    ]
+    builds = []
+    build = chain_mod.build_lattice
+    monkeypatch.setattr(chain_mod, "build_lattice", lambda *a: builds.append(1) or build(*a))
+    code = cli.main(
+        [
+            "sample",
+            "--config", str(cfg_path),
+            "--checkpoint", str(tmp_path / "model.ckpt"),
+            "--data", str(tmp_path / "dev.tsv"),
+            "--draws", "3",
+            "--seed", "1",
+        ]
+    )
+    assert code == 0
+    assert capsys.readouterr().out == "\n".join(blocks)
+    assert len(builds) == len(data)
+
+
 def test_diagnose_command(workdir, capsys, tmp_path):
     _, cfg_path = workdir
     for name, objective in (("a", "el"), ("b", "ce")):

@@ -1,0 +1,21 @@
+"""Smoke test: the quick demos run to completion against the current API."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+# demos 03 and 04 only train and run the diagnostics, and take several seconds each
+@pytest.mark.parametrize("demo", ["01_exact_chain_inference.py", "02_bandit_gradients.py"])
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

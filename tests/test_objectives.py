@@ -13,7 +13,6 @@ from banditchain import (
     ce_gradient,
     distribution,
     el_gradient,
-    expected_features,
     extract_features,
     feature_id,
     hamming_loss,
@@ -252,15 +251,16 @@ def test_ce_gradient_clips_small_probabilities(ab_model):
     x = ChainInstance(tokens=("moss",))
     w = SparseVector({feature_id("em0\x1fmoss\x1fB"): math.log(9999.0)})
     grad = ce_gradient(posterior(ab_model, w, x), ("A",), 0.5, clip=5e-3)
-    expected = expected_features(ab_model, w, x)
+    expected = posterior(ab_model, w, x).expected_features()
     expected.add_scaled(extract_features(ab_model, x, ("A",)), -1.0)
     expected.scale(0.5 / 5e-3)
     assert max_coord_diff(grad, expected) <= 1e-12
 
 
-@pytest.mark.parametrize("weight", [300.0, 237.0])
+@pytest.mark.parametrize("weight", [300.0, 237.0, 236.3])
 def test_ce_gradient_names_underflowed_importance_weight(ab_model, weight):
-    # p(B, B, B) is about exp(-3 * weight): 0 at 300, subnormal (1/p = inf) at 237
+    # p(B, B, B) is about exp(-3 * weight): 0 at 300, subnormal (1/p = inf) at 237,
+    # and at 236.3 1/p is finite but the scaled gradient entries overflow to inf
     x = ChainInstance(tokens=("t", "t", "t"))
     post = posterior(ab_model, SparseVector({feature_id("em0\x1ft\x1fA"): weight}), x)
     assert post.prob(("B", "B", "B")) < 2.3e-308

@@ -159,15 +159,17 @@ def test_config_validation():
     TrainerConfig(objective="el", gamma=0.0, iterations=10).validate()
 
 
-def test_lr_schedule_is_an_unknown_config_key(tmp_path):
+@pytest.mark.parametrize("key,value", [("lr_schedule", "constant"), ("use_transitions", True)],
+                         ids=["lr_schedule", "use_transitions"])
+def test_deleted_knob_is_an_unknown_config_key(tmp_path, key, value):
     import json
 
     from banditchain import DataError, load_config
 
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"labels": ["A", "B"], "train_path": "t.tsv",
-                                "dev_path": "d.tsv", "lr_schedule": "constant"}))
-    with pytest.raises(DataError, match="unknown config keys.*lr_schedule"):
+                                "dev_path": "d.tsv", key: value}))
+    with pytest.raises(DataError, match=f"unknown config keys.*{key}"):
         load_config(path)
 
 
