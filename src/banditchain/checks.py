@@ -139,7 +139,7 @@ def _expected_stochastic_gradient(
                 expect.add_scaled(grad, float(pi * qj))
     else:
         for p, y, d in zip(dist.probs, dist.labelings, deltas):
-            grad = ce_gradient(post, y, gain=1.0 - float(d), clip=clip_k)
+            grad = ce_gradient(post, y, gain=1.0 - float(d), clip_k=clip_k)
             expect.add_scaled(grad, float(p))
     return expect
 

@@ -25,18 +25,6 @@ USAGE_ERROR = 1
 DATA_ERROR = 2
 CHECK_FAILURE = 3
 
-_TRAIN_OVERRIDES = (
-    "seed",
-    "objective",
-    "gamma",
-    "clip_k",
-    "l2_lambda",
-    "iterations",
-    "epoch_size",
-    "eval_every",
-)
-
-
 def _add_override_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int)
     p.add_argument("--objective", choices=["el", "pr-bin", "pr-cont", "ce"])
@@ -88,9 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    overrides = {key: getattr(args, key) for key in _TRAIN_OVERRIDES}
-    for key in ("report_path", "checkpoint_path"):
-        overrides[key] = getattr(args, key)
+    # every train flag but --config is named after the config field it overrides
+    overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     from .dataio import run_train
 
     config = load_config(args.config, overrides)
@@ -183,7 +170,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if not exc.code else USAGE_ERROR
     try:
         return _COMMANDS[args.command](args)
-    except ValueError as exc:  # DataError and BudgetExceededError are ValueErrors
+    # DataError and BudgetExceededError are ValueErrors; OSError covers unwritable outputs
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

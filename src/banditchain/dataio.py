@@ -4,11 +4,15 @@ Formats owned by this module:
 
 * datasets: CoNLL-style TSV, one ``token<TAB>label`` line per token, blank
   line between sequences, UTF-8;
-* checkpoints: versioned weight dumps, binary (byte-stable) or text, both
-  value-exact on round trip;
+* checkpoints: versioned binary weight dumps, byte-stable and value-exact
+  on round trip;
 * run configs: one JSON object of known keys (unknown keys are rejected);
 * reports: one JSON document per run with the convergence estimates, the
   dev-score curve, the selected checkpoint and a summary row.
+
+``run_train`` checks its inputs before it reads any dataset: a bad config, a
+``chunk-f1`` loss over labels that are not BIO tags, or an output directory
+that does not exist raises ``DataError`` and leaves no file written.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Optional, Sequence
 
 from .chain import ChainInstance, ChainModel, LabelAlphabet
 from .diagnostics import ConvergenceReport, compare_runs, convergence_report
-from .feedback import FeedbackOracle, LossKind
+from .feedback import _BIO_LABEL, FeedbackOracle, LossKind
 from .objectives import ObjectiveKind
 from .sparse import SparseVector
 from .trainer import TrainerConfig, evaluate, select_best, train
@@ -32,7 +36,6 @@ REPORT_SCHEMA_VERSION = 1
 
 _CHECKPOINT_MAGIC = b"BCWT"
 _CHECKPOINT_VERSION = 1
-_CHECKPOINT_TEXT_HEADER = "banditchain-checkpoint v1"
 
 
 class DataError(ValueError):
@@ -94,27 +97,17 @@ def write_dataset(path: "str | Path", instances: Sequence[ChainInstance]) -> Non
 # -- checkpoints ---------------------------------------------------------------
 
 
-def write_checkpoint(path: "str | Path", w: SparseVector, fmt: str = "binary") -> None:
+def write_checkpoint(path: "str | Path", w: SparseVector) -> None:
     """Persist a weight vector; entries are sorted by feature id.
 
-    The binary form is byte-stable (same vector, same bytes); the text form
-    uses repr() floats, which reparse to the exact same values.
+    The file is byte-stable: the same vector always gives the same bytes.
     """
-    path = Path(path)
     entries = sorted(w.items())
-    if fmt == "binary":
-        with path.open("wb") as fh:
-            fh.write(_CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<HQ", _CHECKPOINT_VERSION, len(entries)))
-            for fid, value in entries:
-                fh.write(struct.pack("<qd", fid, value))
-    elif fmt == "text":
-        with path.open("w", encoding="utf-8") as fh:
-            fh.write(f"{_CHECKPOINT_TEXT_HEADER} {len(entries)}\n")
-            for fid, value in entries:
-                fh.write(f"{fid}\t{value!r}\n")
-    else:
-        raise ValueError(f"unknown checkpoint format {fmt!r}")
+    with Path(path).open("wb") as fh:
+        fh.write(_CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<HQ", _CHECKPOINT_VERSION, len(entries)))
+        for fid, value in entries:
+            fh.write(struct.pack("<qd", fid, value))
 
 
 def read_checkpoint(path: "str | Path") -> SparseVector:
@@ -122,37 +115,21 @@ def read_checkpoint(path: "str | Path") -> SparseVector:
     if not path.exists():
         raise DataError(f"checkpoint file not found: {path}")
     blob = path.read_bytes()
-    if blob.startswith(_CHECKPOINT_MAGIC):
-        header = struct.calcsize("<HQ")
-        version, count = struct.unpack_from("<HQ", blob, len(_CHECKPOINT_MAGIC))
-        if version != _CHECKPOINT_VERSION:
-            raise DataError(f"{path}: unsupported checkpoint version {version}")
-        offset = len(_CHECKPOINT_MAGIC) + header
-        pair = struct.calcsize("<qd")
-        if len(blob) != offset + count * pair:
-            raise DataError(f"{path}: truncated checkpoint ({len(blob)} bytes)")
-        data = {}
-        for _ in range(count):
-            fid, value = struct.unpack_from("<qd", blob, offset)
-            data[fid] = value
-            offset += pair
-        return SparseVector(data)
-    try:
-        text = blob.decode("utf-8")
-    except UnicodeDecodeError:
-        raise DataError(f"{path}: not a recognized checkpoint file") from None
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith(_CHECKPOINT_TEXT_HEADER):
+    if not blob.startswith(_CHECKPOINT_MAGIC):
         raise DataError(f"{path}: not a recognized checkpoint file")
+    header = struct.calcsize("<HQ")
+    version, count = struct.unpack_from("<HQ", blob, len(_CHECKPOINT_MAGIC))
+    if version != _CHECKPOINT_VERSION:
+        raise DataError(f"{path}: unsupported checkpoint version {version}")
+    offset = len(_CHECKPOINT_MAGIC) + header
+    pair = struct.calcsize("<qd")
+    if len(blob) != offset + count * pair:
+        raise DataError(f"{path}: truncated checkpoint ({len(blob)} bytes)")
     data = {}
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            fid_s, value_s = line.split("\t")
-            data[int(fid_s)] = float(value_s)
-        except ValueError:
-            raise DataError(f"{path}:{line_no}: malformed checkpoint line {line!r}") from None
+    for _ in range(count):
+        fid, value = struct.unpack_from("<qd", blob, offset)
+        data[fid] = value
+        offset += pair
     return SparseVector(data)
 
 
@@ -182,7 +159,6 @@ class RunConfig:
     init_checkpoint: Optional[str] = None
     report_path: str = "report.json"
     checkpoint_path: str = "model.ckpt"
-    checkpoint_format: str = "binary"
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -211,9 +187,12 @@ class RunConfig:
             raise DataError("config needs at least 2 labels")
         if not self.train_path or not self.dev_path:
             raise DataError("config needs train_path and dev_path")
-        LossKind.parse(self.loss)
-        if self.checkpoint_format not in ("binary", "text"):
-            raise DataError(f"unknown checkpoint format {self.checkpoint_format!r}")
+        if LossKind.parse(self.loss) is LossKind.CHUNK_F1:
+            for label in self.labels:
+                if not _BIO_LABEL.match(label):
+                    raise DataError(
+                        f"loss chunk-f1 needs BIO labels: label {label!r} is not a BIO tag"
+                    )
         if self.lipschitz_pairs <= 0:
             raise DataError("lipschitz_pairs must be positive")
         try:
@@ -302,17 +281,12 @@ def read_report(path: "str | Path") -> dict:
     return report
 
 
-def report_convergence(report: dict) -> ConvergenceReport:
-    """Extract the convergence estimates from a parsed report file."""
-    try:
-        return ConvergenceReport.from_dict(report["convergence"])
-    except KeyError as exc:
-        raise DataError(f"report is missing convergence field {exc}") from None
-
-
 def compare_report_files(paths: Sequence["str | Path"]) -> dict:
     """Run the cross-run comparison over saved report files."""
-    reports = [report_convergence(read_report(p)) for p in paths]
+    try:
+        reports = [ConvergenceReport.from_dict(read_report(p)["convergence"]) for p in paths]
+    except KeyError as exc:
+        raise DataError(f"report is missing convergence field {exc}") from None
     return compare_runs(reports).to_dict()
 
 
@@ -326,6 +300,9 @@ def run_train(config: RunConfig) -> dict:
     selected checkpoint goes to config.checkpoint_path.
     """
     config.validate()
+    for out in (Path(config.report_path), Path(config.checkpoint_path)):
+        if not out.parent.is_dir():
+            raise DataError(f"output directory not found: {out.parent} (for {out})")
     model = config.model()
     alphabet = model.alphabet
     train_data = read_dataset(config.train_path, alphabet)
@@ -345,7 +322,7 @@ def run_train(config: RunConfig) -> dict:
         trajectory, n_pairs=config.lipschitz_pairs, seed=config.seed
     )
 
-    write_checkpoint(config.checkpoint_path, best_w, fmt=config.checkpoint_format)
+    write_checkpoint(config.checkpoint_path, best_w)
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "created_at": datetime.now(timezone.utc).isoformat(),

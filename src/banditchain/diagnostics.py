@@ -52,7 +52,9 @@ def grad_norm_sq(trajectory: Trajectory, t: Optional[int] = None) -> float:
     """||gamma * s_t||^2 at the given step (default: the final horizon T)."""
     if t is None:
         t = trajectory.iterations
-    return trajectory.step(t).scaled_grad_norm_sq
+    if not 1 <= t < len(trajectory.scaled_norm_sq):
+        raise ValueError(f"no step record at t={t} (run length {trajectory.iterations})")
+    return float(trajectory.scaled_norm_sq[t])
 
 
 def lipschitz_estimate(

@@ -64,29 +64,6 @@ class PairSample:
     second: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ClippingConfig:
-    """Lower clipping constant for the cross-entropy sampling probability.
-
-    k = 0 disables clipping; k must stay below 1 so the divisor max(p, k)
-    never exceeds certainty.
-    """
-
-    k: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.k < 1.0:
-            raise ValueError(f"clipping constant must be in [0, 1), got {self.k}")
-
-    @classmethod
-    def coerce(cls, clip: "ClippingConfig | float | None") -> "ClippingConfig":
-        if clip is None:
-            return cls(0.0)
-        if isinstance(clip, ClippingConfig):
-            return clip
-        return cls(float(clip))
-
-
 def _check_unit_interval(name: str, value: float) -> float:
     value = float(value)
     if not 0.0 <= value <= 1.0:
@@ -156,7 +133,7 @@ def ce_gradient(
     post: ChainPosterior,
     y_sampled,
     gain: float,
-    clip: "ClippingConfig | float | None" = None,
+    clip_k: float = 0.0,
 ) -> SparseVector:
     """Cross-entropy stochastic gradient with clipped importance weight.
 
@@ -164,10 +141,12 @@ def ce_gradient(
     the estimate is unbiased; k > 0 trades bias for bounded variance.
     """
     gain = _check_unit_interval("gain", gain)
-    clip = ClippingConfig.coerce(clip)
+    # k < 1 keeps the divisor max(p, k) below certainty
+    if not 0.0 <= clip_k < 1.0:
+        raise ValueError(f"clipping constant must be in [0, 1), got {clip_k}")
     if gain == 0.0:
         return SparseVector()
-    p_hat = max(post.prob(y_sampled), clip.k)
+    p_hat = max(post.prob(y_sampled), clip_k)
     grad = post.expected_features()
     grad.add_scaled(extract_features(post.model, post.x, y_sampled), -1.0)
     if p_hat > 0.0:

@@ -22,14 +22,7 @@ import numpy as np
 from .chain import ChainInstance, ChainModel, map_decode, posterior
 from .chain import sample  # noqa: F401  (perfbench's tracer self-test checks this binding)
 from .feedback import FeedbackOracle
-from .objectives import (
-    ClippingConfig,
-    ObjectiveKind,
-    ce_gradient,
-    el_gradient,
-    pr_gradient,
-    pr_sample_pair,
-)
+from .objectives import ObjectiveKind, ce_gradient, el_gradient, pr_gradient, pr_sample_pair
 from .sparse import SparseVector
 
 logger = logging.getLogger(__name__)
@@ -68,13 +61,6 @@ class TrainerConfig:
             raise ValueError(f"snapshot reservoir needs >= 2 slots, got {self.snapshots}")
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    t: int
-    scaled_grad_norm_sq: float
-    sampled_loss: float
-
-
 @dataclass
 class Trajectory:
     """Everything a finished run leaves behind.
@@ -82,7 +68,7 @@ class Trajectory:
     checkpoints[i] pairs with dev_losses[i]; scaled_norm_sq[t] holds
     ||gamma * s_t||^2 for t = 1..T (index 0 is NaN), epoch_grads holds the
     full scaled gradient vector at each epoch boundary, and snapshots holds
-    (w, gamma * s) pairs where s was computed at w.
+    at most config.snapshots (w, gamma * s) pairs where s was computed at w.
     """
 
     config: TrainerConfig
@@ -99,15 +85,6 @@ class Trajectory:
     @property
     def iterations(self) -> int:
         return self.config.iterations
-
-    def step(self, t: int) -> StepRecord:
-        if not 1 <= t < len(self.scaled_norm_sq):
-            raise ValueError(f"no step record at t={t} (run length {self.iterations})")
-        return StepRecord(
-            t=t,
-            scaled_grad_norm_sq=float(self.scaled_norm_sq[t]),
-            sampled_loss=float(self.sampled_losses[t]),
-        )
 
     def dev_curve(self) -> list[tuple[int, float]]:
         return [(t, loss) for (t, _), loss in zip(self.checkpoints, self.dev_losses)]
@@ -137,7 +114,6 @@ def _stochastic_gradient(
     x: ChainInstance,
     rng: np.random.Generator,
     oracle: FeedbackOracle,
-    clip: ClippingConfig,
 ) -> tuple[SparseVector, float]:
     # one posterior serves the step's sampling, prob and expectations; the
     # feedback goes by keyword, which perfbench's tracer reads
@@ -151,7 +127,7 @@ def _stochastic_gradient(
     delta = oracle.feedback(x, y)
     if kind is ObjectiveKind.EL:
         return el_gradient(post, y, delta=delta), delta
-    return ce_gradient(post, y, gain=1.0 - delta, clip=clip), delta
+    return ce_gradient(post, y, gain=1.0 - delta, clip_k=config.clip_k), delta
 
 
 def train(
@@ -179,7 +155,6 @@ def train(
     eval_every = config.eval_every or epoch_size
     gamma = config.gamma
     lam = config.l2_lambda if config.objective is ObjectiveKind.CE else 0.0
-    clip = ClippingConfig(config.clip_k)
     snapshot_stride = max(1, T // config.snapshots)
     rng = np.random.default_rng(config.seed)
 
@@ -202,13 +177,13 @@ def train(
 
     for t in range(1, T + 1):
         x = train_data[int(rng.integers(len(train_data)))]
-        s, sampled_loss = _stochastic_gradient(config, model, w, x, rng, feedback_oracle, clip)
+        s, sampled_loss = _stochastic_gradient(config, model, w, x, rng, feedback_oracle)
 
         traj.scaled_norm_sq[t] = gamma * gamma * s.norm_sq()
         traj.sampled_losses[t] = sampled_loss
         if t % epoch_size == 0:
             traj.epoch_grads.append((t, s.scaled(gamma)))
-        if t % snapshot_stride == 0:
+        if t % snapshot_stride == 0 and len(traj.snapshots) < config.snapshots:
             traj.snapshots.append((w.copy(), s.scaled(gamma)))
 
         if lam > 0.0:

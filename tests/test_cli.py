@@ -234,3 +234,24 @@ def test_too_few_epochs_fail_before_training(workdir, capsys, edit, epoch):
     assert f"2 x epoch_size ({epoch})" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
     assert not (tmp_path / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("flag", ["--report", "--checkpoint"])
+def test_missing_output_directory_fails_before_training(workdir, capsys, flag):
+    tmp_path, cfg_path = workdir
+    missing = tmp_path / "missing"
+    assert cli.main(["train", "--config", str(cfg_path), flag, str(missing / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: output directory not found") and str(missing) in err
+    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_diagnose_to_missing_directory_is_a_data_error(workdir, capsys):
+    tmp_path, cfg_path = workdir
+    assert cli.main(["train", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    code = cli.main(["diagnose", str(tmp_path / "report.json"),
+                     "--out", str(tmp_path / "missing" / "x.json")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")

@@ -106,25 +106,11 @@ def weights():
 
 def test_binary_checkpoint_round_trip_byte_identical(tmp_path, weights):
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    write_checkpoint(p1, weights, fmt="binary")
+    write_checkpoint(p1, weights)
     restored = read_checkpoint(p1)
     assert restored == weights
-    write_checkpoint(p2, restored, fmt="binary")
+    write_checkpoint(p2, restored)
     assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_text_checkpoint_value_exact(tmp_path, weights):
-    p = tmp_path / "w.txt"
-    write_checkpoint(p, weights, fmt="text")
-    assert read_checkpoint(p) == weights
-
-
-def test_checkpoint_format_detection(tmp_path, weights):
-    pb = tmp_path / "b.ckpt"
-    pt = tmp_path / "t.ckpt"
-    write_checkpoint(pb, weights, fmt="binary")
-    write_checkpoint(pt, weights, fmt="text")
-    assert read_checkpoint(pb) == read_checkpoint(pt)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
@@ -135,15 +121,10 @@ def test_checkpoint_rejects_garbage(tmp_path):
 
 def test_checkpoint_rejects_truncation(tmp_path, weights):
     p = tmp_path / "trunc.ckpt"
-    write_checkpoint(p, weights, fmt="binary")
+    write_checkpoint(p, weights)
     p.write_bytes(p.read_bytes()[:-3])
     with pytest.raises(DataError, match="truncated"):
         read_checkpoint(p)
-
-
-def test_checkpoint_unknown_format(tmp_path, weights):
-    with pytest.raises(ValueError, match="format"):
-        write_checkpoint(tmp_path / "x", weights, fmt="yaml")
 
 
 # -- config ---------------------------------------------------------------------
@@ -209,6 +190,14 @@ def test_config_validation_errors(tmp_path):
         load_config(minimal_config(tmp_path, objective="newton"))
     with pytest.raises(DataError, match="invalid JSON"):
         load_config(write_text(tmp_path / "bad.json", "{"))
+
+
+def test_chunk_f1_needs_bio_labels_at_load(tmp_path):
+    path = minimal_config(tmp_path, labels=["X", "Y"], loss="chunk-f1")
+    with pytest.raises(DataError, match="label 'X' is not a BIO tag"):
+        load_config(path)
+    # the same alphabet is fine under Hamming loss
+    assert load_config(minimal_config(tmp_path, labels=["X", "Y"])).labels == ("X", "Y")
 
 
 # -- reports ------------------------------------------------------------------------

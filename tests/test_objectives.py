@@ -5,7 +5,6 @@ import pytest
 
 from banditchain import (
     ChainInstance,
-    ClippingConfig,
     ObjectiveKind,
     PairSample,
     SparseVector,
@@ -57,13 +56,11 @@ def test_objective_kind_parsing():
         _ = ObjectiveKind.CE.pair_mode
 
 
-def test_clipping_config_validation():
-    assert ClippingConfig.coerce(None).k == 0.0
-    assert ClippingConfig.coerce(0.05).k == 0.05
-    with pytest.raises(ValueError):
-        ClippingConfig(1.0)
-    with pytest.raises(ValueError):
-        ClippingConfig(-0.1)
+def test_clipping_config_validation(ab_model, fixed_instance, fixed_weights):
+    post = posterior(ab_model, fixed_weights, fixed_instance)
+    for clip_k in (1.0, -0.1):
+        with pytest.raises(ValueError, match=r"clipping constant must be in \[0, 1\)"):
+            ce_gradient(post, ("A", "A", "A"), 0.5, clip_k=clip_k)
 
 
 # -- expected loss ------------------------------------------------------------------
@@ -250,7 +247,7 @@ def test_ce_gradient_clips_small_probabilities(ab_model):
     # p(A) = 1 / (1 + 9999) = 1e-4, below the clipping floor of 5e-3
     x = ChainInstance(tokens=("moss",))
     w = SparseVector({feature_id("em0\x1fmoss\x1fB"): math.log(9999.0)})
-    grad = ce_gradient(posterior(ab_model, w, x), ("A",), 0.5, clip=5e-3)
+    grad = ce_gradient(posterior(ab_model, w, x), ("A",), 0.5, clip_k=5e-3)
     expected = posterior(ab_model, w, x).expected_features()
     expected.add_scaled(extract_features(ab_model, x, ("A",)), -1.0)
     expected.scale(0.5 / 5e-3)
@@ -266,7 +263,7 @@ def test_ce_gradient_names_underflowed_importance_weight(ab_model, weight):
     assert post.prob(("B", "B", "B")) < 2.3e-308
     with pytest.raises(ValueError, match="underflowed; set clip_k > 0"):
         ce_gradient(post, ("B", "B", "B"), 1.0)
-    assert len(ce_gradient(post, ("B", "B", "B"), 1.0, clip=1e-3)) > 0
+    assert len(ce_gradient(post, ("B", "B", "B"), 1.0, clip_k=1e-3)) > 0
 
 
 def test_ce_unbiasedness_without_clipping(ab_model, fixed_instance):

@@ -11,6 +11,7 @@ from banditchain import (
     Trajectory,
     evaluate,
     feature_id,
+    grad_norm_sq,
     select_best,
     train,
 )
@@ -120,11 +121,12 @@ def test_checkpoint_count_and_epoch_grads(tiny_task):
 
 def test_snapshot_reservoir_size(tiny_task):
     model, train_data, dev_data = tiny_task
-    cfg = TrainerConfig(
-        objective="el", gamma=0.1, iterations=100, seed=0, eval_every=100, snapshots=10
-    )
-    traj = train(cfg, model, train_data, dev_data, FeedbackOracle("hamming"))
-    assert len(traj.snapshots) == 10
+    # at 64 slots the stride T // 64 is 1, so 100 steps offer 100 snapshots
+    for snapshots in (10, 64):
+        cfg = TrainerConfig(objective="el", gamma=0.1, iterations=100, seed=0,
+                            eval_every=100, snapshots=snapshots)
+        traj = train(cfg, model, train_data, dev_data, FeedbackOracle("hamming"))
+        assert len(traj.snapshots) == snapshots
 
 
 def test_trainer_reads_gold_only_through_the_oracle(tiny_task):
@@ -139,12 +141,10 @@ def test_step_record_access(tiny_task):
     model, train_data, dev_data = tiny_task
     cfg = TrainerConfig(objective="el", gamma=0.1, iterations=5, seed=0, eval_every=5)
     traj = train(cfg, model, train_data, dev_data, FeedbackOracle("hamming"))
-    rec = traj.step(3)
-    assert rec.t == 3 and rec.scaled_grad_norm_sq >= 0.0 and 0.0 <= rec.sampled_loss <= 1.0
-    with pytest.raises(ValueError):
-        traj.step(0)
-    with pytest.raises(ValueError):
-        traj.step(6)
+    assert grad_norm_sq(traj, 3) == traj.scaled_norm_sq[3] >= 0.0
+    for t in (0, 6):
+        with pytest.raises(ValueError, match=f"no step record at t={t}"):
+            grad_norm_sq(traj, t)
 
 
 def test_config_validation():
@@ -159,8 +159,9 @@ def test_config_validation():
     TrainerConfig(objective="el", gamma=0.0, iterations=10).validate()
 
 
-@pytest.mark.parametrize("key,value", [("lr_schedule", "constant"), ("use_transitions", True)],
-                         ids=["lr_schedule", "use_transitions"])
+@pytest.mark.parametrize("key,value", [("lr_schedule", "constant"), ("use_transitions", True),
+                                       ("checkpoint_format", "text")],
+                         ids=["lr_schedule", "use_transitions", "checkpoint_format"])
 def test_deleted_knob_is_an_unknown_config_key(tmp_path, key, value):
     import json
 
