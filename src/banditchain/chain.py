@@ -287,11 +287,11 @@ class ChainPosterior:
     """The exact distribution p_w(y|x) for one (w, x), over one lattice.
 
     Sampling, probabilities and feature expectations all read the same
-    lattice and messages.  The backward messages are computed on
-    construction, because every training step samples; the forward messages
-    and log Z are computed on first use, so a step whose feedback is zero
-    never runs the forward pass.  ``negated()`` is the posterior under -w:
-    its lattice is this one negated, so w is never copied.
+    lattice and messages.  The backward messages are computed once, on
+    construction: every training step samples, and the sampler normalizes
+    by them.  Forward messages and log Z wait for first use, so a step with
+    zero feedback never runs the forward pass.  ``negated()`` is the
+    posterior under -w, over this lattice negated, so w is never copied.
     """
 
     def __init__(self, model: ChainModel, x: ChainInstance, lattice: ChainLattice):
@@ -320,10 +320,10 @@ class ChainPosterior:
     def sample_many(self, size: int, rng: np.random.Generator) -> np.ndarray:
         """Exact i.i.d. samples, as a (size, n) array of label indices.
 
-        Uses backward filtering / forward sampling: the backward messages give
-        the exact conditional of each label given its predecessor, so a single
-        left-to-right pass draws from the joint. Deterministic given the rng
-        state.
+        Backward filtering / forward sampling: row a at position i is
+        p(y_i | y_{i-1} = a) = exp(trans[a] + node[i] + beta[i] - beta[i-1, a]),
+        so the backward messages normalize every conditional and one
+        left-to-right pass draws from the joint. Deterministic given the rng.
         """
         lattice, beta = self.lattice, self.beta
         n, L = lattice.node.shape
@@ -334,7 +334,7 @@ class ChainPosterior:
         out[:, 0] = _categorical_rows(p0[None, :].repeat(size, axis=0), rng)
         for i in range(1, n):
             logc = lattice.trans + (lattice.node[i] + beta[i])[None, :]
-            cond = np.exp(logc - _logsumexp(logc, axis=1)[:, None])
+            cond = np.exp(logc - beta[i - 1][:, None])
             cond /= cond.sum(axis=1, keepdims=True)
             out[:, i] = _categorical_rows(cond[out[:, i - 1]], rng)
         return out

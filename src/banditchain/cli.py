@@ -17,7 +17,7 @@ import numpy as np
 from .chain import posterior
 from .chain import sample as sample_labeling  # noqa: F401  (perfbench's tracer checks this binding)
 from .checks import run_property_checks
-from .dataio import compare_report_files, load_config, read_checkpoint, read_dataset
+from .dataio import compare_report_files, load_config, read_checkpoint, read_dataset, write_report
 from .feedback import loss_fn
 from .trainer import evaluate
 
@@ -125,14 +125,11 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
     summary = compare_report_files(args.reports)
-    text = json.dumps(summary, indent=2, sort_keys=True)
     if args.out:
-        write_report_path = args.out
-        with open(write_report_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"comparison written to {write_report_path}")
+        write_report(args.out, summary)
+        print(f"comparison written to {args.out}")
     else:
-        print(text)
+        print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
 
@@ -174,6 +171,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
+    except ArithmeticError as exc:  # a diverged run: FloatingPointError names the step
+        print(f"error: {exc}", file=sys.stderr)
+        return CHECK_FAILURE
 
 
 def entry() -> None:

@@ -11,8 +11,8 @@ Formats owned by this module:
   dev-score curve, the selected checkpoint and a summary row.
 
 ``run_train`` checks its inputs before it reads any dataset: a bad config, a
-``chunk-f1`` loss over labels that are not BIO tags, or an output directory
-that does not exist raises ``DataError`` and leaves no file written.
+``chunk-f1`` loss over non-BIO labels, or an output path that is a directory
+or lies in a missing one raises ``DataError`` and leaves no file written.
 """
 
 from __future__ import annotations
@@ -217,6 +217,19 @@ _PATH_FIELDS = ("train_path", "dev_path", "test_path", "init_checkpoint",
                 "report_path", "checkpoint_path")
 
 
+def _read_json_object(path: Path, what: str) -> dict:
+    """The JSON object in a ``what`` file (config or report), or a DataError."""
+    if not path.exists():
+        raise DataError(f"{what} file not found: {path}")
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(raw, dict):
+        raise DataError(f"{path}: {what} must be a JSON object")
+    return raw
+
+
 def load_config(
     path: "str | Path", overrides: Optional[dict] = None
 ) -> RunConfig:
@@ -226,14 +239,7 @@ def load_config(
     override paths resolve against the current directory.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"config file not found: {path}")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(raw, dict):
-        raise DataError(f"{path}: config must be a JSON object")
+    raw = _read_json_object(path, "config")
     unknown = set(raw) - _CONFIG_FIELDS
     if unknown:
         raise DataError(f"{path}: unknown config keys {sorted(unknown)}")
@@ -269,12 +275,7 @@ def write_report(path: "str | Path", report: dict) -> None:
 
 def read_report(path: "str | Path") -> dict:
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"report file not found: {path}")
-    try:
-        report = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON ({exc})") from None
+    report = _read_json_object(path, "report")
     version = report.get("schema_version")
     if version != REPORT_SCHEMA_VERSION:
         raise DataError(f"{path}: unsupported report schema version {version!r}")
@@ -303,6 +304,8 @@ def run_train(config: RunConfig) -> dict:
     for out in (Path(config.report_path), Path(config.checkpoint_path)):
         if not out.parent.is_dir():
             raise DataError(f"output directory not found: {out.parent} (for {out})")
+        if out.is_dir():
+            raise DataError(f"output path is a directory: {out}")
     model = config.model()
     alphabet = model.alphabet
     train_data = read_dataset(config.train_path, alphabet)

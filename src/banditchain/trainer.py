@@ -142,7 +142,8 @@ def train(
 
     Weights start at zero unless a warm-start vector w0 is given.  Inputs are
     drawn i.i.d. uniformly with replacement; the gold labelings of training
-    inputs are only ever touched by the feedback oracle.
+    inputs are only ever touched by the feedback oracle.  A step whose
+    ||gamma * s_t||^2 is not finite raises ``FloatingPointError`` naming t.
     """
     config.validate()
     if not train_data:
@@ -180,6 +181,9 @@ def train(
         s, sampled_loss = _stochastic_gradient(config, model, w, x, rng, feedback_oracle)
 
         traj.scaled_norm_sq[t] = gamma * gamma * s.norm_sq()
+        if not np.isfinite(traj.scaled_norm_sq[t]):
+            raise FloatingPointError(f"training diverged at step {t}: ||gamma*s_t||^2 = "
+                                     f"{traj.scaled_norm_sq[t]} with gamma={gamma}")
         traj.sampled_losses[t] = sampled_loss
         if t % epoch_size == 0:
             traj.epoch_grads.append((t, s.scaled(gamma)))

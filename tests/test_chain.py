@@ -286,6 +286,54 @@ def test_sampler_determinism(ab_model, fixed_instance, fixed_weights):
     assert runs[0] == runs[1]
 
 
+def reference_sample_many(post, size, rng):
+    """Backward filtering / forward sampling that normalizes every conditional
+    row by its own log-sum-exp instead of by the posterior's beta."""
+    lattice, beta = post.lattice, post.beta
+    n, L = lattice.node.shape
+    out = np.empty((size, n), dtype=np.int64)
+    logp0 = lattice.node[0] + beta[0]
+    p0 = np.exp(logp0 - chain_mod._logsumexp(logp0))
+    p0 /= p0.sum()
+    out[:, 0] = chain_mod._categorical_rows(p0[None, :].repeat(size, axis=0), rng)
+    for i in range(1, n):
+        logc = lattice.trans + (lattice.node[i] + beta[i])[None, :]
+        cond = np.exp(logc - chain_mod._logsumexp(logc, axis=1)[:, None])
+        cond /= cond.sum(axis=1, keepdims=True)
+        out[:, i] = chain_mod._categorical_rows(cond[out[:, i - 1]], rng)
+    return out
+
+
+def random_chain(num_labels, n, seed, scale):
+    model = ChainModel(LabelAlphabet(tuple(f"L{k}" for k in range(num_labels))))
+    rng = np.random.default_rng(seed)
+    x = ChainInstance(tokens=tuple(f"t{k}" for k in rng.integers(0, 5, n)))
+    return model, x, random_instance_weights(model, x, seed, scale=scale)
+
+
+@pytest.mark.parametrize("num_labels", [2, 3, 9])
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+@pytest.mark.parametrize("scale", [0.8, 50.0])
+def test_sampler_matches_reference_bitwise(num_labels, n, scale):
+    model, x, w = random_chain(num_labels, n, seed=n * 10 + num_labels, scale=scale)
+    post = posterior(model, w, x)
+    for p in (post, post.negated()):
+        for size in (1, 1000):
+            expected = reference_sample_many(p, size, np.random.default_rng(size))
+            assert np.array_equal(p.sample_many(size, np.random.default_rng(size)), expected)
+
+
+def test_sampler_runs_one_logsumexp_per_draw_batch(monkeypatch):
+    model, x, w = random_chain(3, 7, seed=1, scale=2.0)
+    post = posterior(model, w, x)
+    calls = []
+    lse = chain_mod._logsumexp
+    monkeypatch.setattr(chain_mod, "_logsumexp",
+                        lambda *args, **kw: calls.append(1) or lse(*args, **kw))
+    post.sample_many(100, np.random.default_rng(0))
+    assert calls == [1]  # p0 only; rows at positions 1..n-1 reuse beta
+
+
 # -- one posterior per step ----------------------------------------------------------
 
 

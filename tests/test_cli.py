@@ -247,6 +247,36 @@ def test_missing_output_directory_fails_before_training(workdir, capsys, flag):
     assert not (tmp_path / "model.ckpt").exists()
 
 
+@pytest.mark.parametrize("flag", ["--report", "--checkpoint"])
+def test_output_path_that_is_a_directory_fails_before_training(workdir, capsys, flag):
+    tmp_path, cfg_path = workdir
+    out_dir = tmp_path / "outdir"
+    out_dir.mkdir()
+    assert cli.main(["train", "--config", str(cfg_path), flag, str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: output path is a directory") and str(out_dir) in err
+    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "model.ckpt").exists()
+    assert list(out_dir.iterdir()) == []
+
+
+def test_diverged_training_is_a_numeric_failure(workdir, capsys):
+    tmp_path, cfg_path = workdir
+    assert cli.main(["train", "--config", str(cfg_path), "--gamma", "1e300"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: training diverged at step 1:")
+    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_diagnose_non_object_report_is_a_data_error(tmp_path, capsys):
+    listing = tmp_path / "list.json"
+    listing.write_text("[]", encoding="utf-8")
+    assert cli.main(["diagnose", str(listing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "report must be a JSON object" in err
+
+
 def test_diagnose_to_missing_directory_is_a_data_error(workdir, capsys):
     tmp_path, cfg_path = workdir
     assert cli.main(["train", "--config", str(cfg_path)]) == 0

@@ -174,6 +174,14 @@ def test_deleted_knob_is_an_unknown_config_key(tmp_path, key, value):
         load_config(path)
 
 
+@pytest.mark.parametrize("objective", ["el", "pr-cont", "ce"])
+def test_divergence_is_named_with_its_step(objective, synthetic_task):
+    model, train_data, dev_data, _ = synthetic_task
+    cfg = TrainerConfig(objective=objective, gamma=1e300, iterations=10, seed=0)
+    with pytest.raises(FloatingPointError, match=r"diverged at step 1: .* gamma=1e\+300"):
+        train(cfg, model, train_data, dev_data[:5], FeedbackOracle("hamming"))
+
+
 def test_empty_data_rejected(tiny_task):
     model, train_data, dev_data = tiny_task
     cfg = TrainerConfig(objective="el", gamma=0.1, iterations=5)
