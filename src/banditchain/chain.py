@@ -14,6 +14,7 @@ All dynamic programs run in log-space with log-sum-exp stabilization.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -275,23 +276,17 @@ def _backward(lattice: ChainLattice) -> np.ndarray:
     return beta
 
 
-def _categorical_rows(prob_rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One draw per row of a (k, L) matrix of row-normalized probabilities."""
-    cum = np.cumsum(prob_rows, axis=1)
-    u = rng.random(prob_rows.shape[0])
-    idx = (u[:, None] >= cum).sum(axis=1)
-    return np.minimum(idx, prob_rows.shape[1] - 1)
-
-
 class ChainPosterior:
     """The exact distribution p_w(y|x) for one (w, x), over one lattice.
 
     Sampling, probabilities and feature expectations all read the same
     lattice and messages.  The backward messages are computed once, on
     construction: every training step samples, and the sampler normalizes
-    by them.  Forward messages and log Z wait for first use, so a step with
-    zero feedback never runs the forward pass.  ``negated()`` is the
-    posterior under -w, over this lattice negated, so w is never copied.
+    by them.  The sampler's table of cumulative conditionals, the forward
+    messages and log Z wait for first use, so repeated draws build the table
+    once and a step with zero feedback never runs the forward pass.
+    ``negated()`` is the posterior under -w, over this lattice negated, so w
+    is never copied.
     """
 
     def __init__(self, model: ChainModel, x: ChainInstance, lattice: ChainLattice):
@@ -317,32 +312,57 @@ class ChainPosterior:
             self._negated._negated = self
         return self._negated
 
+    @cached_property
+    def _sampler_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cum0, cum): the cumulative p(y_0), shape (L,), and the cumulative
+        conditional rows cum[i - 1, a] of p(y_i | y_{i-1} = a), shape (n-1, L, L)."""
+        lattice, beta = self.lattice, self.beta
+        logp0 = lattice.node[0] + beta[0]
+        p0 = np.exp(logp0 - _logsumexp(logp0))
+        p0 /= p0.sum()
+        cond = np.exp(lattice.trans + (lattice.node[1:] + beta[1:])[:, None, :]
+                      - beta[:-1, :, None])
+        cond /= cond.sum(axis=2, keepdims=True)
+        return np.cumsum(p0), np.cumsum(cond, axis=2)
+
     def sample_many(self, size: int, rng: np.random.Generator) -> np.ndarray:
         """Exact i.i.d. samples, as a (size, n) array of label indices.
 
         Backward filtering / forward sampling: row a at position i is
         p(y_i | y_{i-1} = a) = exp(trans[a] + node[i] + beta[i] - beta[i-1, a]),
         so the backward messages normalize every conditional and one
-        left-to-right pass draws from the joint. Deterministic given the rng.
+        left-to-right pass draws from the joint.  The rows' cumulative sums
+        form one table per posterior, built on the first draw and reused by
+        every later one.  Position i of every draw reads the uniforms of
+        ``rng.random((n, size))[i]`` and takes the first label whose
+        cumulative mass exceeds its uniform.  A single draw walks only the
+        rows it takes, each as a Python list; a batch gathers its rows by the
+        previous labels.  Deterministic given the rng.
         """
-        lattice, beta = self.lattice, self.beta
-        n, L = lattice.node.shape
+        cum0, cum = self._sampler_table
+        n, L = self.lattice.node.shape
+        last = L - 1
+        u = rng.random((n, size))
+        if size == 1:
+            # bisect_right on a nondecreasing row counts the entries <= u
+            u_walk = u[:, 0].tolist()
+            label = min(bisect_right(cum0.tolist(), u_walk[0]), last)
+            path = [label]
+            for i in range(1, n):
+                label = min(bisect_right(cum[i - 1, label].tolist(), u_walk[i]), last)
+                path.append(label)
+            return np.array([path], dtype=np.int64)
         out = np.empty((size, n), dtype=np.int64)
-        logp0 = lattice.node[0] + beta[0]
-        p0 = np.exp(logp0 - _logsumexp(logp0))
-        p0 /= p0.sum()
-        out[:, 0] = _categorical_rows(p0[None, :].repeat(size, axis=0), rng)
+        out[:, 0] = np.minimum((u[0][:, None] >= cum0).sum(axis=1), last)
         for i in range(1, n):
-            logc = lattice.trans + (lattice.node[i] + beta[i])[None, :]
-            cond = np.exp(logc - beta[i - 1][:, None])
-            cond /= cond.sum(axis=1, keepdims=True)
-            out[:, i] = _categorical_rows(cond[out[:, i - 1]], rng)
+            rows = cum[i - 1][out[:, i - 1]]
+            out[:, i] = np.minimum((u[i][:, None] >= rows).sum(axis=1), last)
         return out
 
     def sample(self, rng: np.random.Generator) -> tuple[str, ...]:
         """One exact sample as a label tuple."""
         labels = self.model.alphabet.labels
-        return tuple(labels[i] for i in self.sample_many(1, rng)[0])
+        return tuple(labels[i] for i in self.sample_many(1, rng)[0].tolist())
 
     def prob(self, y: Labeling) -> float:
         """p(y|x) = exp(score(y) - log Z), in (0, 1]."""
@@ -352,7 +372,10 @@ class ChainPosterior:
         return float(np.exp(lattice_score(self.lattice, idx) - self.log_z))
 
     def expected_features(self) -> SparseVector:
-        """Exact E_p[phi(x, y)] from forward-backward marginals; a new vector."""
+        """Exact E_p[phi(x, y)] from forward-backward marginals; a new vector.
+
+        Raises ``FloatingPointError`` when a marginal is not finite.
+        """
         lattice, alpha, beta, log_z = self.lattice, self.alpha, self.beta, self.log_z
         node_marg = np.exp(alpha + beta - log_z)
         emission = self.model.compile(self.x)
@@ -375,7 +398,12 @@ class ChainPosterior:
                 row = self.model.transition[a]
                 for b in range(L):
                     acc[row[b]] = acc.get(row[b], 0.0) + pair_mass[a, b]
-        return SparseVector(acc)
+        try:
+            return SparseVector(acc)
+        except ValueError as exc:
+            # every marginal feeds a feature, so this is an overflowed marginal:
+            # at huge |w|, alpha + beta - log Z loses its precision in log space
+            raise FloatingPointError(f"non-finite marginal ({exc})") from None
 
 
 def posterior(model: ChainModel, w: SparseVector, x: ChainInstance) -> ChainPosterior:

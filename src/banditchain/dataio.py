@@ -13,12 +13,15 @@ Formats owned by this module:
 ``run_train`` checks its inputs before it reads any dataset: a bad config, a
 ``chunk-f1`` loss over non-BIO labels, or an output path that is a directory
 or lies in a missing one raises ``DataError`` and leaves no file written.
+It writes the checkpoint and the report to temp files beside them and moves
+both into place only once both are written.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import struct
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -284,10 +287,15 @@ def read_report(path: "str | Path") -> dict:
 
 def compare_report_files(paths: Sequence["str | Path"]) -> dict:
     """Run the cross-run comparison over saved report files."""
-    try:
-        reports = [ConvergenceReport.from_dict(read_report(p)["convergence"]) for p in paths]
-    except KeyError as exc:
-        raise DataError(f"report is missing convergence field {exc}") from None
+    reports = []
+    for path in paths:
+        try:
+            convergence = read_report(path)["convergence"]
+            if not isinstance(convergence, dict):
+                raise DataError(f"{path}: report field 'convergence' must be a JSON object")
+            reports.append(ConvergenceReport.from_dict(convergence))
+        except KeyError as exc:
+            raise DataError(f"report is missing convergence field {exc}") from None
     return compare_runs(reports).to_dict()
 
 
@@ -298,7 +306,8 @@ def run_train(config: RunConfig) -> dict:
     """Train per config, select on dev, evaluate on test, write artifacts.
 
     Returns the report dict that was also written to config.report_path; the
-    selected checkpoint goes to config.checkpoint_path.
+    selected checkpoint goes to config.checkpoint_path.  Both files appear
+    together or not at all.
     """
     config.validate()
     for out in (Path(config.report_path), Path(config.checkpoint_path)):
@@ -325,7 +334,6 @@ def run_train(config: RunConfig) -> dict:
         trajectory, n_pairs=config.lipschitz_pairs, seed=config.seed
     )
 
-    write_checkpoint(config.checkpoint_path, best_w)
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "created_at": datetime.now(timezone.utc).isoformat(),
@@ -349,5 +357,22 @@ def run_train(config: RunConfig) -> dict:
         },
         "feature_norm_bound": trajectory.feature_norm_bound,
     }
-    write_report(config.report_path, report)
+    _write_artifacts((config.checkpoint_path, write_checkpoint, best_w),
+                     (config.report_path, write_report, report))
     return report
+
+
+def _write_artifacts(*artifacts: tuple) -> None:
+    """Write each (path, writer, value) to a temp file beside its path, then
+    move them all into place; a failed write leaves none of them behind."""
+    temps: list[Path] = []
+    try:
+        for path, writer, value in artifacts:
+            path = Path(path)
+            temps.append(path.with_name(f".{path.name}.{os.getpid()}.tmp"))
+            writer(temps[-1], value)
+        for (path, _, _), temp in zip(artifacts, temps):
+            os.replace(temp, path)
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)

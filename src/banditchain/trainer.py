@@ -143,7 +143,8 @@ def train(
     Weights start at zero unless a warm-start vector w0 is given.  Inputs are
     drawn i.i.d. uniformly with replacement; the gold labelings of training
     inputs are only ever touched by the feedback oracle.  A step whose
-    ||gamma * s_t||^2 is not finite raises ``FloatingPointError`` naming t.
+    feature expectations or ||gamma * s_t||^2 are not finite raises
+    ``FloatingPointError`` naming t.
     """
     config.validate()
     if not train_data:
@@ -178,7 +179,11 @@ def train(
 
     for t in range(1, T + 1):
         x = train_data[int(rng.integers(len(train_data)))]
-        s, sampled_loss = _stochastic_gradient(config, model, w, x, rng, feedback_oracle)
+        try:
+            s, sampled_loss = _stochastic_gradient(config, model, w, x, rng, feedback_oracle)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"training diverged at step {t}: {exc} "
+                                     f"with gamma={gamma}") from None
 
         traj.scaled_norm_sq[t] = gamma * gamma * s.norm_sq()
         if not np.isfinite(traj.scaled_norm_sq[t]):

@@ -289,18 +289,24 @@ def test_sampler_determinism(ab_model, fixed_instance, fixed_weights):
 def reference_sample_many(post, size, rng):
     """Backward filtering / forward sampling that normalizes every conditional
     row by its own log-sum-exp instead of by the posterior's beta."""
+
+    def _categorical_rows(prob_rows, rng):
+        cum = np.cumsum(prob_rows, axis=1)
+        idx = (rng.random(prob_rows.shape[0])[:, None] >= cum).sum(axis=1)
+        return np.minimum(idx, prob_rows.shape[1] - 1)
+
     lattice, beta = post.lattice, post.beta
     n, L = lattice.node.shape
     out = np.empty((size, n), dtype=np.int64)
     logp0 = lattice.node[0] + beta[0]
     p0 = np.exp(logp0 - chain_mod._logsumexp(logp0))
     p0 /= p0.sum()
-    out[:, 0] = chain_mod._categorical_rows(p0[None, :].repeat(size, axis=0), rng)
+    out[:, 0] = _categorical_rows(p0[None, :].repeat(size, axis=0), rng)
     for i in range(1, n):
         logc = lattice.trans + (lattice.node[i] + beta[i])[None, :]
         cond = np.exp(logc - chain_mod._logsumexp(logc, axis=1)[:, None])
         cond /= cond.sum(axis=1, keepdims=True)
-        out[:, i] = chain_mod._categorical_rows(cond[out[:, i - 1]], rng)
+        out[:, i] = _categorical_rows(cond[out[:, i - 1]], rng)
     return out
 
 
@@ -332,6 +338,27 @@ def test_sampler_runs_one_logsumexp_per_draw_batch(monkeypatch):
                         lambda *args, **kw: calls.append(1) or lse(*args, **kw))
     post.sample_many(100, np.random.default_rng(0))
     assert calls == [1]  # p0 only; rows at positions 1..n-1 reuse beta
+
+
+def test_repeated_draws_build_the_sampler_table_once(monkeypatch):
+    model, x, w = random_chain(3, 7, seed=1, scale=2.0)
+    post = posterior(model, w, x)
+    calls = []
+    lse = chain_mod._logsumexp
+    monkeypatch.setattr(chain_mod, "_logsumexp",
+                        lambda *args, **kw: calls.append(1) or lse(*args, **kw))
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        post.sample(rng)
+    post.sample_many(50, rng)
+    assert calls == [1]  # the table's p0, once for all six calls
+
+
+@pytest.mark.parametrize("size", [1, 1000])
+def test_single_token_draws_have_one_column(size):
+    model, x, w = random_chain(3, 1, seed=4, scale=2.0)
+    draws = posterior(model, w, x).sample_many(size, np.random.default_rng(0))
+    assert draws.shape == (size, 1) and draws.dtype == np.int64
 
 
 # -- one posterior per step ----------------------------------------------------------

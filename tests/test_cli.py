@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -267,6 +268,30 @@ def test_diverged_training_is_a_numeric_failure(workdir, capsys):
     assert err.startswith("error: training diverged at step 1:")
     assert not (tmp_path / "report.json").exists()
     assert not (tmp_path / "model.ckpt").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+@pytest.mark.parametrize("objective", ["el", "pr-cont"])
+def test_overflowed_marginals_are_a_numeric_failure_at_a_named_step(workdir, capsys, objective):
+    # at this rate |w| reaches ~1e20 within a few steps, and alpha + beta - log Z
+    # overflows in exp before ||gamma*s_t||^2 is ever formed
+    tmp_path, cfg_path = workdir
+    code = cli.main(["train", "--config", str(cfg_path), "--objective", objective,
+                     "--gamma", "1e20"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert re.match(r"error: training diverged at step \d+: non-finite marginal .* "
+                    r"with gamma=1e\+20$", err.strip())
+    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_diagnose_non_object_convergence_is_a_data_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"schema_version": 1, "convergence": []}), encoding="utf-8")
+    assert cli.main(["diagnose", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'convergence' must be a JSON object" in err
 
 
 def test_diagnose_non_object_report_is_a_data_error(tmp_path, capsys):

@@ -283,6 +283,32 @@ def test_run_train_deterministic_modulo_timestamp(tmp_path):
     )
 
 
+def test_failed_report_write_leaves_no_artifact(tmp_path, monkeypatch):
+    import banditchain.dataio as dataio
+
+    cfg = load_config(run_config(tmp_path))
+    checkpoints = []
+
+    def fail_after_checkpoint(path, report):
+        (ckpt_path,) = checkpoints
+        checkpoints.append(ckpt_path.read_bytes())  # written, not yet in place
+        raise OSError("disk full")
+
+    monkeypatch.setattr(dataio, "write_checkpoint",
+                        lambda path, w: checkpoints.append(path) or write_checkpoint(path, w))
+    monkeypatch.setattr(dataio, "write_report", fail_after_checkpoint)
+    with pytest.raises(OSError, match="disk full"):
+        run_train(cfg)
+    left = {p.name for p in tmp_path.iterdir()}
+    assert {"report.json", "model.ckpt"}.isdisjoint(left)
+    assert not [name for name in left if name.endswith(".tmp")]
+    # rerun with working writers: the checkpoint is the same bytes, moved into place
+    monkeypatch.undo()
+    run_train(cfg)
+    assert (tmp_path / "model.ckpt").read_bytes() == checkpoints[1]
+    assert {p.name for p in tmp_path.iterdir()} == left | {"report.json", "model.ckpt"}
+
+
 def test_compare_report_files_three_seed_pr_vs_ce(tmp_path):
     paths = []
     for objective in ("pr-cont", "ce"):
