@@ -9,6 +9,8 @@ partition function, feature expectations, exact samples and the MAP labeling
 are all computable by dynamic programming over a small lattice.
 
 All dynamic programs run in log-space with log-sum-exp stabilization.
+Weights reach a lattice as a dense array over the model's columns: one
+gather per factor table, whatever the number of features.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .sparse import SparseVector
+from .sparse import IndexedVector, SparseVector
 
 Labeling = Sequence[str]
 
@@ -138,72 +140,141 @@ class ChainLattice:
 
 
 class ChainModel:
-    """Feature templates binding a label alphabet to a first-order chain.
+    """Feature templates binding a label alphabet to a first-order chain, and
+    the one map between feature ids and weight columns.
 
     Emission templates pair the token at a configurable offset from the
     current position with the position's label; the transition template
-    fires once per adjacent label pair, so its L x L id table ``transition``
-    ([from label][to label] -> feature id) is built once per model.
-    Extraction is deterministic.  Ids are stable hashes of the template
-    strings; an always-on registry detects hash collisions.
+    fires once per adjacent label pair.  Ids are stable hashes of the
+    template strings, and an always-on check detects hash collisions.
+
+    The model interns every id on first sight as the next column of a dense
+    weight array: ids hashed from templates, and ids read from a weight
+    vector by ``to_columns``.  Columns are never renumbered, so a column
+    array stays valid as the model grows; it is only shorter than the model.
+    The column row of each (offset, token) is memoized, so a token seen
+    before is not hashed again.  ``transition`` is the (L, L) column table
+    [from label, to label].  ``to_columns`` and ``to_sparse`` convert
+    between id-keyed SparseVectors and column arrays.
     """
 
     def __init__(self, alphabet: LabelAlphabet, emission_offsets: Sequence[int] = (0,)):
         self.alphabet = alphabet
         self.emission_offsets = tuple(int(o) for o in emission_offsets)
-        self._registry: dict[int, str] = {}
-        self._compiled: dict[ChainInstance, tuple] = {}
+        self._columns: dict[int, int] = {}  # feature id -> column
+        self._ids: list[int] = []  # column -> feature id
+        self._templates: list[Optional[str]] = []  # column -> template; None if not yet hashed
+        self._rows: dict[tuple[int, str], tuple[int, ...]] = {}  # (offset, token) -> L columns
+        self._compiled: dict[ChainInstance, np.ndarray] = {}
+        self._local: dict[ChainInstance, InstanceColumns] = {}
         labels = alphabet.labels
-        self.transition = tuple(
-            tuple(self._fid(f"tr{_SEP}{a}{_SEP}{b}") for b in labels) for a in labels
+        self.transition = np.array(
+            [[self._column(f"tr{_SEP}{a}{_SEP}{b}") for b in labels] for a in labels],
+            dtype=np.intp,
         )
 
-    def _fid(self, template: str) -> int:
-        fid = feature_id(template)
-        known = self._registry.setdefault(fid, template)
-        if known != template:
-            raise RuntimeError(f"feature id collision: {template!r} vs {known!r} -> {fid}")
-        return fid
+    @property
+    def num_columns(self) -> int:
+        return len(self._ids)
 
-    def compile(self, x: ChainInstance) -> tuple:
-        """The emission id table of x, [position][label index] -> tuple of ids; cached."""
+    def _intern(self, fid: int, template: Optional[str] = None) -> int:
+        """The column of fid, interned on first sight; a template checks for collisions."""
+        ids = self._ids
+        col = self._columns.setdefault(fid, len(ids))
+        if col == len(ids):
+            ids.append(fid)
+            self._templates.append(template)
+        elif template is not None:
+            known = self._templates[col]
+            if known is None:
+                self._templates[col] = template
+            elif known != template:
+                raise RuntimeError(f"feature id collision: {template!r} vs {known!r} -> {fid}")
+        return col
+
+    def _column(self, template: str) -> int:
+        return self._intern(feature_id(template), template)
+
+    def _row(self, off: int, tok: str) -> tuple[int, ...]:
+        row = self._rows.get((off, tok))
+        if row is None:
+            prefix = f"em{off}{_SEP}{tok}{_SEP}"
+            row = self._rows[(off, tok)] = tuple(
+                [self._column(prefix + lab) for lab in self.alphabet.labels])
+        return row
+
+    def compile(self, x: ChainInstance) -> np.ndarray:
+        """The emission columns of x, an (n, L, k) int array; cached.
+
+        ``cols[i, l]`` holds the columns of the k emission templates that
+        fire when position i takes label l, one per emission offset.  The
+        array is a view of a template-major (k, n, L) block, so the lattice's
+        sum over templates runs over its outer axis.
+        """
         cached = self._compiled.get(x)
         if cached is not None:
             return cached
         n = len(x)
-        labels = self.alphabet.labels
-        emission = []
-        for i in range(n):
-            per_label = []
-            ctx = []
-            for off in self.emission_offsets:
+        rows = []
+        for off in self.emission_offsets:
+            for i in range(n):
                 j = i + off
-                tok = _BOS if j < 0 else _EOS if j >= n else x.tokens[j]
-                ctx.append((off, tok))
-            for lab in labels:
-                per_label.append(
-                    tuple(
-                        self._fid(f"em{off}{_SEP}{tok}{_SEP}{lab}") for off, tok in ctx
-                    )
-                )
-            emission.append(tuple(per_label))
-        compiled = tuple(emission)
-        self._compiled[x] = compiled
+                rows.append(self._row(off, _BOS if j < 0 else _EOS if j >= n else x.tokens[j]))
+        L = len(self.alphabet)
+        block = np.array(rows, dtype=np.intp).reshape(len(self.emission_offsets), n, L)
+        compiled = self._compiled[x] = block.transpose(1, 2, 0)
         return compiled
 
     def clear_cache(self) -> None:
         self._compiled.clear()
+        self._local.clear()
+
+    def local_columns(self, x: ChainInstance) -> "InstanceColumns":
+        """The distinct columns x can fire, numbered locally; cached."""
+        local = self._local.get(x)
+        if local is None:
+            local = self._local[x] = InstanceColumns(self.compile(x), self.transition)
+        return local
 
     def instance_feature_ids(self, x: ChainInstance) -> list[int]:
         """All feature ids that can fire for ``x`` under any labeling, sorted."""
-        fids: set[int] = set()
-        for per_label in self.compile(x):
-            for group in per_label:
-                fids.update(group)
+        cols = self.compile(x).ravel()
         if len(x) > 1:
-            for row in self.transition:
-                fids.update(row)
-        return sorted(fids)
+            cols = np.concatenate((cols, self.transition.ravel()))
+        return sorted({self._ids[c] for c in cols.tolist()})
+
+    def to_columns(self, w: "SparseVector | np.ndarray") -> np.ndarray:
+        """w as a float64 array over every column the model holds.
+
+        A SparseVector's ids are interned first, so none of its entries is
+        lost; the result is a new array.  A column array shorter than the
+        model comes back zero-padded in a new array, and any other array
+        comes back as it is.
+        """
+        if isinstance(w, SparseVector):
+            columns = self._columns
+            for fid in [fid for fid in w if fid not in columns]:
+                self._intern(fid)
+            out = np.zeros(len(self._ids))
+            out[list(map(columns.__getitem__, w))] = np.fromiter(
+                (v for _, v in w.items()), float, len(w))
+            return out
+        if len(w) < len(self._ids):
+            out = np.zeros(len(self._ids))
+            out[: len(w)] = w
+            return out
+        return w
+
+    def to_sparse(self, values: np.ndarray, columns: Optional[np.ndarray] = None) -> SparseVector:
+        """The SparseVector of values at columns (default: the nonzero entries
+        of a column array), keyed by feature id in the order given."""
+        if columns is None:
+            columns = np.flatnonzero(values)
+            values = values[columns]
+        ids = self._ids
+        return SparseVector._from_clean(
+            dict(zip([ids[c] for c in columns.tolist()], values.tolist()))
+        )
 
     def feature_norm_bound(self, x: ChainInstance) -> float:
         """Upper bound on ||phi(x, y)||_2 over every labeling y.
@@ -215,35 +286,60 @@ class ChainModel:
         return float(n * len(self.emission_offsets) + n - 1)
 
 
+class InstanceColumns:
+    """The distinct columns one instance can fire, numbered 0..m-1.
+
+    Local index order is first occurrence over the emission table in
+    (position, label, template) order, then the transition table: the order
+    in which a dict accumulating the feature expectations meets them.
+    ``emission`` (n, L, k) and ``transition`` (L, L) hold local indices.
+    """
+
+    def __init__(self, emission: np.ndarray, transition: np.ndarray):
+        flat = np.concatenate((emission.ravel(), transition.ravel()))
+        uniq, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        local = np.empty(len(order), dtype=np.intp)
+        local[order] = np.arange(len(order))
+        index = local[inverse]
+        self.columns = uniq[order]
+        self.emission = index[: emission.size].reshape(emission.shape)
+        self.transition = index[emission.size:].reshape(transition.shape)
+        # every local index of the expectation's scatter, emissions then transitions
+        self.index = index
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    def features(self, idx: np.ndarray) -> IndexedVector:
+        """phi(x, y) for the label indices idx, over local indices."""
+        if len(idx) != len(self.emission):
+            raise ValueError(
+                f"labeling length {len(idx)} != instance length {len(self.emission)}")
+        fired = self.emission[np.arange(len(idx)), idx].ravel()
+        if len(idx) > 1:
+            fired = np.concatenate((fired, self.transition[idx[:-1], idx[1:]]))
+        return IndexedVector.from_counts(fired, len(self.columns))
+
+
 def extract_features(model: ChainModel, x: ChainInstance, y: Labeling) -> SparseVector:
     """The joint feature vector phi(x, y): emission and transition counts."""
-    if len(y) != len(x):
-        raise ValueError(f"labeling length {len(y)} != instance length {len(x)}")
-    idx = model.alphabet.indices(y)
-    emission = model.compile(x)
-    acc: dict[int, float] = {}
-    for i, li in enumerate(idx):
-        for fid in emission[i][li]:
-            acc[fid] = acc.get(fid, 0.0) + 1.0
-    for i in range(len(idx) - 1):
-        fid = model.transition[idx[i]][idx[i + 1]]
-        acc[fid] = acc.get(fid, 0.0) + 1.0
-    return SparseVector(acc)
+    local = model.local_columns(x)
+    idx, values = local.features(model.alphabet.indices(y)).entries()
+    return model.to_sparse(values, local.columns[idx])
 
 
-def build_lattice(model: ChainModel, w: SparseVector, x: ChainInstance) -> ChainLattice:
-    """Materialize node and transition potentials w . phi restricted to each factor."""
-    emission = model.compile(x)
-    n = len(x)
-    L = len(model.alphabet)
-    node = np.zeros((n, L))
-    wget = w.get
-    for i in range(n):
-        per_label = emission[i]
-        for li in range(L):
-            node[i, li] = sum(wget(fid, 0.0) for fid in per_label[li])
-    trans = np.array([[wget(fid, 0.0) for fid in row] for row in model.transition])
-    return ChainLattice(node=node, trans=trans)
+def build_lattice(
+    model: ChainModel, w: "SparseVector | np.ndarray", x: ChainInstance
+) -> ChainLattice:
+    """Node and transition potentials w . phi restricted to each factor.
+
+    w is a SparseVector or a column array of the model; a SparseVector is
+    converted once per call, after x is compiled.
+    """
+    cols = model.compile(x)
+    w = model.to_columns(w)
+    return ChainLattice(node=w[cols].sum(axis=-1), trans=w[model.transition])
 
 
 def lattice_score(lattice: ChainLattice, label_indices: Sequence[int]) -> float:
@@ -286,13 +382,16 @@ class ChainPosterior:
     messages and log Z wait for first use, so repeated draws build the table
     once and a step with zero feedback never runs the forward pass.
     ``negated()`` is the posterior under -w, over this lattice negated, so w
-    is never copied.
+    is never copied.  ``local`` numbers the columns x can fire;
+    ``features`` and ``expected`` are IndexedVectors over those local
+    indices, which the objectives combine and ``to_sparse`` keys by id.
     """
 
     def __init__(self, model: ChainModel, x: ChainInstance, lattice: ChainLattice):
         self.model = model
         self.x = x
         self.lattice = lattice
+        self.local = model.local_columns(x)
         self.beta = _backward(lattice)
         self._negated: Optional[ChainPosterior] = None
 
@@ -371,54 +470,73 @@ class ChainPosterior:
         idx = self.model.alphabet.indices(y)
         return float(np.exp(lattice_score(self.lattice, idx) - self.log_z))
 
-    def expected_features(self) -> SparseVector:
-        """Exact E_p[phi(x, y)] from forward-backward marginals; a new vector.
+    def features(self, y: Labeling) -> IndexedVector:
+        """phi(x, y) over the instance's local column indices (``local``)."""
+        return self.local.features(self.model.alphabet.indices(y))
 
-        Raises ``FloatingPointError`` when a marginal is not finite.
+    def expected(self) -> IndexedVector:
+        """Exact E_p[phi(x, y)] over the local column indices; a new vector.
+
+        The node marginals scatter into the emission columns in (position,
+        label, template) order and the pair masses into the transition
+        columns, as sequential sums.  Raises ``FloatingPointError`` when a
+        marginal is not finite.
         """
-        lattice, alpha, beta, log_z = self.lattice, self.alpha, self.beta, self.log_z
-        node_marg = np.exp(alpha + beta - log_z)
-        emission = self.model.compile(self.x)
-        L = lattice.num_labels
-        acc: dict[int, float] = {}
-        for i in range(lattice.n):
-            per_label = emission[i]
-            for li in range(L):
-                m = node_marg[i, li]
-                for fid in per_label[li]:
-                    acc[fid] = acc.get(fid, 0.0) + m
-        if lattice.n > 1:
+        alpha, beta, log_z = self.alpha, self.beta, self.log_z
+        node, trans = self.lattice.node, self.lattice.trans
+        local = self.local
+        k = local.emission.shape[2]
+        mass = np.repeat(np.exp(alpha + beta - log_z).ravel(), k)
+        index = local.index
+        if len(node) > 1:
             pair_mass = np.exp(
-                alpha[:-1, :, None]
-                + lattice.trans
-                + (lattice.node[1:] + beta[1:])[:, None, :]
-                - log_z
+                alpha[:-1, :, None] + trans + (node[1:] + beta[1:])[:, None, :] - log_z
             ).sum(axis=0)
-            for a in range(L):
-                row = self.model.transition[a]
-                for b in range(L):
-                    acc[row[b]] = acc.get(row[b], 0.0) + pair_mass[a, b]
-        try:
-            return SparseVector(acc)
-        except ValueError as exc:
-            # every marginal feeds a feature, so this is an overflowed marginal:
+            mass = np.concatenate((mass, pair_mass.ravel()))
+        else:
+            index = index[: mass.size]
+        values = np.bincount(index, weights=mass, minlength=len(local))
+        if not np.isfinite(values).all():
             # at huge |w|, alpha + beta - log Z loses its precision in log space
-            raise FloatingPointError(f"non-finite marginal ({exc})") from None
+            bad = np.flatnonzero(~np.isfinite(values))[0]
+            raise FloatingPointError(
+                f"non-finite marginal (non-finite value {float(values[bad])!r} "
+                f"for feature {self.model._ids[local.columns[bad]]})")
+        return IndexedVector.from_array(values)
+
+    def to_sparse(self, vector: Optional[IndexedVector]) -> SparseVector:
+        """A local vector as a SparseVector keyed by feature id; None is empty."""
+        if vector is None:
+            return SparseVector()
+        idx, values = vector.entries()
+        return self.model.to_sparse(values, self.local.columns[idx])
+
+    def expected_features(self) -> SparseVector:
+        """Exact E_p[phi(x, y)] as a new SparseVector; see ``expected``."""
+        return self.to_sparse(self.expected())
 
 
-def posterior(model: ChainModel, w: SparseVector, x: ChainInstance) -> ChainPosterior:
-    """The posterior p_w(.|x): the one entry point for sampling, prob, log Z and expectations."""
+def posterior(
+    model: ChainModel, w: "SparseVector | np.ndarray", x: ChainInstance
+) -> ChainPosterior:
+    """The posterior p_w(.|x): the one entry point for sampling, prob, log Z and expectations.
+
+    w is a SparseVector or a column array of the model, as for ``build_lattice``.
+    """
     return ChainPosterior(model, x, build_lattice(model, w, x))
 
 
 def sample(
-    model: ChainModel, w: SparseVector, x: ChainInstance, rng: np.random.Generator
+    model: ChainModel, w: "SparseVector | np.ndarray", x: ChainInstance,
+    rng: np.random.Generator,
 ) -> tuple[str, ...]:
     """One exact sample from p_w(y|x) as a label tuple."""
     return posterior(model, w, x).sample(rng)
 
 
-def map_decode(model: ChainModel, w: SparseVector, x: ChainInstance) -> tuple[str, ...]:
+def map_decode(
+    model: ChainModel, w: "SparseVector | np.ndarray", x: ChainInstance
+) -> tuple[str, ...]:
     """Viterbi argmax of p_w(y|x); ties break toward the lowest label index."""
     lattice = build_lattice(model, w, x)
     n, L = lattice.node.shape

@@ -109,6 +109,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     model = config.model()
     w = read_checkpoint(args.checkpoint)
     data = read_dataset(args.data, model.alphabet)
+    for x in data:
+        model.compile(x)
+    w = model.to_columns(w)  # once, not once per instance
     rng = np.random.default_rng(args.seed)
     first = True
     for x in data:

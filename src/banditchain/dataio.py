@@ -28,6 +28,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .chain import ChainInstance, ChainModel, LabelAlphabet
 from .diagnostics import ConvergenceReport, compare_runs, convergence_report
 from .feedback import _BIO_LABEL, FeedbackOracle, LossKind
@@ -100,17 +102,25 @@ def write_dataset(path: "str | Path", instances: Sequence[ChainInstance]) -> Non
 # -- checkpoints ---------------------------------------------------------------
 
 
+_CHECKPOINT_ENTRY = np.dtype([("fid", "<i8"), ("value", "<f8")])
+
+
 def write_checkpoint(path: "str | Path", w: SparseVector) -> None:
     """Persist a weight vector; entries are sorted by feature id.
 
     The file is byte-stable: the same vector always gives the same bytes.
+    After the header, the entries are one packed array of little-endian
+    (int64 id, float64 value) pairs.
     """
-    entries = sorted(w.items())
+    fids = np.fromiter(w, np.int64, len(w))
+    order = np.argsort(fids)
+    entries = np.empty(len(w), dtype=_CHECKPOINT_ENTRY)
+    entries["fid"] = fids[order]
+    entries["value"] = np.fromiter((v for _, v in w.items()), np.float64, len(w))[order]
     with Path(path).open("wb") as fh:
         fh.write(_CHECKPOINT_MAGIC)
         fh.write(struct.pack("<HQ", _CHECKPOINT_VERSION, len(entries)))
-        for fid, value in entries:
-            fh.write(struct.pack("<qd", fid, value))
+        fh.write(entries.tobytes())
 
 
 def read_checkpoint(path: "str | Path") -> SparseVector:
@@ -125,15 +135,16 @@ def read_checkpoint(path: "str | Path") -> SparseVector:
     if version != _CHECKPOINT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     offset = len(_CHECKPOINT_MAGIC) + header
-    pair = struct.calcsize("<qd")
-    if len(blob) != offset + count * pair:
+    if len(blob) != offset + count * _CHECKPOINT_ENTRY.itemsize:
         raise DataError(f"{path}: truncated checkpoint ({len(blob)} bytes)")
-    data = {}
-    for _ in range(count):
-        fid, value = struct.unpack_from("<qd", blob, offset)
-        data[fid] = value
-        offset += pair
-    return SparseVector(data)
+    entries = np.frombuffer(blob, dtype=_CHECKPOINT_ENTRY, count=count, offset=offset)
+    values = entries["value"]
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise DataError(f"{path}: non-finite value {float(values[bad[0]])!r} "
+                        f"for feature {int(entries['fid'][bad[0]])}")
+    data = dict(zip(entries["fid"].tolist(), values.tolist()))
+    return SparseVector._from_clean({fid: v for fid, v in data.items() if v != 0.0})
 
 
 # -- run configuration ---------------------------------------------------------

@@ -9,17 +9,20 @@ so runs with the same horizon and rate are directly comparable:
 * the empirical variance of the epoch-boundary gradients,
   (1/K) sum_k ||s_{kD} - mean||^2.
 
-They depend only on norms and differences, never on feature identities.
+They depend only on norms and differences, never on feature identities,
+and take the trainer's rows as they are: snapshots and epoch gradients are
+rows of (S, d) column arrays.  Every norm is a row-wide numpy pass with
+numpy's pairwise sums (not BLAS).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .sparse import SparseVector, mean_vector
 from .trainer import Trajectory
 
 _MIN_WEIGHT_GAP = 1e-12
@@ -57,64 +60,72 @@ def grad_norm_sq(trajectory: Trajectory, t: Optional[int] = None) -> float:
     return float(trajectory.scaled_norm_sq[t])
 
 
+def _distances(rows: np.ndarray, pairs: Sequence[tuple[int, int]]) -> list[float]:
+    """||rows[i] - rows[j]|| for each (i, j): a row-wide subtract and square
+    into one reused buffer, then numpy's pairwise sum (not BLAS)."""
+    diff = np.empty(rows.shape[1])
+    out = []
+    for i, j in pairs:
+        np.subtract(rows[i], rows[j], out=diff)
+        out.append(math.sqrt(np.add.reduce(np.square(diff, out=diff))))
+    return out
+
+
 def lipschitz_estimate(
-    snapshots: Sequence[tuple[SparseVector, SparseVector]],
+    weights: np.ndarray,
+    grads: np.ndarray,
     n_pairs: int = 500,
     rng: Optional[np.random.Generator] = None,
 ) -> float:
     """Max gradient-difference to weight-difference ratio over snapshot pairs.
 
-    Draws n_pairs distinct-index pairs uniformly (seeded via rng); when the
-    pair budget covers every distinct pair the estimator just evaluates all
-    of them, which also makes it independent of snapshot order.  Pairs of
-    nearly identical weight vectors are redrawn a bounded number of times,
-    then skipped, so near-zero denominators never produce spurious ratios.
+    Row i of ``weights`` (S, d) is a snapshot w_i and row i of ``grads`` the
+    gradient computed at it.  Draws n_pairs distinct-index pairs uniformly
+    (seeded via rng); when the pair budget covers every distinct pair the
+    estimator just evaluates all of them, which also makes it independent of
+    snapshot order.  Pairs of nearly identical weight vectors are redrawn a
+    bounded number of times, then skipped, so near-zero denominators never
+    produce spurious ratios.
     """
-    if len(snapshots) < 2:
+    n = len(weights)
+    if n < 2:
         raise ValueError("need at least 2 snapshots")
     if n_pairs <= 0:
         raise ValueError("pair budget must be positive")
     if rng is None:
         rng = np.random.default_rng(0)
 
-    def ratio(i: int, j: int) -> Optional[float]:
-        w_i, s_i = snapshots[i]
-        w_j, s_j = snapshots[j]
-        gap = (w_i - w_j).norm()
-        if gap < _MIN_WEIGHT_GAP:
-            return None
-        return (s_i - s_j).norm() / gap
-
-    n = len(snapshots)
-    best: Optional[float] = None
     if n_pairs >= n * (n - 1) // 2:
-        for i in range(n):
-            for j in range(i + 1, n):
-                r = ratio(i, j)
-                if r is not None and (best is None or r > best):
-                    best = r
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        gaps = _distances(weights, pairs)
     else:
+        pairs, gaps = [], []
         for _ in range(n_pairs):
-            r = None
             for _ in range(_REDRAW_LIMIT):
                 i, j = rng.choice(n, size=2, replace=False)
-                r = ratio(int(i), int(j))
-                if r is not None:
+                (gap,) = _distances(weights, [(i, j)])
+                if gap >= _MIN_WEIGHT_GAP:
+                    pairs.append((i, j))
+                    gaps.append(gap)
                     break
-            if r is not None and (best is None or r > best):
-                best = r
-    if best is None:
+    kept = [(pair, gap) for pair, gap in zip(pairs, gaps) if gap >= _MIN_WEIGHT_GAP]
+    if not kept:
         raise ValueError("all snapshots have identical weights; estimate undefined")
-    return best
+    grad_gaps = _distances(grads, [pair for pair, _ in kept])
+    return max(g / gap for g, (_, gap) in zip(grad_gaps, kept))
 
 
-def variance_estimate(epoch_grads: Sequence[SparseVector]) -> float:
-    """Mean squared deviation of the epoch-boundary gradients from their mean."""
+def variance_estimate(epoch_grads: np.ndarray) -> float:
+    """Mean squared deviation of the epoch-boundary gradients from their mean.
+
+    Rows of ``epoch_grads`` (K, d) are the gradients; one vectorized pass.
+    """
     k = len(epoch_grads)
     if k < 2:
         raise ValueError(f"need at least 2 epoch gradients, got {k}")
-    center = mean_vector(epoch_grads)
-    return sum((g - center).norm_sq() for g in epoch_grads) / k
+    center = np.add.reduce(epoch_grads, axis=0) * (1.0 / k)
+    deviation = epoch_grads - center
+    return float(np.add.reduce(deviation * deviation, axis=None)) / k
 
 
 def convergence_report(
@@ -124,16 +135,16 @@ def convergence_report(
 ) -> ConvergenceReport:
     """Assemble all three estimates for one finished run."""
     cfg = trajectory.config
-    epoch_vectors = [g for _, g in trajectory.epoch_grads]
     return ConvergenceReport(
         grad_norm_sq_at_T=grad_norm_sq(trajectory),
         lipschitz_est=lipschitz_estimate(
-            trajectory.snapshots, n_pairs=n_pairs, rng=np.random.default_rng(seed)
+            trajectory.snapshot_weights, trajectory.snapshot_grads,
+            n_pairs=n_pairs, rng=np.random.default_rng(seed),
         ),
-        variance_est=variance_estimate(epoch_vectors),
+        variance_est=variance_estimate(trajectory.epoch_grads),
         T=cfg.iterations,
         D=trajectory.epoch_size,
-        K=len(epoch_vectors),
+        K=len(trajectory.epoch_grads),
         seed=cfg.seed,
         objective=cfg.objective.value,
         gamma=cfg.gamma,

@@ -13,6 +13,11 @@ by sampling each side from its own chain, and the pair feature expectation
 is the exact difference of the two chain expectations.  The cross-entropy
 divisor may be clipped from below by a constant k, which bounds the
 importance weight at the cost of bias.
+
+``el_columns``, ``pr_columns`` and ``ce_columns`` build each estimate as an
+IndexedVector over the posterior's local columns, the trainer's form;
+``el_gradient``, ``pr_gradient`` and ``ce_gradient`` return the same
+entries, in the same order, as a SparseVector keyed by feature id.
 """
 
 from __future__ import annotations
@@ -20,11 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Optional
 
 import numpy as np
 
-from .chain import ChainPosterior, extract_features
-from .sparse import SparseVector
+from .chain import ChainPosterior
+from .sparse import IndexedVector, SparseVector
 
 
 class ObjectiveKind(Enum):
@@ -71,18 +77,24 @@ def _check_unit_interval(name: str, value: float) -> float:
     return value
 
 
-def el_gradient(post: ChainPosterior, y_sampled, delta: float) -> SparseVector:
+def el_columns(post: ChainPosterior, y_sampled, delta: float) -> Optional[IndexedVector]:
     """Expected-loss stochastic gradient: delta * (phi(x, y~) - E_p[phi]).
 
-    The update pushes the sampled structure's features toward the mean the
-    harder the worse its feedback was; delta = 0 contributes nothing.
+    Over the posterior's local columns; None when delta = 0.  The update
+    pushes the sampled structure's features toward the mean the harder the
+    worse its feedback was; delta = 0 contributes nothing.
     """
     delta = _check_unit_interval("delta", delta)
     if delta == 0.0:
-        return SparseVector()
-    grad = extract_features(post.model, post.x, y_sampled)
-    grad.add_scaled(post.expected_features(), -1.0)
+        return None
+    grad = post.features(y_sampled)
+    grad.add_scaled(post.expected(), -1.0)
     return grad.scale(delta)
+
+
+def el_gradient(post: ChainPosterior, y_sampled, delta: float) -> SparseVector:
+    """``el_columns`` as a SparseVector keyed by feature id."""
+    return post.to_sparse(el_columns(post, y_sampled, delta))
 
 
 def pr_sample_pair(post: ChainPosterior, rng: np.random.Generator) -> PairSample:
@@ -107,26 +119,70 @@ def pair_feedback(delta_first: float, delta_second: float, mode: str) -> float:
     return 0.0
 
 
+def _pair_expected(post: ChainPosterior) -> IndexedVector:
+    exp_pair = post.expected()
+    return exp_pair.add_scaled(post.negated().expected(), -1.0)
+
+
 def pair_expected_features(post: ChainPosterior) -> SparseVector:
     """Exact pair-feature expectation E[phi(x, y_i) - phi(x, y_j)].
 
     By the factorization of the pair model this is the difference between
     the chain expectation under w and the one under -w; no sampling needed.
     """
-    exp_pair = post.expected_features()
-    exp_pair.add_scaled(post.negated().expected_features(), -1.0)
-    return exp_pair
+    return post.to_sparse(_pair_expected(post))
+
+
+def pr_columns(
+    post: ChainPosterior, pair: PairSample, delta_pair: float
+) -> Optional[IndexedVector]:
+    """Pairwise-preference stochastic gradient over ordered output pairs,
+    over the posterior's local columns; None when delta_pair = 0."""
+    delta_pair = _check_unit_interval("delta_pair", delta_pair)
+    if delta_pair == 0.0:
+        return None
+    grad = post.features(pair.first)
+    grad.add_scaled(post.features(pair.second), -1.0)
+    grad.add_scaled(_pair_expected(post), -1.0)
+    return grad.scale(delta_pair)
 
 
 def pr_gradient(post: ChainPosterior, pair: PairSample, delta_pair: float) -> SparseVector:
-    """Pairwise-preference stochastic gradient over ordered output pairs."""
-    delta_pair = _check_unit_interval("delta_pair", delta_pair)
-    if delta_pair == 0.0:
-        return SparseVector()
-    grad = extract_features(post.model, post.x, pair.first)
-    grad.add_scaled(extract_features(post.model, post.x, pair.second), -1.0)
-    grad.add_scaled(pair_expected_features(post), -1.0)
-    return grad.scale(delta_pair)
+    """``pr_columns`` as a SparseVector keyed by feature id."""
+    return post.to_sparse(pr_columns(post, pair, delta_pair))
+
+
+def ce_columns(
+    post: ChainPosterior,
+    y_sampled,
+    gain: float,
+    clip_k: float = 0.0,
+) -> Optional[IndexedVector]:
+    """Cross-entropy stochastic gradient with clipped importance weight.
+
+    s = (gain / max(p_w(y~|x), k)) * (-phi(x, y~) + E_p[phi]), over the
+    posterior's local columns; None when gain = 0.  With k = 0 the estimate
+    is unbiased; k > 0 trades bias for bounded variance.
+    """
+    gain = _check_unit_interval("gain", gain)
+    # k < 1 keeps the divisor max(p, k) below certainty
+    if not 0.0 <= clip_k < 1.0:
+        raise ValueError(f"clipping constant must be in [0, 1), got {clip_k}")
+    if gain == 0.0:
+        return None
+    p_hat = max(post.prob(y_sampled), clip_k)
+    grad = post.expected()
+    grad.add_scaled(post.features(y_sampled), -1.0)
+    if p_hat > 0.0:
+        # a finite but huge weight gain / p_hat can still overflow the entries;
+        # testing the largest one first keeps numpy from warning about it
+        weight = gain / p_hat
+        if math.isfinite(weight * float(np.abs(grad.values).max(initial=0.0))):
+            return grad.scale(weight)
+    raise ValueError(
+        f"cross-entropy importance weight overflows: p_w(y~|x) = {p_hat:g} underflowed; "
+        "set clip_k > 0 to bound the weight"
+    )
 
 
 def ce_gradient(
@@ -135,26 +191,5 @@ def ce_gradient(
     gain: float,
     clip_k: float = 0.0,
 ) -> SparseVector:
-    """Cross-entropy stochastic gradient with clipped importance weight.
-
-    s = (gain / max(p_w(y~|x), k)) * (-phi(x, y~) + E_p[phi]).  With k = 0
-    the estimate is unbiased; k > 0 trades bias for bounded variance.
-    """
-    gain = _check_unit_interval("gain", gain)
-    # k < 1 keeps the divisor max(p, k) below certainty
-    if not 0.0 <= clip_k < 1.0:
-        raise ValueError(f"clipping constant must be in [0, 1), got {clip_k}")
-    if gain == 0.0:
-        return SparseVector()
-    p_hat = max(post.prob(y_sampled), clip_k)
-    grad = post.expected_features()
-    grad.add_scaled(extract_features(post.model, post.x, y_sampled), -1.0)
-    if p_hat > 0.0:
-        # a finite but huge weight gain / p_hat can still overflow the entries
-        grad.scale(gain / p_hat)
-        if all(math.isfinite(v) for _, v in grad.items()):
-            return grad
-    raise ValueError(
-        f"cross-entropy importance weight overflows: p_w(y~|x) = {p_hat:g} underflowed; "
-        "set clip_k > 0 to bound the weight"
-    )
+    """``ce_columns`` as a SparseVector keyed by feature id."""
+    return post.to_sparse(ce_columns(post, y_sampled, gain, clip_k))

@@ -1,9 +1,11 @@
-"""Sparse real-valued vectors keyed by integer feature ids."""
+"""Sparse real-valued vectors: by feature id, and by position in a short index range."""
 
 from __future__ import annotations
 
 import math
 from typing import Iterable, Iterator, Mapping, Tuple
+
+import numpy as np
 
 
 class SparseVector:
@@ -113,14 +115,6 @@ class SparseVector:
     def __sub__(self, other: "SparseVector") -> "SparseVector":
         return self.copy().add_scaled(other, -1.0)
 
-    def __mul__(self, c: float) -> "SparseVector":
-        return self.scaled(float(c))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "SparseVector":
-        return self.scaled(-1.0)
-
     def dot(self, other: "SparseVector") -> float:
         a, b = self._data, other._data
         if len(b) < len(a):
@@ -134,12 +128,63 @@ class SparseVector:
         return math.sqrt(self.norm_sq())
 
 
-def mean_vector(vectors: Iterable[SparseVector]) -> SparseVector:
-    """Arithmetic mean of a nonempty collection of sparse vectors."""
-    vectors = list(vectors)
-    if not vectors:
-        raise ValueError("mean of empty collection")
-    acc = SparseVector()
-    for v in vectors:
-        acc.add_scaled(v, 1.0)
-    return acc.scale(1.0 / len(vectors))
+class IndexedVector:
+    """A SparseVector over the indices 0..m-1, held in two arrays.
+
+    ``values[i]`` is entry i and ``rank[i]`` its insertion rank, or -1 when
+    the entry is absent (its value is then zero).  The arithmetic replays
+    SparseVector's dict semantics: an absent entry reads 0.0, an update that
+    gives exactly zero drops the entry, and an entry added anew goes after
+    every present one.  ``entries()`` therefore lists the entries in the
+    order the dict-based arithmetic would, and a sequential sum over them
+    keeps its bits.
+    """
+
+    __slots__ = ("values", "rank", "next_rank")
+
+    def __init__(self, values: np.ndarray, rank: np.ndarray, next_rank: int):
+        self.values = values
+        self.rank = rank
+        self.next_rank = next_rank
+
+    @classmethod
+    def from_array(cls, values: np.ndarray) -> "IndexedVector":
+        """The nonzero entries of a dense array, in index order."""
+        m = len(values)
+        return cls(values, np.where(values != 0.0, np.arange(m), -1), m)
+
+    @classmethod
+    def from_counts(cls, indices: np.ndarray, m: int) -> "IndexedVector":
+        """Counts of the indices, ordered by first occurrence."""
+        first = list(dict.fromkeys(indices.tolist()))
+        rank = np.full(m, -1)
+        rank[first] = np.arange(len(first))
+        return cls(np.bincount(indices, minlength=m).astype(float), rank, len(first))
+
+    def add_scaled(self, other: "IndexedVector", scale: float = 1.0) -> "IndexedVector":
+        """In-place ``self += scale * other``; returns self."""
+        if scale == 0.0:
+            return self
+        # an absent entry of other holds zero, so adding it changes nothing
+        touched = other.rank >= 0
+        self.values += scale * other.values
+        rank = np.where(touched & (self.rank < 0), other.rank + self.next_rank, self.rank)
+        rank[touched & (self.values == 0.0)] = -1
+        self.rank = rank
+        self.next_rank += other.next_rank
+        return self
+
+    def scale(self, c: float) -> "IndexedVector":
+        """In-place multiplication by a scalar; returns self."""
+        if c == 0.0:
+            self.values[:] = 0.0
+            self.rank[:] = -1
+        elif c != 1.0:
+            self.values *= c
+        return self
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indices, values) of the present entries, in insertion order."""
+        present = np.flatnonzero(self.rank >= 0)
+        present = present[np.argsort(self.rank[present])]
+        return present, self.values[present]

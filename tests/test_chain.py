@@ -144,7 +144,29 @@ def test_transition_ids_hashed_once_per_model(monkeypatch):
     assert sum(t.startswith("tr") for t in hashed) == 9
     for lat in lattices:
         assert lat.trans[1, 2] == 1.5 and np.count_nonzero(lat.trans) == 1
-    assert model.transition[1][2] == feature_id("tr\x1fB\x1fC")
+    # the (L, L) table holds columns; B -> C is the column of that template's id
+    assert model.to_columns(w)[model.transition[1, 2]] == 1.5
+
+
+def test_compile_hashes_each_template_once_per_model(monkeypatch):
+    hashed = []
+    real = chain_mod.feature_id
+    monkeypatch.setattr(chain_mod, "feature_id", lambda s: hashed.append(s) or real(s))
+    model = ChainModel(LabelAlphabet(("A", "B", "C")), emission_offsets=(-1, 0, 1))
+    first = ChainInstance(tokens=("a", "b", "a", "c"))
+    second = ChainInstance(tokens=("c", "a", "d"))  # shares a and c with the first
+    for x in (first, second, first):
+        model.compile(x)
+    emitted = [t for t in hashed if t.startswith("em")]
+    assert len(emitted) == len(set(emitted))
+
+    def windows(toks):
+        return {(off, "<S>" if i + off < 0 else "</S>" if i + off >= len(toks) else toks[i + off])
+                for off in (-1, 0, 1) for i in range(len(toks))}
+
+    # one hash per distinct (offset, token) and label: 13 windows, not 21 positions
+    distinct = windows(first.tokens) | windows(second.tokens)
+    assert len(emitted) == 3 * len(distinct) == 39
 
 
 # -- lattice -------------------------------------------------------------------
@@ -362,6 +384,66 @@ def test_single_token_draws_have_one_column(size):
 
 
 # -- one posterior per step ----------------------------------------------------------
+
+
+def dict_lattice(model, w, x):
+    """The lattice as id-keyed dict lookups: per-position id tables built from
+    the template strings, and a Python sum over each group of ids."""
+    labels, n = model.alphabet.labels, len(x)
+    node = np.zeros((n, len(labels)))
+    for i in range(n):
+        ctx = [(off, "<S>" if i + off < 0 else "</S>" if i + off >= n else x.tokens[i + off])
+               for off in model.emission_offsets]
+        for li, lab in enumerate(labels):
+            node[i, li] = sum(w.get(feature_id(f"em{off}\x1f{tok}\x1f{lab}"), 0.0)
+                              for off, tok in ctx)
+    trans = np.array([[w.get(feature_id(f"tr\x1f{a}\x1f{b}"), 0.0) for b in labels]
+                      for a in labels])
+    return chain_mod.ChainLattice(node=node, trans=trans)
+
+
+def viterbi(lattice):
+    """Test-local max-product decode with lowest-index tie breaking."""
+    n, L = lattice.node.shape
+    back = np.zeros((n, L), dtype=np.int64)
+    trellis = lattice.node[0].copy()
+    for i in range(1, n):
+        scores = trellis[:, None] + lattice.trans
+        back[i] = np.argmax(scores, axis=0)
+        trellis = lattice.node[i] + scores[back[i], np.arange(L)]
+    path = [int(np.argmax(trellis))]
+    for i in range(n - 1, 0, -1):
+        path.append(int(back[i, path[-1]]))
+    return path[::-1]
+
+
+@pytest.mark.parametrize("num_labels", [3, 9])
+@pytest.mark.parametrize("offsets", [(0,), (-1, 0, 1)])
+@pytest.mark.parametrize("scale", [0.0, 0.8, 50.0])
+def test_gathered_lattice_matches_dict_reference_bitwise(num_labels, offsets, scale):
+    model = ChainModel(LabelAlphabet(tuple(f"L{k}" for k in range(num_labels))),
+                       emission_offsets=offsets)
+    rng = np.random.default_rng(num_labels * 10 + len(offsets))
+    # repeated tokens make one column fire at several positions
+    data = [ChainInstance(tokens=tuple(f"t{k}" for k in rng.integers(0, 4, n)))
+            for n in (1, 2, 7, 30)]
+    w = SparseVector({fid: scale * float(rng.normal()) for x in data
+                      for fid in model.instance_feature_ids(x)})
+    columns = model.to_columns(w)
+    for x in data:
+        reference = dict_lattice(model, w, x)
+        ref_post = chain_mod.ChainPosterior(model, x, reference)
+        for weights in (w, columns):
+            lattice = build_lattice(model, weights, x)
+            assert lattice.node.tobytes() == reference.node.tobytes()
+            assert lattice.trans.tobytes() == reference.trans.tobytes()
+            post = posterior(model, weights, x)
+            assert post.beta.tobytes() == ref_post.beta.tobytes()
+            for seed, size in ((3, 1), (4, 50)):
+                assert np.array_equal(post.sample_many(size, np.random.default_rng(seed)),
+                                      ref_post.sample_many(size, np.random.default_rng(seed)))
+            labels = model.alphabet.labels
+            assert map_decode(model, weights, x) == tuple(labels[i] for i in viterbi(reference))
 
 
 def test_negated_posterior_matches_negated_weights(ab_model, fixed_instance, fixed_weights):

@@ -270,7 +270,7 @@ def test_diverged_training_is_a_numeric_failure(workdir, capsys):
     assert not (tmp_path / "model.ckpt").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the error: line comes alone
 @pytest.mark.parametrize("objective", ["el", "pr-cont"])
 def test_overflowed_marginals_are_a_numeric_failure_at_a_named_step(workdir, capsys, objective):
     # at this rate |w| reaches ~1e20 within a few steps, and alpha + beta - log Z

@@ -127,6 +127,43 @@ def test_checkpoint_rejects_truncation(tmp_path, weights):
         read_checkpoint(p)
 
 
+def test_checkpoint_bytes_equal_a_per_entry_struct_writer(tmp_path):
+    import struct
+
+    # typed-wide size: about 60k entries over 63-bit ids
+    rng = np.random.default_rng(8)
+    w = SparseVector({int(f): float(v) for f, v in
+                      zip(rng.integers(0, 2**63, size=60_000), rng.normal(0, 3, 60_000))})
+    reference = bytearray(b"BCWT" + struct.pack("<HQ", 1, len(w)))
+    for fid, value in sorted(w.items()):
+        reference += struct.pack("<qd", fid, value)
+    path = tmp_path / "w.ckpt"
+    write_checkpoint(path, w)
+    assert path.read_bytes() == bytes(reference)
+    assert read_checkpoint(path) == w
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_checkpoint_rejects_non_finite_values(tmp_path, value):
+    import struct
+
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(b"BCWT" + struct.pack("<HQ", 1, 2) + struct.pack("<qd", 3, 1.0)
+                     + struct.pack("<qd", 7, value))
+    with pytest.raises(DataError, match="non-finite value .* for feature 7"):
+        read_checkpoint(path)
+
+
+def test_checkpoint_rejects_unknown_version(tmp_path, weights):
+    path = tmp_path / "v2.ckpt"
+    write_checkpoint(path, weights)
+    blob = bytearray(path.read_bytes())
+    blob[4:6] = (2).to_bytes(2, "little")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataError, match="unsupported checkpoint version 2"):
+        read_checkpoint(path)
+
+
 # -- config ---------------------------------------------------------------------
 
 

@@ -82,14 +82,25 @@ def snap(w_items, s_items):
     return (SparseVector(w_items), SparseVector(s_items))
 
 
+def rows(vectors):
+    """SparseVectors as the rows of one array, over the sorted union of their ids."""
+    fids = sorted(set().union(*(v.support() for v in vectors)))
+    return np.array([[v[f] for f in fids] for v in vectors]).reshape(len(vectors), len(fids))
+
+
+def snapshot_rows(snapshots):
+    """(weights, grads): the estimator's two (S, d) arrays of a snapshot list."""
+    return rows([w for w, _ in snapshots]), rows([s for _, s in snapshots])
+
+
 def test_lipschitz_zero_for_identical_gradients():
     snapshots = [snap({1: float(i)}, {2: 3.0}) for i in range(4)]
-    assert lipschitz_estimate(snapshots) == 0.0
+    assert lipschitz_estimate(*snapshot_rows(snapshots)) == 0.0
 
 
 def test_lipschitz_two_snapshot_ratio():
     snapshots = [snap({1: 0.0}, {2: 0.0}), snap({1: 4.0}, {2: 2.0})]
-    assert lipschitz_estimate(snapshots) == pytest.approx(0.5)
+    assert lipschitz_estimate(*snapshot_rows(snapshots)) == pytest.approx(0.5)
 
 
 def test_lipschitz_invariant_to_snapshot_order():
@@ -99,11 +110,11 @@ def test_lipschitz_invariant_to_snapshot_order():
              {1: float(rng.normal())})
         for _ in range(12)
     ]
-    base = lipschitz_estimate(snapshots, n_pairs=500)
+    base = lipschitz_estimate(*snapshot_rows(snapshots), n_pairs=500)
     for seed in (1, 2, 3):
         perm = list(np.random.default_rng(seed).permutation(len(snapshots)))
         shuffled = [snapshots[i] for i in perm]
-        assert lipschitz_estimate(shuffled, n_pairs=500) == base
+        assert lipschitz_estimate(*snapshot_rows(shuffled), n_pairs=500) == base
 
 
 def test_lipschitz_skips_coincident_weight_pairs():
@@ -113,19 +124,19 @@ def test_lipschitz_skips_coincident_weight_pairs():
         snap({1: 1.0}, {2: 1.0}),
         snap({1: 3.0}, {2: 1.0}),
     ]
-    est = lipschitz_estimate(snapshots)
+    est = lipschitz_estimate(*snapshot_rows(snapshots))
     assert est == pytest.approx(2.0)  # max over the two valid pairs: 4/2 and 0/2
 
 
 def test_lipschitz_all_identical_weights_error():
     snapshots = [snap({1: 1.0}, {2: float(i)}) for i in range(3)]
     with pytest.raises(ValueError, match="identical"):
-        lipschitz_estimate(snapshots)
+        lipschitz_estimate(*snapshot_rows(snapshots))
 
 
 def test_lipschitz_needs_two_snapshots():
     with pytest.raises(ValueError):
-        lipschitz_estimate([snap({1: 1.0}, {})])
+        lipschitz_estimate(*snapshot_rows([snap({1: 1.0}, {})]))
 
 
 def test_lipschitz_scales_linearly_in_gradient_scale():
@@ -135,7 +146,8 @@ def test_lipschitz_scales_linearly_in_gradient_scale():
         for _ in range(6)
     ]
     scaled = [(w, s.scaled(0.5)) for w, s in snapshots]
-    assert lipschitz_estimate(scaled) == pytest.approx(0.5 * lipschitz_estimate(snapshots))
+    assert lipschitz_estimate(*snapshot_rows(scaled)) == pytest.approx(
+        0.5 * lipschitz_estimate(*snapshot_rows(snapshots)))
 
 
 def test_lipschitz_sampled_mode_is_seeded():
@@ -144,8 +156,8 @@ def test_lipschitz_sampled_mode_is_seeded():
         snap({1: float(rng.normal()), 2: float(rng.normal())}, {1: float(rng.normal())})
         for _ in range(40)
     ]
-    a = lipschitz_estimate(snapshots, n_pairs=50, rng=np.random.default_rng(1))
-    b = lipschitz_estimate(snapshots, n_pairs=50, rng=np.random.default_rng(1))
+    a = lipschitz_estimate(*snapshot_rows(snapshots), n_pairs=50, rng=np.random.default_rng(1))
+    b = lipschitz_estimate(*snapshot_rows(snapshots), n_pairs=50, rng=np.random.default_rng(1))
     assert a == b
 
 
@@ -154,12 +166,12 @@ def test_lipschitz_sampled_mode_is_seeded():
 
 def test_variance_zero_for_equal_gradients():
     grads = [SparseVector({1: 2.0, 3: -1.0})] * 5
-    assert variance_estimate(grads) == 0.0
+    assert variance_estimate(rows(grads)) == 0.0
 
 
 def test_variance_opposite_vectors():
     v = SparseVector({1: 3.0, 2: 4.0})
-    assert variance_estimate([v, v.scaled(-1.0)]) == pytest.approx(v.norm_sq())
+    assert variance_estimate(rows([v, v.scaled(-1.0)])) == pytest.approx(v.norm_sq())
 
 
 def test_variance_matches_dense_two_pass():
@@ -172,18 +184,74 @@ def test_variance_matches_dense_two_pass():
     dense = np.array([[g[f] for f in fids] for g in grads])
     mean = dense.mean(axis=0)
     reference = float(np.mean(np.sum((dense - mean) ** 2, axis=1)))
-    assert abs(variance_estimate(grads) - reference) <= 1e-12
+    assert abs(variance_estimate(rows(grads)) - reference) <= 1e-12
 
 
 def test_variance_needs_two():
     with pytest.raises(ValueError):
-        variance_estimate([SparseVector({1: 1.0})])
+        variance_estimate(rows([SparseVector({1: 1.0})]))
 
 
 def test_variance_nonnegative_and_zero_only_when_equal():
     rng = np.random.default_rng(2)
     grads = [SparseVector({1: float(rng.normal())}) for _ in range(4)]
-    assert variance_estimate(grads) > 0.0
+    assert variance_estimate(rows(grads)) > 0.0
+
+
+# -- vectorized estimators against the SparseVector loops ------------------------------
+
+
+def sparse_lipschitz(snapshots, n_pairs=500, rng=None):
+    """The estimator as a loop over pairs of SparseVector snapshots."""
+    rng = np.random.default_rng(0) if rng is None else rng
+
+    def ratio(i, j):
+        gap = (snapshots[i][0] - snapshots[j][0]).norm()
+        return None if gap < 1e-12 else (snapshots[i][1] - snapshots[j][1]).norm() / gap
+
+    n, ratios = len(snapshots), []
+    if n_pairs >= n * (n - 1) // 2:
+        ratios = [ratio(i, j) for i in range(n) for j in range(i + 1, n)]
+    else:
+        for _ in range(n_pairs):
+            for _ in range(16):
+                i, j = rng.choice(n, size=2, replace=False)
+                r = ratio(int(i), int(j))
+                if r is not None:
+                    break
+            ratios.append(r)
+    return max(r for r in ratios if r is not None)
+
+
+def sparse_variance(grads):
+    """The estimator as sums over SparseVector gradients."""
+    center = SparseVector()
+    for g in grads:
+        center.add_scaled(g, 1.0)
+    center.scale(1.0 / len(grads))
+    return sum((g - center).norm_sq() for g in grads) / len(grads)
+
+
+@pytest.mark.parametrize("n_pairs", [500, 40])  # every pair, and drawn pairs
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_vectorized_estimators_match_sparse_reference(n_pairs, scale):
+    rng = np.random.default_rng(int(scale * 1000) + n_pairs)
+
+    def vector():
+        fids = rng.integers(0, 400, size=60)
+        return SparseVector({int(f): scale * float(rng.normal()) for f in fids})
+
+    weights = [vector() for _ in range(24)]
+    # repeated weights make pairs that must be redrawn or skipped
+    weights[5], weights[9] = weights[4], weights[4]
+    snapshots = [(w, vector()) for w in weights]
+    lip = lipschitz_estimate(*snapshot_rows(snapshots), n_pairs=n_pairs,
+                             rng=np.random.default_rng(7))
+    ref = sparse_lipschitz(snapshots, n_pairs=n_pairs, rng=np.random.default_rng(7))
+    assert abs(lip - ref) <= 1e-12 * ref
+    grads = [s for _, s in snapshots]
+    ref = sparse_variance(grads)
+    assert abs(variance_estimate(rows(grads)) - ref) <= 1e-12 * ref
 
 
 # -- invariance under feature relabeling ------------------------------------------------
@@ -200,10 +268,10 @@ def test_estimators_invariant_to_feature_relabeling():
     def remap(v):
         return SparseVector({relabel[f]: val for f, val in v.items()})
 
-    assert variance_estimate([remap(g) for g in grads]) == variance_estimate(grads)
+    assert variance_estimate(rows([remap(g) for g in grads])) == variance_estimate(rows(grads))
     assert lipschitz_estimate(
-        [(remap(w), remap(s)) for w, s in snapshots]
-    ) == lipschitz_estimate(snapshots)
+        *snapshot_rows([(remap(w), remap(s)) for w, s in snapshots])
+    ) == lipschitz_estimate(*snapshot_rows(snapshots))
 
 
 # -- report assembly and comparison --------------------------------------------------------

@@ -64,10 +64,10 @@ def test_update_rule_without_regularization(tiny_task):
         objective="el", gamma=gamma, iterations=1, seed=3, epoch_size=1, eval_every=1
     )
     traj = train(cfg, model, train_data, dev_data, FeedbackOracle("hamming"))
-    (t, scaled_s), = traj.epoch_grads
+    (t,), (scaled_s,) = traj.epoch_steps, traj.epoch_grads
     assert t == 1
     # w_1 = w_0 - gamma * s_1 with w_0 = 0, and scaled_s is exactly gamma * s_1
-    assert traj.final_weights == scaled_s.scaled(-1.0)
+    assert traj.final_weights == model.to_sparse(scaled_s, traj.row_columns).scaled(-1.0)
 
 
 def test_ce_regularization_shrinks_weights(tiny_task):
@@ -102,7 +102,8 @@ def test_reproducibility_bitwise(tiny_task):
     assert a.final_weights == b.final_weights
     assert a.dev_losses == b.dev_losses
     assert np.array_equal(a.scaled_norm_sq[1:], b.scaled_norm_sq[1:])
-    assert [w for _, w in a.checkpoints] == [w for _, w in b.checkpoints]
+    assert ([model.to_sparse(w) for _, w in a.checkpoints]
+            == [model.to_sparse(w) for _, w in b.checkpoints])
 
 
 def test_checkpoint_count_and_epoch_grads(tiny_task):
@@ -113,7 +114,7 @@ def test_checkpoint_count_and_epoch_grads(tiny_task):
     traj = train(cfg, model, train_data, dev_data, FeedbackOracle("hamming"))
     assert len(traj.checkpoints) == 10 // 4 + 1
     assert [t for t, _ in traj.checkpoints] == [0, 4, 8]
-    assert [t for t, _ in traj.epoch_grads] == [3, 6, 9]
+    assert traj.epoch_steps == [3, 6, 9] and len(traj.epoch_grads) == 3
     assert len(traj.dev_losses) == len(traj.checkpoints)
     # the feature-norm bound of the training set is recorded with the run
     assert traj.feature_norm_bound == 3.0  # 2 emissions + 1 transition
@@ -126,7 +127,7 @@ def test_snapshot_reservoir_size(tiny_task):
         cfg = TrainerConfig(objective="el", gamma=0.1, iterations=100, seed=0,
                             eval_every=100, snapshots=snapshots)
         traj = train(cfg, model, train_data, dev_data, FeedbackOracle("hamming"))
-        assert len(traj.snapshots) == snapshots
+        assert len(traj.snapshot_weights) == len(traj.snapshot_grads) == snapshots
 
 
 def test_trainer_reads_gold_only_through_the_oracle(tiny_task):
@@ -196,9 +197,10 @@ def test_empty_data_rejected(tiny_task):
 
 def make_trajectory(dev_losses):
     cfg = TrainerConfig(objective="el", gamma=0.1, iterations=len(dev_losses))
-    traj = Trajectory(config=cfg, epoch_size=1)
+    model = ChainModel(LabelAlphabet(("A", "B")))
+    traj = Trajectory(config=cfg, epoch_size=1, model=model)
     for i, loss in enumerate(dev_losses):
-        traj.checkpoints.append((i, SparseVector({1: float(i)})))
+        traj.checkpoints.append((i, model.to_columns(SparseVector({1: float(i)}))))
         traj.dev_losses.append(loss)
     return traj
 
@@ -259,7 +261,7 @@ def test_warm_start_checkpoint_zero_is_w0(tiny_task):
     cfg = TrainerConfig(objective="el", gamma=0.1, iterations=4, seed=0, eval_every=4)
     traj = train(cfg, model, train_data, dev_data, FeedbackOracle("hamming"), w0=w0)
     t0, ck0 = traj.checkpoints[0]
-    assert t0 == 0 and ck0 == w0
+    assert t0 == 0 and model.to_sparse(ck0) == w0
 
 
 # -- golden runs ------------------------------------------------------------------
