@@ -167,6 +167,7 @@ class ChainModel:
         self._rows: dict[tuple[int, str], tuple[int, ...]] = {}  # (offset, token) -> L columns
         self._compiled: dict[ChainInstance, np.ndarray] = {}
         self._local: dict[ChainInstance, InstanceColumns] = {}
+        self._batch: Optional[tuple[tuple[ChainInstance, ...], np.ndarray, np.ndarray]] = None
         labels = alphabet.labels
         self.transition = np.array(
             [[self._column(f"tr{_SEP}{a}{_SEP}{b}") for b in labels] for a in labels],
@@ -225,9 +226,33 @@ class ChainModel:
         compiled = self._compiled[x] = block.transpose(1, 2, 0)
         return compiled
 
+    def compile_batch(self, data: Sequence[ChainInstance]) -> tuple[np.ndarray, np.ndarray]:
+        """(cols, lengths): the emission columns of a dataset, padded to a
+        (B, n_max, L, k) int array, and the (B,) instance lengths.
+
+        Row b holds ``compile(data[b])`` at positions below ``lengths[b]`` and
+        column 0 after them.  Like ``compile``'s arrays, it is a view of a
+        template-major (k, B, n_max, L) block, so a gather sums its templates
+        in the same order.  The last dataset is cached: evaluating one dev or
+        test set again and again compiles it once.
+        """
+        key = tuple(data)
+        if self._batch is not None and self._batch[0] == key:
+            return self._batch[1], self._batch[2]
+        lengths = np.array([len(x) for x in key], dtype=np.intp)
+        live = np.arange(lengths.max()) < lengths[:, None]
+        block = np.zeros((len(self.emission_offsets), *live.shape, len(self.alphabet)),
+                         dtype=np.intp)
+        block[:, live] = np.concatenate(
+            [self.compile(x).transpose(2, 0, 1) for x in key], axis=1)
+        cols = block.transpose(1, 2, 3, 0)
+        self._batch = (key, cols, lengths)
+        return cols, lengths
+
     def clear_cache(self) -> None:
         self._compiled.clear()
         self._local.clear()
+        self._batch = None
 
     def local_columns(self, x: ChainInstance) -> "InstanceColumns":
         """The distinct columns x can fire, numbered locally; cached."""
@@ -534,21 +559,72 @@ def sample(
     return posterior(model, w, x).sample(rng)
 
 
+def _viterbi(node: np.ndarray, trans: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Max-product over a batch of padded lattices: the (B, n_max) argmax paths.
+
+    node is (B, n_max, L), trans the (L, L) table every lattice shares, and
+    instance b ends at position ``lengths[b] - 1``.  The recursion runs
+    label-major, on (L, B) rows, and scans the previous labels in order,
+    taking a score only when it ranks strictly higher: ties go to the lowest
+    label index and the first NaN wins, as ``np.argmax`` decides.  Past its
+    end an instance keeps its trellis and points back to the same label, so
+    its path repeats its last label there.
+    """
+    B, n_max, L = node.shape
+    node = np.ascontiguousarray(node.transpose(1, 2, 0))  # (n_max, L, B)
+    into = trans.T[:, :, None]  # into[b, a] = trans[a, b]
+    back = np.empty((n_max, L, B), dtype=np.intp)
+    stay = np.arange(L)[:, None]
+    trellis = node[0]
+    for i in range(1, n_max):
+        scores = trellis + into  # scores[b, a] = trellis[a] + trans[a, b]
+        best, arg = scores[:, 0], np.zeros((L, B), dtype=np.intp)
+        for a in range(1, L):
+            score = scores[:, a]
+            # a number beats a lower best, a NaN beats any number, and a NaN best stays
+            better = ~(score <= best) & (best == best)
+            best = np.where(better, score, best)
+            np.putmask(arg, better, a)
+        live = lengths > i
+        back[i] = np.where(live, arg, stay)
+        trellis = np.where(live, node[i] + best, trellis)
+    path = np.empty((B, n_max), dtype=np.intp)
+    label = trellis.argmax(axis=0)
+    rows = np.arange(B)
+    for i in range(n_max - 1, 0, -1):
+        path[:, i] = label
+        label = back[i, label, rows]
+    path[:, 0] = label
+    return path
+
+
+def _labelings(model: ChainModel, path: np.ndarray, lengths: np.ndarray) -> list[tuple[str, ...]]:
+    """The label tuples of the paths, each cut to its instance's length."""
+    named = np.array(model.alphabet.labels, dtype=object)[path].tolist()
+    return [tuple(row[:n]) for row, n in zip(named, lengths.tolist())]
+
+
+def map_decode_batch(
+    model: ChainModel, w: "SparseVector | np.ndarray", data: Sequence[ChainInstance]
+) -> list[tuple[str, ...]]:
+    """The Viterbi argmax of p_w(y|x) for every x in data, in data order.
+
+    One gather from the padded columns of ``model.compile_batch(data)``
+    gives every lattice; one max-product pass decodes them all.  w is
+    converted once, after data is compiled.
+    """
+    if not data:
+        return []
+    cols, lengths = model.compile_batch(data)
+    w = model.to_columns(w)
+    return _labelings(model, _viterbi(w[cols].sum(axis=-1), w[model.transition], lengths), lengths)
+
+
 def map_decode(
     model: ChainModel, w: "SparseVector | np.ndarray", x: ChainInstance
 ) -> tuple[str, ...]:
-    """Viterbi argmax of p_w(y|x); ties break toward the lowest label index."""
+    """Viterbi argmax of p_w(y|x), as a batch of one; ties break toward the
+    lowest label index."""
     lattice = build_lattice(model, w, x)
-    n, L = lattice.node.shape
-    back = np.zeros((n, L), dtype=np.int64)
-    trellis = lattice.node[0].copy()
-    for i in range(1, n):
-        scores = trellis[:, None] + lattice.trans
-        back[i] = np.argmax(scores, axis=0)
-        trellis = lattice.node[i] + scores[back[i], np.arange(L)]
-    path = np.empty(n, dtype=np.int64)
-    path[-1] = int(np.argmax(trellis))
-    for i in range(n - 1, 0, -1):
-        path[i - 1] = back[i, path[i]]
-    labels = model.alphabet.labels
-    return tuple(labels[i] for i in path)
+    lengths = np.array([lattice.n])
+    return _labelings(model, _viterbi(lattice.node[None], lattice.trans, lengths), lengths)[0]

@@ -179,7 +179,7 @@ def ce_columns(
         weight = gain / p_hat
         if math.isfinite(weight * float(np.abs(grad.values).max(initial=0.0))):
             return grad.scale(weight)
-    raise ValueError(
+    raise FloatingPointError(
         f"cross-entropy importance weight overflows: p_w(y~|x) = {p_hat:g} underflowed; "
         "set clip_k > 0 to bound the weight"
     )

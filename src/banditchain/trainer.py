@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .chain import ChainInstance, ChainModel, map_decode, posterior
+from .chain import ChainInstance, ChainModel, map_decode_batch, posterior
 from .chain import sample  # noqa: F401  (perfbench's tracer self-test checks this binding)
 from .feedback import FeedbackOracle
 from .objectives import ObjectiveKind, ce_columns, el_columns, pr_columns, pr_sample_pair
@@ -111,19 +111,18 @@ def evaluate(
 ) -> float:
     """Mean task loss of MAP predictions against gold over a dataset.
 
-    w is a SparseVector or a column array of the model; it is converted once,
-    after every instance is compiled.
+    w is a SparseVector or a column array of the model.  Every instance must
+    have a gold labeling; that is checked before anything is decoded.  The
+    whole dataset is decoded in one batched Viterbi pass
+    (``map_decode_batch``), and the losses are summed in dataset order.
     """
     if not data:
         raise ValueError("empty evaluation set")
-    for x in data:
-        model.compile(x)
-    w = model.to_columns(w)
+    if any(x.gold is None for x in data):
+        raise ValueError("evaluation instance has no gold labeling")
     total = 0.0
-    for x in data:
-        if x.gold is None:
-            raise ValueError("evaluation instance has no gold labeling")
-        total += loss(x.gold, map_decode(model, w, x))
+    for x, y in zip(data, map_decode_batch(model, w, data)):
+        total += loss(x.gold, y)
     return total / len(data)
 
 
@@ -196,7 +195,8 @@ def train(
     the arithmetic of ``SparseVector.add_scaled`` per entry; the cross-entropy
     shrink is ``w *= c``.  The loop runs with numpy's overflow and invalid
     warnings off: a step whose feature expectations, ||gamma * s_t||^2 or
-    updated weights are not finite raises ``FloatingPointError`` naming t.
+    updated weights are not finite, or whose cross-entropy importance weight
+    overflows, raises ``FloatingPointError`` naming t.
     """
     config.validate()
     if not train_data:

@@ -446,6 +446,107 @@ def test_gathered_lattice_matches_dict_reference_bitwise(num_labels, offsets, sc
             assert map_decode(model, weights, x) == tuple(labels[i] for i in viterbi(reference))
 
 
+def mixed_length_task(num_labels, offsets, scale, seed):
+    """A model, instances of lengths 1..12 (several of length 1) and
+    weights rounded to one decimal, so that scores often tie."""
+    model = ChainModel(LabelAlphabet(tuple(f"L{k}" for k in range(num_labels))),
+                       emission_offsets=offsets)
+    rng = np.random.default_rng(seed)
+    lengths = [1, 5, 1, 12, 2, 1, 7, 3, 12, 1]
+    data = [ChainInstance(tokens=tuple(f"t{k}" for k in rng.integers(0, 4, n)))
+            for n in lengths]
+    fids = sorted({fid for x in data for fid in model.instance_feature_ids(x)})
+    values = scale * np.round(rng.normal(size=len(fids)), 1)
+    return model, data, SparseVector(dict(zip(fids, values.tolist())))
+
+
+@pytest.mark.parametrize("num_labels", [3, 9])
+@pytest.mark.parametrize("offsets", [(0,), (-1, 0, 1)])
+@pytest.mark.parametrize("scale", [0.0, 0.5, 3.0, 50.0])
+def test_batched_decode_matches_per_instance_and_reference(num_labels, offsets, scale):
+    model, data, w = mixed_length_task(num_labels, offsets, scale, seed=num_labels + 7)
+    labels = model.alphabet.labels
+    reference = [tuple(labels[i] for i in viterbi(dict_lattice(model, w, x))) for x in data]
+    columns = model.to_columns(w)
+    for weights in (w, columns):
+        assert chain_mod.map_decode_batch(model, weights, data) == reference
+        assert [map_decode(model, weights, x) for x in data] == reference
+    # the padded gather holds every instance's lattice, bit for bit
+    cols, lengths = model.compile_batch(data)
+    node = columns[cols].sum(axis=-1)
+    assert lengths.tolist() == [len(x) for x in data]
+    for b, x in enumerate(data):
+        assert node[b, : len(x)].tobytes() == build_lattice(model, w, x).node.tobytes()
+
+
+def test_batched_decode_ties_go_to_the_lowest_index():
+    model, data, w = mixed_length_task(3, (0,), 0.0, seed=1)
+    assert chain_mod.map_decode_batch(model, w, data) == [("L0",) * len(x) for x in data]
+    assert chain_mod.map_decode_batch(model, w, []) == []
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batched_decode_ranks_nan_as_argmax_does(seed):
+    # infinite weights of both signs make NaN potentials and NaN trellis scores
+    model, data, w = mixed_length_task(3, (-1, 0, 1), 1.0, seed=seed)
+    columns = model.to_columns(w)
+    rng = np.random.default_rng(seed)
+    hit = rng.random(len(columns)) < 0.3
+    columns[hit] = rng.choice([np.inf, -np.inf, np.nan], hit.sum())
+    weights = dict(model.to_sparse(columns).items())
+    labels = model.alphabet.labels
+    with np.errstate(invalid="ignore"):
+        reference = [tuple(labels[i] for i in viterbi(dict_lattice(model, weights, x)))
+                     for x in data]
+        assert chain_mod.map_decode_batch(model, columns, data) == reference
+        assert [map_decode(model, columns, x) for x in data] == reference
+
+
+class CountingArray(np.ndarray):
+    """A column array that records the index shape of every gather from it."""
+
+    gathers: list = []
+
+    def __getitem__(self, index):
+        if isinstance(index, np.ndarray):
+            CountingArray.gathers.append(index.shape)
+        return super().__getitem__(index)
+
+
+def test_evaluate_gathers_once_and_builds_no_lattice(monkeypatch):
+    from banditchain import FeedbackOracle, evaluate
+
+    model, data, w = mixed_length_task(3, (-1, 0, 1), 0.5, seed=3)
+    data = [ChainInstance(tokens=x.tokens, gold=("L0",) * len(x)) for x in data]
+    builds = []
+    build = chain_mod.build_lattice
+    monkeypatch.setattr(chain_mod, "build_lattice", lambda *a: builds.append(1) or build(*a))
+    model.compile_batch(data)
+    weights = model.to_columns(w).view(CountingArray)
+    monkeypatch.setattr(CountingArray, "gathers", [])
+    loss = FeedbackOracle("hamming").loss
+    value = evaluate(model, weights, data, loss)
+    # one emission gather over the padded (B, n_max, L, k) block, one of the transitions
+    assert CountingArray.gathers == [(len(data), 12, 3, 3), (3, 3)]
+    assert builds == []
+    assert value == sum(loss(x.gold, map_decode(model, w, x)) for x in data) / len(data)
+
+
+def test_compile_batch_caches_the_last_dataset(monkeypatch):
+    model, data, _ = mixed_length_task(3, (0,), 1.0, seed=5)
+    compiled = []
+    compile_ = ChainModel.compile
+    monkeypatch.setattr(ChainModel, "compile", lambda self, x: compiled.append(x) or compile_(self, x))
+    first = model.compile_batch(data)
+    assert len(compiled) == len(data)
+    again = model.compile_batch(list(data))  # an equal dataset is a cache hit
+    assert again[0] is first[0] and again[1] is first[1] and len(compiled) == len(data)
+    other = model.compile_batch(data[:3])
+    assert other[0].shape[:2] == (3, 5) and len(compiled) == len(data) + 3
+    model.clear_cache()
+    assert model.compile_batch(data[:3])[0] is not other[0]
+
+
 def test_negated_posterior_matches_negated_weights(ab_model, fixed_instance, fixed_weights):
     post = posterior(ab_model, fixed_weights, fixed_instance)
     neg = post.negated()
@@ -467,25 +568,29 @@ def test_training_step_builds_one_lattice(objective, monkeypatch, synthetic_task
 
     model, train_data, dev_data, _ = synthetic_task
     builds = {"step": 0, "decode": 0}
+    decodes = []
     phase = ["step"]
-    build, decode = chain_mod.build_lattice, trainer_mod.map_decode
+    build, decode = chain_mod.build_lattice, trainer_mod.map_decode_batch
 
     def counting_build(*args):
         builds[phase[0]] += 1
         return build(*args)
 
-    def decoding(*args):
+    def decoding(model, w, data):
         phase[0] = "decode"
+        decodes.append(len(data))
         try:
-            return decode(*args)
+            return decode(model, w, data)
         finally:
             phase[0] = "step"
 
     monkeypatch.setattr(chain_mod, "build_lattice", counting_build)
-    monkeypatch.setattr(trainer_mod, "map_decode", decoding)
+    monkeypatch.setattr(trainer_mod, "map_decode_batch", decoding)
     cfg = TrainerConfig(objective=objective, gamma=0.1, iterations=30, seed=2, eval_every=30)
     train(cfg, model, train_data, dev_data[:5], FeedbackOracle("hamming"))
-    assert builds == {"step": 30, "decode": 2 * 5}
+    # the dev set at t = 0 and t = 30: one batched decode each, no lattice built
+    assert builds == {"step": 30, "decode": 0}
+    assert decodes == [5, 5]
 
 
 def test_zero_feedback_step_never_runs_the_forward_pass(monkeypatch, synthetic_task):

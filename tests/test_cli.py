@@ -212,14 +212,17 @@ def test_eval_bad_dataset_exit_code(workdir, tmp_path, capsys):
     assert code == 2
 
 
-def test_underflowed_ce_weight_is_a_data_error(workdir, capsys):
+def test_underflowed_ce_weight_is_a_numeric_failure(workdir, capsys):
     # at this rate the weights reach ~1e150 and p_w(y~|x) underflows to 0
     tmp_path, cfg_path = workdir
     code = cli.main(["train", "--config", str(cfg_path), "--objective", "ce",
                      "--gamma", "1e150", "--clip-k", "0"])
-    assert code == 2
+    assert code == 3
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "underflowed" in err and "clip_k > 0" in err
+    assert err.startswith("error: training diverged at step ")
+    assert "underflowed" in err and "clip_k > 0" in err and "gamma=1e+150" in err
+    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "model.ckpt").exists()
 
 
 @pytest.mark.parametrize("edit, epoch", [

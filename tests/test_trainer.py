@@ -255,6 +255,17 @@ def test_evaluate_requires_gold(ab_model):
                  FeedbackOracle("hamming").loss)
 
 
+def test_evaluate_checks_every_gold_before_decoding(ab_alphabet):
+    model = ChainModel(ab_alphabet)
+    data = [ChainInstance(tokens=("x", "y"), gold=("A", "B")) for _ in range(3)]
+    data.append(ChainInstance(tokens=("z",)))
+    with pytest.raises(ValueError, match="gold"):
+        evaluate(model, SparseVector({feature_id("em0\x1fq\x1fA"): 1.0}), data,
+                 FeedbackOracle("hamming").loss)
+    # nothing was compiled or converted: the model holds its transitions alone
+    assert model.num_columns == 4
+
+
 def test_warm_start_checkpoint_zero_is_w0(tiny_task):
     model, train_data, dev_data = tiny_task
     w0 = SparseVector({feature_id("em0\x1fu\x1fA"): 0.7})
