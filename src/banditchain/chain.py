@@ -16,6 +16,7 @@ gather per factor table, whatever the number of features.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -155,7 +156,8 @@ class ChainModel:
     The column row of each (offset, token) is memoized, so a token seen
     before is not hashed again.  ``transition`` is the (L, L) column table
     [from label, to label].  ``to_columns`` and ``to_sparse`` convert
-    between id-keyed SparseVectors and column arrays.
+    between id-keyed SparseVectors and column arrays; ``to_columns`` looks
+    ids up in one sorted-id index, rebuilt only after the model has grown.
     """
 
     def __init__(self, alphabet: LabelAlphabet, emission_offsets: Sequence[int] = (0,)):
@@ -165,44 +167,41 @@ class ChainModel:
         self._ids: list[int] = []  # column -> feature id
         self._templates: list[Optional[str]] = []  # column -> template; None if not yet hashed
         self._rows: dict[tuple[int, str], tuple[int, ...]] = {}  # (offset, token) -> L columns
+        # (ids in ascending order, their columns): to_columns' lookup
+        self._id_index: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._compiled: dict[ChainInstance, np.ndarray] = {}
         self._local: dict[ChainInstance, InstanceColumns] = {}
         self._batch: Optional[tuple[tuple[ChainInstance, ...], np.ndarray, np.ndarray]] = None
         labels = alphabet.labels
-        self.transition = np.array(
-            [[self._column(f"tr{_SEP}{a}{_SEP}{b}") for b in labels] for a in labels],
-            dtype=np.intp,
-        )
+        L = len(labels)
+        columns = self._intern_templates([f"tr{_SEP}{a}{_SEP}{b}" for a in labels for b in labels])
+        self.transition = np.array(columns, dtype=np.intp).reshape(L, L)
 
     @property
     def num_columns(self) -> int:
         return len(self._ids)
 
-    def _intern(self, fid: int, template: Optional[str] = None) -> int:
-        """The column of fid, interned on first sight; a template checks for collisions."""
-        ids = self._ids
-        col = self._columns.setdefault(fid, len(ids))
-        if col == len(ids):
-            ids.append(fid)
-            self._templates.append(template)
-        elif template is not None:
-            known = self._templates[col]
-            if known is None:
-                self._templates[col] = template
-            elif known != template:
-                raise RuntimeError(f"feature id collision: {template!r} vs {known!r} -> {fid}")
-        return col
+    def _intern_templates(self, templates: list[str]) -> list[int]:
+        """The columns of templates, hashed in one pass and interned in order.
 
-    def _column(self, template: str) -> int:
-        return self._intern(feature_id(template), template)
-
-    def _row(self, off: int, tok: str) -> tuple[int, ...]:
-        row = self._rows.get((off, tok))
-        if row is None:
-            prefix = f"em{off}{_SEP}{tok}{_SEP}"
-            row = self._rows[(off, tok)] = tuple(
-                [self._column(prefix + lab) for lab in self.alphabet.labels])
-        return row
+        A template whose id the model holds under another template is a hash
+        collision (``RuntimeError``); an id first read from a weight vector
+        takes the template.
+        """
+        columns, ids, known = self._columns, self._ids, self._templates
+        out = []
+        for fid, template in zip(list(map(feature_id, templates)), templates):
+            col = columns.setdefault(fid, len(ids))
+            if col == len(ids):
+                ids.append(fid)
+                known.append(template)
+            elif known[col] != template:
+                if known[col] is not None:
+                    raise RuntimeError(
+                        f"feature id collision: {template!r} vs {known[col]!r} -> {fid}")
+                known[col] = template
+            out.append(col)
+        return out
 
     def compile(self, x: ChainInstance) -> np.ndarray:
         """The emission columns of x, an (n, L, k) int array; cached.
@@ -210,19 +209,27 @@ class ChainModel:
         ``cols[i, l]`` holds the columns of the k emission templates that
         fire when position i takes label l, one per emission offset.  The
         array is a view of a template-major (k, n, L) block, so the lattice's
-        sum over templates runs over its outer axis.
+        sum over templates runs over its outer axis.  The (offset, token)
+        keys the model has not seen are interned together, in first
+        occurrence order, L templates each.
         """
         cached = self._compiled.get(x)
         if cached is not None:
             return cached
-        n = len(x)
-        rows = []
-        for off in self.emission_offsets:
-            for i in range(n):
-                j = i + off
-                rows.append(self._row(off, _BOS if j < 0 else _EOS if j >= n else x.tokens[j]))
-        L = len(self.alphabet)
-        block = np.array(rows, dtype=np.intp).reshape(len(self.emission_offsets), n, L)
+        n, tokens = len(x), x.tokens
+        keys = [(off, _BOS if j < 0 else _EOS if j >= n else tokens[j])
+                for off in self.emission_offsets for j in range(off, off + n)]
+        rows = self._rows
+        new = [key for key in dict.fromkeys(keys) if key not in rows]
+        labels = self.alphabet.labels
+        L = len(labels)
+        if new:
+            columns = self._intern_templates(
+                [f"em{off}{_SEP}{tok}{_SEP}{lab}" for off, tok in new for lab in labels])
+            for r, key in enumerate(new):
+                rows[key] = tuple(columns[r * L:(r + 1) * L])
+        block = np.fromiter(itertools.chain.from_iterable(map(rows.__getitem__, keys)), np.intp,
+                            len(keys) * L).reshape(len(self.emission_offsets), n, L)
         compiled = self._compiled[x] = block.transpose(1, 2, 0)
         return compiled
 
@@ -268,21 +275,48 @@ class ChainModel:
             cols = np.concatenate((cols, self.transition.ravel()))
         return sorted({self._ids[c] for c in cols.tolist()})
 
+    def _sorted_ids(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ids, columns): every id the model holds in ascending order, and
+        their columns; rebuilt only when the model has grown since the last call."""
+        # columns are never renumbered, so an index is only ever short
+        if self._id_index is None or len(self._id_index[0]) != len(self._ids):
+            ids = np.array(self._ids, dtype=np.int64)
+            order = np.argsort(ids)
+            self._id_index = (ids[order], order)
+        return self._id_index
+
     def to_columns(self, w: "SparseVector | np.ndarray") -> np.ndarray:
         """w as a float64 array over every column the model holds.
 
-        A SparseVector's ids are interned first, so none of its entries is
-        lost; the result is a new array.  A column array shorter than the
-        model comes back zero-padded in a new array, and any other array
-        comes back as it is.
+        A SparseVector's ids are looked up in one ``searchsorted`` over the
+        model's sorted ids; the ids it does not know are interned first, in
+        the vector's order, so none of its entries is lost.  The result is a
+        new array.  An id outside int64 is a ``ValueError``: a checkpoint
+        cannot store it either.  A column array shorter than the model comes
+        back zero-padded in a new array, and any other array comes back as it
+        is.
         """
         if isinstance(w, SparseVector):
-            columns = self._columns
-            for fid in [fid for fid in w if fid not in columns]:
-                self._intern(fid)
+            data = w._data
+            try:
+                fids = np.fromiter(data.keys(), np.int64, len(data))
+            except OverflowError:
+                bad = next(fid for fid in data if not -(1 << 63) <= fid < 1 << 63)
+                raise ValueError(f"feature id {bad} does not fit in int64") from None
+            ids, columns = self._sorted_ids()
+            at = np.minimum(np.searchsorted(ids, fids), len(ids) - 1)
+            cols = columns[at]
+            miss = np.flatnonzero(ids[at] != fids)
+            if len(miss):
+                # the index covers the whole model, so every miss is a new id
+                start = len(self._ids)
+                new = fids[miss].tolist()
+                self._columns.update(zip(new, range(start, start + len(new))))
+                self._ids.extend(new)
+                self._templates.extend([None] * len(new))
+                cols[miss] = np.arange(start, start + len(new))
             out = np.zeros(len(self._ids))
-            out[list(map(columns.__getitem__, w))] = np.fromiter(
-                (v for _, v in w.items()), float, len(w))
+            out[cols] = np.fromiter(data.values(), np.float64, len(data))
             return out
         if len(w) < len(self._ids):
             out = np.zeros(len(self._ids))

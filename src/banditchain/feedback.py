@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .chain import ChainInstance
@@ -42,25 +43,32 @@ def hamming_loss(gold: Labeling, pred: Labeling) -> float:
     return mismatches / len(gold)
 
 
+@lru_cache(maxsize=1024)
+def _bio_tag(label: str) -> tuple[str, str]:
+    """(tag, chunk type) of a BIO label, parsed once per distinct label."""
+    if not _BIO_LABEL.match(label):
+        raise ValueError(f"label {label!r} is not a BIO tag")
+    tag, _, chunk_type = label.partition("-")
+    return tag, chunk_type
+
+
 def bio_spans(labels: Labeling) -> set[tuple[int, int, str]]:
     """Chunks (start, end inclusive, type) under the BIO convention.
 
     A B tag always opens a span.  An I tag continues the open span of the
     same type; after O, at the start, or after a different type it opens a
-    new span of its own type.
+    new span of its own type.  Each distinct label is parsed once and
+    remembered; a label that is not a BIO tag raises ``ValueError``.
     """
     spans: set[tuple[int, int, str]] = set()
     start = None
     kind = None
-    for i, lab in enumerate(labels):
-        if not _BIO_LABEL.match(lab):
-            raise ValueError(f"label {lab!r} is not a BIO tag")
-        if lab == "O":
+    for i, (tag, chunk_type) in enumerate(map(_bio_tag, labels)):
+        if tag == "O":
             if start is not None:
                 spans.add((start, i - 1, kind))
                 start = None
             continue
-        tag, _, chunk_type = lab.partition("-")
         if tag == "B" or start is None or chunk_type != kind:
             if start is not None:
                 spans.add((start, i - 1, kind))
@@ -71,15 +79,22 @@ def bio_spans(labels: Labeling) -> set[tuple[int, int, str]]:
     return spans
 
 
+@lru_cache(maxsize=1 << 14)
+def _gold_spans(gold: tuple[str, ...]) -> frozenset[tuple[int, int, str]]:
+    return frozenset(bio_spans(gold))
+
+
 def chunk_f1_loss(gold: Labeling, pred: Labeling) -> float:
     """1 - F1 over exact BIO span matches.
 
     Both span sets empty counts as a perfect prediction (loss 0); exactly
-    one empty as a total miss (loss 1).
+    one empty as a total miss (loss 1).  The spans of a gold labeling are
+    remembered (keyed by ``tuple(gold)``, most recent 16384), so scoring the
+    same dataset again parses only the predictions.
     """
     if len(gold) != len(pred):
         raise ValueError(f"length mismatch: gold {len(gold)} vs pred {len(pred)}")
-    gold_spans = bio_spans(gold)
+    gold_spans = _gold_spans(tuple(gold))
     pred_spans = bio_spans(pred)
     if not gold_spans and not pred_spans:
         return 0.0

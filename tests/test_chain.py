@@ -666,6 +666,125 @@ def test_prob_length_mismatch(ab_model, fixed_instance, fixed_weights):
         posterior(ab_model, fixed_weights, fixed_instance).prob(("A", "B"))
 
 
+# -- ids -> columns ------------------------------------------------------------------
+
+
+def dict_loop_to_columns(model, w):
+    """Test-local reference: to_columns(SparseVector) as one dict probe per
+    entry, interning unknown ids in the vector's order."""
+    columns, ids = model._columns, model._ids
+    for fid in w:
+        if fid not in columns:
+            columns[fid] = len(ids)
+            ids.append(fid)
+            model._templates.append(None)
+    out = np.zeros(len(ids))
+    out[[columns[fid] for fid in w]] = [value for _, value in w.items()]
+    return out
+
+
+def wide_model(seed):
+    model = ChainModel(LabelAlphabet(("O", "B-X", "I-X", "B-Y", "I-Y")),
+                       emission_offsets=(-1, 0, 1))
+    rng = np.random.default_rng(seed)
+    for n in (3, 9, 20):
+        model.compile(ChainInstance(tokens=tuple(f"t{k}" for k in rng.integers(0, 40, n))))
+    return model, rng
+
+
+def random_vector(model, rng, known, unknown, negative=False):
+    fids = [model._ids[c] for c in rng.choice(model.num_columns, known, replace=False)]
+    low, high = (-(1 << 63), 0) if negative else (0, 1 << 63)
+    fids += [int(f) for f in rng.integers(low, high, unknown, dtype=np.int64)]
+    rng.shuffle(fids)
+    return SparseVector(dict(zip(fids, rng.normal(size=len(fids)).tolist())))
+
+
+@pytest.mark.parametrize("case, known, unknown, negative", [
+    ("all known", 120, 0, False),
+    ("all unknown", 0, 150, False),
+    ("mixed", 90, 90, False),
+    ("empty", 0, 0, False),
+    ("negative ids", 40, 60, True),
+])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_to_columns_matches_dict_loop_bitwise(case, known, unknown, negative, seed):
+    model, rng = wide_model(seed)
+    reference, _ = wide_model(seed)
+    w = random_vector(model, rng, known, unknown, negative)
+    for _ in range(2):  # the second call finds every id known
+        out = model.to_columns(w)
+        assert out.tobytes() == dict_loop_to_columns(reference, w).tobytes()
+        assert model._ids == reference._ids
+        assert model._columns == reference._columns
+    assert len(out) == model.num_columns
+
+
+def test_to_columns_after_the_model_grew_past_its_index():
+    model, rng = wide_model(3)
+    reference, _ = wide_model(3)
+    w = random_vector(model, rng, 50, 50)
+    dict_loop_to_columns(reference, w)
+    model.to_columns(w)
+    built = model._id_index
+    # the model grows after the index was built: new rows, then a vector over them
+    for m in (model, reference):
+        m.compile(ChainInstance(tokens=("fresh", "tokens", "t1")))
+    grown = [fid for fid in model._ids if fid not in w]
+    w2 = random_vector(model, rng, 30, 40)
+    w2 = SparseVector({**dict(w2.items()), **{fid: 0.5 for fid in grown[-15:]}})
+    assert model.to_columns(w2).tobytes() == dict_loop_to_columns(reference, w2).tobytes()
+    assert model._ids == reference._ids
+    assert model._id_index is not built
+
+
+def test_to_columns_builds_its_index_once_while_the_model_does_not_grow(monkeypatch):
+    model, rng = wide_model(4)
+    w = random_vector(model, rng, 80, 0)
+    builds = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda a, *args, **kw: builds.append(len(a))
+                        or argsort(a, *args, **kw))
+    first = model.to_columns(w)
+    second = model.to_columns(w)
+    assert builds == [model.num_columns]
+    assert first.tobytes() == second.tobytes()
+
+
+@pytest.mark.parametrize("fid", [1 << 63, 1 << 64, -(1 << 63) - 1])
+def test_to_columns_rejects_an_id_outside_int64(fid):
+    model, _ = wide_model(5)
+    before = list(model._ids)
+    w = SparseVector({feature_id("em0\x1fa\x1fO"): 1.0, fid: 2.0})
+    with pytest.raises(ValueError, match=f"feature id {fid} does not fit in int64"):
+        model.to_columns(w)
+    assert model._ids == before
+
+
+def test_compile_interns_new_rows_in_first_occurrence_order():
+    """compile interns as a per-(offset, token) loop would: the same columns
+    and the same column order."""
+    model = ChainModel(LabelAlphabet(("A", "B", "C")), emission_offsets=(-1, 0, 1))
+    ids = list(model._ids)
+    data = [ChainInstance(tokens=toks) for toks in
+            (("a", "b", "a"), ("b", "c"), ("d",), ("a", "d", "e", "a", "e"))]
+    for x in data:
+        n = len(x)
+        expected = []
+        for off in model.emission_offsets:
+            for i in range(n):
+                j = i + off
+                tok = "<S>" if j < 0 else "</S>" if j >= n else x.tokens[j]
+                for lab in model.alphabet.labels:
+                    fid = feature_id(f"em{off}\x1f{tok}\x1f{lab}")
+                    if fid not in ids:
+                        ids.append(fid)
+                    expected.append(ids.index(fid))
+        cols = model.compile(x)
+        assert model._ids == ids
+        assert cols.transpose(2, 0, 1).ravel().tolist() == expected
+
+
 # -- misc ---------------------------------------------------------------------------
 
 

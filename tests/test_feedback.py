@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -144,3 +146,100 @@ def test_oracle_interface_exposes_only_scalars():
     )
     # the loss accessor is a scalar-valued function, not a structure accessor
     assert isinstance(oracle.loss(("A",), ("B",)), float)
+
+
+# -- chunk-F1 against a test-local copy of the per-call regex implementation ---------
+
+_REFERENCE_BIO = re.compile(r"^(O|[BI](-.+)?)$")
+
+
+def reference_bio_spans(labels):
+    spans, start, kind = set(), None, None
+    for i, lab in enumerate(labels):
+        if not _REFERENCE_BIO.match(lab):
+            raise ValueError(f"label {lab!r} is not a BIO tag")
+        if lab == "O":
+            if start is not None:
+                spans.add((start, i - 1, kind))
+                start = None
+            continue
+        tag, _, chunk_type = lab.partition("-")
+        if tag == "B" or start is None or chunk_type != kind:
+            if start is not None:
+                spans.add((start, i - 1, kind))
+            start, kind = i, chunk_type
+    if start is not None:
+        spans.add((start, len(labels) - 1, kind))
+    return spans
+
+
+def reference_chunk_f1_loss(gold, pred):
+    gold_spans, pred_spans = reference_bio_spans(gold), reference_bio_spans(pred)
+    if not gold_spans and not pred_spans:
+        return 0.0
+    if not gold_spans or not pred_spans:
+        return 1.0
+    tp = len(gold_spans & pred_spans)
+    if tp == 0:
+        return 1.0
+    precision, recall = tp / len(pred_spans), tp / len(gold_spans)
+    return 1.0 - 2.0 * precision * recall / (precision + recall)
+
+
+TYPED = ("O", "B-PER", "I-PER", "B-LOC", "I-LOC", "B-ORG", "I-ORG")
+UNTYPED = ("O", "B", "I")
+
+
+@pytest.mark.parametrize("labels", [TYPED, UNTYPED])
+def test_chunk_f1_matches_the_regex_reference(labels):
+    rng = np.random.default_rng(len(labels))
+    golds = [tuple(labels[i] for i in rng.integers(len(labels), size=int(rng.integers(1, 15))))
+             for _ in range(40)]
+    for _ in range(3):  # later rounds score the same golds from the memo
+        for gold in golds:
+            pred = tuple(labels[i] for i in rng.integers(len(labels), size=len(gold)))
+            assert bio_spans(gold) == reference_bio_spans(gold)
+            assert bio_spans(pred) == reference_bio_spans(pred)
+            assert chunk_f1_loss(gold, pred) == reference_chunk_f1_loss(gold, pred)
+            assert chunk_f1_loss(pred, gold) == reference_chunk_f1_loss(pred, gold)
+
+
+@pytest.mark.parametrize("gold, pred", [
+    (("O", "I-PER", "I-PER", "O"), ("O", "B-PER", "I-PER", "O")),  # I after O
+    (("B-PER", "I-LOC", "I-LOC"), ("B-PER", "I-PER", "I-LOC")),  # a type switch
+    (("O", "O", "O"), ("O", "B-LOC", "O")),  # all O
+    (("O", "O"), ("O", "O")),
+    (("I", "O", "I", "I"), ("B", "O", "B", "I")),
+])
+def test_chunk_f1_edge_labelings_match_the_reference(gold, pred):
+    for g, p in ((gold, pred), (pred, gold), (list(gold), list(pred))):
+        assert bio_spans(g) == reference_bio_spans(g)
+        assert chunk_f1_loss(g, p) == reference_chunk_f1_loss(g, p)
+
+
+def test_repeated_gold_spans_come_from_the_memo():
+    from banditchain.feedback import _gold_spans
+
+    gold = ["B-ORG", "I-ORG", "O", "B-PER", "I-LOC"]
+    pred = ("B-ORG", "I-ORG", "O", "B-LOC", "I-LOC")
+    first = chunk_f1_loss(gold, pred)
+    hits = _gold_spans.cache_info().hits
+    assert chunk_f1_loss(gold, pred) == first == reference_chunk_f1_loss(gold, pred)
+    assert chunk_f1_loss(tuple(gold), list(pred)) == first
+    assert _gold_spans.cache_info().hits == hits + 2
+
+
+@pytest.mark.parametrize("bad", ["X", "O-PER", "B-", "b-PER"])
+def test_non_bio_label_raises_the_same_message_every_time(bad):
+    with pytest.raises(ValueError) as expected:
+        reference_bio_spans(("O", bad))
+    for _ in range(2):
+        with pytest.raises(ValueError) as raised:
+            bio_spans(("O", bad))
+        assert str(raised.value) == str(expected.value)
+        with pytest.raises(ValueError) as raised:
+            chunk_f1_loss(("O", bad), ("O", "O"))
+        assert str(raised.value) == str(expected.value)
+        with pytest.raises(ValueError) as raised:
+            chunk_f1_loss(("O", "O"), ("O", bad))
+        assert str(raised.value) == str(expected.value)
