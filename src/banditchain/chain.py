@@ -19,7 +19,8 @@ import hashlib
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from operator import methodcaller
 from typing import Optional, Sequence
 
 import numpy as np
@@ -50,6 +51,14 @@ def feature_id(template: str) -> int:
     """
     digest = hashlib.blake2b(template.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big") >> 1
+
+
+def _feature_ids(templates: Sequence[str]) -> list[int]:
+    """``feature_id`` of each template, the whole batch hashed at C level:
+    one joined string of 8-byte big-endian digests, read as one array."""
+    raw = b"".join(map(methodcaller("digest"), map(
+        partial(hashlib.blake2b, digest_size=8), map(str.encode, templates))))
+    return (np.frombuffer(raw, ">u8") >> 1).tolist()
 
 
 class LabelAlphabet:
@@ -153,11 +162,13 @@ class ChainModel:
     weight array: ids hashed from templates, and ids read from a weight
     vector by ``to_columns``.  Columns are never renumbered, so a column
     array stays valid as the model grows; it is only shorter than the model.
-    The column row of each (offset, token) is memoized, so a token seen
-    before is not hashed again.  ``transition`` is the (L, L) column table
-    [from label, to label].  ``to_columns`` and ``to_sparse`` convert
-    between id-keyed SparseVectors and column arrays; ``to_columns`` looks
-    ids up in one sorted-id index, rebuilt only after the model has grown.
+    Each (offset, token) the model has seen owns a row of an (R, L) column
+    table, so a token seen before is not hashed again and an instance's
+    columns are one gather from that table.  Templates are hashed a batch at
+    a time.  ``transition`` is the (L, L) column table [from label, to
+    label].  ``to_columns`` and ``to_sparse`` convert between id-keyed
+    SparseVectors and column arrays; ``to_columns`` looks ids up in one
+    sorted-id index, rebuilt only after the model has grown.
     """
 
     def __init__(self, alphabet: LabelAlphabet, emission_offsets: Sequence[int] = (0,)):
@@ -166,31 +177,43 @@ class ChainModel:
         self._columns: dict[int, int] = {}  # feature id -> column
         self._ids: list[int] = []  # column -> feature id
         self._templates: list[Optional[str]] = []  # column -> template; None if not yet hashed
-        self._rows: dict[tuple[int, str], tuple[int, ...]] = {}  # (offset, token) -> L columns
+        self._rows: dict[tuple[int, str], int] = {}  # (offset, token) -> row of _table
+        # row -> the L columns of an (offset, token); grows by doubling, so
+        # only its first len(_rows) rows are live
+        self._table = np.empty((0, len(alphabet)), dtype=np.intp)
         # (ids in ascending order, their columns): to_columns' lookup
         self._id_index: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._compiled: dict[ChainInstance, np.ndarray] = {}
         self._local: dict[ChainInstance, InstanceColumns] = {}
         self._batch: Optional[tuple[tuple[ChainInstance, ...], np.ndarray, np.ndarray]] = None
         labels = alphabet.labels
-        L = len(labels)
-        columns = self._intern_templates([f"tr{_SEP}{a}{_SEP}{b}" for a in labels for b in labels])
-        self.transition = np.array(columns, dtype=np.intp).reshape(L, L)
+        self.transition = self._intern_templates(
+            [f"tr{_SEP}{a}{_SEP}{b}" for a in labels for b in labels]).reshape(len(labels), -1)
 
     @property
     def num_columns(self) -> int:
         return len(self._ids)
 
-    def _intern_templates(self, templates: list[str]) -> list[int]:
-        """The columns of templates, hashed in one pass and interned in order.
+    def _intern_templates(self, templates: list[str]) -> np.ndarray:
+        """The columns of templates, an int array; the batch is hashed in one
+        ``_feature_ids`` call and interned in order.
 
-        A template whose id the model holds under another template is a hash
-        collision (``RuntimeError``); an id first read from a weight vector
-        takes the template.
+        When every id is new to the model and distinct, the batch takes the
+        next len(templates) columns in one bulk step.  Otherwise each
+        template is interned in turn: a template whose id the model holds
+        under another template is a hash collision (``RuntimeError``), and an
+        id first read from a weight vector takes the template.
         """
         columns, ids, known = self._columns, self._ids, self._templates
+        fids = _feature_ids(templates)
+        start = len(ids)
+        if columns.keys().isdisjoint(fids) and len(set(fids)) == len(fids):
+            columns.update(zip(fids, range(start, start + len(fids))))
+            ids.extend(fids)
+            known.extend(templates)
+            return np.arange(start, len(ids), dtype=np.intp)
         out = []
-        for fid, template in zip(list(map(feature_id, templates)), templates):
+        for fid, template in zip(fids, templates):
             col = columns.setdefault(fid, len(ids))
             if col == len(ids):
                 ids.append(fid)
@@ -201,36 +224,42 @@ class ChainModel:
                         f"feature id collision: {template!r} vs {known[col]!r} -> {fid}")
                 known[col] = template
             out.append(col)
-        return out
+        return np.array(out, dtype=np.intp)
 
     def compile(self, x: ChainInstance) -> np.ndarray:
         """The emission columns of x, an (n, L, k) int array; cached.
 
         ``cols[i, l]`` holds the columns of the k emission templates that
         fire when position i takes label l, one per emission offset.  The
-        array is a view of a template-major (k, n, L) block, so the lattice's
-        sum over templates runs over its outer axis.  The (offset, token)
-        keys the model has not seen are interned together, in first
-        occurrence order, L templates each.
+        array is a view of a template-major (k, n, L) block, gathered in one
+        step from the model's (offset, token) row table, so the lattice's sum
+        over templates runs over its outer axis.  The (offset, token) keys
+        the model has not seen are interned together, in first occurrence
+        order, L templates each, and appended to the table.
         """
         cached = self._compiled.get(x)
         if cached is not None:
             return cached
-        n, tokens = len(x), x.tokens
-        keys = [(off, _BOS if j < 0 else _EOS if j >= n else tokens[j])
-                for off in self.emission_offsets for j in range(off, off + n)]
-        rows = self._rows
-        new = [key for key in dict.fromkeys(keys) if key not in rows]
-        labels = self.alphabet.labels
-        L = len(labels)
+        n, offsets, rows = len(x), self.emission_offsets, self._rows
+        pad = max(map(abs, offsets), default=0)
+        padded = (_BOS,) * pad + x.tokens + (_EOS,) * pad
+        keys = list(itertools.chain.from_iterable(
+            zip(itertools.repeat(off), padded[pad + off:pad + off + n]) for off in offsets))
+        new = list(itertools.filterfalse(rows.__contains__, dict.fromkeys(keys)))
         if new:
-            columns = self._intern_templates(
-                [f"em{off}{_SEP}{tok}{_SEP}{lab}" for off, tok in new for lab in labels])
-            for r, key in enumerate(new):
-                rows[key] = tuple(columns[r * L:(r + 1) * L])
-        block = np.fromiter(itertools.chain.from_iterable(map(rows.__getitem__, keys)), np.intp,
-                            len(keys) * L).reshape(len(self.emission_offsets), n, L)
-        compiled = self._compiled[x] = block.transpose(1, 2, 0)
+            suffixes = [f"{_SEP}{lab}" for lab in self.alphabet.labels]
+            prefixes = [f"em{off}{_SEP}{tok}" for off, tok in new]
+            columns = self._intern_templates([p + sfx for p in prefixes for sfx in suffixes])
+            r0 = len(rows)
+            rows.update(zip(new, range(r0, r0 + len(new))))
+            if len(rows) > len(self._table):
+                table = np.empty((max(2 * len(self._table), len(rows)), len(suffixes)), np.intp)
+                table[:r0] = self._table[:r0]
+                self._table = table
+            self._table[r0:len(rows)] = columns.reshape(len(new), -1)
+        at = np.fromiter(map(rows.__getitem__, keys), np.intp, len(keys))
+        compiled = self._compiled[x] = self._table[at].reshape(
+            len(offsets), n, len(self.alphabet)).transpose(1, 2, 0)
         return compiled
 
     def compile_batch(self, data: Sequence[ChainInstance]) -> tuple[np.ndarray, np.ndarray]:
@@ -298,11 +327,7 @@ class ChainModel:
         """
         if isinstance(w, SparseVector):
             data = w._data
-            try:
-                fids = np.fromiter(data.keys(), np.int64, len(data))
-            except OverflowError:
-                bad = next(fid for fid in data if not -(1 << 63) <= fid < 1 << 63)
-                raise ValueError(f"feature id {bad} does not fit in int64") from None
+            fids = w._int64_ids()
             ids, columns = self._sorted_ids()
             at = np.minimum(np.searchsorted(ids, fids), len(ids) - 1)
             cols = columns[at]

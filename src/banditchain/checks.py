@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .chain import ChainInstance, ChainModel, LabelAlphabet, posterior
 from .feedback import hamming_loss
@@ -118,6 +117,7 @@ def _expected_stochastic_gradient(
     kind: ObjectiveKind, fx: Fixture, clip_k: float = 0.0
 ) -> SparseVector:
     """E[s_t] with the sampling randomness summed out by enumeration."""
+    from scipy.special import logsumexp  # loaded by the checks alone, not on import
     model, x, w = fx.model, fx.instance, fx.weights
     dist = distribution(model, w, x)
     post = posterior(model, w, x)

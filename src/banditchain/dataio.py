@@ -110,9 +110,10 @@ def write_checkpoint(path: "str | Path", w: SparseVector) -> None:
 
     The file is byte-stable: the same vector always gives the same bytes.
     After the header, the entries are one packed array of little-endian
-    (int64 id, float64 value) pairs.
+    (int64 id, float64 value) pairs.  An id outside int64 is a
+    ``ValueError`` raised before the file is opened.
     """
-    fids = np.fromiter(w, np.int64, len(w))
+    fids = w._int64_ids()
     order = np.argsort(fids)
     entries = np.empty(len(w), dtype=_CHECKPOINT_ENTRY)
     entries["fid"] = fids[order]

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .chain import ChainInstance, ChainModel, extract_features
 from .objectives import ObjectiveKind
@@ -81,6 +80,7 @@ def distribution(
     budget: OracleBudget = OracleBudget(),
 ) -> EnumeratedDistribution:
     """Scores, log Z and probabilities for every labeling, by direct summation."""
+    from scipy.special import logsumexp  # loaded by the oracle alone, not on import
     labelings = enumerate_outputs(model, x, budget)
     phis = [extract_features(model, x, y) for y in labelings]
     scores = np.array([w.dot(phi) for phi in phis])
@@ -104,6 +104,7 @@ def pair_distribution(
     i = j.  Computed without the product shortcut so it can certify the
     factorization into p_w(y_i|x) * p_{-w}(y_j|x).
     """
+    from scipy.special import logsumexp
     dist = distribution(model, w, x, budget)
     gaps = dist.scores[:, None] - dist.scores[None, :]
     log_pair_z = float(logsumexp(gaps))
@@ -153,6 +154,7 @@ def brute_objective(
     cross-entropy objective uses the unnormalized gain g = 1 - delta, i.e.
     -sum_y g(y) log p_w(y|x).
     """
+    from scipy.special import logsumexp
     kind = ObjectiveKind.parse(kind)
     if not data:
         raise ValueError("empty dataset")
@@ -183,6 +185,7 @@ def brute_gradient(
     budget: OracleBudget = OracleBudget(),
 ) -> SparseVector:
     """Exact gradient of brute_objective by enumeration."""
+    from scipy.special import logsumexp
     kind = ObjectiveKind.parse(kind)
     if not data:
         raise ValueError("empty dataset")

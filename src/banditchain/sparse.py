@@ -40,6 +40,16 @@ class SparseVector:
     def copy(self) -> "SparseVector":
         return SparseVector._from_clean(dict(self._data))
 
+    def _int64_ids(self) -> np.ndarray:
+        """The ids in insertion order as an int64 array, the form checkpoints
+        and column lookups store; an id outside int64 is a ``ValueError``."""
+        data = self._data
+        try:
+            return np.fromiter(data, np.int64, len(data))
+        except OverflowError:
+            bad = next(fid for fid in data if not -(1 << 63) <= fid < 1 << 63)
+            raise ValueError(f"feature id {bad} does not fit in int64") from None
+
     def get(self, fid: int, default: float = 0.0) -> float:
         return self._data.get(fid, default)
 

@@ -128,15 +128,15 @@ def test_emission_windows_pad_outside_sequence():
 
 
 def test_collision_detection(monkeypatch):
-    monkeypatch.setattr(chain_mod, "feature_id", lambda s: 42)
+    monkeypatch.setattr(chain_mod, "_feature_ids", lambda templates: [42] * len(templates))
     with pytest.raises(RuntimeError, match="collision"):
         ChainModel(LabelAlphabet(("A", "B")))
 
 
 def test_transition_ids_hashed_once_per_model(monkeypatch):
     hashed = []
-    real = chain_mod.feature_id
-    monkeypatch.setattr(chain_mod, "feature_id", lambda s: hashed.append(s) or real(s))
+    real = chain_mod._feature_ids
+    monkeypatch.setattr(chain_mod, "_feature_ids", lambda ts: hashed.extend(ts) or real(ts))
     model = ChainModel(LabelAlphabet(("A", "B", "C")))
     w = SparseVector({feature_id("tr\x1fB\x1fC"): 1.5})
     lattices = [build_lattice(model, w, ChainInstance(tokens=toks))
@@ -150,8 +150,8 @@ def test_transition_ids_hashed_once_per_model(monkeypatch):
 
 def test_compile_hashes_each_template_once_per_model(monkeypatch):
     hashed = []
-    real = chain_mod.feature_id
-    monkeypatch.setattr(chain_mod, "feature_id", lambda s: hashed.append(s) or real(s))
+    real = chain_mod._feature_ids
+    monkeypatch.setattr(chain_mod, "_feature_ids", lambda ts: hashed.extend(ts) or real(ts))
     model = ChainModel(LabelAlphabet(("A", "B", "C")), emission_offsets=(-1, 0, 1))
     first = ChainInstance(tokens=("a", "b", "a", "c"))
     second = ChainInstance(tokens=("c", "a", "d"))  # shares a and c with the first
@@ -783,6 +783,117 @@ def test_compile_interns_new_rows_in_first_occurrence_order():
         cols = model.compile(x)
         assert model._ids == ids
         assert cols.transpose(2, 0, 1).ravel().tolist() == expected
+
+
+def test_batched_hash_equals_feature_id():
+    templates = ["em0\x1fçé日本\x1fB-LOC", "em-1\x1fa\x1fb\x1fO", "tr\x1fA\x1fB",
+                 "em1\x1f</S>\x1fA", "", "\x1f"]
+    for size in (127, 128, 129):  # one byte short of, at and past blake2b's block
+        templates += ["a" * size, "é" * (size // 2) + "a" * (size % 2)]
+        assert len(templates[-1].encode("utf-8")) == size
+    fids = chain_mod._feature_ids(templates)
+    assert fids == [feature_id(t) for t in templates]
+    assert all(type(fid) is int and 0 <= fid < 1 << 63 for fid in fids)
+    assert chain_mod._feature_ids([]) == []
+
+
+class ReferenceModel:
+    """Test-local per-template interning: one ``feature_id`` call and one dict
+    probe per template, per-position compile loops."""
+
+    def __init__(self, labels, offsets, hash_one=feature_id):
+        self.labels, self.offsets, self.hash_one = labels, offsets, hash_one
+        self.columns, self.ids, self.templates = {}, [], []
+        self.transition = np.array([self.intern(f"tr\x1f{a}\x1f{b}") for a in labels
+                                    for b in labels]).reshape(len(labels), len(labels))
+
+    def intern(self, template, fid=None):
+        fid = self.hash_one(template) if fid is None else fid
+        col = self.columns.setdefault(fid, len(self.ids))
+        if col == len(self.ids):
+            self.ids.append(fid)
+            self.templates.append(template)
+        elif self.templates[col] != template:
+            if self.templates[col] is not None:
+                raise RuntimeError(
+                    f"feature id collision: {template!r} vs {self.templates[col]!r} -> {fid}")
+            self.templates[col] = template
+        return col
+
+    def read(self, w):
+        """to_columns' interning: unknown ids take a column and no template."""
+        for fid in w:
+            if fid not in self.columns:
+                self.intern(None, fid)
+
+    def compile(self, x):
+        n = len(x)
+        block = [[[self.intern(f"em{off}\x1f{tok}\x1f{lab}") for lab in self.labels]
+                  for tok in ("<S>" if j < 0 else "</S>" if j >= n else x.tokens[j]
+                              for j in range(off, off + n))]
+                 for off in self.offsets]
+        return np.array(block, dtype=np.intp).reshape(len(self.offsets), n, -1).transpose(1, 2, 0)
+
+
+@pytest.mark.parametrize("offsets", [(0,), (-2, 0, 1), (0, 1, 0)])
+def test_compile_matches_a_per_template_reference(offsets):
+    labels = ("O", "B-LOC", "I-LOC")
+    model = ChainModel(LabelAlphabet(labels), emission_offsets=offsets)
+    ref = ReferenceModel(labels, offsets)
+    rng = np.random.default_rng(3)
+    vocab = ["a", "b", "çé", "日本", "x\x1fy", "<S>", "</S>"] + [f"t{k}" for k in range(30)]
+    data = [ChainInstance(tokens=tuple(vocab[k] for k in rng.integers(0, len(vocab), n)))
+            for n in (1, 2, 5, 9, 1, 17, 3, 30)]
+    # ids read from a weight vector before their templates are hashed, and an id no template has
+    w = SparseVector({feature_id("em0\x1fb\x1fB-LOC"): 1.0, feature_id("tr\x1fO\x1fO"): 2.0,
+                      12345: 3.0})
+    for step, x in enumerate(data):
+        if step == 3:
+            model.to_columns(w)
+            ref.read(w)
+        cols = model.compile(x)
+        expected = ref.compile(x)
+        assert cols.dtype == expected.dtype and cols.strides == expected.strides
+        assert np.array_equal(cols, expected)
+        assert model._ids == ref.ids and model._templates == ref.templates
+    assert np.array_equal(model.transition, ref.transition)
+    for x in data:  # the cached arrays are unchanged by later growth
+        assert np.array_equal(model.compile(x), ref.compile(x))
+
+
+def test_id_read_from_weights_takes_its_template_on_the_fallback():
+    labels = ("A", "B")
+    model, ref = ChainModel(LabelAlphabet(labels)), ReferenceModel(labels, (0,))
+    w = SparseVector({12345: 1.0, feature_id("em0\x1fb\x1fB"): 2.0})
+    model.to_columns(w)
+    ref.read(w)
+    col = model._columns[feature_id("em0\x1fb\x1fB")]
+    assert model._templates[col] is None
+    x = ChainInstance(tokens=("a", "b", "c"))
+    assert np.array_equal(model.compile(x), ref.compile(x))
+    assert model._templates[col] == "em0\x1fb\x1fB"
+    assert model._ids == ref.ids and model._templates == ref.templates
+
+
+def test_batched_collisions_raise_as_the_per_template_loop(monkeypatch):
+    real = chain_mod._feature_ids
+    existing = feature_id("tr\x1fA\x1fA")
+    fake = {"em0\x1fa\x1fA": 42, "em0\x1fa\x1fB": 42, "em0\x1fb\x1fA": existing}
+
+    def hash_one(template):
+        return fake.get(template) or real([template])[0]
+
+    monkeypatch.setattr(chain_mod, "_feature_ids", lambda ts: [hash_one(t) for t in ts])
+    for token, message in (
+            ("a", "feature id collision: 'em0\\x1fa\\x1fB' vs 'em0\\x1fa\\x1fA' -> 42"),
+            ("b", f"feature id collision: 'em0\\x1fb\\x1fA' vs 'tr\\x1fA\\x1fA' -> {existing}")):
+        x = ChainInstance(tokens=("c", token))
+        ref = ReferenceModel(("A", "B"), (0,), hash_one)
+        with pytest.raises(RuntimeError) as expected:
+            ref.compile(x)
+        with pytest.raises(RuntimeError) as raised:
+            ChainModel(LabelAlphabet(("A", "B"))).compile(x)
+        assert str(raised.value) == str(expected.value) == message
 
 
 # -- misc ---------------------------------------------------------------------------

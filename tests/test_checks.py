@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import banditchain
 from banditchain import BudgetExceededError, OracleBudget, run_property_checks
 
 
@@ -30,3 +36,20 @@ def test_clipped_ce_reported_as_skipped():
 def test_budget_guard():
     with pytest.raises(BudgetExceededError):
         run_property_checks(n_fixtures=2, n_weights=1, budget=OracleBudget(max_outputs=2))
+
+
+def test_scipy_loads_only_with_the_checks():
+    # a fresh interpreter: this one has loaded scipy through other tests
+    src = str(Path(banditchain.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    script = (
+        "import sys\n"
+        "import banditchain, banditchain.cli\n"
+        "print('scipy' in sys.modules)\n"
+        "report = banditchain.run_property_checks(n_fixtures=2, n_weights=2)\n"
+        "print('scipy' in sys.modules, report.all_passed)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.split() == ["False", "True", "True"]

@@ -164,6 +164,15 @@ def test_checkpoint_rejects_unknown_version(tmp_path, weights):
         read_checkpoint(path)
 
 
+@pytest.mark.parametrize("fid", [2**63, 2**64, -(2**63) - 1])
+def test_checkpoint_rejects_an_id_outside_int64_before_writing(tmp_path, fid):
+    # a ValueError (exit 2, data), not numpy's OverflowError (an ArithmeticError, exit 3)
+    path = tmp_path / "w.ckpt"
+    with pytest.raises(ValueError, match=f"^feature id {fid} does not fit in int64$"):
+        write_checkpoint(path, SparseVector({3: 1.0, fid: 2.0}))
+    assert list(tmp_path.iterdir()) == []
+
+
 # -- config ---------------------------------------------------------------------
 
 
