@@ -27,7 +27,7 @@ def main():
     post = bc.posterior(model, w, x)
     print(f"log Z      dp={post.log_z:.12f}  enum={dist.log_z:.12f}")
 
-    ef_dp = post.expected_features()
+    ef_dp = post.to_sparse(post.expected()[0])
     ef_enum = dist.expected_features()
     gap = max(abs(ef_dp[f] - ef_enum[f]) for f in ef_dp.support() | ef_enum.support())
     print(f"E[phi]     max coordinate gap dp vs enum: {gap:.2e}")
@@ -39,7 +39,7 @@ def main():
     print(f"  sum of probabilities: {dist.probs.sum():.12f}")
 
     # exact sampling: empirical frequencies approach the true distribution
-    draws = post.sample_many(50_000, np.random.default_rng(1))
+    (draws,) = post.sample_many(50_000, np.random.default_rng(1))
     counts = {}
     for row in map(tuple, draws.tolist()):
         counts[row] = counts.get(row, 0) + 1

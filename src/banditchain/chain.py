@@ -34,13 +34,13 @@ _BOS = "<S>"
 _EOS = "</S>"
 
 
-def _logsumexp(a: np.ndarray, axis: Optional[int] = None) -> "np.ndarray | float":
-    """Stable log-sum-exp for finite inputs; lean enough for tiny DP arrays."""
+def _logsumexp(a: np.ndarray, axis: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Stable log-sum-exp over one axis for finite inputs, keeping that axis
+    (written to out when given); lean enough for tiny DP arrays."""
     # the ufuncs' own reductions: np.max and np.sum reduce the same way but
     # cost more in call overhead than the arithmetic on arrays this small
     m = np.maximum.reduce(a, axis=axis, keepdims=True)
-    out = m.squeeze(axis) if axis is not None else m.reshape(())
-    return out + np.log(np.add.reduce(np.exp(a - m), axis=axis))
+    return np.add(m, np.log(np.add.reduce(np.exp(a - m), axis=axis, keepdims=True)), out=out)
 
 
 def feature_id(template: str) -> int:
@@ -134,7 +134,9 @@ class ChainLattice:
     """Log-space potentials of one (w, x): node (n, L) and trans (L, L).
 
     ``node[i, l]`` scores label l at position i; ``trans[a, b]`` scores the
-    label pair (a, b), the same at every adjacent pair of positions.
+    label pair (a, b), the same at every adjacent pair of positions.  A
+    posterior's stack of B chains over one x is a lattice too, position-major:
+    node (n, B, L) and trans (B, L, L).
     """
 
     node: np.ndarray
@@ -143,10 +145,6 @@ class ChainLattice:
     @property
     def n(self) -> int:
         return self.node.shape[0]
-
-    @property
-    def num_labels(self) -> int:
-        return self.node.shape[1]
 
 
 class ChainModel:
@@ -389,11 +387,23 @@ class InstanceColumns:
         self.columns = uniq[order]
         self.emission = index[: emission.size].reshape(emission.shape)
         self.transition = index[emission.size:].reshape(transition.shape)
-        # every local index of the expectation's scatter, emissions then transitions
-        self.index = index
+        # stack size -> the expectation's scatter index; one chain's is
+        # every local index, emissions then transitions
+        self._scatter = {1: index}
 
     def __len__(self) -> int:
         return len(self.columns)
+
+    def scatter_index(self, chains: int) -> np.ndarray:
+        """The expectation's scatter index of a stack of chains, cached: the
+        emissions position-major, then the transitions chain-major, with
+        chain b's local indices plus m * b."""
+        if chains not in self._scatter:
+            offset = len(self.columns) * np.arange(chains)[:, None]
+            self._scatter[chains] = np.concatenate((
+                (self.emission.reshape(len(self.emission), 1, -1) + offset).ravel(),
+                (self.transition.reshape(1, -1) + offset).ravel()))
+        return self._scatter[chains]
 
     def features(self, idx: np.ndarray) -> IndexedVector:
         """phi(x, y) for the label indices idx, over local indices."""
@@ -438,114 +448,128 @@ def lattice_score(lattice: ChainLattice, label_indices: Sequence[int]) -> float:
 
 
 def _forward(lattice: ChainLattice) -> np.ndarray:
-    """Forward messages: alpha[i, l] = logsumexp over prefixes ending in l."""
+    """Forward messages of a stack: alpha[i, b, l] = logsumexp over chain b's
+    prefixes ending in l."""
     node, trans = lattice.node, lattice.trans
     alpha = np.empty_like(node)
     alpha[0] = node[0]
+    # row views that broadcast against the (B, L, L) transition tables
+    rows, prev, out = node[:, :, None, :], alpha[:, :, :, None], alpha[:, :, None, :]
     for i in range(1, lattice.n):
-        alpha[i] = node[i] + _logsumexp(alpha[i - 1][:, None] + trans, axis=0)
+        np.add(rows[i], _logsumexp(prev[i - 1] + trans, axis=1), out=out[i])
     return alpha
 
 
 def _backward(lattice: ChainLattice) -> np.ndarray:
-    """Backward messages: beta[i, l] = logsumexp over suffixes starting after l."""
+    """Backward messages of a stack: beta[i, b, l] = logsumexp over chain b's
+    suffixes starting after l."""
     node, trans = lattice.node, lattice.trans
-    beta = np.zeros_like(node)
+    beta = np.zeros(node.shape)
+    # row views that broadcast against the (B, L, L) transition tables
+    rows, after, out = node[:, :, None, :], beta[:, :, None, :], beta[:, :, :, None]
     for i in range(lattice.n - 2, -1, -1):
-        beta[i] = _logsumexp(trans + (node[i + 1] + beta[i + 1])[None, :], axis=1)
+        _logsumexp(trans + (rows[i + 1] + after[i + 1]), axis=2, out=out[i])
     return beta
 
 
 class ChainPosterior:
-    """The exact distribution p_w(y|x) for one (w, x), over one lattice.
+    """The exact distribution p_w(y|x) for one (w, x), and with ``pair`` the
+    ordered-pair distribution p_w(y_i|x) * p_{-w}(y_j|x), over one lattice.
 
-    Sampling, probabilities and feature expectations all read the same
-    lattice and messages.  The backward messages are computed once, on
-    construction: every training step samples, and the sampler normalizes
-    by them.  The sampler's table of cumulative conditionals, the forward
-    messages and log Z wait for first use, so repeated draws build the table
-    once and a step with zero feedback never runs the forward pass.
-    ``negated()`` is the posterior under -w, over this lattice negated, so w
-    is never copied.  ``local`` numbers the columns x can fire;
+    The posterior runs its dynamic programs over a position-major stack of B
+    chains (``stack``: node (n, B, L), trans (B, L, L)): chain 0 is
+    ``lattice``, and a pair posterior adds chain 1, the lattice negated, so
+    w is never copied and both chains share every pass.  Sampling and
+    expectations answer for every chain; ``prob`` and ``log_z`` are chain 0's.
+    The backward messages are computed once, on construction: every training
+    step samples, and the sampler normalizes by them.  The sampler's table of
+    cumulative conditionals, the forward messages and log Z wait for first
+    use, so repeated draws build the table once and a step with zero feedback
+    never runs the forward pass.  ``local`` numbers the columns x can fire;
     ``features`` and ``expected`` are IndexedVectors over those local
     indices, which the objectives combine and ``to_sparse`` keys by id.
     """
 
-    def __init__(self, model: ChainModel, x: ChainInstance, lattice: ChainLattice):
+    def __init__(self, model: ChainModel, x: ChainInstance, lattice: ChainLattice,
+                 pair: bool = False):
         self.model = model
-        self.x = x
         self.lattice = lattice
         self.local = model.local_columns(x)
-        self.beta = _backward(lattice)
-        self._negated: Optional[ChainPosterior] = None
+        node, trans = lattice.node[:, None], lattice.trans[None]
+        if pair:
+            node, trans = np.concatenate((node, -node), axis=1), np.concatenate((trans, -trans))
+        self.stack = ChainLattice(node=node, trans=trans)
+        self.beta = _backward(self.stack)
 
     @cached_property
     def alpha(self) -> np.ndarray:
-        return _forward(self.lattice)
+        return _forward(self.stack)
 
     @cached_property
-    def log_z(self) -> float:
-        return float(_logsumexp(self.alpha[-1]))
+    def _log_z(self) -> np.ndarray:
+        """log Z of each chain, shape (B, 1)."""
+        return _logsumexp(self.alpha[-1], axis=1)
 
-    def negated(self) -> "ChainPosterior":
-        """The posterior p_{-w}(y|x), built once and shared."""
-        if self._negated is None:
-            lattice = ChainLattice(node=-self.lattice.node, trans=-self.lattice.trans)
-            self._negated = ChainPosterior(self.model, self.x, lattice)
-            self._negated._negated = self
-        return self._negated
+    @property
+    def log_z(self) -> float:
+        return float(self._log_z[0, 0])
 
     @cached_property
     def _sampler_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(cum0, cum): the cumulative p(y_0), shape (L,), and the cumulative
-        conditional rows cum[i - 1, a] of p(y_i | y_{i-1} = a), shape (n-1, L, L)."""
-        lattice, beta = self.lattice, self.beta
-        logp0 = lattice.node[0] + beta[0]
-        p0 = np.exp(logp0 - _logsumexp(logp0))
-        p0 /= p0.sum()
-        cond = np.exp(lattice.trans + (lattice.node[1:] + beta[1:])[:, None, :]
-                      - beta[:-1, :, None])
-        cond /= cond.sum(axis=2, keepdims=True)
-        return np.cumsum(p0), np.cumsum(cond, axis=2)
+        """(cum0, cum): the cumulative p(y_0) of each chain, shape (B, L), and
+        the cumulative conditional rows cum[i - 1, b, a] of chain b's
+        p(y_i | y_{i-1} = a), shape (n-1, B, L, L)."""
+        node, trans, beta = self.stack.node, self.stack.trans, self.beta
+        logp0 = node[0] + beta[0]
+        p0 = np.exp(logp0 - _logsumexp(logp0, axis=1))
+        p0 /= p0.sum(axis=1, keepdims=True)
+        cond = np.exp(trans + (node[1:] + beta[1:])[:, :, None, :] - beta[:-1, :, :, None])
+        cond /= cond.sum(axis=3, keepdims=True)
+        return p0.cumsum(axis=1), cond.cumsum(axis=3)
 
     def sample_many(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        """Exact i.i.d. samples, as a (size, n) array of label indices.
+        """Exact i.i.d. samples of every chain, as a (B, size, n) array of label indices.
 
         Backward filtering / forward sampling: row a at position i is
         p(y_i | y_{i-1} = a) = exp(trans[a] + node[i] + beta[i] - beta[i-1, a]),
         so the backward messages normalize every conditional and one
         left-to-right pass draws from the joint.  The rows' cumulative sums
         form one table per posterior, built on the first draw and reused by
-        every later one.  Position i of every draw reads the uniforms of
-        ``rng.random((n, size))[i]`` and takes the first label whose
-        cumulative mass exceeds its uniform.  A single draw walks only the
-        rows it takes, each as a Python list; a batch gathers its rows by the
-        previous labels.  Deterministic given the rng.
+        every later one.  Position i of chain b's draws reads the uniforms of
+        ``rng.random((B, n, size))[b, i]``, chain-major, so chain b draws what
+        a posterior of its own would draw after chains 0..b-1; each takes the
+        first label whose cumulative mass exceeds its uniform.  The draws
+        gather their rows by the previous labels.  Deterministic given the rng.
         """
         cum0, cum = self._sampler_table
-        n, L = self.lattice.node.shape
+        n, B, L = self.stack.node.shape
         last = L - 1
-        u = rng.random((n, size))
-        if size == 1:
-            # bisect_right on a nondecreasing row counts the entries <= u
-            u_walk = u[:, 0].tolist()
-            label = min(bisect_right(cum0.tolist(), u_walk[0]), last)
-            path = [label]
-            for i in range(1, n):
-                label = min(bisect_right(cum[i - 1, label].tolist(), u_walk[i]), last)
-                path.append(label)
-            return np.array([path], dtype=np.int64)
-        out = np.empty((size, n), dtype=np.int64)
-        out[:, 0] = np.minimum((u[0][:, None] >= cum0).sum(axis=1), last)
+        u = rng.random((B, n, size))
+        out = np.empty((B, size, n), dtype=np.int64)
+        out[:, :, 0] = np.minimum((u[:, 0, :, None] >= cum0[:, None, :]).sum(axis=2), last)
+        chains = np.arange(B)[:, None]
         for i in range(1, n):
-            rows = cum[i - 1][out[:, i - 1]]
-            out[:, i] = np.minimum((u[i][:, None] >= rows).sum(axis=1), last)
+            rows = cum[i - 1][chains, out[:, :, i - 1]]
+            out[:, :, i] = np.minimum((u[:, i, :, None] >= rows).sum(axis=2), last)
         return out
 
-    def sample(self, rng: np.random.Generator) -> tuple[str, ...]:
-        """One exact sample as a label tuple."""
-        labels = self.model.alphabet.labels
-        return tuple(labels[i] for i in self.sample_many(1, rng)[0].tolist())
+    def sample(self, rng: np.random.Generator) -> tuple[tuple[str, ...], ...]:
+        """One exact sample of each chain as a label tuple: the draw of
+        ``sample_many(1, rng)``, walking only the table rows it takes, each
+        as a Python list."""
+        cum0, cum = self._sampler_table
+        n, B, L = self.stack.node.shape
+        last, label_of = L - 1, self.model.alphabet.labels.__getitem__
+        draws = []
+        for b, u_walk in enumerate(rng.random((B, n)).tolist()):
+            # bisect_right on a nondecreasing row counts the entries <= u
+            label = min(bisect_right(cum0[b].tolist(), u_walk[0]), last)
+            path = [label]
+            for i in range(1, n):
+                label = min(bisect_right(cum[i - 1, b, label].tolist(), u_walk[i]), last)
+                path.append(label)
+            draws.append(tuple(map(label_of, path)))
+        return tuple(draws)
 
     def prob(self, y: Labeling) -> float:
         """p(y|x) = exp(score(y) - log Z), in (0, 1]."""
@@ -558,35 +582,35 @@ class ChainPosterior:
         """phi(x, y) over the instance's local column indices (``local``)."""
         return self.local.features(self.model.alphabet.indices(y))
 
-    def expected(self) -> IndexedVector:
-        """Exact E_p[phi(x, y)] over the local column indices; a new vector.
+    def expected(self) -> list[IndexedVector]:
+        """Exact E[phi(x, y)] of each chain over the local column indices; new vectors.
 
-        The node marginals scatter into the emission columns in (position,
-        label, template) order and the pair masses into the transition
-        columns, as sequential sums.  Raises ``FloatingPointError`` when a
-        marginal is not finite.
+        Chain b's node marginals scatter into the emission columns in
+        (position, label, template) order and its pair masses into the
+        transition columns, as sequential sums; one ``bincount`` over local
+        index + m * b scatters every chain.  Raises ``FloatingPointError``
+        when a marginal is not finite.
         """
-        alpha, beta, log_z = self.alpha, self.beta, self.log_z
-        node, trans = self.lattice.node, self.lattice.trans
+        alpha, beta, log_z = self.alpha, self.beta, self._log_z
+        node, trans = self.stack.node, self.stack.trans
+        n, B, _ = node.shape
         local = self.local
-        k = local.emission.shape[2]
-        mass = np.repeat(np.exp(alpha + beta - log_z).ravel(), k)
-        index = local.index
-        if len(node) > 1:
+        m = len(local)
+        mass = np.repeat(np.exp(alpha + beta - log_z).ravel(), local.emission.shape[2])
+        if n > 1:
             pair_mass = np.exp(
-                alpha[:-1, :, None] + trans + (node[1:] + beta[1:])[:, None, :] - log_z
+                alpha[:-1, :, :, None] + trans + (node[1:] + beta[1:])[:, :, None, :]
+                - log_z[:, :, None]
             ).sum(axis=0)
             mass = np.concatenate((mass, pair_mass.ravel()))
-        else:
-            index = index[: mass.size]
-        values = np.bincount(index, weights=mass, minlength=len(local))
+        values = np.bincount(local.scatter_index(B)[: mass.size], weights=mass, minlength=B * m)
         if not np.isfinite(values).all():
             # at huge |w|, alpha + beta - log Z loses its precision in log space
             bad = np.flatnonzero(~np.isfinite(values))[0]
             raise FloatingPointError(
                 f"non-finite marginal (non-finite value {float(values[bad])!r} "
-                f"for feature {self.model._ids[local.columns[bad]]})")
-        return IndexedVector.from_array(values)
+                f"for feature {self.model._ids[local.columns[bad % m]]})")
+        return [IndexedVector.from_array(values[b * m:(b + 1) * m]) for b in range(B)]
 
     def to_sparse(self, vector: Optional[IndexedVector]) -> SparseVector:
         """A local vector as a SparseVector keyed by feature id; None is empty."""
@@ -595,19 +619,16 @@ class ChainPosterior:
         idx, values = vector.entries()
         return self.model.to_sparse(values, self.local.columns[idx])
 
-    def expected_features(self) -> SparseVector:
-        """Exact E_p[phi(x, y)] as a new SparseVector; see ``expected``."""
-        return self.to_sparse(self.expected())
-
 
 def posterior(
-    model: ChainModel, w: "SparseVector | np.ndarray", x: ChainInstance
+    model: ChainModel, w: "SparseVector | np.ndarray", x: ChainInstance, pair: bool = False
 ) -> ChainPosterior:
-    """The posterior p_w(.|x): the one entry point for sampling, prob, log Z and expectations.
+    """The posterior p_w(.|x), and with ``pair`` the pair posterior that adds
+    p_{-w}(.|x): the one entry point for sampling, prob, log Z and expectations.
 
     w is a SparseVector or a column array of the model, as for ``build_lattice``.
     """
-    return ChainPosterior(model, x, build_lattice(model, w, x))
+    return ChainPosterior(model, x, build_lattice(model, w, x), pair)
 
 
 def sample(
@@ -615,7 +636,7 @@ def sample(
     rng: np.random.Generator,
 ) -> tuple[str, ...]:
     """One exact sample from p_w(y|x) as a label tuple."""
-    return posterior(model, w, x).sample(rng)
+    return posterior(model, w, x).sample(rng)[0]
 
 
 def _viterbi(node: np.ndarray, trans: np.ndarray, lengths: np.ndarray) -> np.ndarray:

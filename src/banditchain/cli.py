@@ -25,6 +25,14 @@ USAGE_ERROR = 1
 DATA_ERROR = 2
 CHECK_FAILURE = 3
 
+
+def positive_int(text: str) -> int:
+    """A count of at least 1; anything else is a usage error."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def _add_override_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int)
     p.add_argument("--objective", choices=["el", "pr-bin", "pr-cont", "ce"])
@@ -59,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--config", required=True)
     p_sample.add_argument("--checkpoint", required=True)
     p_sample.add_argument("--data", required=True)
-    p_sample.add_argument("--draws", type=int, default=1)
+    p_sample.add_argument("--draws", type=positive_int, default=1)
     p_sample.add_argument("--seed", type=int, default=0)
 
     p_diag = sub.add_parser("diagnose", help="compare convergence estimates across reports")
@@ -68,8 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("oracle-check", help="run the enumeration-backed property suite")
     p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--fixtures", type=int, default=8)
-    p_check.add_argument("--weights", type=int, default=20)
+    p_check.add_argument("--fixtures", type=positive_int, default=8)
+    p_check.add_argument("--weights", type=positive_int, default=20)
     p_check.add_argument("--clip-k", dest="clip_k", type=float, default=0.0)
 
     return parser
@@ -116,11 +124,11 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     first = True
     for x in data:
         post = posterior(model, w, x)
-        for _ in range(max(1, args.draws)):
+        for _ in range(args.draws):
             if not first:
                 print()
             first = False
-            labeling = post.sample(rng)
+            (labeling,) = post.sample(rng)
             for token, label in zip(x.tokens, labeling):
                 print(f"{token}\t{label}")
     return 0

@@ -8,16 +8,16 @@ corresponding full-information objective:
 * pairwise preference:  s = delta * (phi_pair - E[phi_pair]) over ordered pairs
 * cross-entropy:        s = (gain / p^(y~|x)) * (-phi(x, y~) + E_p[phi])
 
-The pair model factorizes as p_w(y_i|x) * p_{-w}(y_j|x), so pairs are drawn
-by sampling each side from its own chain, and the pair feature expectation
-is the exact difference of the two chain expectations.  The cross-entropy
-divisor may be clipped from below by a constant k, which bounds the
-importance weight at the cost of bias.
+The pair model factorizes as p_w(y_i|x) * p_{-w}(y_j|x), so the PR
+estimators take a pair posterior (``posterior(..., pair=True)``) whose two
+chains share one pass: one sampler call draws both sides, and the pair
+feature expectation is the exact difference of the two chain expectations.
+The cross-entropy divisor may be clipped from below by a constant k, which
+bounds the importance weight at the cost of bias.
 
 ``el_columns``, ``pr_columns`` and ``ce_columns`` build each estimate as an
-IndexedVector over the posterior's local columns, the trainer's form;
-``el_gradient``, ``pr_gradient`` and ``ce_gradient`` return the same
-entries, in the same order, as a SparseVector keyed by feature id.
+IndexedVector over the posterior's local columns; ``post.to_sparse`` keys
+one by feature id.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .chain import ChainPosterior
-from .sparse import IndexedVector, SparseVector
+from .sparse import IndexedVector
 
 
 class ObjectiveKind(Enum):
@@ -88,19 +88,14 @@ def el_columns(post: ChainPosterior, y_sampled, delta: float) -> Optional[Indexe
     if delta == 0.0:
         return None
     grad = post.features(y_sampled)
-    grad.add_scaled(post.expected(), -1.0)
+    grad.add_scaled(post.expected()[0], -1.0)
     return grad.scale(delta)
 
 
-def el_gradient(post: ChainPosterior, y_sampled, delta: float) -> SparseVector:
-    """``el_columns`` as a SparseVector keyed by feature id."""
-    return post.to_sparse(el_columns(post, y_sampled, delta))
-
-
 def pr_sample_pair(post: ChainPosterior, rng: np.random.Generator) -> PairSample:
-    """Draw an ordered pair: first from p_w(.|x), second from p_{-w}(.|x)."""
-    first = post.sample(rng)
-    second = post.negated().sample(rng)
+    """Draw an ordered pair from a pair posterior: first from p_w(.|x),
+    second from p_{-w}(.|x), in one sampler call."""
+    first, second = post.sample(rng)
     return PairSample(first=first, second=second)
 
 
@@ -119,37 +114,24 @@ def pair_feedback(delta_first: float, delta_second: float, mode: str) -> float:
     return 0.0
 
 
-def _pair_expected(post: ChainPosterior) -> IndexedVector:
-    exp_pair = post.expected()
-    return exp_pair.add_scaled(post.negated().expected(), -1.0)
-
-
-def pair_expected_features(post: ChainPosterior) -> SparseVector:
-    """Exact pair-feature expectation E[phi(x, y_i) - phi(x, y_j)].
-
-    By the factorization of the pair model this is the difference between
-    the chain expectation under w and the one under -w; no sampling needed.
-    """
-    return post.to_sparse(_pair_expected(post))
-
-
 def pr_columns(
     post: ChainPosterior, pair: PairSample, delta_pair: float
 ) -> Optional[IndexedVector]:
     """Pairwise-preference stochastic gradient over ordered output pairs,
-    over the posterior's local columns; None when delta_pair = 0."""
+    delta_pair * (phi(x, y_i) - phi(x, y_j) - E[phi(x, y_i) - phi(x, y_j)]),
+    over the pair posterior's local columns; None when delta_pair = 0.
+
+    By the factorization of the pair model the expectation is the chain
+    expectation under w less the one under -w; no sampling needed.
+    """
     delta_pair = _check_unit_interval("delta_pair", delta_pair)
     if delta_pair == 0.0:
         return None
     grad = post.features(pair.first)
     grad.add_scaled(post.features(pair.second), -1.0)
-    grad.add_scaled(_pair_expected(post), -1.0)
+    under_w, under_neg = post.expected()
+    grad.add_scaled(under_w.add_scaled(under_neg, -1.0), -1.0)
     return grad.scale(delta_pair)
-
-
-def pr_gradient(post: ChainPosterior, pair: PairSample, delta_pair: float) -> SparseVector:
-    """``pr_columns`` as a SparseVector keyed by feature id."""
-    return post.to_sparse(pr_columns(post, pair, delta_pair))
 
 
 def ce_columns(
@@ -171,7 +153,7 @@ def ce_columns(
     if gain == 0.0:
         return None
     p_hat = max(post.prob(y_sampled), clip_k)
-    grad = post.expected()
+    grad = post.expected()[0]
     grad.add_scaled(post.features(y_sampled), -1.0)
     if p_hat > 0.0:
         # a finite but huge weight gain / p_hat can still overflow the entries;
@@ -183,13 +165,3 @@ def ce_columns(
         f"cross-entropy importance weight overflows: p_w(y~|x) = {p_hat:g} underflowed; "
         "set clip_k > 0 to bound the weight"
     )
-
-
-def ce_gradient(
-    post: ChainPosterior,
-    y_sampled,
-    gain: float,
-    clip_k: float = 0.0,
-) -> SparseVector:
-    """``ce_columns`` as a SparseVector keyed by feature id."""
-    return post.to_sparse(ce_columns(post, y_sampled, gain, clip_k))

@@ -14,6 +14,7 @@ with development-set scores.  All of them are column arrays of the model.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -44,6 +45,9 @@ class TrainerConfig:
         object.__setattr__(self, "objective", ObjectiveKind.parse(self.objective))
 
     def validate(self) -> None:
+        for name in ("gamma", "clip_k", "l2_lambda"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         # gamma = 0 is allowed: it freezes the weights, which is useful in tests.
         if self.gamma < 0.0:
             raise ValueError(f"learning rate must be >= 0, got {self.gamma}")
@@ -140,15 +144,15 @@ def _stochastic_gradient(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """(columns, values, sampled loss): s_t's entries, in the order of the
     SparseVector arithmetic they replay."""
-    # one posterior serves the step's sampling, prob and expectations
-    post = posterior(model, w, x)
+    # one posterior serves the step's sampling, prob and expectations (PR's: of w and -w)
     kind = config.objective
+    post = posterior(model, w, x, pair=kind.is_pairwise)
     if kind.is_pairwise:
         pair = pr_sample_pair(post, rng)
         loss = oracle.feedback_pair(x, pair, kind.pair_mode)
         grad = pr_columns(post, pair, delta_pair=loss)
     else:
-        y = post.sample(rng)
+        (y,) = post.sample(rng)
         loss = oracle.feedback(x, y)
         if kind is ObjectiveKind.EL:
             grad = el_columns(post, y, delta=loss)

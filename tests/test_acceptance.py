@@ -94,7 +94,7 @@ def test_criterion_1_oracle_equivalence():
         dist = bc.distribution(model, w, x)
         post = bc.posterior(model, w, x)
         worst = max(worst, abs(post.log_z - dist.log_z))
-        exact = post.expected_features()
+        exact = post.to_sparse(post.expected()[0])
         enum = dist.expected_features()
         worst = max(worst, max_coord_diff(exact, enum))
         for y, p in zip(dist.labelings, dist.probs):
@@ -134,12 +134,12 @@ def test_criterion_2_gradient_correctness(kind):
 
 def expected_stochastic_gradient(kind, model, x, w):
     dist = bc.distribution(model, w, x)
-    post = bc.posterior(model, w, x)
+    post = bc.posterior(model, w, x, pair=kind.is_pairwise)
     deltas = [bc.hamming_loss(x.gold, y) for y in dist.labelings]
     expect = SparseVector()
     if kind is ObjectiveKind.EL:
         for p, y, d in zip(dist.probs, dist.labelings, deltas):
-            expect.add_scaled(bc.el_gradient(post, y, d), float(p))
+            expect.add_scaled(post.to_sparse(bc.el_columns(post, y, d)), float(p))
     elif kind.is_pairwise:
         q = neg_probs(dist)
         for pi, yi, di in zip(dist.probs, dist.labelings, deltas):
@@ -147,12 +147,11 @@ def expected_stochastic_gradient(kind, model, x, w):
                 fb = bc.pair_feedback(di, dj, kind.pair_mode)
                 if fb == 0.0:
                     continue
-                expect.add_scaled(
-                    bc.pr_gradient(post, PairSample(yi, yj), fb), float(pi * qj)
-                )
+                grad = bc.pr_columns(post, PairSample(yi, yj), fb)
+                expect.add_scaled(post.to_sparse(grad), float(pi * qj))
     else:
         for p, y, d in zip(dist.probs, dist.labelings, deltas):
-            expect.add_scaled(bc.ce_gradient(post, y, 1.0 - d, 0.0), float(p))
+            expect.add_scaled(post.to_sparse(bc.ce_columns(post, y, 1.0 - d, 0.0)), float(p))
     return expect
 
 
@@ -240,7 +239,7 @@ def test_criterion_6_sampler_exactness():
             tuple(model.alphabet.indices(y).tolist()): float(p)
             for y, p in zip(dist.labelings, dist.probs)
         }
-        draws = bc.posterior(model, w, x).sample_many(100_000, np.random.default_rng(seed))
+        (draws,) = bc.posterior(model, w, x).sample_many(100_000, np.random.default_rng(seed))
         counts = {}
         for row in map(tuple, draws.tolist()):
             counts[row] = counts.get(row, 0) + 1
@@ -256,8 +255,8 @@ def test_criterion_6_sampler_exactness():
         for yi, pi in zip(dist.labelings, dist.probs)
         for yj, qj in zip(dist.labelings, q)
     }
-    post, rng = bc.posterior(model, w, x), np.random.default_rng(64)
-    first, second = post.sample_many(200_000, rng), post.negated().sample_many(200_000, rng)
+    post = bc.posterior(model, w, x, pair=True)
+    first, second = post.sample_many(200_000, np.random.default_rng(64))
     counts = {}
     for f, s in zip(map(tuple, first.tolist()), map(tuple, second.tolist())):
         counts[(f, s)] = counts.get((f, s), 0) + 1

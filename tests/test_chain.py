@@ -234,22 +234,27 @@ def test_log_partition_matches_enumeration(n, labels):
 # -- expectations ----------------------------------------------------------------
 
 
+def expected_sparse(post):
+    """E_p[phi] of the posterior's chain 0 as a SparseVector keyed by id."""
+    return post.to_sparse(post.expected()[0])
+
+
 def test_expected_features_uniform_single_position(ab_model):
     x = ChainInstance(tokens=("moss",))
-    ef = posterior(ab_model, SparseVector(), x).expected_features()
+    ef = expected_sparse(posterior(ab_model, SparseVector(), x))
     assert ef[feature_id("em0\x1fmoss\x1fA")] == pytest.approx(0.5, abs=1e-12)
     assert ef[feature_id("em0\x1fmoss\x1fB")] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_expected_features_within_firing_bounds(ab_model, fixed_instance, fixed_weights):
-    ef = posterior(ab_model, fixed_weights, fixed_instance).expected_features()
+    ef = expected_sparse(posterior(ab_model, fixed_weights, fixed_instance))
     # moss appears twice, so its emission features can fire at most twice
     for fid, value in ef.items():
         assert -1e-12 <= value <= 2.0 + 1e-12
 
 
 def test_expected_features_matches_enumeration(ab_model, fixed_instance, fixed_weights):
-    ef = posterior(ab_model, fixed_weights, fixed_instance).expected_features()
+    ef = expected_sparse(posterior(ab_model, fixed_weights, fixed_instance))
     brute = distribution(ab_model, fixed_weights, fixed_instance).expected_features()
     for fid in ef.support() | brute.support():
         assert abs(ef[fid] - brute[fid]) <= 1e-10
@@ -262,7 +267,7 @@ def test_log_partition_gradient_is_expected_features(ab_model, fixed_instance, f
     fd = finite_diff_gradient(
         f, fixed_weights, h=1e-5, coords=ab_model.instance_feature_ids(fixed_instance)
     )
-    ef = posterior(ab_model, fixed_weights, fixed_instance).expected_features()
+    ef = expected_sparse(posterior(ab_model, fixed_weights, fixed_instance))
     fids = sorted(fd.support() | ef.support())
     np.testing.assert_allclose(
         [fd[f] for f in fids], [ef[f] for f in fids], rtol=1e-6, atol=1e-9
@@ -273,7 +278,7 @@ def test_log_partition_gradient_is_expected_features(ab_model, fixed_instance, f
 
 
 def test_sampler_uniform_under_zero_weights(ab_model, fixed_instance):
-    draws = posterior(ab_model, SparseVector(), fixed_instance).sample_many(
+    (draws,) = posterior(ab_model, SparseVector(), fixed_instance).sample_many(
         100_000, np.random.default_rng(3)
     )
     counts = {}
@@ -290,7 +295,7 @@ def test_sampler_matches_skewed_oracle(ab_model, fixed_instance, fixed_weights):
         tuple(ab_model.alphabet.indices(y).tolist()): float(p)
         for y, p in zip(dist.labelings, dist.probs)
     }
-    draws = posterior(ab_model, fixed_weights, fixed_instance).sample_many(
+    (draws,) = posterior(ab_model, fixed_weights, fixed_instance).sample_many(
         100_000, np.random.default_rng(11)
     )
     counts = {}
@@ -308,25 +313,80 @@ def test_sampler_determinism(ab_model, fixed_instance, fixed_weights):
     assert runs[0] == runs[1]
 
 
-def reference_sample_many(post, size, rng):
-    """Backward filtering / forward sampling that normalizes every conditional
-    row by its own log-sum-exp instead of by the posterior's beta."""
+def reference_logsumexp(a, axis=None):
+    """Single-chain log-sum-exp over one axis or all of them, dropping it."""
+    m = np.maximum.reduce(a, axis=axis, keepdims=True)
+    out = m.squeeze(axis) if axis is not None else m.reshape(())
+    return out + np.log(np.add.reduce(np.exp(a - m), axis=axis))
+
+
+def reference_backward(node, trans):
+    """The single-chain backward pass over node (n, L) and trans (L, L)."""
+    beta = np.zeros_like(node)
+    for i in range(len(node) - 2, -1, -1):
+        beta[i] = reference_logsumexp(trans + (node[i + 1] + beta[i + 1])[None, :], axis=1)
+    return beta
+
+
+def reference_forward(node, trans):
+    """The single-chain forward pass over node (n, L) and trans (L, L)."""
+    alpha = np.empty_like(node)
+    alpha[0] = node[0]
+    for i in range(1, len(node)):
+        alpha[i] = node[i] + reference_logsumexp(alpha[i - 1][:, None] + trans, axis=0)
+    return alpha
+
+
+def reference_sampler_table(node, trans, beta):
+    """One chain's (cum0, cum): cumulative p(y_0) and conditional rows."""
+    logp0 = node[0] + beta[0]
+    p0 = np.exp(logp0 - reference_logsumexp(logp0))
+    p0 /= p0.sum()
+    cond = np.exp(trans + (node[1:] + beta[1:])[:, None, :] - beta[:-1, :, None])
+    cond /= cond.sum(axis=2, keepdims=True)
+    return np.cumsum(p0), np.cumsum(cond, axis=2)
+
+
+def reference_expected(local, node, trans):
+    """(E[phi] over the local columns, log Z) of one chain, scattered in
+    (position, label, template) order and then the transitions."""
+    alpha, beta = reference_forward(node, trans), reference_backward(node, trans)
+    log_z = reference_logsumexp(alpha[-1])
+    mass = np.repeat(np.exp(alpha + beta - log_z).ravel(), local.emission.shape[2])
+    index = np.concatenate((local.emission.ravel(), local.transition.ravel()))
+    if len(node) > 1:
+        pair_mass = np.exp(
+            alpha[:-1, :, None] + trans + (node[1:] + beta[1:])[:, None, :] - log_z
+        ).sum(axis=0)
+        mass = np.concatenate((mass, pair_mass.ravel()))
+    else:
+        index = index[: mass.size]
+    return np.bincount(index, weights=mass, minlength=len(local)), log_z
+
+
+def negated(lattice):
+    return chain_mod.ChainLattice(node=-lattice.node, trans=-lattice.trans)
+
+
+def reference_sample_many(lattice, size, rng):
+    """Backward filtering / forward sampling of one chain that normalizes
+    every conditional row by its own log-sum-exp instead of by beta."""
 
     def _categorical_rows(prob_rows, rng):
         cum = np.cumsum(prob_rows, axis=1)
         idx = (rng.random(prob_rows.shape[0])[:, None] >= cum).sum(axis=1)
         return np.minimum(idx, prob_rows.shape[1] - 1)
 
-    lattice, beta = post.lattice, post.beta
+    beta = reference_backward(lattice.node, lattice.trans)
     n, L = lattice.node.shape
     out = np.empty((size, n), dtype=np.int64)
     logp0 = lattice.node[0] + beta[0]
-    p0 = np.exp(logp0 - chain_mod._logsumexp(logp0))
+    p0 = np.exp(logp0 - reference_logsumexp(logp0))
     p0 /= p0.sum()
     out[:, 0] = _categorical_rows(p0[None, :].repeat(size, axis=0), rng)
     for i in range(1, n):
         logc = lattice.trans + (lattice.node[i] + beta[i])[None, :]
-        cond = np.exp(logc - chain_mod._logsumexp(logc, axis=1)[:, None])
+        cond = np.exp(logc - reference_logsumexp(logc, axis=1)[:, None])
         cond /= cond.sum(axis=1, keepdims=True)
         out[:, i] = _categorical_rows(cond[out[:, i - 1]], rng)
     return out
@@ -345,10 +405,48 @@ def random_chain(num_labels, n, seed, scale):
 def test_sampler_matches_reference_bitwise(num_labels, n, scale):
     model, x, w = random_chain(num_labels, n, seed=n * 10 + num_labels, scale=scale)
     post = posterior(model, w, x)
-    for p in (post, post.negated()):
-        for size in (1, 1000):
-            expected = reference_sample_many(p, size, np.random.default_rng(size))
-            assert np.array_equal(p.sample_many(size, np.random.default_rng(size)), expected)
+    pair = posterior(model, w, x, pair=True)
+    for size in (1, 1000):
+        # chain-major uniforms: the second chain draws after the first
+        rng = np.random.default_rng(size)
+        first = reference_sample_many(post.lattice, size, rng)
+        second = reference_sample_many(negated(post.lattice), size, rng)
+        assert np.array_equal(post.sample_many(size, np.random.default_rng(size)), first[None])
+        assert np.array_equal(pair.sample_many(size, np.random.default_rng(size)),
+                              np.stack((first, second)))
+    # a single draw walks the table row by row, and takes the same labels
+    labels = np.array(model.alphabet.labels)
+    rng = np.random.default_rng(1)
+    first, second = (reference_sample_many(lattice, 1, rng)[0]
+                     for lattice in (post.lattice, negated(post.lattice)))
+    assert post.sample(np.random.default_rng(1)) == (tuple(labels[first]),)
+    assert pair.sample(np.random.default_rng(1)) == (tuple(labels[first]), tuple(labels[second]))
+
+
+@pytest.mark.parametrize("num_labels", [2, 3, 9])
+@pytest.mark.parametrize("n", [1, 2, 7, 30])
+@pytest.mark.parametrize("scale", [0.1, 1.0, 30.0])
+def test_stacked_kernels_match_single_chain_reference_bitwise(num_labels, n, scale):
+    model, x, w = random_chain(num_labels, n, seed=n * 7 + num_labels, scale=scale)
+    for pair in (False, True):
+        post = posterior(model, w, x, pair=pair)
+        chains = [post.lattice, negated(post.lattice)][: 1 + pair]
+        assert post.stack.node.shape == (n, len(chains), num_labels)
+        cum0, cum = post._sampler_table
+        expected = post.expected()
+        assert len(expected) == len(chains)
+        for b, lattice in enumerate(chains):
+            node, trans = lattice.node, lattice.trans
+            beta = reference_backward(node, trans)
+            assert post.beta[:, b].tobytes() == beta.tobytes()
+            assert post.alpha[:, b].tobytes() == reference_forward(node, trans).tobytes()
+            ref_cum0, ref_cum = reference_sampler_table(node, trans, beta)
+            assert cum0[b].tobytes() == ref_cum0.tobytes()
+            assert cum[:, b].tobytes() == ref_cum.tobytes()
+            values, log_z = reference_expected(post.local, node, trans)
+            assert post._log_z[b, 0].tobytes() == log_z.tobytes()
+            assert expected[b].values.tobytes() == values.tobytes()
+        assert post.log_z == float(post._log_z[0, 0])
 
 
 def test_sampler_runs_one_logsumexp_per_draw_batch(monkeypatch):
@@ -380,7 +478,9 @@ def test_repeated_draws_build_the_sampler_table_once(monkeypatch):
 def test_single_token_draws_have_one_column(size):
     model, x, w = random_chain(3, 1, seed=4, scale=2.0)
     draws = posterior(model, w, x).sample_many(size, np.random.default_rng(0))
-    assert draws.shape == (size, 1) and draws.dtype == np.int64
+    assert draws.shape == (1, size, 1) and draws.dtype == np.int64
+    pair_draws = posterior(model, w, x, pair=True).sample_many(size, np.random.default_rng(0))
+    assert pair_draws.shape == (2, size, 1) and pair_draws.dtype == np.int64
 
 
 # -- one posterior per step ----------------------------------------------------------
@@ -548,17 +648,23 @@ def test_compile_batch_caches_the_last_dataset(monkeypatch):
 
 
 def test_negated_posterior_matches_negated_weights(ab_model, fixed_instance, fixed_weights):
+    # a pair posterior's chain 0 is the posterior under w, its chain 1 the one under -w
     post = posterior(ab_model, fixed_weights, fixed_instance)
-    neg = post.negated()
+    pair = posterior(ab_model, fixed_weights, fixed_instance, pair=True)
     direct = posterior(ab_model, fixed_weights.scaled(-1.0), fixed_instance)
-    assert np.array_equal(neg.lattice.trans, -post.lattice.trans)
-    assert np.array_equal(neg.lattice.node, direct.lattice.node)
-    assert np.array_equal(neg.lattice.trans, direct.lattice.trans)
-    assert np.array_equal(neg.beta, direct.beta)
-    assert np.array_equal(neg.sample_many(50, np.random.default_rng(4)),
-                          direct.sample_many(50, np.random.default_rng(4)))
-    assert neg.expected_features() == direct.expected_features()
-    assert neg.negated().lattice is neg.negated().lattice  # built once
+    assert np.array_equal(pair.stack.trans[1], -post.lattice.trans)
+    for b, single in enumerate((post, direct)):
+        assert np.array_equal(pair.stack.node[:, b], single.lattice.node)
+        assert np.array_equal(pair.stack.trans[b], single.lattice.trans)
+        assert np.array_equal(pair.beta[:, b], single.beta[:, 0])
+        assert pair._log_z[b, 0] == single.log_z
+        assert pair.to_sparse(pair.expected()[b]) == expected_sparse(single)
+    assert pair.log_z == post.log_z
+    rng = np.random.default_rng(4)
+    draws = [single.sample_many(50, rng)[0] for single in (post, direct)]
+    assert np.array_equal(pair.sample_many(50, np.random.default_rng(4)), np.stack(draws))
+    rng = np.random.default_rng(5)
+    assert pair.sample(np.random.default_rng(5)) == (post.sample(rng)[0], direct.sample(rng)[0])
 
 
 @pytest.mark.parametrize("objective", ["el", "pr-cont", "ce"])
@@ -591,6 +697,21 @@ def test_training_step_builds_one_lattice(objective, monkeypatch, synthetic_task
     # the dev set at t = 0 and t = 30: one batched decode each, no lattice built
     assert builds == {"step": 30, "decode": 0}
     assert decodes == [5, 5]
+
+
+@pytest.mark.parametrize("objective, chains", [("el", 1), ("pr-cont", 2), ("ce", 1)])
+def test_training_step_runs_one_backward_pass(objective, chains, monkeypatch, synthetic_task):
+    from banditchain import FeedbackOracle, TrainerConfig, train
+
+    model, train_data, dev_data, _ = synthetic_task
+    stacks = []
+    backward = chain_mod._backward
+    monkeypatch.setattr(chain_mod, "_backward",
+                        lambda lattice: stacks.append(lattice.node.shape[1]) or backward(lattice))
+    cfg = TrainerConfig(objective=objective, gamma=0.1, iterations=30, seed=2, eval_every=30)
+    train(cfg, model, train_data, dev_data[:5], FeedbackOracle("hamming"))
+    # one posterior per step: a PR step stacks the chains of w and -w in one pass
+    assert stacks == [chains] * 30
 
 
 def test_zero_feedback_step_never_runs_the_forward_pass(monkeypatch, synthetic_task):

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import banditchain
-from banditchain import BudgetExceededError, OracleBudget, run_property_checks
+from banditchain import BudgetExceededError, CheckReport, OracleBudget, run_property_checks
 
 
 def test_suite_passes_on_shipped_fixtures():
@@ -31,6 +31,31 @@ def test_clipped_ce_reported_as_skipped():
     assert by_name["unbiasedness-ce"].status == "skip"
     assert "by design" in by_name["unbiasedness-ce"].detail
     assert report.all_passed  # skipped is not failed
+
+
+@pytest.mark.parametrize("kwargs", [{"n_fixtures": 0}, {"n_weights": 0}, {"n_weights": -3}])
+def test_suite_that_would_run_no_case_is_rejected(kwargs):
+    with pytest.raises(ValueError, match="at least 1"):
+        run_property_checks(**kwargs)
+
+
+def test_a_check_that_ran_no_case_fails():
+    from banditchain import checks
+
+    results = [
+        checks.check_probability_normalization([]),
+        checks.check_exact_inference([]),
+        *checks.check_gradient_finite_difference([]),
+        *checks.check_unbiasedness([], n_weights=2),
+        checks.check_pair_factorization([]),
+        checks.check_ce_convexity([]),
+        checks.check_jensen_step([]),
+    ]
+    assert len(results) == 13
+    assert all(r.status == "fail" and "no cases ran" in r.line() for r in results)
+    assert not CheckReport(results).all_passed
+    no_weights = checks.check_unbiasedness(checks.default_fixtures(count=1), n_weights=0)
+    assert all(r.status == "fail" and "no cases ran" in r.line() for r in no_weights)
 
 
 def test_budget_guard():

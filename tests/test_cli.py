@@ -180,6 +180,36 @@ def test_oracle_check_failure_exit_code(monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("flag", ["--fixtures", "--weights"])
+def test_oracle_check_without_cases_is_a_usage_error(flag, value, capsys):
+    assert cli.main(["oracle-check", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert f"argument {flag}: must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("draws", ["0", "-2"])
+def test_sample_draws_below_one_is_a_usage_error(workdir, capsys, draws):
+    tmp_path, cfg_path = workdir
+    code = cli.main(["sample", "--config", str(cfg_path), "--checkpoint",
+                     str(tmp_path / "model.ckpt"), "--data", str(tmp_path / "dev.tsv"),
+                     "--draws", draws])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --draws: must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--gamma", "--clip-k", "--lambda"])
+def test_non_finite_flag_is_a_data_error_before_training(workdir, capsys, flag):
+    tmp_path, cfg_path = workdir
+    code = cli.main(["train", "--config", str(cfg_path), "--objective", "ce", flag, "nan"])
+    assert code == 2
+    assert "must be finite, got nan" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_usage_error_exit_code(capsys):
     assert cli.main(["train"]) == 1  # missing required --config
     assert cli.main(["no-such-command"]) == 1

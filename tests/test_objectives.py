@@ -9,15 +9,14 @@ from banditchain import (
     PairSample,
     SparseVector,
     brute_gradient,
-    ce_gradient,
+    ce_columns,
     distribution,
-    el_gradient,
+    el_columns,
     extract_features,
     feature_id,
     hamming_loss,
-    pair_expected_features,
     pair_feedback,
-    pr_gradient,
+    pr_columns,
     pr_sample_pair,
     posterior,
 )
@@ -35,6 +34,24 @@ def neg_probs(dist):
 def max_coord_diff(a, b):
     fids = a.support() | b.support()
     return max((abs(a[f] - b[f]) for f in fids), default=0.0)
+
+
+def el_sparse(post, y, delta):
+    return post.to_sparse(el_columns(post, y, delta))
+
+
+def pr_sparse(post, pair, delta_pair):
+    return post.to_sparse(pr_columns(post, pair, delta_pair))
+
+
+def ce_sparse(post, y, gain, clip_k=0.0):
+    return post.to_sparse(ce_columns(post, y, gain, clip_k))
+
+
+def pair_expected(post):
+    """E[phi(x, y_i) - phi(x, y_j)] of a pair posterior, keyed by id."""
+    under_w, under_neg = post.expected()
+    return post.to_sparse(under_w.add_scaled(under_neg, -1.0))
 
 
 def tv_distance(empirical, exact):
@@ -60,7 +77,7 @@ def test_clipping_config_validation(ab_model, fixed_instance, fixed_weights):
     post = posterior(ab_model, fixed_weights, fixed_instance)
     for clip_k in (1.0, -0.1):
         with pytest.raises(ValueError, match=r"clipping constant must be in \[0, 1\)"):
-            ce_gradient(post, ("A", "A", "A"), 0.5, clip_k=clip_k)
+            ce_sparse(post, ("A", "A", "A"), 0.5, clip_k=clip_k)
 
 
 # -- expected loss ------------------------------------------------------------------
@@ -68,27 +85,27 @@ def test_clipping_config_validation(ab_model, fixed_instance, fixed_weights):
 
 def test_el_gradient_zero_feedback(ab_model, fixed_instance, fixed_weights):
     post = posterior(ab_model, fixed_weights, fixed_instance)
-    grad = el_gradient(post, ("A", "B", "A"), 0.0)
+    grad = el_sparse(post, ("A", "B", "A"), 0.0)
     assert len(grad) == 0
 
 
 def test_el_gradient_uniform_single_position(ab_model):
     x = ChainInstance(tokens=("moss",))
-    grad = el_gradient(posterior(ab_model, SparseVector(), x), ("A",), 1.0)
+    grad = el_sparse(posterior(ab_model, SparseVector(), x), ("A",), 1.0)
     assert grad[feature_id("em0\x1fmoss\x1fA")] == pytest.approx(0.5, abs=1e-12)
     assert grad[feature_id("em0\x1fmoss\x1fB")] == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_el_gradient_rejects_out_of_range_delta(ab_model, fixed_instance, fixed_weights):
     with pytest.raises(ValueError, match="delta"):
-        el_gradient(posterior(ab_model, fixed_weights, fixed_instance), ("A", "B", "A"), 1.5)
+        el_sparse(posterior(ab_model, fixed_weights, fixed_instance), ("A", "B", "A"), 1.5)
 
 
 def test_el_scale_property(ab_model, fixed_instance, fixed_weights):
     y = ("B", "A", "A")
     post = posterior(ab_model, fixed_weights, fixed_instance)
-    base = el_gradient(post, y, 0.8)
-    half = el_gradient(post, y, 0.4)
+    base = el_sparse(post, y, 0.8)
+    half = el_sparse(post, y, 0.4)
     # 0.4 = 0.5 * 0.8 exactly in binary floating point
     assert half == base.scaled(0.5)
 
@@ -101,7 +118,7 @@ def test_el_unbiasedness(ab_model, fixed_instance):
         expect = SparseVector()
         for p, y in zip(dist.probs, dist.labelings):
             d = hamming_loss(fixed_instance.gold, y)
-            expect.add_scaled(el_gradient(post, y, d), float(p))
+            expect.add_scaled(el_sparse(post, y, d), float(p))
         target = brute_gradient(ObjectiveKind.EL, ab_model, w, [fixed_instance], hamming_loss)
         assert max_coord_diff(expect, target) <= 1e-10
 
@@ -110,13 +127,15 @@ def test_el_unbiasedness(ab_model, fixed_instance):
 
 
 def sample_pairs(post, size, rng):
-    """Batched pair draws, the way pr_sample_pair draws one: under w, then under -w."""
-    return post.sample_many(size, rng), post.negated().sample_many(size, rng)
+    """Batched draws of a pair posterior, as pr_sample_pair draws one: under w, then under -w."""
+    first, second = post.sample_many(size, rng)
+    return first, second
 
 
 def test_pair_sampler_uniform(ab_model, fixed_instance):
     first, second = sample_pairs(
-        posterior(ab_model, SparseVector(), fixed_instance), 200_000, np.random.default_rng(2)
+        posterior(ab_model, SparseVector(), fixed_instance, pair=True), 200_000,
+        np.random.default_rng(2)
     )
     counts = {}
     for f, s in zip(map(tuple, first.tolist()), map(tuple, second.tolist())):
@@ -137,7 +156,8 @@ def test_pair_sampler_matches_factorized_oracle(ab_model, fixed_instance, fixed_
         for yj, qj in zip(dist.labelings, q)
     }
     first, second = sample_pairs(
-        posterior(ab_model, fixed_weights, fixed_instance), 200_000, np.random.default_rng(4)
+        posterior(ab_model, fixed_weights, fixed_instance, pair=True), 200_000,
+        np.random.default_rng(4)
     )
     counts = {}
     for f, s in zip(map(tuple, first.tolist()), map(tuple, second.tolist())):
@@ -147,7 +167,7 @@ def test_pair_sampler_matches_factorized_oracle(ab_model, fixed_instance, fixed_
 
 
 def test_pair_sampler_determinism(ab_model, fixed_instance, fixed_weights):
-    post = posterior(ab_model, fixed_weights, fixed_instance)
+    post = posterior(ab_model, fixed_weights, fixed_instance, pair=True)
     pairs = [[pr_sample_pair(post, np.random.default_rng(9)) for _ in range(5)] for _ in range(2)]
     assert pairs[0] == pairs[1]
 
@@ -178,14 +198,15 @@ def test_pair_feedback_validation():
 
 def test_pr_gradient_zero_feedback(ab_model, fixed_instance, fixed_weights):
     pair = PairSample(("A", "A", "A"), ("B", "B", "B"))
-    assert len(pr_gradient(posterior(ab_model, fixed_weights, fixed_instance), pair, 0.0)) == 0
+    post = posterior(ab_model, fixed_weights, fixed_instance, pair=True)
+    assert len(pr_sparse(post, pair, 0.0)) == 0
 
 
 def test_pr_gradient_zero_weights_reduces_to_feature_gap(ab_model, fixed_instance):
-    post = posterior(ab_model, SparseVector(), fixed_instance)
-    assert len(pair_expected_features(post)) == 0
+    post = posterior(ab_model, SparseVector(), fixed_instance, pair=True)
+    assert len(pair_expected(post)) == 0
     pair = PairSample(("A", "A", "A"), ("B", "B", "B"))
-    grad = pr_gradient(post, pair, 0.5)
+    grad = pr_sparse(post, pair, 0.5)
     gap = extract_features(ab_model, fixed_instance, pair.first) - extract_features(
         ab_model, fixed_instance, pair.second
     )
@@ -198,7 +219,7 @@ def test_pr_unbiasedness(kind, ab_model, fixed_instance):
         w = random_instance_weights(ab_model, fixed_instance, seed)
         dist = distribution(ab_model, w, fixed_instance)
         q = neg_probs(dist)
-        post = posterior(ab_model, w, fixed_instance)
+        post = posterior(ab_model, w, fixed_instance, pair=True)
         deltas = [hamming_loss(fixed_instance.gold, y) for y in dist.labelings]
         expect = SparseVector()
         for pi, yi, di in zip(dist.probs, dist.labelings, deltas):
@@ -206,7 +227,7 @@ def test_pr_unbiasedness(kind, ab_model, fixed_instance):
                 fb = pair_feedback(di, dj, kind.pair_mode)
                 if fb == 0.0:
                     continue
-                grad = pr_gradient(post, PairSample(yi, yj), fb)
+                grad = pr_sparse(post, PairSample(yi, yj), fb)
                 expect.add_scaled(grad, float(pi * qj))
         target = brute_gradient(kind, ab_model, w, [fixed_instance], hamming_loss)
         assert max_coord_diff(expect, target) <= 1e-10
@@ -214,8 +235,8 @@ def test_pr_unbiasedness(kind, ab_model, fixed_instance):
 
 def test_pr_gradient_norm_bounded_by_pair_diameter(ab_model, fixed_instance, fixed_weights):
     dist = distribution(ab_model, fixed_weights, fixed_instance)
-    post = posterior(ab_model, fixed_weights, fixed_instance)
-    exp_pair = pair_expected_features(post)
+    post = posterior(ab_model, fixed_weights, fixed_instance, pair=True)
+    exp_pair = pair_expected(post)
     deltas = [hamming_loss(fixed_instance.gold, y) for y in dist.labelings]
     diameter = max(
         (
@@ -229,8 +250,8 @@ def test_pr_gradient_norm_bounded_by_pair_diameter(ab_model, fixed_instance, fix
     for yi, di in zip(dist.labelings, deltas):
         for yj, dj in zip(dist.labelings, deltas):
             pair = PairSample(yi, yj)
-            s_bin = pr_gradient(post, pair, pair_feedback(di, dj, "bin"))
-            s_cont = pr_gradient(post, pair, pair_feedback(di, dj, "cont"))
+            s_bin = pr_sparse(post, pair, pair_feedback(di, dj, "bin"))
+            s_cont = pr_sparse(post, pair, pair_feedback(di, dj, "cont"))
             assert s_bin.norm() <= diameter + 1e-12
             assert s_cont.norm() <= s_bin.norm() + 1e-12
 
@@ -240,15 +261,16 @@ def test_pr_gradient_norm_bounded_by_pair_diameter(ab_model, fixed_instance, fix
 
 def test_ce_gradient_zero_gain(ab_model, fixed_instance, fixed_weights):
     post = posterior(ab_model, fixed_weights, fixed_instance)
-    assert len(ce_gradient(post, ("A", "A", "A"), 0.0)) == 0
+    assert len(ce_sparse(post, ("A", "A", "A"), 0.0)) == 0
 
 
 def test_ce_gradient_clips_small_probabilities(ab_model):
     # p(A) = 1 / (1 + 9999) = 1e-4, below the clipping floor of 5e-3
     x = ChainInstance(tokens=("moss",))
     w = SparseVector({feature_id("em0\x1fmoss\x1fB"): math.log(9999.0)})
-    grad = ce_gradient(posterior(ab_model, w, x), ("A",), 0.5, clip_k=5e-3)
-    expected = posterior(ab_model, w, x).expected_features()
+    post = posterior(ab_model, w, x)
+    grad = ce_sparse(post, ("A",), 0.5, clip_k=5e-3)
+    expected = post.to_sparse(post.expected()[0])
     expected.add_scaled(extract_features(ab_model, x, ("A",)), -1.0)
     expected.scale(0.5 / 5e-3)
     assert max_coord_diff(grad, expected) <= 1e-12
@@ -262,8 +284,8 @@ def test_ce_gradient_names_underflowed_importance_weight(ab_model, weight):
     post = posterior(ab_model, SparseVector({feature_id("em0\x1ft\x1fA"): weight}), x)
     assert post.prob(("B", "B", "B")) < 2.3e-308
     with pytest.raises(FloatingPointError, match="underflowed; set clip_k > 0"):
-        ce_gradient(post, ("B", "B", "B"), 1.0)
-    assert len(ce_gradient(post, ("B", "B", "B"), 1.0, clip_k=1e-3)) > 0
+        ce_sparse(post, ("B", "B", "B"), 1.0)
+    assert len(ce_sparse(post, ("B", "B", "B"), 1.0, clip_k=1e-3)) > 0
 
 
 def test_ce_unbiasedness_without_clipping(ab_model, fixed_instance):
@@ -274,31 +296,31 @@ def test_ce_unbiasedness_without_clipping(ab_model, fixed_instance):
         expect = SparseVector()
         for p, y in zip(dist.probs, dist.labelings):
             gain = 1.0 - hamming_loss(fixed_instance.gold, y)
-            expect.add_scaled(ce_gradient(post, y, gain), float(p))
+            expect.add_scaled(ce_sparse(post, y, gain), float(p))
         target = brute_gradient(ObjectiveKind.CE, ab_model, w, [fixed_instance], hamming_loss)
         assert max_coord_diff(expect, target) <= 1e-10
 
 
 def _enumerated_variance(kind, model, x, w, clip_k=0.0):
     dist = distribution(model, w, x)
-    post = posterior(model, w, x)
+    post = posterior(model, w, x, pair=kind.is_pairwise)
     deltas = [hamming_loss(x.gold, y) for y in dist.labelings]
     if kind.is_pairwise:
         q = neg_probs(dist)
         weighted = [
-            (float(pi * qj), pr_gradient(post, PairSample(yi, yj),
+            (float(pi * qj), pr_sparse(post, PairSample(yi, yj),
                                          pair_feedback(di, dj, kind.pair_mode)))
             for pi, yi, di in zip(dist.probs, dist.labelings, deltas)
             for qj, yj, dj in zip(q, dist.labelings, deltas)
         ]
     elif kind is ObjectiveKind.EL:
         weighted = [
-            (float(p), el_gradient(post, y, d))
+            (float(p), el_sparse(post, y, d))
             for p, y, d in zip(dist.probs, dist.labelings, deltas)
         ]
     else:
         weighted = [
-            (float(p), ce_gradient(post, y, 1.0 - d, clip_k))
+            (float(p), ce_sparse(post, y, 1.0 - d, clip_k))
             for p, y, d in zip(dist.probs, dist.labelings, deltas)
         ]
     mean = SparseVector()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,22 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainerConfig(objective="ce", gamma=0.1, iterations=10, l2_lambda=-1.0).validate()
     TrainerConfig(objective="el", gamma=0.0, iterations=10).validate()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["gamma", "clip_k", "l2_lambda"])
+def test_non_finite_setting_is_rejected_before_any_data_is_read(field, value, tmp_path):
+    import json
+
+    from banditchain import DataError, load_config
+
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        TrainerConfig(**{"objective": "ce", "gamma": 0.1, "iterations": 10, field: value}).validate()
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"labels": ["A", "B"], "train_path": "missing.tsv",
+                                "dev_path": "missing.tsv", "objective": "ce", field: value}))
+    with pytest.raises(DataError, match=f"{field} must be finite"):
+        load_config(path)
 
 
 @pytest.mark.parametrize("key,value", [("lr_schedule", "constant"), ("use_transitions", True),
