@@ -183,7 +183,8 @@ class ChainModel:
         self._id_index: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._compiled: dict[ChainInstance, np.ndarray] = {}
         self._local: dict[ChainInstance, InstanceColumns] = {}
-        self._batch: Optional[tuple[tuple[ChainInstance, ...], np.ndarray, np.ndarray]] = None
+        # the last padded dataset: (instances, cols, lengths, memo)
+        self._batch: Optional[tuple[tuple[ChainInstance, ...], np.ndarray, np.ndarray, dict]] = None
         labels = alphabet.labels
         self.transition = self._intern_templates(
             [f"tr{_SEP}{a}{_SEP}{b}" for a in labels for b in labels]).reshape(len(labels), -1)
@@ -280,8 +281,36 @@ class ChainModel:
         block[:, live] = np.concatenate(
             [self.compile(x).transpose(2, 0, 1) for x in key], axis=1)
         cols = block.transpose(1, 2, 3, 0)
-        self._batch = (key, cols, lengths)
+        self._batch = (key, cols, lengths, {})
         return cols, lengths
+
+    def batch_memo(self, data: Sequence[ChainInstance]) -> dict:
+        """A dict kept with the cached batch of data, and dropped with it:
+        what a caller derives once per dataset (the gold label indices, the
+        gold chunk spans) lives here."""
+        self.compile_batch(data)
+        return self._batch[3]
+
+    def gold_indices(self, data: Sequence[ChainInstance]) -> Optional[np.ndarray]:
+        """The gold labelings of a dataset as label indices, a (B, n_max) int
+        array padded like ``compile_batch``'s (0 past each length); built on
+        first call and cached with the batch.
+
+        None when some gold label is not in the alphabet: such a dataset has
+        no index form.  Every instance must have a gold labeling.
+        """
+        memo = self.batch_memo(data)
+        if "gold" not in memo:
+            lengths = self._batch[2]
+            index = self.alphabet._index
+            flat = list(itertools.chain.from_iterable(x.gold for x in data))
+            gold = None
+            if all(map(index.__contains__, set(flat))):
+                gold = np.zeros((len(lengths), lengths.max()), dtype=np.intp)
+                gold[np.arange(gold.shape[1]) < lengths[:, None]] = np.fromiter(
+                    map(index.__getitem__, flat), np.intp, len(flat))
+            memo["gold"] = gold
+        return memo["gold"]
 
     def clear_cache(self) -> None:
         self._compiled.clear()
@@ -684,20 +713,30 @@ def _labelings(model: ChainModel, path: np.ndarray, lengths: np.ndarray) -> list
     return [tuple(row[:n]) for row, n in zip(named, lengths.tolist())]
 
 
-def map_decode_batch(
+def map_decode_paths(
     model: ChainModel, w: "SparseVector | np.ndarray", data: Sequence[ChainInstance]
-) -> list[tuple[str, ...]]:
-    """The Viterbi argmax of p_w(y|x) for every x in data, in data order.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(paths, lengths): the Viterbi argmax of p_w(y|x) for every x in data as
+    label indices, a (B, n_max) int array, and the (B,) instance lengths.
 
     One gather from the padded columns of ``model.compile_batch(data)``
     gives every lattice; one max-product pass decodes them all.  w is
-    converted once, after data is compiled.
+    converted once, after data is compiled.  Past its length a row repeats
+    its last label.  data must not be empty.
     """
-    if not data:
-        return []
     cols, lengths = model.compile_batch(data)
     w = model.to_columns(w)
-    return _labelings(model, _viterbi(w[cols].sum(axis=-1), w[model.transition], lengths), lengths)
+    return _viterbi(w[cols].sum(axis=-1), w[model.transition], lengths), lengths
+
+
+def map_decode_batch(
+    model: ChainModel, w: "SparseVector | np.ndarray", data: Sequence[ChainInstance]
+) -> list[tuple[str, ...]]:
+    """The Viterbi argmax of p_w(y|x) for every x in data, in data order:
+    ``map_decode_paths`` as label tuples."""
+    if not data:
+        return []
+    return _labelings(model, *map_decode_paths(model, w, data))
 
 
 def map_decode(

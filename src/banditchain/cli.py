@@ -17,7 +17,10 @@ import numpy as np
 from .chain import posterior
 from .chain import sample as sample_labeling  # noqa: F401  (perfbench's tracer checks this binding)
 from .checks import run_property_checks
-from .dataio import compare_report_files, load_config, read_checkpoint, read_dataset, write_report
+from .dataio import (
+    check_loss_labels, compare_report_files, load_config, read_checkpoint, read_dataset,
+    write_report,
+)
 from .feedback import loss_fn
 from .trainer import evaluate
 
@@ -103,10 +106,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     config = load_config(args.config)
+    check_loss_labels(args.loss or config.loss, config.labels)  # before the data is read
+    loss = loss_fn(args.loss or config.loss)
     model = config.model()
     w = read_checkpoint(args.checkpoint)
     data = read_dataset(args.data, model.alphabet)
-    loss = loss_fn(args.loss or config.loss)
     mean_loss = evaluate(model, w, data, loss)
     print(json.dumps({"instances": len(data), "mean_loss": mean_loss}))
     return 0

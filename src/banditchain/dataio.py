@@ -202,12 +202,7 @@ class RunConfig:
             raise DataError("config needs at least 2 labels")
         if not self.train_path or not self.dev_path:
             raise DataError("config needs train_path and dev_path")
-        if LossKind.parse(self.loss) is LossKind.CHUNK_F1:
-            for label in self.labels:
-                if not _BIO_LABEL.match(label):
-                    raise DataError(
-                        f"loss chunk-f1 needs BIO labels: label {label!r} is not a BIO tag"
-                    )
+        check_loss_labels(self.loss, self.labels)
         if self.lipschitz_pairs <= 0:
             raise DataError("lipschitz_pairs must be positive")
         try:
@@ -216,6 +211,17 @@ class RunConfig:
             raise DataError(str(exc)) from None
         if self.epoch_size is not None:
             _check_two_epochs(self.iterations, self.epoch_size)
+
+
+def check_loss_labels(loss: "str | LossKind", labels: Sequence[str]) -> None:
+    """A DataError unless the loss can score labelings over labels: chunk-f1
+    needs every label to be a BIO tag."""
+    if LossKind.parse(loss) is LossKind.CHUNK_F1:
+        for label in labels:
+            if not _BIO_LABEL.match(label):
+                raise DataError(
+                    f"loss chunk-f1 needs BIO labels: label {label!r} is not a BIO tag"
+                )
 
 
 def _check_two_epochs(iterations: int, epoch_size: int) -> None:
@@ -339,8 +345,10 @@ def run_train(config: RunConfig) -> dict:
     trajectory = train(config.trainer_config(), model, train_data, dev_data, oracle, w0=w0)
     best_t, best_w = select_best(trajectory)
     best_dev = min(trajectory.dev_losses)
+    # scored from the selected checkpoint's columns: best_w is what gets written
     test_loss = (
-        evaluate(model, best_w, test_data, oracle.loss) if test_data else None
+        evaluate(model, dict(trajectory.checkpoints)[best_t], test_data, oracle.loss)
+        if test_data else None
     )
     convergence = convergence_report(
         trajectory, n_pairs=config.lipschitz_pairs, seed=config.seed

@@ -10,7 +10,9 @@ from __future__ import annotations
 import re
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
 
 from .chain import ChainInstance
 from .objectives import PairSample, pair_feedback
@@ -41,6 +43,13 @@ def hamming_loss(gold: Labeling, pred: Labeling) -> float:
         raise ValueError(f"length mismatch: gold {len(gold)} vs pred {len(pred)}")
     mismatches = sum(1 for g, p in zip(gold, pred) if g != p)
     return mismatches / len(gold)
+
+
+def hamming_losses(gold: np.ndarray, pred: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``hamming_loss`` of each row of two padded (B, n_max) label-index
+    arrays, over the first lengths[b] positions of row b; bit-equal to it."""
+    live = np.arange(gold.shape[1]) < lengths[:, None]
+    return np.count_nonzero((gold != pred) & live, axis=1) / lengths
 
 
 @lru_cache(maxsize=1024)
@@ -106,6 +115,64 @@ def chunk_f1_loss(gold: Labeling, pred: Labeling) -> float:
     precision = tp / len(pred_spans)
     recall = tp / len(gold_spans)
     return 1.0 - 2.0 * precision * recall / (precision + recall)
+
+
+class SpanKeys(NamedTuple):
+    """The BIO spans of a batch of labelings, each as one int key."""
+
+    keys: np.ndarray  # ((row * n_max + start) * n_max + end) * L + type, ascending
+    rows: np.ndarray  # the row of each key
+    counts: np.ndarray  # spans per row, (B,)
+
+
+@lru_cache(maxsize=64)
+def _bio_tables(labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(is O, is B, type number) of each label index; ``ValueError`` as
+    ``bio_spans`` raises it when a label is not a BIO tag."""
+    tags = [_bio_tag(label) for label in labels]
+    types = {kind: t for t, kind in enumerate(dict.fromkeys(kind for _, kind in tags))}
+    return (np.array([tag == "O" for tag, _ in tags]),
+            np.array([tag == "B" for tag, _ in tags]),
+            np.array([types[kind] for _, kind in tags], dtype=np.int64))
+
+
+def bio_span_keys(paths: np.ndarray, lengths: np.ndarray, labels: Sequence[str]) -> SpanKeys:
+    """The spans ``bio_spans`` finds in each row of a padded (B, n_max)
+    label-index array, over the first lengths[b] positions of row b.
+
+    A span starts at a non-O label that is a B, comes first or follows an O
+    or another type; it ends where the next label is not its continuation.
+    """
+    is_o, is_b, type_of = _bio_tables(tuple(labels))
+    B, n_max = paths.shape
+    inside = ~is_o[paths] & (np.arange(n_max) < lengths[:, None])
+    kind = type_of[paths]
+    starts = inside & is_b[paths]
+    starts[:, 0] |= inside[:, 0]
+    starts[:, 1:] |= inside[:, 1:] & (~inside[:, :-1] | (kind[:, 1:] != kind[:, :-1]))
+    ends = inside.copy()
+    ends[:, :-1] &= ~(inside[:, 1:] & ~starts[:, 1:])
+    # spans do not overlap, so the k-th start and the k-th end in row-major
+    # order belong to the same span
+    first = np.flatnonzero(starts)
+    last = np.flatnonzero(ends) % n_max
+    rows = first // n_max
+    keys = (first * n_max + last) * len(labels) + kind.ravel()[first]
+    return SpanKeys(keys, rows, np.bincount(rows, minlength=B))
+
+
+def chunk_f1_losses(gold: SpanKeys, pred: SpanKeys) -> np.ndarray:
+    """``chunk_f1_loss`` of each row from the span keys of both sides;
+    bit-equal to it: the same IEEE operations in the same order."""
+    hit = np.isin(pred.keys, gold.keys, assume_unique=True)
+    tp = np.bincount(pred.rows[hit], minlength=len(pred.counts))
+    out = np.where((gold.counts == 0) & (pred.counts == 0), 0.0, 1.0)
+    ok = tp > 0
+    tp = tp[ok]
+    precision = tp / pred.counts[ok]
+    recall = tp / gold.counts[ok]
+    out[ok] = 1.0 - 2.0 * precision * recall / (precision + recall)
+    return out
 
 
 _LOSS_FNS: dict[LossKind, Callable[[Labeling, Labeling], float]] = {

@@ -77,6 +77,11 @@ def _check_unit_interval(name: str, value: float) -> float:
     return value
 
 
+def _require_pair(post: ChainPosterior) -> None:
+    if post.stack.trans.shape[0] != 2:
+        raise ValueError("the PR estimators need a pair posterior: posterior(..., pair=True)")
+
+
 def el_columns(post: ChainPosterior, y_sampled, delta: float) -> Optional[IndexedVector]:
     """Expected-loss stochastic gradient: delta * (phi(x, y~) - E_p[phi]).
 
@@ -95,6 +100,7 @@ def el_columns(post: ChainPosterior, y_sampled, delta: float) -> Optional[Indexe
 def pr_sample_pair(post: ChainPosterior, rng: np.random.Generator) -> PairSample:
     """Draw an ordered pair from a pair posterior: first from p_w(.|x),
     second from p_{-w}(.|x), in one sampler call."""
+    _require_pair(post)
     first, second = post.sample(rng)
     return PairSample(first=first, second=second)
 
@@ -124,6 +130,7 @@ def pr_columns(
     By the factorization of the pair model the expectation is the chain
     expectation under w less the one under -w; no sampling needed.
     """
+    _require_pair(post)
     delta_pair = _check_unit_interval("delta_pair", delta_pair)
     if delta_pair == 0.0:
         return None

@@ -20,9 +20,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .chain import ChainInstance, ChainModel, map_decode_batch, posterior
+from .chain import ChainInstance, ChainModel, _labelings, map_decode_paths, posterior
 from .chain import sample  # noqa: F401  (perfbench's tracer self-test checks this binding)
-from .feedback import FeedbackOracle
+from .feedback import (
+    FeedbackOracle, bio_span_keys, chunk_f1_loss, chunk_f1_losses, hamming_loss, hamming_losses,
+)
 from .objectives import ObjectiveKind, ce_columns, el_columns, pr_columns, pr_sample_pair
 from .sparse import SparseVector
 
@@ -118,15 +120,31 @@ def evaluate(
     w is a SparseVector or a column array of the model.  Every instance must
     have a gold labeling; that is checked before anything is decoded.  The
     whole dataset is decoded in one batched Viterbi pass
-    (``map_decode_batch``), and the losses are summed in dataset order.
+    (``map_decode_paths``).  Under ``hamming_loss`` and ``chunk_f1_loss``
+    (the very function objects) the paths are scored where they are, as label
+    indices against the gold indices cached with the batch; any other loss
+    gets each prediction as a label tuple.  The losses are summed as a left
+    fold in dataset order, from 0.0.
     """
     if not data:
         raise ValueError("empty evaluation set")
     if any(x.gold is None for x in data):
         raise ValueError("evaluation instance has no gold labeling")
+    paths, lengths = map_decode_paths(model, w, data)
+    gold = model.gold_indices(data) if loss is hamming_loss or loss is chunk_f1_loss else None
+    if gold is None:
+        losses = [loss(x.gold, y) for x, y in zip(data, _labelings(model, paths, lengths))]
+    elif loss is hamming_loss:
+        losses = hamming_losses(gold, paths, lengths).tolist()
+    else:
+        labels = model.alphabet.labels
+        memo = model.batch_memo(data)
+        if "gold spans" not in memo:
+            memo["gold spans"] = bio_span_keys(gold, lengths, labels)
+        losses = chunk_f1_losses(memo["gold spans"], bio_span_keys(paths, lengths, labels)).tolist()
     total = 0.0
-    for x, y in zip(data, map_decode_batch(model, w, data)):
-        total += loss(x.gold, y)
+    for value in losses:
+        total += value
     return total / len(data)
 
 

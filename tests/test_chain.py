@@ -676,7 +676,7 @@ def test_training_step_builds_one_lattice(objective, monkeypatch, synthetic_task
     builds = {"step": 0, "decode": 0}
     decodes = []
     phase = ["step"]
-    build, decode = chain_mod.build_lattice, trainer_mod.map_decode_batch
+    build, decode = chain_mod.build_lattice, trainer_mod.map_decode_paths
 
     def counting_build(*args):
         builds[phase[0]] += 1
@@ -691,7 +691,7 @@ def test_training_step_builds_one_lattice(objective, monkeypatch, synthetic_task
             phase[0] = "step"
 
     monkeypatch.setattr(chain_mod, "build_lattice", counting_build)
-    monkeypatch.setattr(trainer_mod, "map_decode_batch", decoding)
+    monkeypatch.setattr(trainer_mod, "map_decode_paths", decoding)
     cfg = TrainerConfig(objective=objective, gamma=0.1, iterations=30, seed=2, eval_every=30)
     train(cfg, model, train_data, dev_data[:5], FeedbackOracle("hamming"))
     # the dev set at t = 0 and t = 30: one batched decode each, no lattice built

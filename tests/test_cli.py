@@ -343,3 +343,46 @@ def test_diagnose_to_missing_directory_is_a_data_error(workdir, capsys):
                      "--out", str(tmp_path / "missing" / "x.json")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.fixture
+def ab_workdir(tmp_path):
+    """A hamming config over the non-BIO labels A, B, with a dataset and a checkpoint."""
+    (tmp_path / "data.tsv").write_text("x\tA\ny\tB\n\nz\tB\n", encoding="utf-8")
+    config = {"labels": ["A", "B"], "train_path": "data.tsv", "dev_path": "data.tsv"}
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    from banditchain import SparseVector, write_checkpoint
+
+    write_checkpoint(tmp_path / "model.ckpt", SparseVector())
+    return tmp_path, cfg_path
+
+
+def test_eval_chunk_f1_over_non_bio_labels_fails_before_reading_data(ab_workdir, capsys,
+                                                                     monkeypatch):
+    tmp_path, cfg_path = ab_workdir
+    reads = []
+    for name in ("read_checkpoint", "read_dataset"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name: reads.append(name))
+    code = cli.main(["eval", "--config", str(cfg_path), "--loss", "chunk-f1",
+                     "--checkpoint", str(tmp_path / "model.ckpt"),
+                     "--data", str(tmp_path / "data.tsv")])
+    assert code == cli.DATA_ERROR
+    assert capsys.readouterr().err == (
+        "error: loss chunk-f1 needs BIO labels: label 'A' is not a BIO tag\n")
+    assert reads == []
+
+
+def test_eval_and_config_reject_non_bio_labels_with_one_message(ab_workdir, capsys):
+    tmp_path, cfg_path = ab_workdir
+    paths = ["--checkpoint", str(tmp_path / "model.ckpt"), "--data", str(tmp_path / "data.tsv")]
+    # under its own loss, hamming, the config scores the data
+    assert cli.main(["eval", "--config", str(cfg_path), *paths]) == 0
+    # the empty checkpoint decodes all-A: losses 1/2 and 1
+    assert json.loads(capsys.readouterr().out) == {"instances": 2, "mean_loss": 0.75}
+    assert cli.main(["eval", "--config", str(cfg_path), "--loss", "chunk-f1", *paths]) == 2
+    from_flag = capsys.readouterr().err
+    config = json.loads(cfg_path.read_text(encoding="utf-8"))
+    cfg_path.write_text(json.dumps({**config, "loss": "chunk-f1"}), encoding="utf-8")
+    assert cli.main(["eval", "--config", str(cfg_path), *paths]) == 2
+    assert capsys.readouterr().err == from_flag

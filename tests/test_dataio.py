@@ -319,6 +319,23 @@ def test_run_train_writes_artifacts_and_is_consistent(tmp_path):
     assert evaluate(model, w, dev, FeedbackOracle(cfg.loss).loss) == pytest.approx(best_loss)
 
 
+@pytest.mark.parametrize("loss, objective", [("hamming", "el"), ("chunk-f1", "pr-cont"),
+                                             ("chunk-f1", "ce")])
+def test_run_train_test_loss_is_the_written_checkpoints(loss, objective, tmp_path):
+    from banditchain import evaluate, loss_fn
+
+    cfg = load_config(run_config(tmp_path, loss=loss, objective=objective, gamma=0.01,
+                                 iterations=60, eval_every=20))
+    report = run_train(cfg)
+    test_loss = report["summary"]["test_loss"]
+    # what `banditchain eval` computes from the written checkpoint, to the bit
+    model = cfg.model()
+    test = read_dataset(cfg.test_path, model.alphabet)
+    w = read_checkpoint(tmp_path / "model.ckpt")
+    assert 0.0 < test_loss < 1.0
+    assert test_loss.hex() == evaluate(model, w, test, loss_fn(loss)).hex()
+
+
 def test_run_train_deterministic_modulo_timestamp(tmp_path):
     cfg = load_config(run_config(tmp_path))
     a = run_train(cfg)

@@ -243,3 +243,101 @@ def test_non_bio_label_raises_the_same_message_every_time(bad):
         with pytest.raises(ValueError) as raised:
             chunk_f1_loss(("O", "O"), ("O", bad))
         assert str(raised.value) == str(expected.value)
+
+
+# -- batch forms ----------------------------------------------------------------------
+
+
+def padded(rows, labels, rng):
+    """(B, n_max) label indices of label tuples, with random labels past each
+    length, and the (B,) lengths."""
+    lengths = np.array([len(row) for row in rows])
+    out = rng.integers(len(labels), size=(len(rows), lengths.max()))
+    for b, row in enumerate(rows):
+        out[b, :len(row)] = [labels.index(lab) for lab in row]
+    return out, lengths
+
+
+def random_rows(labels, rng, count, max_len=12):
+    return [tuple(labels[i] for i in rng.integers(len(labels), size=int(rng.integers(1, max_len))))
+            for _ in range(count)]
+
+
+def key_spans(span_keys, labels, n_max):
+    """The span sets of a SpanKeys, one per row, with type names."""
+    kinds = list(dict.fromkeys(label.partition("-")[2] for label in labels))
+    out = [set() for _ in span_keys.counts]
+    for key, row in zip(span_keys.keys.tolist(), span_keys.rows.tolist()):
+        flat_start, kind = divmod(key, len(labels))
+        flat_start, end = divmod(flat_start, n_max)
+        assert flat_start // n_max == row
+        out[row].add((flat_start % n_max, end, kinds[kind]))
+    return out
+
+
+def assert_batch_scorers_are_bitwise(golds, preds, labels, rng):
+    from banditchain.feedback import bio_span_keys, chunk_f1_losses, hamming_losses
+
+    gold, lengths = padded(golds, labels, rng)
+    pred, _ = padded(preds, labels, rng)
+    expected = [hamming_loss(g, p).hex() for g, p in zip(golds, preds)]
+    assert [v.hex() for v in hamming_losses(gold, pred, lengths).tolist()] == expected
+    gold_keys, pred_keys = bio_span_keys(gold, lengths, labels), bio_span_keys(pred, lengths, labels)
+    assert key_spans(gold_keys, labels, gold.shape[1]) == [bio_spans(g) for g in golds]
+    assert key_spans(pred_keys, labels, pred.shape[1]) == [bio_spans(p) for p in preds]
+    expected = [chunk_f1_loss(g, p).hex() for g, p in zip(golds, preds)]
+    assert [v.hex() for v in chunk_f1_losses(gold_keys, pred_keys).tolist()] == expected
+
+
+@pytest.mark.parametrize("labels", [TYPED, UNTYPED])
+@pytest.mark.parametrize("seed", range(4))
+def test_batch_scorers_match_the_per_instance_losses_bitwise(labels, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        golds = random_rows(labels, rng, int(rng.integers(1, 40)))
+        preds = [tuple(labels[i] for i in rng.integers(len(labels), size=len(g)))
+                 for g in golds]
+        # half the predictions copy spans of the gold, so that hits and partial hits occur
+        preds = [tuple(g[i] if rng.random() < 0.5 else p[i] for i in range(len(g)))
+                 for g, p in zip(golds, preds)]
+        assert_batch_scorers_are_bitwise(golds, preds, labels, rng)
+
+
+EDGE_PAIRS = [
+    (("B-PER",), ("B-PER",)),  # n = 1
+    (("I-LOC",), ("O",)),  # n = 1, an empty predicted span set
+    (("O",), ("O",)),  # both empty
+    (("O", "O", "O"), ("O", "B-LOC", "O")),  # all-O gold: an empty gold span set
+    (("O", "I-PER", "I-PER", "O"), ("O", "B-PER", "I-PER", "O")),  # I after O
+    (("B-PER", "I-LOC", "I-LOC"), ("B-PER", "I-PER", "I-LOC")),  # I after another type
+    (("I-ORG", "B-ORG", "I-ORG"), ("B-ORG", "I-ORG", "I-ORG")),  # I first, B inside a chunk
+    (("B-PER", "I-PER", "O", "B-LOC"), ("O", "O", "O", "O")),  # all-O prediction
+]
+UNTYPED_EDGE_PAIRS = [
+    (("I", "O", "I", "I"), ("B", "O", "B", "I")),
+    (("B", "B", "I"), ("B", "I", "B")),
+    (("I",), ("B",)),
+    (("O", "O"), ("I", "I")),
+]
+
+
+@pytest.mark.parametrize("labels, pairs", [(TYPED, EDGE_PAIRS), (UNTYPED, UNTYPED_EDGE_PAIRS)])
+def test_batch_scorers_on_edge_labelings(labels, pairs):
+    rng = np.random.default_rng(1)
+    golds, preds = map(list, zip(*pairs))
+    assert_batch_scorers_are_bitwise(golds, preds, labels, rng)
+    assert_batch_scorers_are_bitwise(preds, golds, labels, rng)
+    for pair in pairs:  # each alone, as a batch of one
+        assert_batch_scorers_are_bitwise([pair[0]], [pair[1]], labels, rng)
+
+
+@pytest.mark.parametrize("bad", ["X", "O-PER", "B-"])
+def test_batch_spans_over_a_non_bio_alphabet_raise_as_bio_spans(bad):
+    from banditchain.feedback import bio_span_keys
+
+    with pytest.raises(ValueError) as expected:
+        bio_spans((bad,))
+    # the label need not occur: the alphabet holding it is enough
+    with pytest.raises(ValueError) as raised:
+        bio_span_keys(np.zeros((1, 2), dtype=np.intp), np.array([2]), ("O", bad))
+    assert str(raised.value) == str(expected.value)

@@ -202,6 +202,20 @@ def test_pr_gradient_zero_feedback(ab_model, fixed_instance, fixed_weights):
     assert len(pr_sparse(post, pair, 0.0)) == 0
 
 
+@pytest.mark.parametrize("delta_pair", [0.0, 0.5])
+def test_pr_on_a_one_chain_posterior_names_the_pair_posterior(
+        delta_pair, ab_model, fixed_instance, fixed_weights):
+    post = posterior(ab_model, fixed_weights, fixed_instance)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=r"posterior\(\.\.\., pair=True\)"):
+        pr_sample_pair(post, rng)
+    # rejected before any draw: the generator is untouched
+    assert rng.random() == np.random.default_rng(0).random()
+    pair = PairSample(("A", "A", "A"), ("B", "B", "B"))
+    with pytest.raises(ValueError, match=r"posterior\(\.\.\., pair=True\)"):
+        pr_columns(post, pair, delta_pair)
+
+
 def test_pr_gradient_zero_weights_reduces_to_feature_gap(ab_model, fixed_instance):
     post = posterior(ab_model, SparseVector(), fixed_instance, pair=True)
     assert len(pair_expected(post)) == 0

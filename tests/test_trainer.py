@@ -284,6 +284,84 @@ def test_evaluate_checks_every_gold_before_decoding(ab_alphabet):
     assert model.num_columns == 4
 
 
+def per_instance_mean(model, w, data, loss):
+    """evaluate's value from one decode per instance, summed as a left fold."""
+    from banditchain import map_decode
+
+    total = 0.0
+    for x in data:
+        total += loss(x.gold, map_decode(model, w, x))
+    return total / len(data)
+
+
+def random_weights(model, data, seed, scale):
+    for x in data:
+        model.compile(x)
+    return scale * np.random.default_rng(seed).standard_normal(model.num_columns)
+
+
+@pytest.mark.parametrize("kind", ["hamming", "chunk-f1"])
+def test_evaluate_scores_built_in_losses_without_label_tuples(kind, synthetic_task, monkeypatch):
+    import banditchain.trainer as trainer_mod
+    from banditchain import loss_fn
+
+    model, _, dev_data, test_data = synthetic_task
+    data = dev_data + test_data
+    for seed, scale in ((0, 0.3), (1, 3.0)):
+        w = random_weights(model, data, seed, scale)
+        expected = per_instance_mean(model, w, data, loss_fn(kind))
+        with monkeypatch.context() as patch:
+            patch.setattr(trainer_mod, "_labelings", lambda *a: pytest.fail("labelings built"))
+            for loss in (loss_fn(kind), FeedbackOracle(kind).loss):
+                assert evaluate(model, w, data, loss).hex() == expected.hex()
+
+
+def test_evaluate_gives_a_custom_loss_the_label_tuples(synthetic_task):
+    from banditchain import hamming_loss, map_decode
+
+    model, _, dev_data, _ = synthetic_task
+    w = random_weights(model, dev_data, 2, 1.0)
+    calls = []
+
+    def custom(gold, pred):
+        calls.append((gold, pred))
+        return hamming_loss(gold, pred)
+
+    value = evaluate(model, w, dev_data, custom)
+    assert calls == [(x.gold, map_decode(model, w, x)) for x in dev_data]
+    assert value.hex() == evaluate(model, w, dev_data, hamming_loss).hex()
+
+
+def test_evaluate_scores_a_gold_label_outside_the_alphabet_as_before(ab_model):
+    from banditchain import chunk_f1_loss, hamming_loss
+
+    data = [ChainInstance(tokens=("x", "y"), gold=("A", "Z")),
+            ChainInstance(tokens=("x",), gold=("A",))]
+    assert evaluate(ab_model, SparseVector(), data, hamming_loss) == 0.25
+    bio = ChainModel(LabelAlphabet(("O", "B", "I")))
+    data = [ChainInstance(tokens=("x", "y"), gold=("B-PER", "O"))]
+    assert evaluate(bio, SparseVector(), data, chunk_f1_loss) == 1.0
+
+
+def test_evaluate_sums_the_losses_as_a_left_fold(ab_model):
+    from banditchain import hamming_loss
+
+    # under zero weights every prediction is all-A, so instance i loses k_i / n_i
+    rng = np.random.default_rng(7)
+    data, losses = [], []
+    for n in rng.integers(1, 14, size=30).tolist():
+        k = int(rng.integers(0, n + 1))
+        data.append(ChainInstance(tokens=tuple(f"t{i}" for i in range(n)),
+                                  gold=("B",) * k + ("A",) * (n - k)))
+        losses.append(k / n)
+    left = 0.0
+    for value in losses:
+        left += value
+    # the precondition: numpy's pairwise sum rounds these losses differently
+    assert left / len(data) != float(np.sum(losses)) / len(data)
+    assert evaluate(ab_model, SparseVector(), data, hamming_loss) == left / len(data)
+
+
 def test_warm_start_checkpoint_zero_is_w0(tiny_task):
     model, train_data, dev_data = tiny_task
     w0 = SparseVector({feature_id("em0\x1fu\x1fA"): 0.7})
