@@ -234,6 +234,19 @@ def _check_two_epochs(iterations: int, epoch_size: int) -> None:
 
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+# the JSON value each RunConfig annotation takes, and its name; bool is no number
+_JSON_TYPES = {
+    "int": (lambda v: type(v) is int, "an integer"),
+    "Optional[int]": (lambda v: v is None or type(v) is int, "an integer or null"),
+    "float": (lambda v: type(v) in (int, float), "a number"),
+    "str": (lambda v: type(v) is str, "a string"),
+    "Optional[str]": (lambda v: v is None or type(v) is str, "a string or null"),
+    "tuple[str, ...]": (lambda v: isinstance(v, (list, tuple))
+                        and all(type(e) is str for e in v), "a list of strings"),
+    "tuple[int, ...]": (lambda v: isinstance(v, (list, tuple))
+                        and all(type(e) is int for e in v), "a list of integers"),
+}
+_FIELD_TYPES = {f.name: _JSON_TYPES[f.type] for f in dataclasses.fields(RunConfig)}
 _PATH_FIELDS = ("train_path", "dev_path", "test_path", "init_checkpoint",
                 "report_path", "checkpoint_path")
 
@@ -251,19 +264,30 @@ def _read_json_object(path: Path, what: str) -> dict:
     return raw
 
 
+def _check_types(values: dict, where: object) -> None:
+    """A DataError naming the first key whose value has the wrong JSON type."""
+    for key, value in values.items():
+        fits, what = _FIELD_TYPES[key]
+        if not fits(value):
+            raise DataError(f"{where}: config key {key!r} must be {what}, got {value!r}")
+
+
 def load_config(
     path: "str | Path", overrides: Optional[dict] = None
 ) -> RunConfig:
     """Load a run config; CLI overrides beat file values beat defaults.
 
     Relative paths in the file resolve against the file's directory;
-    override paths resolve against the current directory.
+    override paths resolve against the current directory.  Each value must
+    have its field's JSON type (an integer field takes no 2.0 or true, a
+    number field no "0.1"), checked before any value is used.
     """
     path = Path(path)
     raw = _read_json_object(path, "config")
     unknown = set(raw) - _CONFIG_FIELDS
     if unknown:
         raise DataError(f"{path}: unknown config keys {sorted(unknown)}")
+    _check_types(raw, path)
     base = path.parent
     for key in _PATH_FIELDS:
         if raw.get(key):
@@ -272,6 +296,7 @@ def load_config(
         unknown = set(overrides) - _CONFIG_FIELDS
         if unknown:
             raise DataError(f"unknown override keys {sorted(unknown)}")
+        _check_types({k: v for k, v in overrides.items() if v is not None}, "override")
         for key, value in overrides.items():
             if value is None:
                 continue

@@ -10,16 +10,15 @@ so runs with the same horizon and rate are directly comparable:
   (1/K) sum_k ||s_{kD} - mean||^2.
 
 They depend only on norms and differences, never on feature identities,
-and take the trainer's rows as they are: snapshots and epoch gradients are
-rows of (S, d) column arrays.  Every norm is a row-wide numpy pass with
-numpy's pairwise sums (not BLAS).
+and take rows of (S, d) arrays or the trainer's (columns, values) rows.
+Every norm is a row-wide numpy pass with numpy's pairwise sums (not BLAS).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -32,7 +31,7 @@ _REDRAW_LIMIT = 16
 @dataclass(frozen=True)
 class ConvergenceReport:
     grad_norm_sq_at_T: float
-    lipschitz_est: float
+    lipschitz_est: Optional[float]  # None: the snapshot weights never differed
     variance_est: float
     T: int
     D: int
@@ -60,32 +59,55 @@ def grad_norm_sq(trajectory: Trajectory, t: Optional[int] = None) -> float:
     return float(trajectory.scaled_norm_sq[t])
 
 
-def _distances(rows: np.ndarray, pairs: Sequence[tuple[int, int]]) -> list[float]:
-    """||rows[i] - rows[j]|| for each (i, j): a row-wide subtract and square
-    into one reused buffer, then numpy's pairwise sum (not BLAS)."""
-    diff = np.empty(rows.shape[1])
+class _NoWeightGap(ValueError):
+    """Every snapshot pair drawn had (nearly) identical weights."""
+
+
+def _entries(rows, columns: Optional[np.ndarray]) -> tuple[list, np.ndarray]:
+    """The rows as (where, values) pairs into a zeroed buffer one row wide, and
+    the buffer; ascending places in ``columns`` become a slice or a mask."""
+    if columns is None:
+        return [(slice(None), row) for row in rows], np.zeros(np.shape(rows)[1])
+    at = np.zeros(columns[-1] + 1 if len(columns) else 0, dtype=np.intp)
+    at[columns] = np.arange(len(columns))
     out = []
-    for i, j in pairs:
-        np.subtract(rows[i], rows[j], out=diff)
-        out.append(math.sqrt(np.add.reduce(np.square(diff, out=diff))))
-    return out
+    for cols, values in rows:
+        where = at[cols]
+        if len(where) > 1 and (where[1:] > where[:-1]).all():
+            full = len(where) == len(columns)
+            where = slice(None) if full else np.bincount(where, minlength=len(columns)) > 0
+        out.append((where, values))
+    return out, np.zeros(len(columns))
+
+
+def _distances(pairs: Sequence[tuple[int, int]], rows: list, buf: np.ndarray) -> Iterator[float]:
+    """||rows[i] - rows[j]|| for each (i, j), summed buffer-wide (numpy's pairwise sum, not BLAS)."""
+    for (at_i, values_i), (at_j, values_j) in [(rows[i], rows[j]) for i, j in pairs]:
+        if isinstance(at_i, slice) and isinstance(at_j, slice):  # both fill the buffer
+            np.subtract(values_i, values_j, out=buf)
+        else:
+            buf.fill(0.0)
+            buf[at_i] = values_i
+            buf[at_j] -= values_j
+        yield math.sqrt(np.add.reduce(np.square(buf, out=buf)))
 
 
 def lipschitz_estimate(
-    weights: np.ndarray,
-    grads: np.ndarray,
+    weights,
+    grads,
     n_pairs: int = 500,
     rng: Optional[np.random.Generator] = None,
+    columns: Optional[np.ndarray] = None,
 ) -> float:
     """Max gradient-difference to weight-difference ratio over snapshot pairs.
 
     Row i of ``weights`` (S, d) is a snapshot w_i and row i of ``grads`` the
-    gradient computed at it.  Draws n_pairs distinct-index pairs uniformly
-    (seeded via rng); when the pair budget covers every distinct pair the
-    estimator just evaluates all of them, which also makes it independent of
-    snapshot order.  Pairs of nearly identical weight vectors are redrawn a
-    bounded number of times, then skipped, so near-zero denominators never
-    produce spurious ratios.
+    gradient computed at it (or, given ``columns``, (columns, values) rows).
+    Draws n_pairs distinct-index pairs uniformly (seeded via rng); when the
+    pair budget covers every distinct pair the estimator just evaluates all
+    of them, which also makes it independent of snapshot order.  Pairs of
+    nearly identical weight vectors are redrawn a bounded number of times,
+    then skipped, so near-zero denominators never produce spurious ratios.
     """
     n = len(weights)
     if n < 2:
@@ -94,38 +116,44 @@ def lipschitz_estimate(
         raise ValueError("pair budget must be positive")
     if rng is None:
         rng = np.random.default_rng(0)
+    weights, buf = _entries(weights, columns)
 
     if n_pairs >= n * (n - 1) // 2:
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        gaps = _distances(weights, pairs)
+        gaps = _distances(pairs, weights, buf)
     else:
         pairs, gaps = [], []
         for _ in range(n_pairs):
             for _ in range(_REDRAW_LIMIT):
                 i, j = rng.choice(n, size=2, replace=False)
-                (gap,) = _distances(weights, [(i, j)])
+                (gap,) = _distances([(i, j)], weights, buf)
                 if gap >= _MIN_WEIGHT_GAP:
                     pairs.append((i, j))
                     gaps.append(gap)
                     break
     kept = [(pair, gap) for pair, gap in zip(pairs, gaps) if gap >= _MIN_WEIGHT_GAP]
     if not kept:
-        raise ValueError("all snapshots have identical weights; estimate undefined")
-    grad_gaps = _distances(grads, [pair for pair, _ in kept])
+        raise _NoWeightGap("all snapshots have identical weights; estimate undefined")
+    grad_gaps = _distances([pair for pair, _ in kept], *_entries(grads, columns))
     return max(g / gap for g, (_, gap) in zip(grad_gaps, kept))
 
 
-def variance_estimate(epoch_grads: np.ndarray) -> float:
+def variance_estimate(epoch_grads, columns: Optional[np.ndarray] = None) -> float:
     """Mean squared deviation of the epoch-boundary gradients from their mean.
 
-    Rows of ``epoch_grads`` (K, d) are the gradients; one vectorized pass.
+    The gradients are rows of a (K, d) array or (columns, values) rows over ``columns``.
     """
     k = len(epoch_grads)
     if k < 2:
         raise ValueError(f"need at least 2 epoch gradients, got {k}")
+    if columns is not None:
+        rows, _ = _entries(epoch_grads, columns)
+        epoch_grads = np.zeros((k, len(columns)))
+        for row, (at, values) in zip(epoch_grads, rows):
+            row[at] = values
     center = np.add.reduce(epoch_grads, axis=0) * (1.0 / k)
-    deviation = epoch_grads - center
-    return float(np.add.reduce(deviation * deviation, axis=None)) / k
+    deviation = np.subtract(epoch_grads, center, out=None if columns is None else epoch_grads)
+    return float(np.add.reduce(np.square(deviation, out=deviation), axis=None)) / k
 
 
 def convergence_report(
@@ -133,15 +161,20 @@ def convergence_report(
     n_pairs: int = 500,
     seed: int = 0,
 ) -> ConvergenceReport:
-    """Assemble all three estimates for one finished run."""
+    """Assemble all three estimates for one finished run; ``lipschitz_est``
+    is None when every snapshot pair has the same weights."""
     cfg = trajectory.config
+    try:
+        lipschitz = lipschitz_estimate(
+            trajectory.snapshot_weights, trajectory.snapshot_grads,
+            n_pairs=n_pairs, rng=np.random.default_rng(seed), columns=trajectory.row_columns,
+        )
+    except _NoWeightGap:  # the weights never moved: gamma = 0, or no feedback at any snapshot
+        lipschitz = None
     return ConvergenceReport(
         grad_norm_sq_at_T=grad_norm_sq(trajectory),
-        lipschitz_est=lipschitz_estimate(
-            trajectory.snapshot_weights, trajectory.snapshot_grads,
-            n_pairs=n_pairs, rng=np.random.default_rng(seed),
-        ),
-        variance_est=variance_estimate(trajectory.epoch_grads),
+        lipschitz_est=lipschitz,
+        variance_est=variance_estimate(trajectory.epoch_grads, trajectory.row_columns),
         T=cfg.iterations,
         D=trajectory.epoch_size,
         K=len(trajectory.epoch_grads),
@@ -189,10 +222,11 @@ def _family(objective: str) -> str:
 def compare_runs(reports: Sequence[ConvergenceReport]) -> ComparisonSummary:
     """Rank runs per metric and flag the variance ordering across objectives.
 
-    All reports must share T, gamma and D.  The variance_ordering entry
-    "a<b" is True when, for every seed present in both objective families,
-    the family-a run's variance estimate is strictly below family-b's
-    (pairwise-preference modes form one family).
+    All reports must share T, gamma and D; a None value (an undefined
+    Lipschitz estimate) is left out of its metric's ranking.  The
+    variance_ordering entry "a<b" is True when, for every seed present in
+    both objective families, the family-a run's variance estimate is
+    strictly below family-b's (pairwise-preference modes form one family).
     """
     if not reports:
         raise ValueError("no reports to compare")
@@ -206,7 +240,8 @@ def compare_runs(reports: Sequence[ConvergenceReport]) -> ComparisonSummary:
     summary = ComparisonSummary(T=T, gamma=gamma, D=D)
     for metric in _METRICS:
         ranked = sorted(
-            ((r.objective, r.seed, getattr(r, metric)) for r in reports),
+            ((r.objective, r.seed, getattr(r, metric)) for r in reports
+             if getattr(r, metric) is not None),
             key=lambda item: item[2],
         )
         summary.rankings[metric] = ranked

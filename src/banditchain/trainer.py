@@ -8,7 +8,7 @@ the cross-entropy objective).  The loop keeps the bookkeeping needed for
 online-to-batch selection and for the convergence estimators: per-step
 scaled gradient norms, full gradient vectors at epoch boundaries, a bounded
 reservoir of (weights, scaled gradient) snapshots, and periodic checkpoints
-with development-set scores.  All of them are column arrays of the model.
+with development-set scores, all over the model's columns.
 """
 
 from __future__ import annotations
@@ -76,10 +76,10 @@ class Trajectory:
     SparseVectors.  checkpoints[i] = (t, w_t) pairs with dev_losses[i];
     scaled_norm_sq[t] holds ||gamma * s_t||^2 for t = 1..T (index 0 is NaN).
     Row k of epoch_grads is the full scaled gradient gamma * s_t at the epoch
-    boundary t = epoch_steps[k].  Row i of snapshot_weights is a w_t and row i
-    of snapshot_grads the gamma * s_t computed at it; there are at most
-    config.snapshots rows.  These rows hold the model columns ``row_columns``:
-    every column at which some row is nonzero.
+    boundary t = epoch_steps[k].  Row i of snapshot_weights holds the nonzero
+    entries of a w_t and row i of snapshot_grads the gamma * s_t computed at
+    it; there are at most config.snapshots rows.  Each row is a (columns,
+    values) pair; ``row_columns`` is every column some row holds, sorted.
     """
 
     config: TrainerConfig
@@ -91,9 +91,9 @@ class Trajectory:
     sampled_losses: np.ndarray = field(default_factory=lambda: np.zeros(0))
     epoch_steps: list[int] = field(default_factory=list)
     row_columns: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
-    epoch_grads: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    snapshot_weights: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    snapshot_grads: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    epoch_grads: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    snapshot_weights: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    snapshot_grads: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     weights: np.ndarray = field(default_factory=lambda: np.zeros(0))
     feature_norm_bound: float = 0.0
 
@@ -182,21 +182,6 @@ def _stochastic_gradient(
     return post.local.columns[idx], values, loss
 
 
-def _rows(rows: list, columns: np.ndarray) -> np.ndarray:
-    """The rows as one (len(rows), len(columns)) array over the sorted model
-    columns given.  A row is a column array (a prefix of w) or a (columns,
-    values) pair; each list entry is released once copied."""
-    out = np.zeros((len(rows), len(columns)))
-    for r, row in enumerate(rows):
-        if isinstance(row, tuple):
-            out[r, np.searchsorted(columns, row[0])] = row[1]
-        else:
-            within = np.searchsorted(columns, len(row))
-            out[r, :within] = row[columns[:within]]
-        rows[r] = None
-    return out
-
-
 def train(
     config: TrainerConfig,
     model: ChainModel,
@@ -250,9 +235,6 @@ def train(
         sampled_losses=np.full(T + 1, np.nan),
         feature_norm_bound=r_bound,
     )
-    epoch_rows: list = []
-    snapshot_weights: list = []
-    snapshot_grads: list = []
     with np.errstate(over="ignore", invalid="ignore"):
         traj.checkpoints.append((0, w.copy()))
         traj.dev_losses.append(evaluate(model, w, dev_data, feedback_oracle.loss))
@@ -275,10 +257,11 @@ def train(
             traj.sampled_losses[t] = sampled_loss
             if t % epoch_size == 0:
                 traj.epoch_steps.append(t)
-                epoch_rows.append((cols, gamma * s))
-            if t % snapshot_stride == 0 and len(snapshot_weights) < config.snapshots:
-                snapshot_weights.append(w.copy())
-                snapshot_grads.append((cols, gamma * s))
+                traj.epoch_grads.append((cols, gamma * s))
+            if t % snapshot_stride == 0 and len(traj.snapshot_weights) < config.snapshots:
+                nonzero = np.flatnonzero(w != 0.0)
+                traj.snapshot_weights.append((nonzero, w[nonzero]))
+                traj.snapshot_grads.append((cols, gamma * s))
 
             if shrink != 1.0:
                 w *= shrink
@@ -292,18 +275,11 @@ def train(
                 traj.checkpoints.append((t, w.copy()))
                 traj.dev_losses.append(evaluate(model, w, dev_data, feedback_oracle.loss))
 
-    # a column that is zero in every row changes no norm or difference; in a
-    # wide model many are (dev-only tokens, instances no update touched), so
-    # the rows keep only the others
+    # the diagnostics skip columns no row holds (dev-only tokens, untouched instances)
     active = np.zeros(len(w), dtype=bool)
-    for row in snapshot_weights:
-        active[: len(row)] |= row != 0.0
-    for cols, _ in snapshot_grads + epoch_rows:
+    for cols, _ in traj.snapshot_weights + traj.snapshot_grads + traj.epoch_grads:
         active[cols] = True
     traj.row_columns = np.flatnonzero(active)
-    traj.epoch_grads = _rows(epoch_rows, traj.row_columns)
-    traj.snapshot_weights = _rows(snapshot_weights, traj.row_columns)
-    traj.snapshot_grads = _rows(snapshot_grads, traj.row_columns)
     traj.weights = w
     return traj
 

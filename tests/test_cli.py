@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import banditchain.cli as cli
-from banditchain import generate_chunk_instances, read_report, write_dataset
+from banditchain import generate_chunk_instances, read_report, write_dataset, write_report
 from banditchain.checks import CheckReport, CheckResult
 
 
@@ -386,3 +386,74 @@ def test_eval_and_config_reject_non_bio_labels_with_one_message(ab_workdir, caps
     cfg_path.write_text(json.dumps({**config, "loss": "chunk-f1"}), encoding="utf-8")
     assert cli.main(["eval", "--config", str(cfg_path), *paths]) == 2
     assert capsys.readouterr().err == from_flag
+
+
+def test_train_with_frozen_weights_writes_both_files(workdir, capsys):
+    # gamma = 0 never moves w, so every snapshot pair has the same weights
+    tmp_path, cfg_path = workdir
+    assert cli.main(["train", "--config", str(cfg_path), "--gamma", "0"]) == 0
+    assert (tmp_path / "model.ckpt").exists()
+    report = read_report(tmp_path / "report.json")
+    assert report["convergence"]["lipschitz_est"] is None
+    assert report["convergence"]["variance_est"] >= 0.0
+    # diagnose ranks the defined estimates and leaves the null one out
+    other = dict(report, convergence=dict(report["convergence"], objective="ce",
+                                          lipschitz_est=0.5))
+    write_report(tmp_path / "other.json", other)
+    capsys.readouterr()
+    code = cli.main(["diagnose", str(tmp_path / "report.json"), str(tmp_path / "other.json")])
+    assert code == 0
+    rankings = json.loads(capsys.readouterr().out)["rankings"]
+    assert rankings["lipschitz_est"] == [{"objective": "ce", "seed": 0, "value": 0.5}]
+    assert {r["objective"] for r in rankings["variance_est"]} == {"el", "ce"}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("gamma", "0.1"),  # a number field: no string
+    ("gamma", True),  # and no bool
+    ("iterations", 4000.5),  # an integer field: no float
+    ("iterations", 40.0),
+    ("seed", False),  # no bool
+    ("snapshots", "4"),  # no string
+    ("epoch_size", 10.0),  # an integer-or-null field
+    ("labels", "OBI"),  # a list of strings
+    ("labels", ["O", "B", 3]),
+    ("emission_offsets", [0, 1.0]),  # a list of integers
+    ("emission_offsets", 0),
+    ("train_path", 7),  # a path: a string
+    ("test_path", ["test.tsv"]),  # a string or null
+    ("report_path", None),  # a path the run writes: a string
+    ("loss", 1),
+])
+def test_config_value_of_the_wrong_json_type_is_a_data_error(workdir, capsys, monkeypatch,
+                                                            key, value):
+    tmp_path, cfg_path = workdir
+    config = json.loads(cfg_path.read_text())
+    config[key] = value
+    cfg_path.write_text(json.dumps(config))
+    from banditchain import dataio
+
+    reads = []
+    monkeypatch.setattr(dataio, "read_dataset", lambda *a: reads.append(a))
+    assert cli.main(["train", "--config", str(cfg_path)]) == cli.DATA_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg_path}: config key {key!r} must be ")
+    assert err.endswith(f", got {value!r}\n")
+    assert reads == []
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("gamma", 1),  # a number field takes an integer
+    ("clip_k", 0),
+    ("test_path", None),  # an optional path takes null
+    ("epoch_size", None),
+    ("emission_offsets", [-1, 0, 1]),
+])
+def test_config_values_of_an_accepted_json_type_train(workdir, key, value):
+    tmp_path, cfg_path = workdir
+    config = json.loads(cfg_path.read_text())
+    config[key] = value
+    cfg_path.write_text(json.dumps(config))
+    assert cli.main(["train", "--config", str(cfg_path)]) == 0
+    assert read_report(tmp_path / "report.json")["config"][key] == value

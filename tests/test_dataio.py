@@ -394,3 +394,10 @@ def test_compare_report_files_three_seed_pr_vs_ce(tmp_path):
     assert set(summary["rankings"]) == {"grad_norm_sq_at_T", "lipschitz_est", "variance_est"}
     assert len(summary["rankings"]["variance_est"]) == 6
     assert "pr<ce" in summary["variance_ordering"]
+
+
+def test_config_override_of_the_wrong_type_is_rejected_by_key(tmp_path):
+    path = minimal_config(tmp_path)
+    with pytest.raises(DataError, match="override: config key 'iterations' must be an integer"):
+        load_config(path, overrides={"iterations": 2.5})
+    assert load_config(path, overrides={"iterations": 20}).iterations == 20

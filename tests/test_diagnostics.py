@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -338,3 +341,155 @@ def test_compare_runs_summary_serializes():
     assert d["T"] == 100
     assert {r["objective"] for r in d["rankings"]["variance_est"]} == {"el", "ce"}
     assert d["variance_ordering"] == {"el<ce": True}
+
+
+# -- (columns, values) rows against the dense-array path, bit for bit ---------------------
+
+
+def dense_rows(rows, columns):
+    """The rows as one (len(rows), len(columns)) array: a row is a column
+    array (a prefix of w) or a (columns, values) pair."""
+    out = np.zeros((len(rows), len(columns)))
+    for r, row in enumerate(rows):
+        if isinstance(row, tuple):
+            out[r, np.searchsorted(columns, row[0])] = row[1]
+        else:
+            within = np.searchsorted(columns, len(row))
+            out[r, :within] = row[columns[:within]]
+    return out
+
+
+def dense_distances(rows, pairs):
+    diff = np.empty(rows.shape[1])
+    out = []
+    for i, j in pairs:
+        np.subtract(rows[i], rows[j], out=diff)
+        out.append(math.sqrt(np.add.reduce(np.square(diff, out=diff))))
+    return out
+
+
+def dense_lipschitz(weights, grads, n_pairs, rng):
+    n = len(weights)
+    if n_pairs >= n * (n - 1) // 2:
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        gaps = dense_distances(weights, pairs)
+    else:
+        pairs, gaps = [], []
+        for _ in range(n_pairs):
+            for _ in range(16):
+                i, j = rng.choice(n, size=2, replace=False)
+                (gap,) = dense_distances(weights, [(i, j)])
+                if gap >= 1e-12:
+                    pairs.append((i, j))
+                    gaps.append(gap)
+                    break
+    kept = [(pair, gap) for pair, gap in zip(pairs, gaps) if gap >= 1e-12]
+    grad_gaps = dense_distances(grads, [pair for pair, _ in kept])
+    return max(g / gap for g, (_, gap) in zip(grad_gaps, kept))
+
+
+def dense_variance(epoch_grads):
+    k = len(epoch_grads)
+    center = np.add.reduce(epoch_grads, axis=0) * (1.0 / k)
+    deviation = epoch_grads - center
+    return float(np.add.reduce(deviation * deviation, axis=None)) / k
+
+
+def trainer_rows(rng, scale, layout):
+    """(w prefixes, their (nonzero columns, values), gradient rows), shaped as
+    the trainer records them: w grows with the model's columns, gradient
+    columns come in entry order, not sorted."""
+    width, snapshots = 300, 12
+    weights, grads = [], []
+    for s in range(snapshots):
+        w = np.zeros(width // 2 + s * width // (2 * snapshots))
+        if layout == "dense":  # a CE run: every column of w changes at every step
+            w[:] = scale * rng.normal(size=len(w))
+        else:
+            lo = 0 if layout == "overlapping" else s * len(w) // snapshots
+            hit = rng.integers(lo, len(w), size=len(w) // 3)
+            w[hit] = scale * rng.normal(size=len(hit))
+        weights.append(w)
+        cols = rng.permutation(width)[: int(rng.integers(0, 40))]
+        grads.append((cols, scale * rng.normal(size=len(cols))))
+    weights[3] = weights[2].copy()  # equal weights: a pair to redraw or skip
+    grads[5] = (np.zeros(0, dtype=np.intp), np.zeros(0))  # a zero-feedback step
+    return weights, [(np.flatnonzero(w != 0.0), w[w != 0.0]) for w in weights], grads
+
+
+@pytest.mark.parametrize("layout", ["overlapping", "disjoint", "dense"])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("n_pairs", [66, 500, 20])  # every pair (12 * 11 / 2 = 66), drawn pairs
+def test_column_rows_give_the_dense_paths_bits(layout, scale, n_pairs):
+    rng = np.random.default_rng(int(scale * 1000) + n_pairs)
+    dense_w, weights, grads = trainer_rows(rng, scale, layout)
+    epochs = grads[::3]
+    active = np.zeros(300, dtype=bool)
+    for cols, _ in weights + grads:
+        active[cols] = True
+    columns = np.flatnonzero(active)
+    expected = dense_lipschitz(dense_rows(dense_w, columns), dense_rows(grads, columns),
+                               n_pairs, np.random.default_rng(7))
+    got = lipschitz_estimate(weights, grads, n_pairs=n_pairs, rng=np.random.default_rng(7),
+                             columns=columns)
+    assert got.hex() == expected.hex()
+    expected = dense_variance(dense_rows(epochs, columns))
+    assert variance_estimate(epochs, columns).hex() == expected.hex()
+
+
+def test_column_rows_skip_identical_weights_as_the_dense_path():
+    rng = np.random.default_rng(3)
+    w = rng.normal(size=20)
+    weights = [(np.arange(20), w)] * 3 + [(np.arange(20), w + 1.0)]
+    grads = [(np.array([4, 1]), rng.normal(size=2)) for _ in range(4)]
+    columns = np.arange(20)
+    for n_pairs in (6, 2):  # every pair, and draws that hit the equal pairs
+        expected = dense_lipschitz(dense_rows(weights, columns), dense_rows(grads, columns),
+                                   n_pairs, np.random.default_rng(1))
+        got = lipschitz_estimate(weights, grads, n_pairs, np.random.default_rng(1), columns)
+        assert got.hex() == expected.hex()
+    with pytest.raises(ValueError, match="identical"):
+        lipschitz_estimate(weights[:3], grads[:3], columns=columns)
+
+
+@pytest.mark.parametrize("objective", ["el", "pr-cont", "ce"])
+def test_convergence_report_gives_the_dense_paths_bits(objective):
+    from banditchain import chunk_alphabet, generate_chunk_instances
+
+    data = generate_chunk_instances(40, np.random.default_rng(5))
+    model = ChainModel(chunk_alphabet())
+    gamma = 5e-3 if objective == "ce" else 0.1
+    cfg = TrainerConfig(objective=objective, gamma=gamma, iterations=300, seed=2,
+                        epoch_size=30, eval_every=300, snapshots=16, l2_lambda=1e-3)
+    traj = train(cfg, model, data, data[:8], FeedbackOracle("hamming"))
+    report = convergence_report(traj, n_pairs=50, seed=4)
+    columns = traj.row_columns
+    full = [np.zeros(columns[-1] + 1) for _ in traj.snapshot_weights]
+    for w, (cols, values) in zip(full, traj.snapshot_weights):
+        w[cols] = values
+    expected = dense_lipschitz(dense_rows(full, columns), dense_rows(traj.snapshot_grads, columns),
+                               50, np.random.default_rng(4))
+    assert report.lipschitz_est.hex() == expected.hex()
+    expected = dense_variance(dense_rows(traj.epoch_grads, columns))
+    assert report.variance_est.hex() == expected.hex()
+
+
+# -- runs whose snapshot weights never differ ------------------------------------------------
+
+
+def test_frozen_run_reports_an_undefined_lipschitz_estimate(tiny_run):
+    traj = tiny_run(gamma=0.0, iterations=20)
+    report = convergence_report(traj, n_pairs=5)
+    assert report.lipschitz_est is None
+    assert report.variance_est == 0.0  # the scaled gradients gamma * s_t are 0 too
+    assert ConvergenceReport.from_dict(report.to_dict()) == report
+    with pytest.raises(ValueError, match="identical"):  # a direct call still raises
+        lipschitz_estimate(traj.snapshot_weights, traj.snapshot_grads, columns=traj.row_columns)
+
+
+def test_compare_runs_leaves_an_undefined_estimate_out_of_its_ranking():
+    frozen = dataclasses.replace(make_report("el", 0, 1e-3), lipschitz_est=None)
+    summary = compare_runs([frozen, make_report("ce", 0, 1.0)])
+    assert summary.rankings["lipschitz_est"] == [("ce", 0, 1.0)]
+    assert [o for o, _, _ in summary.rankings["variance_est"]] == ["el", "ce"]
+    assert summary.variance_ordering == {"el<ce": True}

@@ -66,10 +66,10 @@ def test_update_rule_without_regularization(tiny_task):
         objective="el", gamma=gamma, iterations=1, seed=3, epoch_size=1, eval_every=1
     )
     traj = train(cfg, model, train_data, dev_data, FeedbackOracle("hamming"))
-    (t,), (scaled_s,) = traj.epoch_steps, traj.epoch_grads
+    (t,), ((columns, scaled_s),) = traj.epoch_steps, traj.epoch_grads
     assert t == 1
     # w_1 = w_0 - gamma * s_1 with w_0 = 0, and scaled_s is exactly gamma * s_1
-    assert traj.final_weights == model.to_sparse(scaled_s, traj.row_columns).scaled(-1.0)
+    assert traj.final_weights == model.to_sparse(scaled_s, columns).scaled(-1.0)
 
 
 def test_ce_regularization_shrinks_weights(tiny_task):
@@ -405,3 +405,58 @@ def test_seed_zero_run_matches_golden_digest(objective, synthetic_task):
     )
     traj = train(cfg, model, train_data, dev_data, FeedbackOracle("hamming"))
     assert trajectory_digest(traj) == GOLDEN_DIGESTS[objective]
+
+
+def typed_bio_task(count, rng, vocab=400):
+    """Typed BIO sentences (L = 9) over a long-tailed vocabulary."""
+    types = ("PER", "LOC", "ORG", "MISC")
+    labels = ("O",) + tuple(f"{tag}-{t}" for t in types for tag in ("B", "I"))
+    data = []
+    for _ in range(count):
+        tags, kind = [], None
+        for _ in range(int(rng.integers(8, 16))):
+            u = rng.random()
+            if kind is not None and u < 0.45:
+                tags.append(f"I-{kind}")
+            elif u < 0.75:
+                tags.append("O")
+                kind = None
+            else:
+                kind = types[int(rng.integers(len(types)))]
+                tags.append(f"B-{kind}")
+        tokens = tuple(f"t{int(vocab * rng.random() ** 2)}" for _ in tags)
+        data.append(ChainInstance(tokens=tokens, gold=tuple(tags)))
+    return labels, data
+
+
+def test_snapshot_rows_cost_their_nonzeros():
+    rng = np.random.default_rng(13)
+    labels, data = typed_bio_task(300, rng)
+    model = ChainModel(LabelAlphabet(labels), emission_offsets=(-1, 0, 1))
+    cfg = TrainerConfig(objective="pr-cont", gamma=0.1, iterations=256, seed=1, epoch_size=32,
+                        eval_every=256)
+    traj = train(cfg, model, data[:250], data[250:], FeedbackOracle("chunk-f1"))
+    rows = traj.snapshot_weights + traj.snapshot_grads + traj.epoch_grads
+    assert len(traj.snapshot_weights) == len(traj.snapshot_grads) == 64
+    assert len(traj.epoch_grads) == 8
+
+    def footprint(a):  # the bytes an array keeps alive
+        while a.base is not None:
+            a = a.base
+        return a.nbytes
+
+    entries = 0
+    for cols, values in rows:
+        assert cols.ndim == values.ndim == 1 and len(cols) == len(values)
+        assert cols.dtype == np.intp and values.dtype == np.float64
+        assert footprint(cols) + footprint(values) == 16 * len(cols)
+        entries += len(cols)
+    for cols, values in traj.snapshot_weights:
+        assert np.all(values != 0.0) and np.all(cols[1:] > cols[:-1])
+    # no field holds a dense (S, a) array: the rows hold far fewer entries
+    width = len(traj.row_columns)
+    assert not any(isinstance(v, np.ndarray) and v.ndim == 2 for v in vars(traj).values())
+    assert entries < 0.7 * len(rows) * width
+    # every column some row holds, and no other
+    held = np.unique(np.concatenate([cols for cols, _ in rows]))
+    assert np.array_equal(traj.row_columns, held)
