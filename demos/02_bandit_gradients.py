@@ -15,7 +15,6 @@ drops, unbiasedness goes.
 """
 
 import numpy as np
-from scipy.special import logsumexp
 
 import banditchain as bc
 from banditchain import ObjectiveKind, PairSample, SparseVector
@@ -35,7 +34,7 @@ def enumerate_expectation(kind, model, x, w, clip_k=0.0):
         for p, y, d in zip(dist.probs, dist.labelings, deltas):
             expect.add_scaled(post.to_sparse(bc.el_columns(post, y, d)), float(p))
     elif kind.is_pairwise:
-        q = np.exp(-dist.scores - logsumexp(-dist.scores))
+        q = dist.neg_probs
         for pi, yi, di in zip(dist.probs, dist.labelings, deltas):
             for qj, yj, dj in zip(q, dist.labelings, deltas):
                 fb = bc.pair_feedback(di, dj, kind.pair_mode)

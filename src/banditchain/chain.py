@@ -49,13 +49,13 @@ def feature_id(template: str) -> int:
     Ids depend only on the template text, so they are identical across runs
     and processes; checkpoints keyed by id stay portable.
     """
-    digest = hashlib.blake2b(template.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big") >> 1
+    return _feature_ids([template])[0]
 
 
 def _feature_ids(templates: Sequence[str]) -> list[int]:
-    """``feature_id`` of each template, the whole batch hashed at C level:
-    one joined string of 8-byte big-endian digests, read as one array."""
+    """The feature id of each template: its UTF-8 bytes' 8-byte blake2b
+    digest, read big-endian and shifted right by one.  The whole batch is
+    hashed at C level into one joined string, read as one array."""
     raw = b"".join(map(methodcaller("digest"), map(
         partial(hashlib.blake2b, digest_size=8), map(str.encode, templates))))
     return (np.frombuffer(raw, ">u8") >> 1).tolist()
@@ -727,16 +727,6 @@ def map_decode_paths(
     cols, lengths = model.compile_batch(data)
     w = model.to_columns(w)
     return _viterbi(w[cols].sum(axis=-1), w[model.transition], lengths), lengths
-
-
-def map_decode_batch(
-    model: ChainModel, w: "SparseVector | np.ndarray", data: Sequence[ChainInstance]
-) -> list[tuple[str, ...]]:
-    """The Viterbi argmax of p_w(y|x) for every x in data, in data order:
-    ``map_decode_paths`` as label tuples."""
-    if not data:
-        return []
-    return _labelings(model, *map_decode_paths(model, w, data))
 
 
 def map_decode(

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -233,12 +234,20 @@ def _check_two_epochs(iterations: int, epoch_size: int) -> None:
         )
 
 
+def _is_float(value: object) -> bool:
+    """A JSON float, or an integer that a float can hold; bool is no number."""
+    try:
+        return type(value) is float or type(value) is int and math.isfinite(value)
+    except OverflowError:  # an integer past the float range
+        return False
+
+
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 # the JSON value each RunConfig annotation takes, and its name; bool is no number
 _JSON_TYPES = {
     "int": (lambda v: type(v) is int, "an integer"),
     "Optional[int]": (lambda v: v is None or type(v) is int, "an integer or null"),
-    "float": (lambda v: type(v) in (int, float), "a number"),
+    "float": (_is_float, "a number in float range"),
     "str": (lambda v: type(v) is str, "a string"),
     "Optional[str]": (lambda v: v is None or type(v) is str, "a string or null"),
     "tuple[str, ...]": (lambda v: isinstance(v, (list, tuple))

@@ -5,7 +5,7 @@ summing directly over them, deliberately avoiding the lattice dynamic
 programs: scores come from explicit feature extraction and dot products, the
 partition function from a flat log-sum-exp over all scores.  That makes this
 module an independent reference against which the fast paths and every
-stochastic gradient estimate are certified.
+stochastic gradient estimate are certified, sharing none of their code.
 """
 
 from __future__ import annotations
@@ -32,6 +32,18 @@ class OracleBudget:
     def __post_init__(self):
         if self.max_outputs <= 0:
             raise ValueError("budget cap must be positive")
+
+
+def logsumexp(a) -> float:
+    """log(sum(exp(a))) over every entry of a finite real array, as
+    log1p(s / m) + log(m) + top: the m entries equal to the maximum top are
+    split out of the sum, and s sums exp(a - top) over the rest."""
+    a = np.asarray(a, dtype=float)
+    top = a.max()
+    at_top = a == top
+    m = float(np.count_nonzero(at_top))
+    s = np.exp(np.where(at_top, -np.inf, a) - top).sum() / m
+    return float(np.log1p(s) + np.log(m) + top)
 
 
 class BudgetExceededError(ValueError):
@@ -66,6 +78,12 @@ class EnumeratedDistribution:
     log_z: float
     probs: np.ndarray
 
+    @property
+    def neg_probs(self) -> np.ndarray:
+        """p_{-w}(y|x) for every labeling, the ordered-pair model's second factor."""
+        neg = -self.scores
+        return np.exp(neg - logsumexp(neg))
+
     def expected_features(self) -> SparseVector:
         acc = SparseVector()
         for p, phi in zip(self.probs, self.phis):
@@ -80,11 +98,10 @@ def distribution(
     budget: OracleBudget = OracleBudget(),
 ) -> EnumeratedDistribution:
     """Scores, log Z and probabilities for every labeling, by direct summation."""
-    from scipy.special import logsumexp  # loaded by the oracle alone, not on import
     labelings = enumerate_outputs(model, x, budget)
     phis = [extract_features(model, x, y) for y in labelings]
     scores = np.array([w.dot(phi) for phi in phis])
-    log_z = float(logsumexp(scores))
+    log_z = logsumexp(scores)
     probs = np.exp(scores - log_z)
     return EnumeratedDistribution(
         labelings=labelings, phis=phis, scores=scores, log_z=log_z, probs=probs
@@ -104,10 +121,9 @@ def pair_distribution(
     i = j.  Computed without the product shortcut so it can certify the
     factorization into p_w(y_i|x) * p_{-w}(y_j|x).
     """
-    from scipy.special import logsumexp
     dist = distribution(model, w, x, budget)
     gaps = dist.scores[:, None] - dist.scores[None, :]
-    log_pair_z = float(logsumexp(gaps))
+    log_pair_z = logsumexp(gaps)
     return dist.labelings, np.exp(gaps - log_pair_z)
 
 
@@ -154,7 +170,6 @@ def brute_objective(
     cross-entropy objective uses the unnormalized gain g = 1 - delta, i.e.
     -sum_y g(y) log p_w(y|x).
     """
-    from scipy.special import logsumexp
     kind = ObjectiveKind.parse(kind)
     if not data:
         raise ValueError("empty dataset")
@@ -165,8 +180,7 @@ def brute_objective(
         if kind is ObjectiveKind.EL:
             total += float(np.dot(deltas, dist.probs))
         elif kind.is_pairwise:
-            neg_scores = -dist.scores
-            q = np.exp(neg_scores - logsumexp(neg_scores))
+            q = dist.neg_probs
             pair_losses = _pair_loss_matrix(deltas, kind.pair_mode)
             total += float(dist.probs @ pair_losses @ q)
         else:
@@ -185,7 +199,6 @@ def brute_gradient(
     budget: OracleBudget = OracleBudget(),
 ) -> SparseVector:
     """Exact gradient of brute_objective by enumeration."""
-    from scipy.special import logsumexp
     kind = ObjectiveKind.parse(kind)
     if not data:
         raise ValueError("empty dataset")
@@ -202,8 +215,7 @@ def brute_gradient(
                 grad.add_scaled(phi, scale * float(wt))
             grad.add_scaled(exp_phi, -scale * float(weights.sum()))
         elif kind.is_pairwise:
-            neg_scores = -dist.scores
-            q = np.exp(neg_scores - logsumexp(neg_scores))
+            q = dist.neg_probs
             pair_losses = _pair_loss_matrix(deltas, kind.pair_mode)
             # sum_{ij} D_ij p_i q_j ((phi_i - phi_j) - E_pair[phi])
             first_w = dist.probs * (pair_losses @ q)

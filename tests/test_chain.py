@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -134,11 +135,11 @@ def test_collision_detection(monkeypatch):
 
 
 def test_transition_ids_hashed_once_per_model(monkeypatch):
+    w = SparseVector({feature_id("tr\x1fB\x1fC"): 1.5})  # hashed before the count starts
     hashed = []
     real = chain_mod._feature_ids
     monkeypatch.setattr(chain_mod, "_feature_ids", lambda ts: hashed.extend(ts) or real(ts))
     model = ChainModel(LabelAlphabet(("A", "B", "C")))
-    w = SparseVector({feature_id("tr\x1fB\x1fC"): 1.5})
     lattices = [build_lattice(model, w, ChainInstance(tokens=toks))
                 for toks in (("a", "b", "c"), ("d", "e"))]
     assert sum(t.startswith("tr") for t in hashed) == 9
@@ -560,6 +561,11 @@ def mixed_length_task(num_labels, offsets, scale, seed):
     return model, data, SparseVector(dict(zip(fids, values.tolist())))
 
 
+def decode_batch(model, w, data):
+    """The batched Viterbi paths of data as label tuples."""
+    return chain_mod._labelings(model, *chain_mod.map_decode_paths(model, w, data))
+
+
 @pytest.mark.parametrize("num_labels", [3, 9])
 @pytest.mark.parametrize("offsets", [(0,), (-1, 0, 1)])
 @pytest.mark.parametrize("scale", [0.0, 0.5, 3.0, 50.0])
@@ -569,7 +575,7 @@ def test_batched_decode_matches_per_instance_and_reference(num_labels, offsets, 
     reference = [tuple(labels[i] for i in viterbi(dict_lattice(model, w, x))) for x in data]
     columns = model.to_columns(w)
     for weights in (w, columns):
-        assert chain_mod.map_decode_batch(model, weights, data) == reference
+        assert decode_batch(model, weights, data) == reference
         assert [map_decode(model, weights, x) for x in data] == reference
     # the padded gather holds every instance's lattice, bit for bit
     cols, lengths = model.compile_batch(data)
@@ -581,8 +587,7 @@ def test_batched_decode_matches_per_instance_and_reference(num_labels, offsets, 
 
 def test_batched_decode_ties_go_to_the_lowest_index():
     model, data, w = mixed_length_task(3, (0,), 0.0, seed=1)
-    assert chain_mod.map_decode_batch(model, w, data) == [("L0",) * len(x) for x in data]
-    assert chain_mod.map_decode_batch(model, w, []) == []
+    assert decode_batch(model, w, data) == [("L0",) * len(x) for x in data]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -598,7 +603,7 @@ def test_batched_decode_ranks_nan_as_argmax_does(seed):
     with np.errstate(invalid="ignore"):
         reference = [tuple(labels[i] for i in viterbi(dict_lattice(model, weights, x)))
                      for x in data]
-        assert chain_mod.map_decode_batch(model, columns, data) == reference
+        assert decode_batch(model, columns, data) == reference
         assert [map_decode(model, columns, x) for x in data] == reference
 
 
@@ -914,6 +919,9 @@ def test_batched_hash_equals_feature_id():
         assert len(templates[-1].encode("utf-8")) == size
     fids = chain_mod._feature_ids(templates)
     assert fids == [feature_id(t) for t in templates]
+    # the rule itself, hashed one template at a time
+    digests = [hashlib.blake2b(t.encode("utf-8"), digest_size=8).digest() for t in templates]
+    assert fids == [int.from_bytes(d, "big") >> 1 for d in digests]
     assert all(type(fid) is int and 0 <= fid < 1 << 63 for fid in fids)
     assert chain_mod._feature_ids([]) == []
 

@@ -6,7 +6,13 @@ from pathlib import Path
 import pytest
 
 import banditchain
-from banditchain import BudgetExceededError, CheckReport, OracleBudget, run_property_checks
+from banditchain import (
+    BudgetExceededError,
+    CheckReport,
+    OracleBudget,
+    SparseVector,
+    run_property_checks,
+)
 
 
 def test_suite_passes_on_shipped_fixtures():
@@ -18,8 +24,17 @@ def test_suite_passes_on_shipped_fixtures():
     assert all(":" in line for line in report.lines())
 
 
-def test_corrupted_gradient_fails_unbiasedness():
-    report = run_property_checks(n_fixtures=2, n_weights=2, gradient_perturbation=0.25)
+def test_corrupted_gradient_fails_unbiasedness(monkeypatch):
+    from banditchain import checks
+
+    honest = checks._expected_stochastic_gradient
+
+    def shifted(kind, fx, clip_k=0.0):
+        fid = fx.model.instance_feature_ids(fx.instance)[0]
+        return honest(kind, fx, clip_k=clip_k) + SparseVector({fid: 0.25})
+
+    monkeypatch.setattr(checks, "_expected_stochastic_gradient", shifted)
+    report = run_property_checks(n_fixtures=2, n_weights=2)
     failed = {r.name for r in report.results if r.status == "fail"}
     assert any(name.startswith("unbiasedness") for name in failed)
     assert not report.all_passed
@@ -63,18 +78,21 @@ def test_budget_guard():
         run_property_checks(n_fixtures=2, n_weights=1, budget=OracleBudget(max_outputs=2))
 
 
-def test_scipy_loads_only_with_the_checks():
+def test_scipy_never_loads():
     # a fresh interpreter: this one has loaded scipy through other tests
     src = str(Path(banditchain.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     script = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "import banditchain, banditchain.cli\n"
         "print('scipy' in sys.modules)\n"
         "report = banditchain.run_property_checks(n_fixtures=2, n_weights=2)\n"
         "print('scipy' in sys.modules, report.all_passed)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = banditchain.cli.main(['oracle-check', '--fixtures', '2', '--weights', '2'])\n"
+        "print('scipy' in sys.modules, code)\n"
     )
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    assert out.stdout.split() == ["False", "True", "True"]
+    assert out.stdout.split() == ["False", "False", "True", "False", "0"]

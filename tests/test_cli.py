@@ -424,6 +424,8 @@ def test_train_with_frozen_weights_writes_both_files(workdir, capsys):
     ("test_path", ["test.tsv"]),  # a string or null
     ("report_path", None),  # a path the run writes: a string
     ("loss", 1),
+    # a number field: no integer past the float range
+    pytest.param("gamma", 10**400, id="gamma-int-past-float-range"),
 ])
 def test_config_value_of_the_wrong_json_type_is_a_data_error(workdir, capsys, monkeypatch,
                                                             key, value):

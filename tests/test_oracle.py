@@ -23,6 +23,7 @@ from banditchain import (
     pair_distribution,
     pair_feedback,
 )
+from banditchain.oracle import logsumexp
 
 
 
@@ -237,3 +238,47 @@ def test_pairwise_objective_uses_ordered_pairs(ab_model, fixed_instance, fixed_w
         ObjectiveKind.PR_CONT, ab_model, fixed_weights, [fixed_instance], hamming_loss
     )
     assert ours == pytest.approx(float(expected), abs=1e-12)
+
+
+def _lse_cases(count):
+    """1-D and 2-D arrays at scales 1e-2 to 1e3, one in five kinds each:
+    continuous, rounded so entries tie, constant, a tied maximum, and a
+    maximum far above the rest."""
+    rng = np.random.default_rng(2024)
+    for i in range(count):
+        shape = (int(rng.integers(1, 40)),) if i % 2 else tuple(rng.integers(1, 12, size=2))
+        a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-2.0, 3.0)
+        kind = (i // 2) % 5
+        if kind == 1:
+            a = np.round(a)
+        elif kind == 2:
+            a = np.full(shape, a.flat[0])
+        elif kind == 3:
+            a.flat[int(rng.integers(a.size))] = a.max()
+        elif kind == 4:
+            a.flat[int(rng.integers(a.size))] = a.max() + 50.0
+        yield a
+
+
+def test_logsumexp_has_the_reference_bits():
+    from scipy.special import logsumexp as reference
+
+    mismatches = [a for a in _lse_cases(12000)
+                  if logsumexp(a).hex() != float(reference(a)).hex()]
+    assert not mismatches, f"{len(mismatches)} arrays differ, first {mismatches[0]!r}"
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_neg_probs_are_the_negated_scores_distribution_bitwise(ab_model, seed):
+    from scipy.special import logsumexp as reference
+
+    rng = np.random.default_rng(seed)
+    x = ChainInstance(tokens=tuple(rng.choice(["moss", "fern", "ash"], size=2 + seed % 3)))
+    fids = ab_model.instance_feature_ids(x)
+    w = SparseVector({f: float(v) for f, v in zip(fids, rng.normal(0, 2.0, len(fids)))})
+    dist = distribution(ab_model, w, x)
+    neg = -dist.scores
+    expected = np.exp(neg - reference(neg))
+    assert dist.neg_probs.tobytes() == expected.tobytes()
+    q = distribution(ab_model, w.scaled(-1.0), x).probs
+    np.testing.assert_allclose(dist.neg_probs, q, rtol=0, atol=1e-12)
