@@ -193,6 +193,15 @@ class ChainModel:
     def num_columns(self) -> int:
         return len(self._ids)
 
+    def _append(self, fids: list[int], templates: list[Optional[str]]) -> np.ndarray:
+        """Intern distinct ids new to the model as its next columns, with their
+        templates (None: not yet hashed); returns those columns."""
+        start = len(self._ids)
+        self._columns.update(zip(fids, range(start, start + len(fids))))
+        self._ids.extend(fids)
+        self._templates.extend(templates)
+        return np.arange(start, len(self._ids), dtype=np.intp)
+
     def _intern_templates(self, templates: list[str]) -> np.ndarray:
         """The columns of templates, an int array; the batch is hashed in one
         ``_feature_ids`` call and interned in order.
@@ -205,12 +214,8 @@ class ChainModel:
         """
         columns, ids, known = self._columns, self._ids, self._templates
         fids = _feature_ids(templates)
-        start = len(ids)
         if columns.keys().isdisjoint(fids) and len(set(fids)) == len(fids):
-            columns.update(zip(fids, range(start, start + len(fids))))
-            ids.extend(fids)
-            known.extend(templates)
-            return np.arange(start, len(ids), dtype=np.intp)
+            return self._append(fids, templates)
         out = []
         for fid, template in zip(fids, templates):
             col = columns.setdefault(fid, len(ids))
@@ -361,12 +366,8 @@ class ChainModel:
             miss = np.flatnonzero(ids[at] != fids)
             if len(miss):
                 # the index covers the whole model, so every miss is a new id
-                start = len(self._ids)
                 new = fids[miss].tolist()
-                self._columns.update(zip(new, range(start, start + len(new))))
-                self._ids.extend(new)
-                self._templates.extend([None] * len(new))
-                cols[miss] = np.arange(start, start + len(new))
+                cols[miss] = self._append(new, [None] * len(new))
             out = np.zeros(len(self._ids))
             out[cols] = np.fromiter(data.values(), np.float64, len(data))
             return out

@@ -21,6 +21,7 @@ from .objectives import (
     ObjectiveKind,
     PairSample,
     ce_columns,
+    check_clip_k,
     el_columns,
     pair_feedback,
     pr_columns,
@@ -305,10 +306,14 @@ def run_property_checks(
     budget: OracleBudget = OracleBudget(),
 ) -> CheckReport:
     """Run the whole suite on seeded fixtures and collect per-property
-    results; n_fixtures or n_weights below 1 is a ``ValueError``."""
+    results; n_fixtures or n_weights below 1, a negative seed or a clip_k
+    outside [0, 1) is a ``ValueError``."""
     if n_fixtures < 1 or n_weights < 1:
         raise ValueError(f"the checks need at least 1 fixture and 1 weight vector, "
                          f"got {n_fixtures} and {n_weights}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    check_clip_k(clip_k)
     fixtures = default_fixtures(seed=seed, count=n_fixtures)
     for fx in fixtures:  # honor the enumeration budget before any work
         if len(fx.model.alphabet) ** len(fx.instance) > budget.max_outputs:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .dataio import (
     write_report,
 )
 from .feedback import loss_fn
+from .objectives import check_clip_k
 from .trainer import evaluate
 
 USAGE_ERROR = 1
@@ -29,11 +30,21 @@ DATA_ERROR = 2
 CHECK_FAILURE = 3
 
 
-def positive_int(text: str) -> int:
-    """A count of at least 1; anything else is a usage error."""
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return int(text)
+def int_at_least(low: int) -> Callable[[str], int]:
+    """The argparse type of an integer of at least ``low``; anything else is a usage error."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    return integer
+
+
+def clip_constant(text: str) -> float:
+    """A clipping constant k in [0, 1); anything else is a usage error."""
+    try:
+        return check_clip_k(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_override_flags(p: argparse.ArgumentParser) -> None:
@@ -70,18 +81,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--config", required=True)
     p_sample.add_argument("--checkpoint", required=True)
     p_sample.add_argument("--data", required=True)
-    p_sample.add_argument("--draws", type=positive_int, default=1)
-    p_sample.add_argument("--seed", type=int, default=0)
+    p_sample.add_argument("--draws", type=int_at_least(1), default=1)
+    p_sample.add_argument("--seed", type=int_at_least(0), default=0)
 
     p_diag = sub.add_parser("diagnose", help="compare convergence estimates across reports")
     p_diag.add_argument("reports", nargs="+")
     p_diag.add_argument("--out")
 
     p_check = sub.add_parser("oracle-check", help="run the enumeration-backed property suite")
-    p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--fixtures", type=positive_int, default=8)
-    p_check.add_argument("--weights", type=positive_int, default=20)
-    p_check.add_argument("--clip-k", dest="clip_k", type=float, default=0.0)
+    p_check.add_argument("--seed", type=int_at_least(0), default=0)
+    p_check.add_argument("--fixtures", type=int_at_least(1), default=8)
+    p_check.add_argument("--weights", type=int_at_least(1), default=20)
+    p_check.add_argument("--clip-k", dest="clip_k", type=clip_constant, default=0.0)
 
     return parser
 

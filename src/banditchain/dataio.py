@@ -248,6 +248,7 @@ _JSON_TYPES = {
     "int": (lambda v: type(v) is int, "an integer"),
     "Optional[int]": (lambda v: v is None or type(v) is int, "an integer or null"),
     "float": (_is_float, "a number in float range"),
+    "Optional[float]": (lambda v: v is None or _is_float(v), "a number in float range or null"),
     "str": (lambda v: type(v) is str, "a string"),
     "Optional[str]": (lambda v: v is None or type(v) is str, "a string or null"),
     "tuple[str, ...]": (lambda v: isinstance(v, (list, tuple))
@@ -256,6 +257,7 @@ _JSON_TYPES = {
                         and all(type(e) is int for e in v), "a list of integers"),
 }
 _FIELD_TYPES = {f.name: _JSON_TYPES[f.type] for f in dataclasses.fields(RunConfig)}
+_REPORT_TYPES = {f.name: _JSON_TYPES[f.type] for f in dataclasses.fields(ConvergenceReport)}
 _PATH_FIELDS = ("train_path", "dev_path", "test_path", "init_checkpoint",
                 "report_path", "checkpoint_path")
 
@@ -273,12 +275,13 @@ def _read_json_object(path: Path, what: str) -> dict:
     return raw
 
 
-def _check_types(values: dict, where: object) -> None:
+def _check_types(values: dict, where: object, types: dict = _FIELD_TYPES,
+                 kind: str = "config") -> None:
     """A DataError naming the first key whose value has the wrong JSON type."""
     for key, value in values.items():
-        fits, what = _FIELD_TYPES[key]
+        fits, what = types[key]
         if not fits(value):
-            raise DataError(f"{where}: config key {key!r} must be {what}, got {value!r}")
+            raise DataError(f"{where}: {kind} key {key!r} must be {what}, got {value!r}")
 
 
 def load_config(
@@ -338,13 +341,16 @@ def read_report(path: "str | Path") -> dict:
 
 
 def compare_report_files(paths: Sequence["str | Path"]) -> dict:
-    """Run the cross-run comparison over saved report files."""
+    """Run the cross-run comparison over saved report files; each convergence
+    field must have its JSON type."""
     reports = []
     for path in paths:
         try:
             convergence = read_report(path)["convergence"]
             if not isinstance(convergence, dict):
                 raise DataError(f"{path}: report field 'convergence' must be a JSON object")
+            _check_types({key: convergence[key] for key in _REPORT_TYPES}, path,
+                         _REPORT_TYPES, "convergence")
             reports.append(ConvergenceReport.from_dict(convergence))
         except KeyError as exc:
             raise DataError(f"report is missing convergence field {exc}") from None

@@ -10,7 +10,7 @@ so runs with the same horizon and rate are directly comparable:
   (1/K) sum_k ||s_{kD} - mean||^2.
 
 They depend only on norms and differences, never on feature identities,
-and take rows of (S, d) arrays or the trainer's (columns, values) rows.
+and take (columns, values) rows; an (S, d) array is S rows over columns 0..d-1.
 Every norm is a row-wide numpy pass with numpy's pairwise sums (not BLAS).
 """
 
@@ -63,11 +63,22 @@ class _NoWeightGap(ValueError):
     """Every snapshot pair drawn had (nearly) identical weights."""
 
 
-def _entries(rows, columns: Optional[np.ndarray]) -> tuple[list, np.ndarray]:
-    """The rows as (where, values) pairs into a zeroed buffer one row wide, and
-    the buffer; ascending places in ``columns`` become a slice or a mask."""
+def _rows(rows, columns: Optional[np.ndarray] = None) -> tuple[list, np.ndarray]:
+    """The rows as (columns, values) pairs, a 2-D (S, d) array's over columns
+    0..d-1, and ``columns``, by default every column some row holds, sorted."""
+    if isinstance(rows, np.ndarray):
+        rows = [(np.arange(rows.shape[1]), row) for row in rows]
     if columns is None:
-        return [(slice(None), row) for row in rows], np.zeros(np.shape(rows)[1])
+        held = np.zeros(1 + max((cols.max() for cols, _ in rows if len(cols)), default=-1), bool)
+        for cols, _ in rows:
+            held[cols] = True
+        columns = np.flatnonzero(held)
+    return rows, columns
+
+
+def _entries(rows: list, columns: np.ndarray) -> tuple[list, np.ndarray]:
+    """The (columns, values) rows as (where, values) pairs into a zeroed buffer
+    over ``columns``, and the buffer; ascending places become a slice or a mask."""
     at = np.zeros(columns[-1] + 1 if len(columns) else 0, dtype=np.intp)
     at[columns] = np.arange(len(columns))
     out = []
@@ -101,8 +112,8 @@ def lipschitz_estimate(
 ) -> float:
     """Max gradient-difference to weight-difference ratio over snapshot pairs.
 
-    Row i of ``weights`` (S, d) is a snapshot w_i and row i of ``grads`` the
-    gradient computed at it (or, given ``columns``, (columns, values) rows).
+    Row i of ``weights`` is a snapshot w_i and row i of ``grads`` the gradient
+    computed at it, placed over ``columns`` (default: the rows' own columns).
     Draws n_pairs distinct-index pairs uniformly (seeded via rng); when the
     pair budget covers every distinct pair the estimator just evaluates all
     of them, which also makes it independent of snapshot order.  Pairs of
@@ -116,7 +127,7 @@ def lipschitz_estimate(
         raise ValueError("pair budget must be positive")
     if rng is None:
         rng = np.random.default_rng(0)
-    weights, buf = _entries(weights, columns)
+    weights, buf = _entries(*_rows(weights, columns))
 
     if n_pairs >= n * (n - 1) // 2:
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -134,25 +145,24 @@ def lipschitz_estimate(
     kept = [(pair, gap) for pair, gap in zip(pairs, gaps) if gap >= _MIN_WEIGHT_GAP]
     if not kept:
         raise _NoWeightGap("all snapshots have identical weights; estimate undefined")
-    grad_gaps = _distances([pair for pair, _ in kept], *_entries(grads, columns))
+    grad_gaps = _distances([pair for pair, _ in kept], *_entries(*_rows(grads, columns)))
     return max(g / gap for g, (_, gap) in zip(grad_gaps, kept))
 
 
 def variance_estimate(epoch_grads, columns: Optional[np.ndarray] = None) -> float:
     """Mean squared deviation of the epoch-boundary gradients from their mean.
 
-    The gradients are rows of a (K, d) array or (columns, values) rows over ``columns``.
+    The gradients are rows placed over ``columns`` (default: their own columns).
     """
     k = len(epoch_grads)
     if k < 2:
         raise ValueError(f"need at least 2 epoch gradients, got {k}")
-    if columns is not None:
-        rows, _ = _entries(epoch_grads, columns)
-        epoch_grads = np.zeros((k, len(columns)))
-        for row, (at, values) in zip(epoch_grads, rows):
-            row[at] = values
-    center = np.add.reduce(epoch_grads, axis=0) * (1.0 / k)
-    deviation = np.subtract(epoch_grads, center, out=None if columns is None else epoch_grads)
+    rows, columns = _rows(epoch_grads, columns)
+    grads = np.zeros((k, len(columns)))
+    for row, (at, values) in zip(grads, _entries(rows, columns)[0]):
+        row[at] = values
+    center = np.add.reduce(grads, axis=0) * (1.0 / k)
+    deviation = np.subtract(grads, center, out=grads)
     return float(np.add.reduce(np.square(deviation, out=deviation), axis=None)) / k
 
 
@@ -161,20 +171,22 @@ def convergence_report(
     n_pairs: int = 500,
     seed: int = 0,
 ) -> ConvergenceReport:
-    """Assemble all three estimates for one finished run; ``lipschitz_est``
-    is None when every snapshot pair has the same weights."""
+    """Assemble all three estimates for a run, over every column its rows hold;
+    ``lipschitz_est`` is None when every snapshot pair has the same weights."""
     cfg = trajectory.config
+    _, columns = _rows(trajectory.snapshot_weights + trajectory.snapshot_grads
+                       + trajectory.epoch_grads)
     try:
         lipschitz = lipschitz_estimate(
             trajectory.snapshot_weights, trajectory.snapshot_grads,
-            n_pairs=n_pairs, rng=np.random.default_rng(seed), columns=trajectory.row_columns,
+            n_pairs=n_pairs, rng=np.random.default_rng(seed), columns=columns,
         )
     except _NoWeightGap:  # the weights never moved: gamma = 0, or no feedback at any snapshot
         lipschitz = None
     return ConvergenceReport(
         grad_norm_sq_at_T=grad_norm_sq(trajectory),
         lipschitz_est=lipschitz,
-        variance_est=variance_estimate(trajectory.epoch_grads, trajectory.row_columns),
+        variance_est=variance_estimate(trajectory.epoch_grads, columns),
         T=cfg.iterations,
         D=trajectory.epoch_size,
         K=len(trajectory.epoch_grads),

@@ -77,6 +77,14 @@ def _check_unit_interval(name: str, value: float) -> float:
     return value
 
 
+def check_clip_k(clip_k: float) -> float:
+    """The clipping constant k, or a ``ValueError`` unless 0 <= k < 1: k < 1
+    keeps the divisor max(p, k) below certainty."""
+    if not 0.0 <= clip_k < 1.0:
+        raise ValueError(f"clipping constant must be in [0, 1), got {clip_k}")
+    return clip_k
+
+
 def _require_pair(post: ChainPosterior) -> None:
     if post.stack.trans.shape[0] != 2:
         raise ValueError("the PR estimators need a pair posterior: posterior(..., pair=True)")
@@ -154,9 +162,7 @@ def ce_columns(
     is unbiased; k > 0 trades bias for bounded variance.
     """
     gain = _check_unit_interval("gain", gain)
-    # k < 1 keeps the divisor max(p, k) below certainty
-    if not 0.0 <= clip_k < 1.0:
-        raise ValueError(f"clipping constant must be in [0, 1), got {clip_k}")
+    check_clip_k(clip_k)
     if gain == 0.0:
         return None
     p_hat = max(post.prob(y_sampled), clip_k)

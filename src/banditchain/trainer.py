@@ -25,7 +25,9 @@ from .chain import sample  # noqa: F401  (perfbench's tracer self-test checks th
 from .feedback import (
     FeedbackOracle, bio_span_keys, chunk_f1_loss, chunk_f1_losses, hamming_loss, hamming_losses,
 )
-from .objectives import ObjectiveKind, ce_columns, el_columns, pr_columns, pr_sample_pair
+from .objectives import (
+    ObjectiveKind, ce_columns, check_clip_k, el_columns, pr_columns, pr_sample_pair,
+)
 from .sparse import SparseVector
 
 logger = logging.getLogger(__name__)
@@ -55,8 +57,9 @@ class TrainerConfig:
             raise ValueError(f"learning rate must be >= 0, got {self.gamma}")
         if self.iterations <= 0:
             raise ValueError(f"iteration budget must be positive, got {self.iterations}")
-        if not 0.0 <= self.clip_k < 1.0:
-            raise ValueError(f"clipping constant must be in [0, 1), got {self.clip_k}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_clip_k(self.clip_k)
         if self.l2_lambda < 0.0:
             raise ValueError(f"l2 constant must be >= 0, got {self.l2_lambda}")
         if self.epoch_size is not None and self.epoch_size <= 0:
@@ -78,8 +81,7 @@ class Trajectory:
     Row k of epoch_grads is the full scaled gradient gamma * s_t at the epoch
     boundary t = epoch_steps[k].  Row i of snapshot_weights holds the nonzero
     entries of a w_t and row i of snapshot_grads the gamma * s_t computed at
-    it; there are at most config.snapshots rows.  Each row is a (columns,
-    values) pair; ``row_columns`` is every column some row holds, sorted.
+    it; there are at most config.snapshots rows, each a (columns, values) pair.
     """
 
     config: TrainerConfig
@@ -90,7 +92,6 @@ class Trajectory:
     scaled_norm_sq: np.ndarray = field(default_factory=lambda: np.zeros(0))
     sampled_losses: np.ndarray = field(default_factory=lambda: np.zeros(0))
     epoch_steps: list[int] = field(default_factory=list)
-    row_columns: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
     epoch_grads: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     snapshot_weights: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     snapshot_grads: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
@@ -275,11 +276,6 @@ def train(
                 traj.checkpoints.append((t, w.copy()))
                 traj.dev_losses.append(evaluate(model, w, dev_data, feedback_oracle.loss))
 
-    # the diagnostics skip columns no row holds (dev-only tokens, untouched instances)
-    active = np.zeros(len(w), dtype=bool)
-    for cols, _ in traj.snapshot_weights + traj.snapshot_grads + traj.epoch_grads:
-        active[cols] = True
-    traj.row_columns = np.flatnonzero(active)
     traj.weights = w
     return traj
 

@@ -54,6 +54,19 @@ def test_suite_that_would_run_no_case_is_rejected(kwargs):
         run_property_checks(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"clip_k": 1.5}, r"clipping constant must be in \[0, 1\), got 1.5"),
+    ({"clip_k": -0.5}, r"clipping constant must be in \[0, 1\), got -0.5"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+], ids=["clip_k=1.5", "clip_k=-0.5", "seed=-1"])
+def test_out_of_range_arguments_are_rejected_before_any_fixture(monkeypatch, kwargs, message):
+    from banditchain import checks
+
+    monkeypatch.setattr(checks, "default_fixtures", lambda **kw: pytest.fail("built fixtures"))
+    with pytest.raises(ValueError, match=message):
+        run_property_checks(**kwargs)
+
+
 def test_a_check_that_ran_no_case_fails():
     from banditchain import checks
 

@@ -189,6 +189,47 @@ def test_oracle_check_without_cases_is_a_usage_error(flag, value, capsys):
     assert f"argument {flag}: must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize("value", ["1.5", "inf", "-0.5", "nan"])
+def test_oracle_check_clip_k_outside_the_unit_interval_is_a_usage_error(value, capsys):
+    code = cli.main(["oracle-check", "--fixtures", "1", "--weights", "1", "--clip-k", value])
+    assert code == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert (f"argument --clip-k: clipping constant must be in [0, 1), got {float(value)}"
+            in captured.err)
+
+
+@pytest.mark.parametrize("command", ["sample", "oracle-check"])
+def test_negative_seed_flag_is_a_usage_error(workdir, capsys, command):
+    tmp_path, cfg_path = workdir
+    extra = {"sample": ["--config", str(cfg_path), "--checkpoint", str(tmp_path / "model.ckpt"),
+                        "--data", str(tmp_path / "dev.tsv")],
+             "oracle-check": []}[command]
+    assert cli.main([command, *extra, "--seed", "-1"]) == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --seed: must be at least 0, got -1" in captured.err
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_negative_seed_is_a_data_error_before_any_dataset_is_read(workdir, capsys, monkeypatch,
+                                                                  where):
+    tmp_path, cfg_path = workdir
+    if where == "config":
+        config = json.loads(cfg_path.read_text())
+        cfg_path.write_text(json.dumps({**config, "seed": -1}))
+    from banditchain import dataio
+
+    reads = []
+    monkeypatch.setattr(dataio, "read_dataset", lambda *a: reads.append(a))
+    flags = ["--seed", "-1"] if where == "flag" else []
+    assert cli.main(["train", "--config", str(cfg_path), *flags]) == cli.DATA_ERROR
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert reads == []
+    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "model.ckpt").exists()
+
+
 @pytest.mark.parametrize("draws", ["0", "-2"])
 def test_sample_draws_below_one_is_a_usage_error(workdir, capsys, draws):
     tmp_path, cfg_path = workdir
@@ -325,6 +366,28 @@ def test_diagnose_non_object_convergence_is_a_data_error(tmp_path, capsys):
     assert cli.main(["diagnose", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'convergence' must be a JSON object" in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("grad_norm_sq_at_T", "oops"),  # a number field: no string
+    ("lipschitz_est", "0.5"),  # a number-or-null field
+    ("objective", 3),  # a string field
+    ("T", 100.0),  # an integer field: no float
+    ("seed", True),  # and no bool
+])
+def test_diagnose_field_of_the_wrong_json_type_is_a_data_error(tmp_path, capsys, key, value):
+    from banditchain import ConvergenceReport
+    from banditchain.dataio import REPORT_SCHEMA_VERSION
+
+    good = ConvergenceReport(grad_norm_sq_at_T=0.5, lipschitz_est=1.0, variance_est=0.25,
+                             T=100, D=10, K=10, seed=0, objective="el", gamma=0.1)
+    paths = [tmp_path / "good.json", tmp_path / "bad.json"]
+    for path, convergence in zip(paths, (good.to_dict(), {**good.to_dict(), key: value})):
+        write_report(path, {"schema_version": REPORT_SCHEMA_VERSION, "convergence": convergence})
+    assert cli.main(["diagnose", *map(str, paths)]) == cli.DATA_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {paths[1]}: convergence key {key!r} must be ")
+    assert err.endswith(f", got {value!r}\n")
 
 
 def test_diagnose_non_object_report_is_a_data_error(tmp_path, capsys):

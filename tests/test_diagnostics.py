@@ -359,6 +359,11 @@ def dense_rows(rows, columns):
     return out
 
 
+def row_union(rows):
+    """Every column some (columns, values) row holds, sorted."""
+    return np.unique(np.concatenate([cols for cols, _ in rows]))
+
+
 def dense_distances(rows, pairs):
     diff = np.empty(rows.shape[1])
     out = []
@@ -452,6 +457,54 @@ def test_column_rows_skip_identical_weights_as_the_dense_path():
         lipschitz_estimate(weights[:3], grads[:3], columns=columns)
 
 
+@pytest.mark.parametrize("n_pairs", [3, 500])  # drawn pairs, and every pair
+def test_arrays_are_rows_over_every_column(n_pairs):
+    rng = np.random.default_rng(15)
+    for _ in range(40):
+        s, d = int(rng.integers(2, 12)), int(rng.integers(1, 300))
+        scale = 10.0 ** rng.integers(-3, 4)
+        weights, grads = (scale * rng.normal(size=(s, d)) * (rng.random((s, d)) < 0.5)
+                          for _ in range(2))
+        as_rows = [[(np.arange(d), row) for row in a] for a in (weights, grads)]
+        expected = dense_lipschitz(weights, grads, n_pairs, np.random.default_rng(2))
+        for given in ((weights, grads), as_rows):
+            got = lipschitz_estimate(*given, n_pairs, np.random.default_rng(2))
+            assert got.hex() == expected.hex()
+        expected = dense_variance(grads)
+        assert variance_estimate(grads).hex() == expected.hex()
+        assert variance_estimate(as_rows[1]).hex() == expected.hex()
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_convergence_report_takes_a_partial_trajectorys_own_columns(k):
+    from banditchain import Trajectory
+
+    rng = np.random.default_rng(6)  # a wide vocabulary: the model keeps growing
+    data = [ChainInstance(tokens=tuple(f"w{v}" for v in rng.integers(0, 300, size=6)),
+                          gold=tuple("AB"[b] for b in rng.integers(0, 2, size=6)))
+            for _ in range(80)]
+    cfg = TrainerConfig(objective="el", gamma=0.1, iterations=300, seed=3, epoch_size=30,
+                        eval_every=300, snapshots=16)
+    traj = train(cfg, ChainModel(LabelAlphabet(("A", "B"))), data, data[:8],
+                 FeedbackOracle("hamming"))
+    # the first k rows of each kind, as a run that is still going holds them
+    partial = Trajectory(config=cfg, epoch_size=traj.epoch_size,
+                         scaled_norm_sq=traj.scaled_norm_sq,
+                         epoch_grads=traj.epoch_grads[:k],
+                         snapshot_weights=traj.snapshot_weights[:k],
+                         snapshot_grads=traj.snapshot_grads[:k])
+    report = convergence_report(partial, n_pairs=500, seed=1)
+    columns = row_union(partial.snapshot_weights + partial.snapshot_grads + partial.epoch_grads)
+    assert len(columns) < len(row_union(traj.snapshot_weights + traj.epoch_grads))
+    expected = dense_lipschitz(dense_rows(partial.snapshot_weights, columns),
+                               dense_rows(partial.snapshot_grads, columns),
+                               500, np.random.default_rng(1))
+    assert report.lipschitz_est.hex() == expected.hex()
+    expected = dense_variance(dense_rows(partial.epoch_grads, columns))
+    assert report.variance_est.hex() == expected.hex()
+    assert report.K == k
+
+
 @pytest.mark.parametrize("objective", ["el", "pr-cont", "ce"])
 def test_convergence_report_gives_the_dense_paths_bits(objective):
     from banditchain import chunk_alphabet, generate_chunk_instances
@@ -463,7 +516,7 @@ def test_convergence_report_gives_the_dense_paths_bits(objective):
                         epoch_size=30, eval_every=300, snapshots=16, l2_lambda=1e-3)
     traj = train(cfg, model, data, data[:8], FeedbackOracle("hamming"))
     report = convergence_report(traj, n_pairs=50, seed=4)
-    columns = traj.row_columns
+    columns = row_union(traj.snapshot_weights + traj.snapshot_grads + traj.epoch_grads)
     full = [np.zeros(columns[-1] + 1) for _ in traj.snapshot_weights]
     for w, (cols, values) in zip(full, traj.snapshot_weights):
         w[cols] = values
@@ -484,7 +537,7 @@ def test_frozen_run_reports_an_undefined_lipschitz_estimate(tiny_run):
     assert report.variance_est == 0.0  # the scaled gradients gamma * s_t are 0 too
     assert ConvergenceReport.from_dict(report.to_dict()) == report
     with pytest.raises(ValueError, match="identical"):  # a direct call still raises
-        lipschitz_estimate(traj.snapshot_weights, traj.snapshot_grads, columns=traj.row_columns)
+        lipschitz_estimate(traj.snapshot_weights, traj.snapshot_grads)
 
 
 def test_compare_runs_leaves_an_undefined_estimate_out_of_its_ranking():
