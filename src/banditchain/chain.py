@@ -502,6 +502,47 @@ def _backward(lattice: ChainLattice) -> np.ndarray:
     return beta
 
 
+def _sampler_table(
+    stack: ChainLattice, beta: np.ndarray, starts: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(cum0, cum) of a stack whose chain b starts at position starts[b]
+    (default: every chain at 0): the cumulative p(y_start) of each chain,
+    shape (B, L), and the cumulative conditional rows cum[i - 1, b, a] of
+    chain b's p(y_i | y_{i-1} = a), shape (n-1, B, L, L).  A chain that starts
+    after position 0 has its cum0 row in place of every conditional row at its
+    start, so one left-to-right walk draws each chain from its start on,
+    whatever it drew before it."""
+    node, trans = stack.node, stack.trans
+    first = 0 if starts is None else (starts, np.arange(len(starts)))
+    logp0 = node[first] + beta[first]
+    p0 = np.exp(logp0 - _logsumexp(logp0, axis=1))
+    p0 /= p0.sum(axis=1, keepdims=True)
+    cond = np.exp(trans + (node[1:] + beta[1:])[:, :, None, :] - beta[:-1, :, :, None])
+    cond /= cond.sum(axis=3, keepdims=True)
+    cum0, cum = p0.cumsum(axis=1), cond.cumsum(axis=3)
+    if starts is not None:
+        late = np.flatnonzero(starts)
+        cum[starts[late] - 1, late] = cum0[late, None]
+    return cum0, cum
+
+
+def _walk(cum0: np.ndarray, cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The draws of every chain from its sampler table (``_sampler_table``)
+    and the uniforms u, shape (B, n, size), as a (B, size, n) array of label
+    indices: position i of chain b's draws reads u[b, i] and takes the first
+    label whose cumulative mass exceeds it, in the row its previous label
+    picks."""
+    B, n, size = u.shape
+    last = cum0.shape[1] - 1
+    out = np.empty((B, size, n), dtype=np.int64)
+    out[:, :, 0] = np.minimum((u[:, 0, :, None] >= cum0[:, None, :]).sum(axis=2), last)
+    chains = np.arange(B)[:, None]
+    for i in range(1, n):
+        rows = cum[i - 1][chains, out[:, :, i - 1]]
+        out[:, :, i] = np.minimum((u[:, i, :, None] >= rows).sum(axis=2), last)
+    return out
+
+
 class ChainPosterior:
     """The exact distribution p_w(y|x) for one (w, x), and with ``pair`` the
     ordered-pair distribution p_w(y_i|x) * p_{-w}(y_j|x), over one lattice.
@@ -546,16 +587,8 @@ class ChainPosterior:
 
     @cached_property
     def _sampler_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(cum0, cum): the cumulative p(y_0) of each chain, shape (B, L), and
-        the cumulative conditional rows cum[i - 1, b, a] of chain b's
-        p(y_i | y_{i-1} = a), shape (n-1, B, L, L)."""
-        node, trans, beta = self.stack.node, self.stack.trans, self.beta
-        logp0 = node[0] + beta[0]
-        p0 = np.exp(logp0 - _logsumexp(logp0, axis=1))
-        p0 /= p0.sum(axis=1, keepdims=True)
-        cond = np.exp(trans + (node[1:] + beta[1:])[:, :, None, :] - beta[:-1, :, :, None])
-        cond /= cond.sum(axis=3, keepdims=True)
-        return p0.cumsum(axis=1), cond.cumsum(axis=3)
+        """The sampler's table (``_sampler_table``), built on first use."""
+        return _sampler_table(self.stack, self.beta)
 
     def sample_many(self, size: int, rng: np.random.Generator) -> np.ndarray:
         """Exact i.i.d. samples of every chain, as a (B, size, n) array of label indices.
@@ -567,50 +600,46 @@ class ChainPosterior:
         form one table per posterior, built on the first draw and reused by
         every later one.  Position i of chain b's draws reads the uniforms of
         ``rng.random((B, n, size))[b, i]``, chain-major, so chain b draws what
-        a posterior of its own would draw after chains 0..b-1; each takes the
-        first label whose cumulative mass exceeds its uniform.  The draws
-        gather their rows by the previous labels.  Deterministic given the rng.
+        a posterior of its own would draw after chains 0..b-1 (``_walk``).
+        Deterministic given the rng.
         """
-        cum0, cum = self._sampler_table
-        n, B, L = self.stack.node.shape
-        last = L - 1
-        u = rng.random((B, n, size))
-        out = np.empty((B, size, n), dtype=np.int64)
-        out[:, :, 0] = np.minimum((u[:, 0, :, None] >= cum0[:, None, :]).sum(axis=2), last)
-        chains = np.arange(B)[:, None]
-        for i in range(1, n):
-            rows = cum[i - 1][chains, out[:, :, i - 1]]
-            out[:, :, i] = np.minimum((u[:, i, :, None] >= rows).sum(axis=2), last)
-        return out
+        n, B, _ = self.stack.node.shape
+        return _walk(*self._sampler_table, rng.random((B, n, size)))
 
-    def sample(self, rng: np.random.Generator) -> tuple[tuple[str, ...], ...]:
-        """One exact sample of each chain as a label tuple: the draw of
-        ``sample_many(1, rng)``, walking only the table rows it takes, each
-        as a Python list."""
+    def draw(self, u: np.ndarray) -> np.ndarray:
+        """One exact draw of each chain from the uniforms u, shape (B, n), as a
+        (B, n) array of label indices: the draw ``_walk`` makes from u, walking
+        only the table rows it takes, each as a Python list."""
         cum0, cum = self._sampler_table
-        n, B, L = self.stack.node.shape
-        last, label_of = L - 1, self.model.alphabet.labels.__getitem__
-        draws = []
-        for b, u_walk in enumerate(rng.random((B, n)).tolist()):
+        last = cum0.shape[1] - 1
+        paths = []
+        for b, u_walk in enumerate(u.tolist()):
             # bisect_right on a nondecreasing row counts the entries <= u
             label = min(bisect_right(cum0[b].tolist(), u_walk[0]), last)
             path = [label]
-            for i in range(1, n):
+            for i in range(1, len(u_walk)):
                 label = min(bisect_right(cum[i - 1, b, label].tolist(), u_walk[i]), last)
                 path.append(label)
-            draws.append(tuple(map(label_of, path)))
-        return tuple(draws)
+            paths.append(path)
+        return np.array(paths)
 
-    def prob(self, y: Labeling) -> float:
-        """p(y|x) = exp(score(y) - log Z), in (0, 1]."""
+    def sample(self, rng: np.random.Generator) -> tuple[tuple[str, ...], ...]:
+        """One exact sample of each chain as a label tuple: the ``draw`` from
+        ``rng.random((B, n))``, which ``sample_many(1, rng)`` draws as well."""
+        n, B, _ = self.stack.node.shape
+        labels = np.array(self.model.alphabet.labels, dtype=object)
+        return tuple(map(tuple, labels[self.draw(rng.random((B, n)))].tolist()))
+
+    def prob(self, y: np.ndarray) -> float:
+        """p(y|x) = exp(score(y) - log Z), in (0, 1], for the label indices y."""
         if len(y) != self.lattice.n:
             raise ValueError(f"labeling length {len(y)} != instance length {self.lattice.n}")
-        idx = self.model.alphabet.indices(y)
-        return float(np.exp(lattice_score(self.lattice, idx) - self.log_z))
+        return float(np.exp(lattice_score(self.lattice, y) - self.log_z))
 
-    def features(self, y: Labeling) -> IndexedVector:
-        """phi(x, y) over the instance's local column indices (``local``)."""
-        return self.local.features(self.model.alphabet.indices(y))
+    def features(self, y: np.ndarray) -> IndexedVector:
+        """phi(x, y) for the label indices y, over the instance's local column
+        indices (``local``)."""
+        return self.local.features(y)
 
     def expected(self) -> list[IndexedVector]:
         """Exact E[phi(x, y)] of each chain over the local column indices; new vectors.
@@ -667,6 +696,47 @@ def sample(
 ) -> tuple[str, ...]:
     """One exact sample from p_w(y|x) as a label tuple."""
     return posterior(model, w, x).sample(rng)[0]
+
+
+def draw_batch(
+    model: ChainModel, w: np.ndarray, data: Sequence[ChainInstance],
+    uniforms: Sequence[np.ndarray], pair: bool = False,
+) -> np.ndarray:
+    """For each x in data, the draw ``posterior(model, w, x, pair).draw(u)``
+    makes from its uniforms u (``uniforms[b]``, shape (C, len(x)); C is 2 with
+    pair, else 1), all in one pass under one w.
+
+    Row C * b + c of the (C * len(data), n_max) int array returned holds chain
+    c's label indices for data[b] in its first len(data[b]) positions; the rest
+    of the row is arbitrary.  The lattices are right-aligned in one
+    position-major stack with zero potentials in front, so the backward pass
+    needs no mask, and the sampler table starts each chain at its first
+    position (``_sampler_table``).  w is a column array covering data's
+    columns.  A table entry that is not finite raises ``FloatingPointError``:
+    there, the batched walk and ``draw``'s bisection may take different labels.
+    """
+    C = 2 if pair else 1
+    lengths = np.array([len(x) for x in data], dtype=np.intp)
+    n_max = int(lengths.max())
+    live = np.arange(n_max) >= (n_max - lengths)[:, None]
+    block = np.zeros((len(model.emission_offsets), *live.shape, len(model.alphabet)),
+                     dtype=np.intp)
+    block[:, live] = np.concatenate([model.compile(x).transpose(2, 0, 1) for x in data], axis=1)
+    node = w[block.transpose(1, 2, 3, 0)].sum(axis=-1)
+    node[~live] = 0.0
+    node, trans = node.transpose(1, 0, 2)[:, :, None], w[model.transition][None]
+    if pair:
+        node, trans = np.concatenate((node, -node), axis=2), np.concatenate((trans, -trans))
+    stack = ChainLattice(node=node.reshape(n_max, -1, node.shape[-1]),
+                         trans=np.tile(trans, (len(data), 1, 1)))
+    starts = np.repeat(n_max - lengths, C)
+    cum0, cum = _sampler_table(stack, _backward(stack), starts)
+    if not (np.isfinite(cum0[:, -1]).all() and np.isfinite(cum[..., -1]).all()):
+        raise FloatingPointError("sampler table is not finite")
+    u = np.zeros((len(starts), n_max))
+    u[np.repeat(live, C, axis=0)] = np.concatenate([v.ravel() for v in uniforms])
+    right = _walk(cum0, cum, u[:, :, None])[:, 0]
+    return np.take_along_axis(right, np.minimum(starts[:, None] + np.arange(n_max), n_max - 1), 1)
 
 
 def _viterbi(node: np.ndarray, trans: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -19,7 +19,6 @@ from .chain import ChainInstance, ChainModel, LabelAlphabet, posterior
 from .feedback import hamming_loss
 from .objectives import (
     ObjectiveKind,
-    PairSample,
     ce_columns,
     check_clip_k,
     el_columns,
@@ -122,22 +121,23 @@ def _expected_stochastic_gradient(
     dist = distribution(model, w, x)
     post = posterior(model, w, x, pair=kind.is_pairwise)
     deltas = np.array([hamming_loss(x.gold, y) for y in dist.labelings])
+    paths = [model.alphabet.indices(y) for y in dist.labelings]
     expect = SparseVector()
     if kind is ObjectiveKind.EL:
-        for p, y, d in zip(dist.probs, dist.labelings, deltas):
+        for p, y, d in zip(dist.probs, paths, deltas):
             grad = post.to_sparse(el_columns(post, y, delta=float(d)))
             expect.add_scaled(grad, float(p))
     elif kind.is_pairwise:
         q = dist.neg_probs
-        for pi, yi, di in zip(dist.probs, dist.labelings, deltas):
-            for qj, yj, dj in zip(q, dist.labelings, deltas):
+        for pi, yi, di in zip(dist.probs, paths, deltas):
+            for qj, yj, dj in zip(q, paths, deltas):
                 fb = pair_feedback(float(di), float(dj), kind.pair_mode)
                 if fb == 0.0:
                     continue
-                grad = post.to_sparse(pr_columns(post, PairSample(yi, yj), delta_pair=fb))
+                grad = post.to_sparse(pr_columns(post, np.stack((yi, yj)), delta_pair=fb))
                 expect.add_scaled(grad, float(pi * qj))
     else:
-        for p, y, d in zip(dist.probs, dist.labelings, deltas):
+        for p, y, d in zip(dist.probs, paths, deltas):
             grad = post.to_sparse(ce_columns(post, y, gain=1.0 - float(d), clip_k=clip_k))
             expect.add_scaled(grad, float(p))
     return expect
@@ -177,7 +177,7 @@ def check_exact_inference(fixtures: Sequence[Fixture]) -> CheckResult:
         exact = post.to_sparse(post.expected()[0])
         worst = max(worst, _max_coord_diff(exact, dist.expected_features()))
         for y, p_enum in zip(dist.labelings, dist.probs):
-            worst = max(worst, abs(post.prob(y) - float(p_enum)))
+            worst = max(worst, abs(post.prob(model.alphabet.indices(y)) - float(p_enum)))
     return _verdict("exact-inference", worst, 1e-10, len(fixtures))
 
 

@@ -204,6 +204,10 @@ class RunConfig:
         if not self.train_path or not self.dev_path:
             raise DataError("config needs train_path and dev_path")
         check_loss_labels(self.loss, self.labels)
+        offsets = list(self.emission_offsets)
+        if not offsets or len(set(offsets)) != len(offsets):
+            raise DataError(f"emission_offsets must be a nonempty list of distinct integers, "
+                            f"got {offsets}")
         if self.lipschitz_pairs <= 0:
             raise DataError("lipschitz_pairs must be positive")
         try:

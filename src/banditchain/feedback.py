@@ -2,7 +2,9 @@
 
 The learner only ever sees scalar loss values in [0, 1].  The oracle object
 holds the loss kind and reads the gold labeling off the instance itself; its
-public surface deliberately has no operation that returns a labeling.
+public surface deliberately has no operation that returns a labeling.  It
+scores label tuples, and paths of label indices against gold label indices
+that it caches per instance.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -164,7 +166,9 @@ def bio_span_keys(paths: np.ndarray, lengths: np.ndarray, labels: Sequence[str])
 def chunk_f1_losses(gold: SpanKeys, pred: SpanKeys) -> np.ndarray:
     """``chunk_f1_loss`` of each row from the span keys of both sides;
     bit-equal to it: the same IEEE operations in the same order."""
-    hit = np.isin(pred.keys, gold.keys, assume_unique=True)
+    # a key is a hit when the ascending gold keys hold it
+    hit = np.searchsorted(gold.keys, pred.keys, "left") != np.searchsorted(gold.keys, pred.keys,
+                                                                           "right")
     tp = np.bincount(pred.rows[hit], minlength=len(pred.counts))
     out = np.where((gold.counts == 0) & (pred.counts == 0), 0.0, 1.0)
     ok = tp > 0
@@ -196,6 +200,9 @@ class FeedbackOracle:
     def __init__(self, kind: "str | LossKind" = LossKind.HAMMING):
         self.kind = LossKind.parse(kind)
         self._loss = _LOSS_FNS[self.kind]
+        # labels -> instance -> its gold label indices, or None when some gold
+        # label is not among the labels (``_gold_indices``)
+        self._gold: dict[tuple[str, ...], dict[ChainInstance, Optional[np.ndarray]]] = {}
 
     def __repr__(self) -> str:
         return f"FeedbackOracle({self.kind.value!r})"
@@ -218,3 +225,68 @@ class FeedbackOracle:
             self.feedback(instance, pair.second),
             mode,
         )
+
+    def feedback_paths(
+        self, instances: Sequence[ChainInstance], paths: np.ndarray,
+        labels: Sequence[str], mode: Optional[str] = None,
+    ) -> list[float]:
+        """Bandit feedback for label-index paths: one value per instance.
+
+        paths is a (C * len(instances), n_max) int array of indices into
+        labels; row C * b + c is a labeling of instances[b] over its first
+        len(instances[b]) positions.  Without a pair mode C is 1 and each
+        value is ``feedback`` of that labeling; with one, C is 2 and each value
+        is ``feedback_pair`` of the ordered pair (row 2b, row 2b + 1), bit for
+        bit.  The rows of several instances are scored against their gold
+        label indices, cached per instance, by ``hamming_losses`` or by
+        ``chunk_f1_losses`` over the spans that one ``bio_span_keys`` pass
+        finds in the gold rows and the predictions.  The rows of one instance
+        are scored as label tuples by the loss itself, which costs a fraction
+        of the batch scorers' fixed numpy overhead; so are the rows of a batch
+        in which some gold label is not among labels.
+        """
+        if any(x.gold is None for x in instances):
+            raise ValueError("instance has no gold labeling; cannot simulate feedback")
+        per = 1 if mode is None else 2
+        golds = self._gold_indices(instances, labels) if len(instances) > 1 else None
+        if golds is None:
+            rows = [(x.gold, len(x)) for x in instances for _ in range(per)]
+            losses = [self._loss(gold, [labels[i] for i in row[:n]])
+                      for (gold, n), row in zip(rows, paths.tolist())]
+        else:
+            golds = [gold for gold in golds for _ in range(per)]
+            lengths = np.array([len(gold) for gold in golds])
+            gold = np.zeros(paths.shape, dtype=np.intp)
+            gold[np.arange(paths.shape[1]) < lengths[:, None]] = np.concatenate(golds)
+            if self.kind is LossKind.HAMMING:
+                losses = hamming_losses(gold, paths, lengths).tolist()
+            else:
+                # one pass finds the spans of the gold rows and of the predictions
+                # stacked under them; a key holds its row times n_max^2 * L
+                R, n_max = paths.shape
+                both = bio_span_keys(np.concatenate((gold, paths)),
+                                     np.concatenate((lengths, lengths)), labels)
+                cut = int(both.counts[:R].sum())
+                gold_keys = SpanKeys(both.keys[:cut], both.rows[:cut], both.counts[:R])
+                pred_keys = SpanKeys(both.keys[cut:] - R * n_max * n_max * len(labels),
+                                     both.rows[cut:] - R, both.counts[R:])
+                losses = chunk_f1_losses(gold_keys, pred_keys).tolist()
+        if mode is None:
+            return losses
+        return [pair_feedback(first, second, mode)
+                for first, second in zip(losses[::2], losses[1::2])]
+
+    def _gold_indices(
+        self, instances: Sequence[ChainInstance], labels: Sequence[str]
+    ) -> Optional[list[np.ndarray]]:
+        """The gold labels of each instance as indices into labels, cached per
+        instance; None when some gold label is not among labels."""
+        cache = self._gold.setdefault(tuple(labels), {})
+        index = None
+        for x in instances:
+            if x not in cache:
+                index = index or {label: i for i, label in enumerate(labels)}
+                cache[x] = (np.array([index[g] for g in x.gold], dtype=np.intp)
+                            if index.keys() >= set(x.gold) else None)
+        golds = [cache[x] for x in instances]
+        return None if any(gold is None for gold in golds) else golds

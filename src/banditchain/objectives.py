@@ -9,15 +9,15 @@ corresponding full-information objective:
 * cross-entropy:        s = (gain / p^(y~|x)) * (-phi(x, y~) + E_p[phi])
 
 The pair model factorizes as p_w(y_i|x) * p_{-w}(y_j|x), so the PR
-estimators take a pair posterior (``posterior(..., pair=True)``) whose two
-chains share one pass: one sampler call draws both sides, and the pair
-feature expectation is the exact difference of the two chain expectations.
+estimator takes a pair posterior (``posterior(..., pair=True)``) whose two
+chains share one pass: one draw gives both sides, and the pair feature
+expectation is the exact difference of the two chain expectations.
 The cross-entropy divisor may be clipped from below by a constant k, which
 bounds the importance weight at the cost of bias.
 
-``el_columns``, ``pr_columns`` and ``ce_columns`` build each estimate as an
-IndexedVector over the posterior's local columns; ``post.to_sparse`` keys
-one by feature id.
+``el_columns``, ``pr_columns`` and ``ce_columns`` take sampled outputs as
+paths of label indices and build each estimate as an IndexedVector over the
+posterior's local columns; ``post.to_sparse`` keys one by feature id.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class ObjectiveKind(Enum):
 
 @dataclass(frozen=True)
 class PairSample:
-    """An ordered pair of labelings for one input."""
+    """An ordered pair of labelings for one input, as label tuples."""
 
     first: tuple[str, ...]
     second: tuple[str, ...]
@@ -90,12 +90,15 @@ def _require_pair(post: ChainPosterior) -> None:
         raise ValueError("the PR estimators need a pair posterior: posterior(..., pair=True)")
 
 
-def el_columns(post: ChainPosterior, y_sampled, delta: float) -> Optional[IndexedVector]:
+def el_columns(
+    post: ChainPosterior, y_sampled: np.ndarray, delta: float
+) -> Optional[IndexedVector]:
     """Expected-loss stochastic gradient: delta * (phi(x, y~) - E_p[phi]).
 
-    Over the posterior's local columns; None when delta = 0.  The update
-    pushes the sampled structure's features toward the mean the harder the
-    worse its feedback was; delta = 0 contributes nothing.
+    y_sampled is a path of label indices.  Over the posterior's local
+    columns; None when delta = 0.  The update pushes the sampled structure's
+    features toward the mean the harder the worse its feedback was; delta = 0
+    contributes nothing.
     """
     delta = _check_unit_interval("delta", delta)
     if delta == 0.0:
@@ -103,14 +106,6 @@ def el_columns(post: ChainPosterior, y_sampled, delta: float) -> Optional[Indexe
     grad = post.features(y_sampled)
     grad.add_scaled(post.expected()[0], -1.0)
     return grad.scale(delta)
-
-
-def pr_sample_pair(post: ChainPosterior, rng: np.random.Generator) -> PairSample:
-    """Draw an ordered pair from a pair posterior: first from p_w(.|x),
-    second from p_{-w}(.|x), in one sampler call."""
-    _require_pair(post)
-    first, second = post.sample(rng)
-    return PairSample(first=first, second=second)
 
 
 def pair_feedback(delta_first: float, delta_second: float, mode: str) -> float:
@@ -129,11 +124,13 @@ def pair_feedback(delta_first: float, delta_second: float, mode: str) -> float:
 
 
 def pr_columns(
-    post: ChainPosterior, pair: PairSample, delta_pair: float
+    post: ChainPosterior, pair: np.ndarray, delta_pair: float
 ) -> Optional[IndexedVector]:
     """Pairwise-preference stochastic gradient over ordered output pairs,
     delta_pair * (phi(x, y_i) - phi(x, y_j) - E[phi(x, y_i) - phi(x, y_j)]),
     over the pair posterior's local columns; None when delta_pair = 0.
+    pair holds the label indices of y_i (drawn under w) and y_j (under -w)
+    as its two rows, as the pair posterior's ``draw`` returns them.
 
     By the factorization of the pair model the expectation is the chain
     expectation under w less the one under -w; no sampling needed.
@@ -142,8 +139,8 @@ def pr_columns(
     delta_pair = _check_unit_interval("delta_pair", delta_pair)
     if delta_pair == 0.0:
         return None
-    grad = post.features(pair.first)
-    grad.add_scaled(post.features(pair.second), -1.0)
+    grad = post.features(pair[0])
+    grad.add_scaled(post.features(pair[1]), -1.0)
     under_w, under_neg = post.expected()
     grad.add_scaled(under_w.add_scaled(under_neg, -1.0), -1.0)
     return grad.scale(delta_pair)
@@ -151,15 +148,16 @@ def pr_columns(
 
 def ce_columns(
     post: ChainPosterior,
-    y_sampled,
+    y_sampled: np.ndarray,
     gain: float,
     clip_k: float = 0.0,
 ) -> Optional[IndexedVector]:
     """Cross-entropy stochastic gradient with clipped importance weight.
 
-    s = (gain / max(p_w(y~|x), k)) * (-phi(x, y~) + E_p[phi]), over the
-    posterior's local columns; None when gain = 0.  With k = 0 the estimate
-    is unbiased; k > 0 trades bias for bounded variance.
+    s = (gain / max(p_w(y~|x), k)) * (-phi(x, y~) + E_p[phi]) for a path y~
+    of label indices, over the posterior's local columns; None when
+    gain = 0.  With k = 0 the estimate is unbiased; k > 0 trades bias for
+    bounded variance.
     """
     gain = _check_unit_interval("gain", gain)
     check_clip_k(clip_k)

@@ -13,21 +13,23 @@ with development-set scores, all over the model's columns.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .chain import ChainInstance, ChainModel, _labelings, map_decode_paths, posterior
+from .chain import (
+    ChainInstance, ChainModel, ChainPosterior, _labelings, draw_batch, map_decode_paths, posterior,
+)
 from .chain import sample  # noqa: F401  (perfbench's tracer self-test checks this binding)
 from .feedback import (
     FeedbackOracle, bio_span_keys, chunk_f1_loss, chunk_f1_losses, hamming_loss, hamming_losses,
 )
-from .objectives import (
-    ObjectiveKind, ce_columns, check_clip_k, el_columns, pr_columns, pr_sample_pair,
-)
+from .objectives import ObjectiveKind, ce_columns, check_clip_k, el_columns, pr_columns
 from .sparse import SparseVector
 
 logger = logging.getLogger(__name__)
@@ -152,35 +154,32 @@ def evaluate(
 _NO_COLUMNS = np.zeros(0, dtype=np.intp)
 _NO_VALUES = np.zeros(0)
 
+# A step whose feedback is zero leaves w as it was, so after _BATCH_AFTER such
+# steps in a row the trainer draws the next steps ahead and samples them as one
+# batch under the current w.  A batch is as long as the run of zero-feedback
+# steps before it, up to _MAX_BATCH, so it doubles while no step in it moves w;
+# a batch shorter than the run before it would cost about as much and save less.
+_BATCH_AFTER = 16
+_MAX_BATCH = 64
 
-def _stochastic_gradient(
-    config: TrainerConfig,
-    model: ChainModel,
-    w: np.ndarray,
-    x: ChainInstance,
-    rng: np.random.Generator,
-    oracle: FeedbackOracle,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """(columns, values, sampled loss): s_t's entries, in the order of the
-    SparseVector arithmetic they replay."""
-    # one posterior serves the step's sampling, prob and expectations (PR's: of w and -w)
+
+def _gradient(
+    config: TrainerConfig, post: ChainPosterior, paths: np.ndarray, loss: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(columns, values): s_t's entries for the draw paths (label indices, a
+    row per chain of post) and its feedback, in the order of the SparseVector
+    arithmetic they replay."""
     kind = config.objective
-    post = posterior(model, w, x, pair=kind.is_pairwise)
     if kind.is_pairwise:
-        pair = pr_sample_pair(post, rng)
-        loss = oracle.feedback_pair(x, pair, kind.pair_mode)
-        grad = pr_columns(post, pair, delta_pair=loss)
+        grad = pr_columns(post, paths, delta_pair=loss)
+    elif kind is ObjectiveKind.EL:
+        grad = el_columns(post, paths[0], delta=loss)
     else:
-        (y,) = post.sample(rng)
-        loss = oracle.feedback(x, y)
-        if kind is ObjectiveKind.EL:
-            grad = el_columns(post, y, delta=loss)
-        else:
-            grad = ce_columns(post, y, gain=1.0 - loss, clip_k=config.clip_k)
+        grad = ce_columns(post, paths[0], gain=1.0 - loss, clip_k=config.clip_k)
     if grad is None:
-        return _NO_COLUMNS, _NO_VALUES, loss
+        return _NO_COLUMNS, _NO_VALUES
     idx, values = grad.entries()
-    return post.local.columns[idx], values, loss
+    return post.local.columns[idx], values
 
 
 def train(
@@ -198,13 +197,26 @@ def train(
     inputs are only ever touched by the feedback oracle.
 
     w is a float64 column array of the model that grows with zeros as new
-    instances bring new columns.  A step gathers its lattice from w, gets
-    s_t as (columns, values) and applies ``w[columns] += -gamma * values``,
-    the arithmetic of ``SparseVector.add_scaled`` per entry; the cross-entropy
-    shrink is ``w *= c``.  The loop runs with numpy's overflow and invalid
-    warnings off: a step whose feature expectations, ||gamma * s_t||^2 or
-    updated weights are not finite, or whose cross-entropy importance weight
-    overflows, raises ``FloatingPointError`` naming t.
+    instances bring new columns.  A step draws its input, then the uniforms
+    its sampler walks (``ChainPosterior.draw``); it draws label indices, gets
+    their feedback from ``FeedbackOracle.feedback_paths``, and gets s_t as
+    (columns, values) from its posterior, applying
+    ``w[columns] += -gamma * values``, the arithmetic of
+    ``SparseVector.add_scaled`` per entry; the cross-entropy shrink is
+    ``w *= c``.
+
+    No rng draw depends on w, so after a run of steps that left w unchanged
+    (zero feedback, no shrink) the loop draws the next steps ahead, in the
+    same order, and samples them in one pass (``draw_batch``); the first that
+    moves w is taken with its own posterior, and the steps drawn after it are
+    sampled again under the new w from the uniforms they hold.  A batch ends
+    at the next checkpoint, so the model has compiled no later step by then.
+    The run is the one a step at a time gives, bit for bit.
+
+    The loop runs with numpy's overflow and invalid warnings off: a step
+    whose feature expectations, ||gamma * s_t||^2 or updated weights are not
+    finite, or whose cross-entropy importance weight overflows, raises
+    ``FloatingPointError`` naming t.
     """
     config.validate()
     if not train_data:
@@ -216,65 +228,112 @@ def train(
     epoch_size = config.epoch_size or len(train_data)
     eval_every = config.eval_every or epoch_size
     gamma = config.gamma
-    lam = config.l2_lambda if config.objective is ObjectiveKind.CE else 0.0
+    kind = config.objective
+    lam = config.l2_lambda if kind is ObjectiveKind.CE else 0.0
     shrink = 1.0 - gamma * lam / T if lam > 0.0 else 1.0
     snapshot_stride = max(1, T // config.snapshots)
     rng = np.random.default_rng(config.seed)
+    pair = kind.is_pairwise
+    chains, mode = (2, kind.pair_mode) if pair else (1, None)
+    labels = model.alphabet.labels
 
+    try:
+        scaled_norm_sq, sampled_losses = np.full(T + 1, np.nan), np.full(T + 1, np.nan)
+    except MemoryError:
+        raise ValueError(f"iteration budget {T} is too large: its per-step records "
+                         f"({16 * (T + 1)} bytes) cannot be allocated") from None
     w = model.to_columns(w0) if w0 is not None else np.zeros(model.num_columns)
     r_bound = max(model.feature_norm_bound(x) for x in train_data)
     logger.info(
         "training %s: T=%d gamma=%g epoch=%d eval_every=%d |phi| bound=%.1f",
-        config.objective.value, T, gamma, epoch_size, eval_every, r_bound,
+        kind.value, T, gamma, epoch_size, eval_every, r_bound,
     )
 
     traj = Trajectory(
         config=config,
         epoch_size=epoch_size,
         model=model,
-        scaled_norm_sq=np.full(T + 1, np.nan),
-        sampled_losses=np.full(T + 1, np.nan),
+        scaled_norm_sq=scaled_norm_sq,
+        sampled_losses=sampled_losses,
         feature_norm_bound=r_bound,
     )
+    pending: deque[tuple[ChainInstance, np.ndarray]] = deque()  # (x, uniforms) drawn ahead
+    t = idle = 0  # steps taken; of them, the last ones in a row that left w unchanged
+    size = 1
     with np.errstate(over="ignore", invalid="ignore"):
         traj.checkpoints.append((0, w.copy()))
         traj.dev_losses.append(evaluate(model, w, dev_data, feedback_oracle.loss))
-        for t in range(1, T + 1):
-            x = train_data[int(rng.integers(len(train_data)))]
-            model.compile(x)
+        while t < T:
+            # a batch never draws past the next checkpoint or past T
+            ahead = min(size, T - t, eval_every - t % eval_every)
+            while len(pending) < ahead:
+                x = train_data[int(rng.integers(len(train_data)))]
+                model.compile(x)
+                pending.append((x, rng.random((chains, len(x)))))
             w = model.to_columns(w)  # zero-padded when x brought new columns
-            try:
-                cols, s, sampled_loss = _stochastic_gradient(
-                    config, model, w, x, rng, feedback_oracle)
-            except FloatingPointError as exc:
-                raise FloatingPointError(f"training diverged at step {t}: {exc} "
-                                         f"with gamma={gamma}") from None
+            if ahead == 1:
+                x, u = pending[0]
+                post = posterior(model, w, x, pair=pair)
+                paths = post.draw(u)
+                losses = feedback_oracle.feedback_paths([x], paths, labels, mode)
+            else:
+                post = None
+                xs, uniforms = zip(*itertools.islice(pending, ahead))
+                try:
+                    paths = draw_batch(model, w, xs, uniforms, pair=pair)
+                    losses = feedback_oracle.feedback_paths(xs, paths, labels, mode)
+                except (FloatingPointError, ValueError):
+                    # a batch that cannot be sampled or scored exactly is taken one
+                    # step at a time, so that an error is raised by its own step
+                    size, idle = 1, 0
+                    continue
 
-            # the sum over entries in SparseVector order, as SparseVector.norm_sq
-            traj.scaled_norm_sq[t] = gamma * gamma * sum((s * s).tolist())
-            if not np.isfinite(traj.scaled_norm_sq[t]):
-                raise FloatingPointError(f"training diverged at step {t}: ||gamma*s_t||^2 = "
-                                         f"{traj.scaled_norm_sq[t]} with gamma={gamma}")
-            traj.sampled_losses[t] = sampled_loss
-            if t % epoch_size == 0:
-                traj.epoch_steps.append(t)
-                traj.epoch_grads.append((cols, gamma * s))
-            if t % snapshot_stride == 0 and len(traj.snapshot_weights) < config.snapshots:
-                nonzero = np.flatnonzero(w != 0.0)
-                traj.snapshot_weights.append((nonzero, w[nonzero]))
-                traj.snapshot_grads.append((cols, gamma * s))
+            for k, loss in enumerate(losses):
+                x, _ = pending.popleft()
+                t += 1
+                # zero scales s_t to nothing, and only the CE shrink moves w then
+                moves = shrink != 1.0 or (1.0 - loss if kind is ObjectiveKind.CE else loss) != 0.0
+                cols, s = _NO_COLUMNS, _NO_VALUES
+                if moves or post is not None:
+                    if post is None:  # a batch's step that moves w: its own posterior
+                        post = posterior(model, w, x, pair=pair)
+                    try:
+                        cols, s = _gradient(config, post,
+                                            paths[chains * k:chains * (k + 1), :len(x)], loss)
+                    except FloatingPointError as exc:
+                        raise FloatingPointError(f"training diverged at step {t}: {exc} "
+                                                 f"with gamma={gamma}") from None
 
-            if shrink != 1.0:
-                w *= shrink
-            if len(cols):
-                w[cols] += -gamma * s
-                if not np.isfinite(w[cols]).all():
-                    raise FloatingPointError(f"training diverged at step {t}: non-finite "
-                                             f"weight with gamma={gamma}")
+                # the sum over entries in SparseVector order, as SparseVector.norm_sq
+                norm = gamma * gamma * (sum((s * s).tolist()) if len(s) else 0)
+                traj.scaled_norm_sq[t] = norm
+                if not math.isfinite(norm):
+                    raise FloatingPointError(f"training diverged at step {t}: ||gamma*s_t||^2 = "
+                                             f"{norm} with gamma={gamma}")
+                traj.sampled_losses[t] = loss
+                if t % epoch_size == 0:
+                    traj.epoch_steps.append(t)
+                    traj.epoch_grads.append((cols, gamma * s))
+                if t % snapshot_stride == 0 and len(traj.snapshot_weights) < config.snapshots:
+                    nonzero = np.flatnonzero(w != 0.0)
+                    traj.snapshot_weights.append((nonzero, w[nonzero]))
+                    traj.snapshot_grads.append((cols, gamma * s))
 
-            if t % eval_every == 0:
-                traj.checkpoints.append((t, w.copy()))
-                traj.dev_losses.append(evaluate(model, w, dev_data, feedback_oracle.loss))
+                if shrink != 1.0:
+                    w *= shrink
+                if len(cols):
+                    w[cols] += -gamma * s
+                    if not np.isfinite(w[cols]).all():
+                        raise FloatingPointError(f"training diverged at step {t}: non-finite "
+                                                 f"weight with gamma={gamma}")
+
+                if t % eval_every == 0:
+                    traj.checkpoints.append((t, w.copy()))
+                    traj.dev_losses.append(evaluate(model, w, dev_data, feedback_oracle.loss))
+                if moves:
+                    break
+            idle = 0 if moves else idle + len(losses)
+            size = min(idle, _MAX_BATCH) if idle >= _BATCH_AFTER else 1
 
     traj.weights = w
     return traj

@@ -18,7 +18,6 @@ from banditchain import (
     FeedbackOracle,
     LabelAlphabet,
     ObjectiveKind,
-    PairSample,
     SparseVector,
     TrainerConfig,
 )
@@ -98,7 +97,7 @@ def test_criterion_1_oracle_equivalence():
         enum = dist.expected_features()
         worst = max(worst, max_coord_diff(exact, enum))
         for y, p in zip(dist.labelings, dist.probs):
-            worst = max(worst, abs(post.prob(y) - float(p)))
+            worst = max(worst, abs(post.prob(model.alphabet.indices(y)) - float(p)))
     elapsed = time.monotonic() - start
     assert worst <= 1e-10
     assert elapsed < 5.0
@@ -136,21 +135,22 @@ def expected_stochastic_gradient(kind, model, x, w):
     dist = bc.distribution(model, w, x)
     post = bc.posterior(model, w, x, pair=kind.is_pairwise)
     deltas = [bc.hamming_loss(x.gold, y) for y in dist.labelings]
+    paths = [model.alphabet.indices(y) for y in dist.labelings]
     expect = SparseVector()
     if kind is ObjectiveKind.EL:
-        for p, y, d in zip(dist.probs, dist.labelings, deltas):
+        for p, y, d in zip(dist.probs, paths, deltas):
             expect.add_scaled(post.to_sparse(bc.el_columns(post, y, d)), float(p))
     elif kind.is_pairwise:
         q = neg_probs(dist)
-        for pi, yi, di in zip(dist.probs, dist.labelings, deltas):
-            for qj, yj, dj in zip(q, dist.labelings, deltas):
+        for pi, yi, di in zip(dist.probs, paths, deltas):
+            for qj, yj, dj in zip(q, paths, deltas):
                 fb = bc.pair_feedback(di, dj, kind.pair_mode)
                 if fb == 0.0:
                     continue
-                grad = bc.pr_columns(post, PairSample(yi, yj), fb)
+                grad = bc.pr_columns(post, np.stack((yi, yj)), fb)
                 expect.add_scaled(post.to_sparse(grad), float(pi * qj))
     else:
-        for p, y, d in zip(dist.probs, dist.labelings, deltas):
+        for p, y, d in zip(dist.probs, paths, deltas):
             expect.add_scaled(post.to_sparse(bc.ce_columns(post, y, 1.0 - d, 0.0)), float(p))
     return expect
 

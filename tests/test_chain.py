@@ -723,8 +723,8 @@ def test_zero_feedback_step_never_runs_the_forward_pass(monkeypatch, synthetic_t
     from banditchain import FeedbackOracle, TrainerConfig, train
 
     class Perfect(FeedbackOracle):
-        def feedback(self, instance, labeling):
-            return 0.0
+        def feedback_paths(self, instances, paths, labels, mode=None):
+            return [0.0] * len(instances)
 
     model, train_data, dev_data, _ = synthetic_task
     forward_calls = []
@@ -766,18 +766,18 @@ def test_map_decode_invariant_to_constant_node_shift(ab_model, fixed_instance, f
 
 def test_prob_uniform_closed_form(ab_model, fixed_instance):
     post = posterior(ab_model, SparseVector(), fixed_instance)
-    assert post.prob(("A", "B", "A")) == pytest.approx(1 / 8, abs=1e-15)
+    assert post.prob(np.array([0, 1, 0])) == pytest.approx(1 / 8, abs=1e-15)
 
 
 def test_prob_sums_to_one_and_matches_frozen_value(ab_model, fixed_instance, fixed_weights):
     post = posterior(ab_model, fixed_weights, fixed_instance)
-    total = sum(post.prob(y) for y in all_labelings(("A", "B"), 3))
+    total = sum(post.prob(ab_model.alphabet.indices(y)) for y in all_labelings(("A", "B"), 3))
     assert abs(total - 1.0) <= 1e-10
-    assert abs(post.prob(("A", "B", "A")) - FIXED_GOLD_PROB) <= 1e-10
+    assert abs(post.prob(np.array([0, 1, 0])) - FIXED_GOLD_PROB) <= 1e-10
 
 
 def test_prob_invariant_to_shared_shift(ab_model, fixed_instance, fixed_weights):
-    y = ("B", "A", "A")
+    y = np.array([1, 0, 0])
     before = posterior(ab_model, fixed_weights, fixed_instance).prob(y)
     shifted = fixed_weights.copy()
     # every labeling fires exactly one fern emission, so this shifts all scores equally
@@ -789,7 +789,7 @@ def test_prob_invariant_to_shared_shift(ab_model, fixed_instance, fixed_weights)
 
 def test_prob_length_mismatch(ab_model, fixed_instance, fixed_weights):
     with pytest.raises(ValueError, match="length"):
-        posterior(ab_model, fixed_weights, fixed_instance).prob(("A", "B"))
+        posterior(ab_model, fixed_weights, fixed_instance).prob(np.array([0, 1]))
 
 
 # -- ids -> columns ------------------------------------------------------------------

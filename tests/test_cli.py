@@ -230,6 +230,36 @@ def test_negative_seed_is_a_data_error_before_any_dataset_is_read(workdir, capsy
     assert not (tmp_path / "model.ckpt").exists()
 
 
+def test_too_large_an_iteration_budget_is_a_data_error(workdir, capsys):
+    tmp_path, cfg_path = workdir
+    config = json.loads(cfg_path.read_text())
+    # far past any memory: the per-step records fail to allocate, nothing is touched
+    cfg_path.write_text(json.dumps({**config, "iterations": 10**15}))
+    assert cli.main(["train", "--config", str(cfg_path)]) == cli.DATA_ERROR
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: iteration budget {10**15} is too large")
+    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("offsets", [[], [0, 0], [-1, 0, 1, -1]])
+def test_empty_or_repeated_emission_offsets_are_a_data_error(workdir, capsys, monkeypatch,
+                                                             offsets):
+    tmp_path, cfg_path = workdir
+    config = json.loads(cfg_path.read_text())
+    cfg_path.write_text(json.dumps({**config, "emission_offsets": offsets}))
+    from banditchain import dataio
+
+    reads = []
+    monkeypatch.setattr(dataio, "read_dataset", lambda *a: reads.append(a))
+    assert cli.main(["train", "--config", str(cfg_path)]) == cli.DATA_ERROR
+    assert capsys.readouterr().err == (
+        f"error: emission_offsets must be a nonempty list of distinct integers, got {offsets}\n")
+    assert reads == []
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("draws", ["0", "-2"])
 def test_sample_draws_below_one_is_a_usage_error(workdir, capsys, draws):
     tmp_path, cfg_path = workdir

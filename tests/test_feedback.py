@@ -138,12 +138,14 @@ def test_oracle_interface_exposes_only_scalars():
     """API review: no public operation on the oracle returns a labeling."""
     oracle = FeedbackOracle("hamming")
     public = [name for name in dir(oracle) if not name.startswith("_")]
-    assert sorted(public) == ["feedback", "feedback_pair", "kind", "loss"]
+    assert sorted(public) == ["feedback", "feedback_pair", "feedback_paths", "kind", "loss"]
     x = ChainInstance(tokens=("a", "b"), gold=("A", "B"))
     assert isinstance(oracle.feedback(x, ("B", "A")), float)
     assert isinstance(
         oracle.feedback_pair(x, PairSample(("B", "A"), ("A", "B")), "bin"), float
     )
+    paths = np.array([[1, 0], [0, 1]])
+    assert all(isinstance(v, float) for v in oracle.feedback_paths([x], paths, ("A", "B"), "bin"))
     # the loss accessor is a scalar-valued function, not a structure accessor
     assert isinstance(oracle.loss(("A",), ("B",)), float)
 
@@ -341,3 +343,72 @@ def test_batch_spans_over_a_non_bio_alphabet_raise_as_bio_spans(bad):
     with pytest.raises(ValueError) as raised:
         bio_span_keys(np.zeros((1, 2), dtype=np.intp), np.array([2]), ("O", bad))
     assert str(raised.value) == str(expected.value)
+
+
+# -- index-path feedback ----------------------------------------------------------------
+
+
+def index_path_case(labels, rng, count, per):
+    """count instances (some all-O gold, lengths 1..11) and a padded
+    (per * count, n_max) array of predictions for them: random labels, a copy
+    of the gold's spans in part, all O, or, in a pair, both rows alike."""
+    golds = random_rows(labels, rng, count)
+    golds[0] = ("O",) * len(golds[0])
+    instances = [ChainInstance(tokens=tuple(f"t{i}" for i in range(len(g))), gold=g)
+                 for g in golds]
+    rows = []
+    for g in golds:
+        for c in range(per):
+            choice = rng.integers(4)
+            if choice == 0:
+                row = tuple(labels[i] for i in rng.integers(len(labels), size=len(g)))
+            elif choice == 1:
+                row = tuple(lab if rng.random() < 0.6 else labels[int(rng.integers(len(labels)))]
+                            for lab in g)
+            elif choice == 2:
+                row = ("O",) * len(g)
+            else:  # a tie: the pair's rows are alike (or a copy of the gold)
+                row = rows[-1] if c else g
+            rows.append(row)
+    paths, _ = padded(rows, labels, rng)
+    return instances, rows, paths
+
+
+@pytest.mark.parametrize("kind", ["hamming", "chunk-f1"])
+@pytest.mark.parametrize("mode", [None, "bin", "cont"])
+@pytest.mark.parametrize("labels", [TYPED, UNTYPED])
+@pytest.mark.parametrize("count", [1, 2, 30])
+def test_index_path_feedback_equals_the_label_tuples_bitwise(kind, mode, labels, count):
+    rng = np.random.default_rng(count * 7 + len(labels))
+    oracle = FeedbackOracle(kind)
+    per = 1 if mode is None else 2
+    for _ in range(4):
+        instances, rows, paths = index_path_case(labels, rng, count, per)
+        got = oracle.feedback_paths(instances, paths, labels, mode)
+        if mode is None:
+            expected = [oracle.feedback(x, y) for x, y in zip(instances, rows)]
+        else:
+            expected = [oracle.feedback_pair(x, PairSample(*rows[2 * b:2 * b + 2]), mode)
+                        for b, x in enumerate(instances)]
+        assert all(type(v) is float for v in got)
+        assert [v.hex() for v in got] == [v.hex() for v in expected]
+    # the gold forms are cached per instance: scoring again gives the same bits
+    assert oracle.feedback_paths(instances, paths, labels, mode) == got
+
+
+@pytest.mark.parametrize("kind", ["hamming", "chunk-f1"])
+def test_index_path_feedback_scores_a_gold_label_outside_the_labels_as_tuples(kind):
+    oracle = FeedbackOracle(kind)
+    labels = ("O", "B-PER", "I-PER")
+    outside = ChainInstance(tokens=("a", "b", "c"), gold=("B-LOC", "I-LOC", "O"))
+    inside = ChainInstance(tokens=("a", "b"), gold=("B-PER", "O"))
+    paths = np.array([[1, 2, 0], [1, 0, 2]])
+    rows = [("B-PER", "I-PER", "O"), ("B-PER", "O")]
+    expected = [oracle.feedback(x, y) for x, y in zip((outside, inside), rows)]
+    assert oracle.feedback_paths([outside, inside], paths, labels) == expected
+
+
+def test_index_path_feedback_requires_gold():
+    with pytest.raises(ValueError, match="no gold"):
+        FeedbackOracle("hamming").feedback_paths(
+            [ChainInstance(tokens=("a",))], np.zeros((1, 1), dtype=np.intp), ("A", "B"))

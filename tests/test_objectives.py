@@ -17,7 +17,6 @@ from banditchain import (
     hamming_loss,
     pair_feedback,
     pr_columns,
-    pr_sample_pair,
     posterior,
 )
 
@@ -36,16 +35,20 @@ def max_coord_diff(a, b):
     return max((abs(a[f] - b[f]) for f in fids), default=0.0)
 
 
+# the estimators take label-index paths; these helpers take label tuples
+
+
 def el_sparse(post, y, delta):
-    return post.to_sparse(el_columns(post, y, delta))
+    return post.to_sparse(el_columns(post, post.model.alphabet.indices(y), delta))
 
 
 def pr_sparse(post, pair, delta_pair):
-    return post.to_sparse(pr_columns(post, pair, delta_pair))
+    paths = np.stack([post.model.alphabet.indices(y) for y in (pair.first, pair.second)])
+    return post.to_sparse(pr_columns(post, paths, delta_pair))
 
 
 def ce_sparse(post, y, gain, clip_k=0.0):
-    return post.to_sparse(ce_columns(post, y, gain, clip_k))
+    return post.to_sparse(ce_columns(post, post.model.alphabet.indices(y), gain, clip_k))
 
 
 def pair_expected(post):
@@ -127,7 +130,7 @@ def test_el_unbiasedness(ab_model, fixed_instance):
 
 
 def sample_pairs(post, size, rng):
-    """Batched draws of a pair posterior, as pr_sample_pair draws one: under w, then under -w."""
+    """Batched draws of a pair posterior, as its draw makes one: under w, then under -w."""
     first, second = post.sample_many(size, rng)
     return first, second
 
@@ -168,7 +171,7 @@ def test_pair_sampler_matches_factorized_oracle(ab_model, fixed_instance, fixed_
 
 def test_pair_sampler_determinism(ab_model, fixed_instance, fixed_weights):
     post = posterior(ab_model, fixed_weights, fixed_instance, pair=True)
-    pairs = [[pr_sample_pair(post, np.random.default_rng(9)) for _ in range(5)] for _ in range(2)]
+    pairs = [[post.sample(np.random.default_rng(9)) for _ in range(5)] for _ in range(2)]
     assert pairs[0] == pairs[1]
 
 
@@ -206,14 +209,9 @@ def test_pr_gradient_zero_feedback(ab_model, fixed_instance, fixed_weights):
 def test_pr_on_a_one_chain_posterior_names_the_pair_posterior(
         delta_pair, ab_model, fixed_instance, fixed_weights):
     post = posterior(ab_model, fixed_weights, fixed_instance)
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError, match=r"posterior\(\.\.\., pair=True\)"):
-        pr_sample_pair(post, rng)
-    # rejected before any draw: the generator is untouched
-    assert rng.random() == np.random.default_rng(0).random()
     pair = PairSample(("A", "A", "A"), ("B", "B", "B"))
     with pytest.raises(ValueError, match=r"posterior\(\.\.\., pair=True\)"):
-        pr_columns(post, pair, delta_pair)
+        pr_sparse(post, pair, delta_pair)
 
 
 def test_pr_gradient_zero_weights_reduces_to_feature_gap(ab_model, fixed_instance):
@@ -296,7 +294,7 @@ def test_ce_gradient_names_underflowed_importance_weight(ab_model, weight):
     # and at 236.3 1/p is finite but the scaled gradient entries overflow to inf
     x = ChainInstance(tokens=("t", "t", "t"))
     post = posterior(ab_model, SparseVector({feature_id("em0\x1ft\x1fA"): weight}), x)
-    assert post.prob(("B", "B", "B")) < 2.3e-308
+    assert post.prob(np.array([1, 1, 1])) < 2.3e-308
     with pytest.raises(FloatingPointError, match="underflowed; set clip_k > 0"):
         ce_sparse(post, ("B", "B", "B"), 1.0)
     assert len(ce_sparse(post, ("B", "B", "B"), 1.0, clip_k=1e-3)) > 0

@@ -1,4 +1,6 @@
+import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +30,9 @@ class ConstantOracle(FeedbackOracle):
 
     def feedback(self, instance, labeling) -> float:
         return self._value
+
+    def feedback_paths(self, instances, paths, labels, mode=None) -> list[float]:
+        return [self._value] * len(instances)
 
 
 @pytest.fixture
@@ -407,6 +412,23 @@ def test_seed_zero_run_matches_golden_digest(objective, synthetic_task):
     assert trajectory_digest(traj) == GOLDEN_DIGESTS[objective]
 
 
+# the same digest of a 300-step seed-0 run on typed_bio_task data (L = 9, emission
+# offsets -1, 0 and 1) under the chunk-F1 loss: it pins the chunk-F1 feedback path
+CHUNK_F1_GOLDEN_DIGESTS = {
+    "el": "3581afae8fd001490a61714bb856cc8a3e97d78d4e45494206aec7420d23da1e",
+    "pr-cont": "ccf4766e0602525792a8e53e0e1b533bdbafdc272c3b90519fd82fbdc95023b3",
+}
+
+
+@pytest.mark.parametrize("objective", sorted(CHUNK_F1_GOLDEN_DIGESTS))
+def test_typed_chunk_f1_run_matches_golden_digest(objective):
+    labels, data = typed_bio_task(260, np.random.default_rng(5))
+    model = ChainModel(LabelAlphabet(labels), emission_offsets=(-1, 0, 1))
+    cfg = TrainerConfig(objective=objective, gamma=0.1, iterations=300, seed=0, eval_every=100)
+    traj = train(cfg, model, data[:200], data[200:], FeedbackOracle("chunk-f1"))
+    assert trajectory_digest(traj) == CHUNK_F1_GOLDEN_DIGESTS[objective]
+
+
 def typed_bio_task(count, rng, vocab=400):
     """Typed BIO sentences (L = 9) over a long-tailed vocabulary."""
     types = ("PER", "LOC", "ORG", "MISC")
@@ -457,3 +479,144 @@ def test_snapshot_rows_cost_their_nonzeros():
     width = len(np.unique(np.concatenate([cols for cols, _ in rows])))
     assert not any(isinstance(v, np.ndarray) and v.ndim == 2 for v in vars(traj).values())
     assert entries < 0.7 * len(rows) * width
+
+
+# -- batched zero-feedback steps ------------------------------------------------------
+
+
+def trajectory_bytes(traj):
+    """Every array a run leaves, as bytes: the per-step records, the weights,
+    and the checkpoint, snapshot and epoch rows."""
+    rows = traj.snapshot_weights + traj.snapshot_grads + traj.epoch_grads
+    return {
+        "dev_losses": np.array(traj.dev_losses).tobytes(),
+        "scaled_norm_sq": traj.scaled_norm_sq.tobytes(),
+        "sampled_losses": traj.sampled_losses.tobytes(),
+        "weights": traj.weights.tobytes(),
+        "checkpoints": [(t, w.tobytes()) for t, w in traj.checkpoints],
+        "rows": [(cols.tobytes(), values.tobytes()) for cols, values in rows],
+        "epoch_steps": traj.epoch_steps,
+    }
+
+
+def batched_run(monkeypatch, cap, objective, loss, task, after=2):
+    """A 240-step run with at most cap steps per batch, batching after `after`
+    zero-feedback steps in a row; returns the trajectory and the sizes of the
+    batches drawn.  EL starts from the weights of a 500-step EL run, so that
+    it draws zero-loss labelings often."""
+    import banditchain.trainer as trainer_mod
+
+    monkeypatch.setattr(trainer_mod, "_MAX_BATCH", cap)
+    monkeypatch.setattr(trainer_mod, "_BATCH_AFTER", after)
+    sizes = []
+    draw = trainer_mod.draw_batch
+    monkeypatch.setattr(trainer_mod, "draw_batch",
+                        lambda model, w, data, *a, **kw: sizes.append(len(data)) or draw(
+                            model, w, data, *a, **kw))
+    model, train_data, dev_data = TASKS[task]()
+    w0 = warm_start(task, loss) if objective == "el" else None
+    cfg = TrainerConfig(objective=objective, gamma=0.1, iterations=240, seed=3,
+                        epoch_size=25, eval_every=30, snapshots=40)
+    return train(cfg, model, train_data, dev_data, FeedbackOracle(loss), w0=w0), sizes
+
+
+def chunk_task():
+    from banditchain import chunk_alphabet, generate_chunk_instances
+
+    rng = np.random.default_rng(11)
+    return ChainModel(chunk_alphabet()), generate_chunk_instances(60, rng), \
+        generate_chunk_instances(10, rng)
+
+
+def typed_task():
+    labels, data = typed_bio_task(90, np.random.default_rng(12))
+    return ChainModel(LabelAlphabet(labels), emission_offsets=(-1, 0, 1)), data[:75], data[75:]
+
+
+TASKS = {"chunk": chunk_task, "typed": typed_task}
+
+
+@functools.lru_cache(maxsize=None)
+def warm_start(task, loss):
+    model, train_data, dev_data = TASKS[task]()
+    cfg = TrainerConfig(objective="el", gamma=0.5, iterations=500, seed=1, eval_every=500)
+    return train(cfg, model, train_data, dev_data, FeedbackOracle(loss)).final_weights
+
+
+@pytest.mark.parametrize("objective, loss, task", [
+    ("pr-cont", "hamming", "chunk"), ("pr-bin", "hamming", "chunk"), ("el", "hamming", "chunk"),
+    ("pr-cont", "chunk-f1", "typed"), ("pr-bin", "chunk-f1", "typed"),
+    ("el", "chunk-f1", "chunk"),  # an EL run on the typed task never draws a zero loss
+    ("ce", "chunk-f1", "typed"),  # without the shrink, a CE step with loss 1 leaves w as it was
+])
+def test_batched_run_equals_the_sequential_run_bytewise(monkeypatch, objective, loss, task):
+    sequential, sizes = batched_run(monkeypatch, 1, objective, loss, task)
+    assert sizes == []
+    expected = trajectory_bytes(sequential)
+    for cap in (2, 7, 64):
+        traj, sizes = batched_run(monkeypatch, cap, objective, loss, task)
+        assert sizes and max(sizes) <= cap
+        assert trajectory_bytes(traj) == expected
+    if task == "typed":
+        # a checkpoint holds the columns of the steps up to it, whatever was drawn ahead
+        lengths = [len(w) for _, w in traj.checkpoints]
+        assert lengths == [len(w) for _, w in sequential.checkpoints]
+        assert len(set(lengths)) > 2  # the model grows between checkpoints
+
+
+def test_batches_never_draw_past_a_checkpoint(monkeypatch):
+    import banditchain.trainer as trainer_mod
+
+    monkeypatch.setattr(trainer_mod, "_BATCH_AFTER", 1)
+    drawn = []
+    draw = trainer_mod.draw_batch
+    monkeypatch.setattr(trainer_mod, "draw_batch",
+                        lambda model, w, data, *a, **kw: drawn.append(len(data)) or draw(
+                            model, w, data, *a, **kw))
+    model, train_data, dev_data = chunk_task()
+    cfg = TrainerConfig(objective="pr-cont", gamma=0.1, iterations=240, seed=3, eval_every=30)
+    traj = train(cfg, model, train_data, dev_data, HotOracle(hot=None))
+    # no step moves w, so the batches grow (1, 1, 2, 4, 8, then 14 to t = 30)
+    # and then take one stretch between checkpoints each
+    assert drawn == [2, 4, 8, 14] + [30] * 7
+    assert [t for t, _ in traj.checkpoints] == list(range(0, 241, 30))
+
+
+class HotOracle(FeedbackOracle):
+    """Loss 1 for one instance and 0 for every other; no gold, no feedback."""
+
+    def __init__(self, hot):
+        super().__init__("hamming")
+        self.hot = hot
+
+    def feedback_paths(self, instances, paths, labels, mode=None):
+        if any(x.gold is None for x in instances):
+            raise ValueError("instance has no gold labeling")
+        return [1.0 if x is self.hot else 0.0 for x in instances]
+
+
+@pytest.mark.parametrize("objective", ["el", "pr-bin"])
+@pytest.mark.parametrize("blind", [False, True])
+def test_an_error_in_a_batch_is_raised_by_its_own_step(monkeypatch, objective, blind):
+    import banditchain.trainer as trainer_mod
+    from banditchain import chunk_alphabet, generate_chunk_instances
+
+    rng = np.random.default_rng(5)
+    data = generate_chunk_instances(40, rng)
+    hot = max(data, key=len)  # gamma^2 * ||s||^2 overflows at its first draw
+    if blind:  # and an instance without gold that some step draws before it
+        data[7] = ChainInstance(tokens=data[7].tokens)
+    outcomes = []
+    for cap in (1, 64):
+        monkeypatch.setattr(trainer_mod, "_MAX_BATCH", cap)
+        monkeypatch.setattr(trainer_mod, "_BATCH_AFTER", 1)
+        cfg = TrainerConfig(objective=objective, gamma=1e154, iterations=400, seed=0,
+                            eval_every=400)
+        with pytest.raises((FloatingPointError, ValueError)) as raised:
+            train(cfg, ChainModel(chunk_alphabet()), data, data[:3], HotOracle(hot))
+        outcomes.append((raised.type, str(raised.value)))
+    assert outcomes[0] == outcomes[1]
+    if not blind:
+        assert re.match(r"training diverged at step (\d+): \|\|gamma\*s_t\|\|\^2 = inf",
+                        outcomes[0][1])
+        assert int(re.search(r"step (\d+)", outcomes[0][1])[1]) > 10
