@@ -296,24 +296,22 @@ class ChainModel:
         self.compile_batch(data)
         return self._batch[3]
 
-    def gold_indices(self, data: Sequence[ChainInstance]) -> Optional[np.ndarray]:
+    def gold_indices(self, data: Sequence[ChainInstance]) -> np.ndarray:
         """The gold labelings of a dataset as label indices, a (B, n_max) int
         array padded like ``compile_batch``'s (0 past each length); built on
         first call and cached with the batch.
 
-        None when some gold label is not in the alphabet: such a dataset has
-        no index form.  Every instance must have a gold labeling.
+        A gold label that is not in the alphabet is -1, which no label index
+        equals.  Every instance must have a gold labeling.
         """
         memo = self.batch_memo(data)
         if "gold" not in memo:
             lengths = self._batch[2]
             index = self.alphabet._index
             flat = list(itertools.chain.from_iterable(x.gold for x in data))
-            gold = None
-            if all(map(index.__contains__, set(flat))):
-                gold = np.zeros((len(lengths), lengths.max()), dtype=np.intp)
-                gold[np.arange(gold.shape[1]) < lengths[:, None]] = np.fromiter(
-                    map(index.__getitem__, flat), np.intp, len(flat))
+            gold = np.zeros((len(lengths), lengths.max()), dtype=np.intp)
+            gold[np.arange(gold.shape[1]) < lengths[:, None]] = np.fromiter(
+                (index.get(g, -1) for g in flat), np.intp, len(flat))
             memo["gold"] = gold
         return memo["gold"]
 

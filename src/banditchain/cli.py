@@ -21,7 +21,7 @@ from .dataio import (
     check_loss_labels, compare_report_files, load_config, read_checkpoint, read_dataset,
     write_report,
 )
-from .feedback import loss_fn
+from .feedback import LossKind, loss_fn
 from .objectives import check_clip_k
 from .trainer import evaluate
 
@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--config", required=True)
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--data", required=True)
-    p_eval.add_argument("--loss")
+    p_eval.add_argument("--loss", choices=[k.value for k in LossKind])
 
     p_sample = sub.add_parser("sample", help="draw labelings from the model")
     p_sample.add_argument("--config", required=True)

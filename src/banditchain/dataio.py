@@ -203,6 +203,9 @@ class RunConfig:
             raise DataError("config needs at least 2 labels")
         if not self.train_path or not self.dev_path:
             raise DataError("config needs train_path and dev_path")
+        if Path(self.report_path).resolve() == Path(self.checkpoint_path).resolve():
+            raise DataError(f"report_path and checkpoint_path are the same file: "
+                            f"{self.report_path}")
         check_loss_labels(self.loss, self.labels)
         offsets = list(self.emission_offsets)
         if not offsets or len(set(offsets)) != len(offsets):

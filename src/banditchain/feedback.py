@@ -3,8 +3,8 @@
 The learner only ever sees scalar loss values in [0, 1].  The oracle object
 holds the loss kind and reads the gold labeling off the instance itself; its
 public surface deliberately has no operation that returns a labeling.  It
-scores label tuples, and paths of label indices against gold label indices
-that it caches per instance.
+scores label tuples, and paths of label indices: under Hamming against gold
+label indices that it caches per gold labeling.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from functools import lru_cache
+from operator import ne
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -200,9 +201,8 @@ class FeedbackOracle:
     def __init__(self, kind: "str | LossKind" = LossKind.HAMMING):
         self.kind = LossKind.parse(kind)
         self._loss = _LOSS_FNS[self.kind]
-        # labels -> instance -> its gold label indices, or None when some gold
-        # label is not among the labels (``_gold_indices``)
-        self._gold: dict[tuple[str, ...], dict[ChainInstance, Optional[np.ndarray]]] = {}
+        # labels -> gold labeling -> its label indices (``_gold_indices``)
+        self._gold: dict[tuple[str, ...], dict[tuple[str, ...], list[int]]] = {}
 
     def __repr__(self) -> str:
         return f"FeedbackOracle({self.kind.value!r})"
@@ -237,40 +237,25 @@ class FeedbackOracle:
         len(instances[b]) positions.  Without a pair mode C is 1 and each
         value is ``feedback`` of that labeling; with one, C is 2 and each value
         is ``feedback_pair`` of the ordered pair (row 2b, row 2b + 1), bit for
-        bit.  The rows of several instances are scored against their gold
-        label indices, cached per instance, by ``hamming_losses`` or by
-        ``chunk_f1_losses`` over the spans that one ``bio_span_keys`` pass
-        finds in the gold rows and the predictions.  The rows of one instance
-        are scored as label tuples by the loss itself, which costs a fraction
-        of the batch scorers' fixed numpy overhead; so are the rows of a batch
-        in which some gold label is not among labels.
+        bit.  Under Hamming each row is compared with its instance's gold
+        label indices, cached per gold labeling; under chunk F1 each row is
+        scored as a label tuple by the loss itself.  Paths shorter than an
+        instance raise ``ValueError``.
         """
         if any(x.gold is None for x in instances):
             raise ValueError("instance has no gold labeling; cannot simulate feedback")
-        per = 1 if mode is None else 2
-        golds = self._gold_indices(instances, labels) if len(instances) > 1 else None
-        if golds is None:
-            rows = [(x.gold, len(x)) for x in instances for _ in range(per)]
-            losses = [self._loss(gold, [labels[i] for i in row[:n]])
-                      for (gold, n), row in zip(rows, paths.tolist())]
+        hamming = self.kind is LossKind.HAMMING
+        golds = self._gold_indices(instances, labels) if hamming else [x.gold for x in instances]
+        if paths.shape[1] < max(map(len, golds), default=0):
+            raise ValueError(f"paths of length {paths.shape[1]} are shorter than an instance")
+        if mode is not None:  # each instance scores two rows
+            golds = [gold for gold in golds for _ in range(2)]
+        rows = paths.tolist()
+        if hamming:
+            losses = [sum(map(ne, gold, row)) / len(gold) for gold, row in zip(golds, rows)]
         else:
-            golds = [gold for gold in golds for _ in range(per)]
-            lengths = np.array([len(gold) for gold in golds])
-            gold = np.zeros(paths.shape, dtype=np.intp)
-            gold[np.arange(paths.shape[1]) < lengths[:, None]] = np.concatenate(golds)
-            if self.kind is LossKind.HAMMING:
-                losses = hamming_losses(gold, paths, lengths).tolist()
-            else:
-                # one pass finds the spans of the gold rows and of the predictions
-                # stacked under them; a key holds its row times n_max^2 * L
-                R, n_max = paths.shape
-                both = bio_span_keys(np.concatenate((gold, paths)),
-                                     np.concatenate((lengths, lengths)), labels)
-                cut = int(both.counts[:R].sum())
-                gold_keys = SpanKeys(both.keys[:cut], both.rows[:cut], both.counts[:R])
-                pred_keys = SpanKeys(both.keys[cut:] - R * n_max * n_max * len(labels),
-                                     both.rows[cut:] - R, both.counts[R:])
-                losses = chunk_f1_losses(gold_keys, pred_keys).tolist()
+            losses = [self._loss(gold, [labels[i] for i in row[:len(gold)]])
+                      for gold, row in zip(golds, rows)]
         if mode is None:
             return losses
         return [pair_feedback(first, second, mode)
@@ -278,15 +263,13 @@ class FeedbackOracle:
 
     def _gold_indices(
         self, instances: Sequence[ChainInstance], labels: Sequence[str]
-    ) -> Optional[list[np.ndarray]]:
+    ) -> list[list[int]]:
         """The gold labels of each instance as indices into labels, cached per
-        instance; None when some gold label is not among labels."""
+        gold labeling; a gold label that is not among labels is -1, which no
+        index equals."""
         cache = self._gold.setdefault(tuple(labels), {})
-        index = None
         for x in instances:
-            if x not in cache:
-                index = index or {label: i for i, label in enumerate(labels)}
-                cache[x] = (np.array([index[g] for g in x.gold], dtype=np.intp)
-                            if index.keys() >= set(x.gold) else None)
-        golds = [cache[x] for x in instances]
-        return None if any(gold is None for gold in golds) else golds
+            if x.gold not in cache:
+                index = {label: i for i, label in enumerate(labels)}
+                cache[x.gold] = [index.get(g, -1) for g in x.gold]
+        return [cache[x.gold] for x in instances]

@@ -125,8 +125,9 @@ def evaluate(
     whole dataset is decoded in one batched Viterbi pass
     (``map_decode_paths``).  Under ``hamming_loss`` and ``chunk_f1_loss``
     (the very function objects) the paths are scored where they are, as label
-    indices against the gold indices cached with the batch; any other loss
-    gets each prediction as a label tuple.  The losses are summed as a left
+    indices against the gold indices cached with the batch; any other loss,
+    and chunk F1 against a gold label outside the alphabet, gets each
+    prediction as a label tuple.  The losses are summed as a left
     fold in dataset order, from 0.0.
     """
     if not data:
@@ -134,17 +135,18 @@ def evaluate(
     if any(x.gold is None for x in data):
         raise ValueError("evaluation instance has no gold labeling")
     paths, lengths = map_decode_paths(model, w, data)
-    gold = model.gold_indices(data) if loss is hamming_loss or loss is chunk_f1_loss else None
-    if gold is None:
-        losses = [loss(x.gold, y) for x, y in zip(data, _labelings(model, paths, lengths))]
-    elif loss is hamming_loss:
-        losses = hamming_losses(gold, paths, lengths).tolist()
-    else:
-        labels = model.alphabet.labels
+    labels = model.alphabet.labels
+    if loss is chunk_f1_loss:
         memo = model.batch_memo(data)
         if "gold spans" not in memo:
-            memo["gold spans"] = bio_span_keys(gold, lengths, labels)
+            gold = model.gold_indices(data)
+            memo["gold spans"] = None if (gold < 0).any() else bio_span_keys(gold, lengths, labels)
+    if loss is hamming_loss:
+        losses = hamming_losses(model.gold_indices(data), paths, lengths).tolist()
+    elif loss is chunk_f1_loss and memo["gold spans"] is not None:
         losses = chunk_f1_losses(memo["gold spans"], bio_span_keys(paths, lengths, labels)).tolist()
+    else:
+        losses = [loss(x.gold, y) for x, y in zip(data, _labelings(model, paths, lengths))]
     total = 0.0
     for value in losses:
         total += value

@@ -352,6 +352,21 @@ def test_missing_output_directory_fails_before_training(workdir, capsys, flag):
     assert not (tmp_path / "model.ckpt").exists()
 
 
+def test_shared_report_and_checkpoint_path_fails_before_any_dataset_is_read(workdir, capsys):
+    tmp_path, cfg_path = workdir
+    config = json.loads(cfg_path.read_text())
+    # a missing training set: had any dataset been read, its error would come first
+    cfg_path.write_text(json.dumps({**config, "train_path": "missing.tsv"}))
+    out = tmp_path / "out"
+    code = cli.main(["train", "--config", str(cfg_path), "--report", str(out),
+                     "--checkpoint", str(tmp_path / "." / "out")])
+    assert code == cli.DATA_ERROR
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "report_path" in err and "checkpoint_path" in err
+    assert list(tmp_path.glob("*out*")) == []
+
+
 @pytest.mark.parametrize("flag", ["--report", "--checkpoint"])
 def test_output_path_that_is_a_directory_fails_before_training(workdir, capsys, flag):
     tmp_path, cfg_path = workdir
@@ -464,6 +479,18 @@ def test_eval_chunk_f1_over_non_bio_labels_fails_before_reading_data(ab_workdir,
     assert capsys.readouterr().err == (
         "error: loss chunk-f1 needs BIO labels: label 'A' is not a BIO tag\n")
     assert reads == []
+
+
+@pytest.mark.parametrize("loss", ["bogus", "Hamming"])
+def test_eval_loss_outside_its_choices_is_a_usage_error(ab_workdir, capsys, loss):
+    tmp_path, cfg_path = ab_workdir
+    code = cli.main(["eval", "--config", str(cfg_path), "--loss", loss,
+                     "--checkpoint", str(tmp_path / "model.ckpt"),
+                     "--data", str(tmp_path / "data.tsv")])
+    assert code == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --loss: invalid choice" in captured.err
 
 
 def test_eval_and_config_reject_non_bio_labels_with_one_message(ab_workdir, capsys):

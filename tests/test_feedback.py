@@ -406,6 +406,24 @@ def test_index_path_feedback_scores_a_gold_label_outside_the_labels_as_tuples(ki
     rows = [("B-PER", "I-PER", "O"), ("B-PER", "O")]
     expected = [oracle.feedback(x, y) for x, y in zip((outside, inside), rows)]
     assert oracle.feedback_paths([outside, inside], paths, labels) == expected
+    # alone, and as a pair of draws
+    assert oracle.feedback_paths([outside], paths[:1], labels) == expected[:1]
+    pair = np.array([[1, 2, 0], [0, 0, 0]])
+    expected = [oracle.feedback_pair(outside, PairSample(rows[0], ("O", "O", "O")), "cont")]
+    assert oracle.feedback_paths([outside], pair, labels, "cont") == expected
+
+
+@pytest.mark.parametrize("kind", ["hamming", "chunk-f1"])
+@pytest.mark.parametrize("mode", [None, "bin"])
+@pytest.mark.parametrize("count", [1, 3])
+def test_index_path_feedback_rejects_paths_shorter_than_their_instance(kind, mode, count):
+    labels = ("O", "B", "I")
+    instances = [ChainInstance(tokens=("a", "b"), gold=("B", "I"))] * (count - 1)
+    instances.append(ChainInstance(tokens=("a", "b", "c"), gold=("B", "I", "O")))
+    per = 1 if mode is None else 2
+    paths = np.zeros((per * count, 2), dtype=np.intp)  # one short of the last instance
+    with pytest.raises(ValueError):
+        FeedbackOracle(kind).feedback_paths(instances, paths, labels, mode)
 
 
 def test_index_path_feedback_requires_gold():
