@@ -107,8 +107,8 @@ class LabelAlphabet:
 class ChainInstance:
     """A token sequence with an optional gold labeling.
 
-    The gold labeling is never consulted by the learner directly; it exists
-    only so a feedback oracle can score predictions against it.
+    The gold labeling is never consulted by the learner directly: only the
+    feedback module reads it, to score predictions against it.
     """
 
     tokens: tuple[str, ...]
@@ -291,29 +291,10 @@ class ChainModel:
 
     def batch_memo(self, data: Sequence[ChainInstance]) -> dict:
         """A dict kept with the cached batch of data, and dropped with it:
-        what a caller derives once per dataset (the gold label indices, the
-        gold chunk spans) lives here."""
+        what a caller derives once per dataset lives here; the model never
+        reads it (``feedback.dataset_losses`` keeps its padded gold there)."""
         self.compile_batch(data)
         return self._batch[3]
-
-    def gold_indices(self, data: Sequence[ChainInstance]) -> np.ndarray:
-        """The gold labelings of a dataset as label indices, a (B, n_max) int
-        array padded like ``compile_batch``'s (0 past each length); built on
-        first call and cached with the batch.
-
-        A gold label that is not in the alphabet is -1, which no label index
-        equals.  Every instance must have a gold labeling.
-        """
-        memo = self.batch_memo(data)
-        if "gold" not in memo:
-            lengths = self._batch[2]
-            index = self.alphabet._index
-            flat = list(itertools.chain.from_iterable(x.gold for x in data))
-            gold = np.zeros((len(lengths), lengths.max()), dtype=np.intp)
-            gold[np.arange(gold.shape[1]) < lengths[:, None]] = np.fromiter(
-                (index.get(g, -1) for g in flat), np.intp, len(flat))
-            memo["gold"] = gold
-        return memo["gold"]
 
     def clear_cache(self) -> None:
         self._compiled.clear()
@@ -776,9 +757,9 @@ def _viterbi(node: np.ndarray, trans: np.ndarray, lengths: np.ndarray) -> np.nda
     return path
 
 
-def _labelings(model: ChainModel, path: np.ndarray, lengths: np.ndarray) -> list[tuple[str, ...]]:
-    """The label tuples of the paths, each cut to its instance's length."""
-    named = np.array(model.alphabet.labels, dtype=object)[path].tolist()
+def _labelings(labels: Sequence[str], path: np.ndarray, lengths: np.ndarray) -> list[tuple]:
+    """The label tuples of the paths over labels, each cut to its length."""
+    named = np.array(labels, dtype=object)[path].tolist()
     return [tuple(row[:n]) for row, n in zip(named, lengths.tolist())]
 
 
@@ -805,4 +786,5 @@ def map_decode(
     lowest label index."""
     lattice = build_lattice(model, w, x)
     lengths = np.array([lattice.n])
-    return _labelings(model, _viterbi(lattice.node[None], lattice.trans, lengths), lengths)[0]
+    return _labelings(model.alphabet.labels, _viterbi(lattice.node[None], lattice.trans, lengths),
+                      lengths)[0]

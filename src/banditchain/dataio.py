@@ -299,7 +299,8 @@ def load_config(
     Relative paths in the file resolve against the file's directory;
     override paths resolve against the current directory.  Each value must
     have its field's JSON type (an integer field takes no 2.0 or true, a
-    number field no "0.1"), checked before any value is used.
+    number field no "0.1"), checked before any value is used.  The loss and
+    the objective are kept under their canonical names ("hamming", "el").
     """
     path = Path(path)
     raw = _read_json_object(path, "config")
@@ -326,7 +327,8 @@ def load_config(
         raw["emission_offsets"] = tuple(raw["emission_offsets"])
     cfg = RunConfig(**raw)
     cfg.validate()
-    return cfg
+    return dataclasses.replace(cfg, loss=LossKind.parse(cfg.loss).value,
+                               objective=ObjectiveKind.parse(cfg.objective).value)
 
 
 # -- reports -------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """Simulated bandit feedback: task losses scored against held-back gold.
 
-The learner only ever sees scalar loss values in [0, 1].  The oracle object
-holds the loss kind and reads the gold labeling off the instance itself; its
-public surface deliberately has no operation that returns a labeling.  It
-scores label tuples, and paths of label indices: under Hamming against gold
-label indices that it caches per gold labeling.
+The learner only ever sees scalar loss values in [0, 1].  This is the one
+module that reads gold labelings: the oracle object scores the learner's
+samples against them, and ``dataset_losses`` evaluation's decoded paths;
+neither returns a labeling.  Both score label tuples, and paths of label
+indices: under Hamming against the gold label indices of ``_gold_indices``.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from enum import Enum
 from functools import lru_cache
@@ -17,7 +18,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .chain import ChainInstance
+from .chain import ChainInstance, _labelings
 from .objectives import PairSample, pair_feedback
 
 Labeling = Sequence[str]
@@ -94,6 +95,19 @@ def bio_spans(labels: Labeling) -> set[tuple[int, int, str]]:
 @lru_cache(maxsize=1 << 14)
 def _gold_spans(gold: tuple[str, ...]) -> frozenset[tuple[int, int, str]]:
     return frozenset(bio_spans(gold))
+
+
+@lru_cache(maxsize=1 << 14)
+def _gold_indices(labels: tuple[str, ...], gold: tuple[str, ...]) -> tuple[int, ...]:
+    """gold as indices into labels; a gold label that is not among labels is
+    -1, which no label index equals."""
+    return tuple(labels.index(g) if g in labels else -1 for g in gold)
+
+
+def require_gold(instances: Sequence[ChainInstance]) -> None:
+    """A ValueError unless every instance has a gold labeling to score against."""
+    if any(x.gold is None for x in instances):
+        raise ValueError("instance has no gold labeling; cannot simulate feedback")
 
 
 def chunk_f1_loss(gold: Labeling, pred: Labeling) -> float:
@@ -180,6 +194,35 @@ def chunk_f1_losses(gold: SpanKeys, pred: SpanKeys) -> np.ndarray:
     return out
 
 
+def dataset_losses(
+    data: Sequence[ChainInstance], paths: np.ndarray, lengths: np.ndarray,
+    labels: Sequence[str], memo: dict, loss: Callable[[Labeling, Labeling], float],
+) -> list[float]:
+    """The loss of each instance of data (each with gold) against its row of
+    paths, a padded (B, n_max) label-index array cut to lengths[b] in row b.
+
+    memo, kept with the dataset (``ChainModel.batch_memo(data)``), holds the
+    padded gold label indices and gold span keys.  ``hamming_loss`` and
+    ``chunk_f1_loss`` (the very function objects) score the label indices,
+    bit-equal to the loss; any other loss, and chunk F1 against a gold label
+    outside labels, gets each prediction as a label tuple.
+    """
+    labels = tuple(labels)
+    if (loss is hamming_loss or loss is chunk_f1_loss) and "gold" not in memo:
+        flat = list(itertools.chain.from_iterable(_gold_indices(labels, x.gold) for x in data))
+        gold = memo["gold"] = np.zeros((len(lengths), lengths.max()), dtype=np.intp)
+        gold[np.arange(gold.shape[1]) < lengths[:, None]] = flat
+    if loss is hamming_loss:
+        return hamming_losses(memo["gold"], paths, lengths).tolist()
+    if loss is chunk_f1_loss and "gold spans" not in memo:
+        gold = memo["gold"]
+        memo["gold spans"] = None if (gold < 0).any() else bio_span_keys(gold, lengths, labels)
+    if loss is chunk_f1_loss and memo["gold spans"] is not None:
+        spans = bio_span_keys(paths, lengths, labels)
+        return chunk_f1_losses(memo["gold spans"], spans).tolist()
+    return [loss(x.gold, y) for x, y in zip(data, _labelings(labels, paths, lengths))]
+
+
 _LOSS_FNS: dict[LossKind, Callable[[Labeling, Labeling], float]] = {
     LossKind.HAMMING: hamming_loss,
     LossKind.CHUNK_F1: chunk_f1_loss,
@@ -201,8 +244,6 @@ class FeedbackOracle:
     def __init__(self, kind: "str | LossKind" = LossKind.HAMMING):
         self.kind = LossKind.parse(kind)
         self._loss = _LOSS_FNS[self.kind]
-        # labels -> gold labeling -> its label indices (``_gold_indices``)
-        self._gold: dict[tuple[str, ...], dict[tuple[str, ...], list[int]]] = {}
 
     def __repr__(self) -> str:
         return f"FeedbackOracle({self.kind.value!r})"
@@ -212,10 +253,13 @@ class FeedbackOracle:
         """The pointwise loss function (gold, pred) -> [0, 1]."""
         return self._loss
 
+    def check(self, instances: Sequence[ChainInstance]) -> None:
+        """A ValueError unless every instance has gold; ``train``'s first check."""
+        require_gold(instances)
+
     def feedback(self, instance: ChainInstance, labeling: Labeling) -> float:
         """Pointwise bandit feedback for one predicted labeling."""
-        if instance.gold is None:
-            raise ValueError("instance has no gold labeling; cannot simulate feedback")
+        require_gold((instance,))
         return self._loss(instance.gold, labeling)
 
     def feedback_pair(self, instance: ChainInstance, pair: PairSample, mode: str) -> float:
@@ -238,14 +282,13 @@ class FeedbackOracle:
         value is ``feedback`` of that labeling; with one, C is 2 and each value
         is ``feedback_pair`` of the ordered pair (row 2b, row 2b + 1), bit for
         bit.  Under Hamming each row is compared with its instance's gold
-        label indices, cached per gold labeling; under chunk F1 each row is
-        scored as a label tuple by the loss itself.  Paths shorter than an
-        instance raise ``ValueError``.
+        label indices (``_gold_indices``); under chunk F1 each row is scored as
+        a label tuple by the loss itself.  Paths shorter than an instance raise
+        ``ValueError``.
         """
-        if any(x.gold is None for x in instances):
-            raise ValueError("instance has no gold labeling; cannot simulate feedback")
-        hamming = self.kind is LossKind.HAMMING
-        golds = self._gold_indices(instances, labels) if hamming else [x.gold for x in instances]
+        require_gold(instances)
+        hamming, labels = self.kind is LossKind.HAMMING, tuple(labels)
+        golds = [_gold_indices(labels, x.gold) if hamming else x.gold for x in instances]
         if paths.shape[1] < max(map(len, golds), default=0):
             raise ValueError(f"paths of length {paths.shape[1]} are shorter than an instance")
         if mode is not None:  # each instance scores two rows
@@ -260,16 +303,3 @@ class FeedbackOracle:
             return losses
         return [pair_feedback(first, second, mode)
                 for first, second in zip(losses[::2], losses[1::2])]
-
-    def _gold_indices(
-        self, instances: Sequence[ChainInstance], labels: Sequence[str]
-    ) -> list[list[int]]:
-        """The gold labels of each instance as indices into labels, cached per
-        gold labeling; a gold label that is not among labels is -1, which no
-        index equals."""
-        cache = self._gold.setdefault(tuple(labels), {})
-        for x in instances:
-            if x.gold not in cache:
-                index = {label: i for i, label in enumerate(labels)}
-                cache[x.gold] = [index.get(g, -1) for g in x.gold]
-        return [cache[x.gold] for x in instances]

@@ -23,12 +23,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .chain import (
-    ChainInstance, ChainModel, ChainPosterior, _labelings, draw_batch, map_decode_paths, posterior,
+    ChainInstance, ChainModel, ChainPosterior, draw_batch, map_decode_paths, posterior,
 )
 from .chain import sample  # noqa: F401  (perfbench's tracer self-test checks this binding)
-from .feedback import (
-    FeedbackOracle, bio_span_keys, chunk_f1_loss, chunk_f1_losses, hamming_loss, hamming_losses,
-)
+from .feedback import FeedbackOracle, dataset_losses, require_gold
 from .objectives import ObjectiveKind, ce_columns, check_clip_k, el_columns, pr_columns
 from .sparse import SparseVector
 
@@ -123,30 +121,16 @@ def evaluate(
     w is a SparseVector or a column array of the model.  Every instance must
     have a gold labeling; that is checked before anything is decoded.  The
     whole dataset is decoded in one batched Viterbi pass
-    (``map_decode_paths``).  Under ``hamming_loss`` and ``chunk_f1_loss``
-    (the very function objects) the paths are scored where they are, as label
-    indices against the gold indices cached with the batch; any other loss,
-    and chunk F1 against a gold label outside the alphabet, gets each
-    prediction as a label tuple.  The losses are summed as a left
-    fold in dataset order, from 0.0.
+    (``map_decode_paths``) and scored by ``feedback.dataset_losses``, which
+    keeps what it derives from the gold with the batch.  The losses are
+    summed as a left fold in dataset order, from 0.0.
     """
     if not data:
         raise ValueError("empty evaluation set")
-    if any(x.gold is None for x in data):
-        raise ValueError("evaluation instance has no gold labeling")
+    require_gold(data)
     paths, lengths = map_decode_paths(model, w, data)
-    labels = model.alphabet.labels
-    if loss is chunk_f1_loss:
-        memo = model.batch_memo(data)
-        if "gold spans" not in memo:
-            gold = model.gold_indices(data)
-            memo["gold spans"] = None if (gold < 0).any() else bio_span_keys(gold, lengths, labels)
-    if loss is hamming_loss:
-        losses = hamming_losses(model.gold_indices(data), paths, lengths).tolist()
-    elif loss is chunk_f1_loss and memo["gold spans"] is not None:
-        losses = chunk_f1_losses(memo["gold spans"], bio_span_keys(paths, lengths, labels)).tolist()
-    else:
-        losses = [loss(x.gold, y) for x, y in zip(data, _labelings(model, paths, lengths))]
+    losses = dataset_losses(data, paths, lengths, model.alphabet.labels, model.batch_memo(data),
+                            loss)
     total = 0.0
     for value in losses:
         total += value
@@ -196,7 +180,7 @@ def train(
 
     Weights start at zero unless a warm-start vector w0 is given.  Inputs are
     drawn i.i.d. uniformly with replacement; the gold labelings of training
-    inputs are only ever touched by the feedback oracle.
+    inputs are only ever touched by the feedback oracle, which ``check``s them.
 
     w is a float64 column array of the model that grows with zeros as new
     instances bring new columns.  A step draws its input, then the uniforms
@@ -225,6 +209,7 @@ def train(
         raise ValueError("empty training set")
     if not dev_data:
         raise ValueError("empty development set")
+    feedback_oracle.check(train_data)
 
     T = config.iterations
     epoch_size = config.epoch_size or len(train_data)

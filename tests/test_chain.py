@@ -563,7 +563,7 @@ def mixed_length_task(num_labels, offsets, scale, seed):
 
 def decode_batch(model, w, data):
     """The batched Viterbi paths of data as label tuples."""
-    return chain_mod._labelings(model, *chain_mod.map_decode_paths(model, w, data))
+    return chain_mod._labelings(model.alphabet.labels, *chain_mod.map_decode_paths(model, w, data))
 
 
 @pytest.mark.parametrize("num_labels", [3, 9])

@@ -336,6 +336,16 @@ def test_run_train_test_loss_is_the_written_checkpoints(loss, objective, tmp_pat
     assert test_loss.hex() == evaluate(model, w, test, loss_fn(loss)).hex()
 
 
+def test_config_names_are_stored_canonically(tmp_path):
+    cfg = load_config(run_config(tmp_path, loss="HAMMING", objective="EL", iterations=40))
+    assert (cfg.loss, cfg.objective) == ("hamming", "el")
+    report = run_train(cfg)
+    assert report["config"]["loss"] == "hamming"
+    assert report["config"]["objective"] == "el"
+    assert report["summary"]["objective"] == "el"
+    assert report["convergence"]["objective"] == "el"
+
+
 def test_run_train_deterministic_modulo_timestamp(tmp_path):
     cfg = load_config(run_config(tmp_path))
     a = run_train(cfg)

@@ -23,3 +23,21 @@ def test_deleted_names_are_not_exported():
 def test_deleted_posterior_methods_are_gone():
     for name in ("negated", "expected_features"):
         assert not hasattr(banditchain.ChainPosterior, name)
+
+
+def test_only_the_feedback_module_reads_gold():
+    """Outside ChainInstance, no learner-side module reads an instance's gold
+    labeling: the feedback module scores predictions against it."""
+    from pathlib import Path
+
+    package = Path(banditchain.__file__).parent
+    readers = []
+    for name in ("chain", "objectives", "sparse", "diagnostics", "trainer"):
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        owner = {id(node) for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) and cls.name == "ChainInstance"
+                 for node in ast.walk(cls)}
+        readers += [f"{name}.py:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "gold"
+                    and id(node) not in owner]
+    assert readers == []

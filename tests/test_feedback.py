@@ -138,8 +138,10 @@ def test_oracle_interface_exposes_only_scalars():
     """API review: no public operation on the oracle returns a labeling."""
     oracle = FeedbackOracle("hamming")
     public = [name for name in dir(oracle) if not name.startswith("_")]
-    assert sorted(public) == ["feedback", "feedback_pair", "feedback_paths", "kind", "loss"]
+    assert sorted(public) == ["check", "feedback", "feedback_pair", "feedback_paths", "kind",
+                              "loss"]
     x = ChainInstance(tokens=("a", "b"), gold=("A", "B"))
+    assert oracle.check([x]) is None
     assert isinstance(oracle.feedback(x, ("B", "A")), float)
     assert isinstance(
         oracle.feedback_pair(x, PairSample(("B", "A"), ("A", "B")), "bin"), float

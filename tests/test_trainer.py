@@ -28,6 +28,9 @@ class ConstantOracle(FeedbackOracle):
         super().__init__("hamming")
         self._value = value
 
+    def check(self, instances) -> None:  # it scores without gold
+        pass
+
     def feedback(self, instance, labeling) -> float:
         return self._value
 
@@ -307,7 +310,7 @@ def random_weights(model, data, seed, scale):
 
 @pytest.mark.parametrize("kind", ["hamming", "chunk-f1"])
 def test_evaluate_scores_built_in_losses_without_label_tuples(kind, synthetic_task, monkeypatch):
-    import banditchain.trainer as trainer_mod
+    import banditchain.feedback as feedback_mod
     from banditchain import loss_fn
 
     model, _, dev_data, test_data = synthetic_task
@@ -316,7 +319,7 @@ def test_evaluate_scores_built_in_losses_without_label_tuples(kind, synthetic_ta
         w = random_weights(model, data, seed, scale)
         expected = per_instance_mean(model, w, data, loss_fn(kind))
         with monkeypatch.context() as patch:
-            patch.setattr(trainer_mod, "_labelings", lambda *a: pytest.fail("labelings built"))
+            patch.setattr(feedback_mod, "_labelings", lambda *a: pytest.fail("labelings built"))
             for loss in (loss_fn(kind), FeedbackOracle(kind).loss):
                 assert evaluate(model, w, data, loss).hex() == expected.hex()
 
@@ -334,21 +337,71 @@ def test_evaluate_gives_a_custom_loss_the_label_tuples(synthetic_task):
 
     value = evaluate(model, w, dev_data, custom)
     assert calls == [(x.gold, map_decode(model, w, x)) for x in dev_data]
+    assert all(type(pred) is tuple for _, pred in calls)
     assert value.hex() == evaluate(model, w, dev_data, hamming_loss).hex()
 
 
 def test_evaluate_scores_a_gold_label_outside_the_alphabet_as_before(ab_model, monkeypatch):
-    import banditchain.trainer as trainer_mod
+    import banditchain.feedback as feedback_mod
     from banditchain import chunk_f1_loss, hamming_loss
 
     data = [ChainInstance(tokens=("x", "y"), gold=("A", "Z")),
             ChainInstance(tokens=("x",), gold=("A",))]
     with monkeypatch.context() as patch:  # Hamming scores the label indices as they are
-        patch.setattr(trainer_mod, "_labelings", lambda *a: pytest.fail("labelings built"))
+        patch.setattr(feedback_mod, "_labelings", lambda *a: pytest.fail("labelings built"))
         assert evaluate(ab_model, SparseVector(), data, hamming_loss) == 0.25
     bio = ChainModel(LabelAlphabet(("O", "B", "I")))
     data = [ChainInstance(tokens=("x", "y"), gold=("B-PER", "O"))]
     assert evaluate(bio, SparseVector(), data, chunk_f1_loss) == 1.0
+
+
+def test_evaluate_switches_losses_on_one_compiled_dataset(synthetic_task, monkeypatch):
+    from banditchain import chunk_alphabet, chunk_f1_loss, hamming_loss
+
+    _, _, dev_data, _ = synthetic_task
+    model = ChainModel(chunk_alphabet())  # its own model: no batch is cached yet
+    w = random_weights(model, dev_data, 4, 1.0)
+    expected = {loss: per_instance_mean(model, w, dev_data, loss)
+                for loss in (hamming_loss, chunk_f1_loss)}
+    compiled = []
+    compile_one = model.compile
+    monkeypatch.setattr(model, "compile", lambda x: compiled.append(x) or compile_one(x))
+    for loss in (hamming_loss, chunk_f1_loss, hamming_loss):
+        assert evaluate(model, w, dev_data, loss).hex() == expected[loss].hex()
+    assert compiled == dev_data  # the padded batch was built once
+
+
+@pytest.mark.parametrize("kind", ["hamming", "chunk-f1"])
+def test_a_gold_label_outside_the_labels_scores_alike_in_evaluation_and_feedback(kind):
+    from banditchain.chain import map_decode_paths
+
+    labels = ("O", "B-PER", "I-PER")
+    model = ChainModel(LabelAlphabet(labels))
+    rng = np.random.default_rng(9)
+    data = [ChainInstance(tokens=tuple(f"t{i}" for i in rng.integers(4, size=n)),
+                          gold=tuple(rng.choice(labels + ("B-LOC", "I-LOC"), size=n).tolist()))
+            for n in rng.integers(1, 7, size=12).tolist()]
+    oracle = FeedbackOracle(kind)
+    for seed in range(3):
+        w = random_weights(model, data, seed, 2.0)
+        paths, _ = map_decode_paths(model, w, data)
+        total = 0.0
+        for value in oracle.feedback_paths(data, paths, labels):
+            total += value
+        assert evaluate(model, w, data, oracle.loss).hex() == (total / len(data)).hex()
+
+
+@pytest.mark.parametrize("iterations", [5, 400])
+def test_train_rejects_an_instance_without_gold_before_the_first_step(iterations, monkeypatch):
+    import banditchain.trainer as trainer_mod
+    from banditchain import chunk_alphabet, generate_chunk_instances
+
+    data = generate_chunk_instances(20, np.random.default_rng(3))
+    data[13] = ChainInstance(tokens=data[13].tokens)
+    monkeypatch.setattr(trainer_mod, "evaluate", lambda *a: pytest.fail("dev set evaluated"))
+    cfg = TrainerConfig(objective="el", gamma=0.1, iterations=iterations, seed=0)
+    with pytest.raises(ValueError, match="no gold"):
+        train(cfg, ChainModel(chunk_alphabet()), data, data[:3], FeedbackOracle("hamming"))
 
 
 def test_evaluate_sums_the_losses_as_a_left_fold(ab_model):
@@ -591,6 +644,9 @@ class HotOracle(FeedbackOracle):
     def __init__(self, hot):
         super().__init__("hamming")
         self.hot = hot
+
+    def check(self, instances) -> None:  # it finds a missing gold when it scores
+        pass
 
     def feedback_paths(self, instances, paths, labels, mode=None):
         if any(x.gold is None for x in instances):
