@@ -588,7 +588,11 @@ class ChainPosterior:
     def draw(self, u: np.ndarray) -> np.ndarray:
         """One exact draw of each chain from the uniforms u, shape (B, n), as a
         (B, n) array of label indices: the draw ``_walk`` makes from u, walking
-        only the table rows it takes, each as a Python list."""
+        only the table rows it takes, each as a Python list.  u of another
+        shape raises ``ValueError``."""
+        n, B, _ = self.stack.node.shape
+        if u.shape != (B, n):
+            raise ValueError(f"uniforms of shape {u.shape} for {B} chains of length {n}")
         cum0, cum = self._sampler_table
         last = cum0.shape[1] - 1
         paths = []

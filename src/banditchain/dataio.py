@@ -89,11 +89,19 @@ def read_dataset(path: "str | Path", alphabet: LabelAlphabet) -> list[ChainInsta
 
 
 def write_dataset(path: "str | Path", instances: Sequence[ChainInstance]) -> None:
+    """Write a TSV dataset that ``read_dataset`` reads back.  An instance without
+    gold, or a token or label that is empty or holds a tab or line break, raises
+    ``DataError`` before the file is opened, so the file is left as it was."""
+    for i, x in enumerate(instances):
+        if x.gold is None:
+            raise DataError(f"cannot write instance {i}: it has no gold labels")
+        for text in (*x.tokens, *x.gold):
+            if not text or "\t" in text or "\n" in text or "\r" in text:
+                raise DataError(f"cannot write instance {i}: token or label {text!r} is "
+                                "empty or holds a tab or line break")
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         for i, x in enumerate(instances):
-            if x.gold is None:
-                raise DataError("cannot write an instance without gold labels")
             if i:
                 fh.write("\n")
             for token, label in zip(x.tokens, x.gold):
@@ -393,12 +401,9 @@ def run_train(config: RunConfig) -> dict:
 
     trajectory = train(config.trainer_config(), model, train_data, dev_data, oracle, w0=w0)
     best_t, best_w = select_best(trajectory)
-    best_dev = min(trajectory.dev_losses)
+    _, best_dev, best_columns = trajectory.best
     # scored from the selected checkpoint's columns: best_w is what gets written
-    test_loss = (
-        evaluate(model, dict(trajectory.checkpoints)[best_t], test_data, oracle.loss)
-        if test_data else None
-    )
+    test_loss = evaluate(model, best_columns, test_data, oracle.loss) if test_data else None
     convergence = convergence_report(
         trajectory, n_pairs=config.lipschitz_pairs, seed=config.seed
     )

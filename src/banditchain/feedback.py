@@ -283,10 +283,13 @@ class FeedbackOracle:
         is ``feedback_pair`` of the ordered pair (row 2b, row 2b + 1), bit for
         bit.  Under Hamming each row is compared with its instance's gold
         label indices (``_gold_indices``); under chunk F1 each row is scored as
-        a label tuple by the loss itself.  Paths shorter than an instance raise
-        ``ValueError``.
+        a label tuple by the loss itself.  Paths with other than C rows per
+        instance, or shorter than an instance, raise ``ValueError``.
         """
         require_gold(instances)
+        if len(paths) != (1 if mode is None else 2) * len(instances):
+            raise ValueError(f"{len(paths)} paths for {len(instances)} instances "
+                             f"in pair mode {mode!r}")
         hamming, labels = self.kind is LossKind.HAMMING, tuple(labels)
         golds = [_gold_indices(labels, x.gold) if hamming else x.gold for x in instances]
         if paths.shape[1] < max(map(len, golds), default=0):

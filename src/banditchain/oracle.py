@@ -1,11 +1,11 @@
 """Brute-force ground truth over small output spaces.
 
-Everything here works by materializing all L^n labelings of an instance and
-summing directly over them, deliberately avoiding the lattice dynamic
-programs: scores come from explicit feature extraction and dot products, the
-partition function from a flat log-sum-exp over all scores.  That makes this
-module an independent reference against which the fast paths and every
-stochastic gradient estimate are certified, sharing none of their code.
+Everything here materializes all L^n labelings of an instance and sums over
+them directly: scores are dot products with explicit features, the partition
+function a flat log-sum-exp over all scores, with no lattice dynamic program.
+That makes this module an independent reference for the fast paths and every
+stochastic gradient estimate; it shares only phi with them (``extract_features``
+through ``ChainModel.compile`` and ``InstanceColumns.features``).
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ feedback for it, builds the objective's stochastic gradient s_t and steps
 the cross-entropy objective).  The loop keeps the bookkeeping needed for
 online-to-batch selection and for the convergence estimators: per-step
 scaled gradient norms, full gradient vectors at epoch boundaries, a bounded
-reservoir of (weights, scaled gradient) snapshots, and periodic checkpoints
-with development-set scores, all over the model's columns.
+reservoir of (weights, scaled gradient) snapshots, and dev-set scores at
+periodic checkpoints with the best one's weights, all over the model's columns.
 """
 
 from __future__ import annotations
@@ -76,10 +76,11 @@ class Trajectory:
 
     Weights and gradients are column arrays of ``model`` (see
     ``ChainModel``); ``final_weights`` and ``select_best`` convert them to
-    SparseVectors.  checkpoints[i] = (t, w_t) pairs with dev_losses[i];
+    SparseVectors.  dev_losses[i] scores w_t at t = i * eval_every; best =
+    (t, loss, w_t) is the checkpoint ``min(dev_losses)`` picks (the first lowest).
     scaled_norm_sq[t] holds ||gamma * s_t||^2 for t = 1..T (index 0 is NaN).
     Row k of epoch_grads is the full scaled gradient gamma * s_t at the epoch
-    boundary t = epoch_steps[k].  Row i of snapshot_weights holds the nonzero
+    boundary t = (k + 1) * epoch_size.  Row i of snapshot_weights holds the nonzero
     entries of a w_t and row i of snapshot_grads the gamma * s_t computed at
     it; there are at most config.snapshots rows, each a (columns, values) pair.
     """
@@ -87,11 +88,10 @@ class Trajectory:
     config: TrainerConfig
     epoch_size: int
     model: Optional[ChainModel] = None
-    checkpoints: list[tuple[int, np.ndarray]] = field(default_factory=list)
     dev_losses: list[float] = field(default_factory=list)
+    best: Optional[tuple[int, float, np.ndarray]] = None
     scaled_norm_sq: np.ndarray = field(default_factory=lambda: np.zeros(0))
     sampled_losses: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    epoch_steps: list[int] = field(default_factory=list)
     epoch_grads: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     snapshot_weights: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     snapshot_grads: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
@@ -107,7 +107,8 @@ class Trajectory:
         return self.model.to_sparse(self.weights)
 
     def dev_curve(self) -> list[tuple[int, float]]:
-        return [(t, loss) for (t, _), loss in zip(self.checkpoints, self.dev_losses)]
+        step = self.config.eval_every or self.epoch_size
+        return [(i * step, loss) for i, loss in enumerate(self.dev_losses)]
 
 
 def evaluate(
@@ -150,20 +151,18 @@ _MAX_BATCH = 64
 
 
 def _gradient(
-    config: TrainerConfig, post: ChainPosterior, paths: np.ndarray, loss: float
+    config: TrainerConfig, post: ChainPosterior, paths: np.ndarray, value: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """(columns, values): s_t's entries for the draw paths (label indices, a
-    row per chain of post) and its feedback, in the order of the SparseVector
-    arithmetic they replay."""
+    row per chain of post) and its nonzero feedback value (the loss; the gain
+    1 - loss for CE), in the order of the SparseVector arithmetic they replay."""
     kind = config.objective
     if kind.is_pairwise:
-        grad = pr_columns(post, paths, delta_pair=loss)
+        grad = pr_columns(post, paths, delta_pair=value)
     elif kind is ObjectiveKind.EL:
-        grad = el_columns(post, paths[0], delta=loss)
+        grad = el_columns(post, paths[0], delta=value)
     else:
-        grad = ce_columns(post, paths[0], gain=1.0 - loss, clip_k=config.clip_k)
-    if grad is None:
-        return _NO_COLUMNS, _NO_VALUES
+        grad = ce_columns(post, paths[0], gain=value, clip_k=config.clip_k)
     idx, values = grad.entries()
     return post.local.columns[idx], values
 
@@ -248,9 +247,14 @@ def train(
     t = idle = 0  # steps taken; of them, the last ones in a row that left w unchanged
     size = 1
     with np.errstate(over="ignore", invalid="ignore"):
-        traj.checkpoints.append((0, w.copy()))
-        traj.dev_losses.append(evaluate(model, w, dev_data, feedback_oracle.loss))
-        while t < T:
+        while True:  # each round takes at least one step
+            if t % eval_every == 0:  # w is copied only when it beats every checkpoint before
+                loss = evaluate(model, w, dev_data, feedback_oracle.loss)
+                traj.dev_losses.append(loss)
+                if traj.best is None or loss < traj.best[1]:
+                    traj.best = (t, loss, w.copy())
+            if t == T:
+                break
             # a batch never draws past the next checkpoint or past T
             ahead = min(size, T - t, eval_every - t % eval_every)
             while len(pending) < ahead:
@@ -258,13 +262,8 @@ def train(
                 model.compile(x)
                 pending.append((x, rng.random((chains, len(x)))))
             w = model.to_columns(w)  # zero-padded when x brought new columns
-            if ahead == 1:
-                x, u = pending[0]
-                post = posterior(model, w, x, pair=pair)
-                paths = post.draw(u)
-                losses = feedback_oracle.feedback_paths([x], paths, labels, mode)
-            else:
-                post = None
+            post = None
+            if ahead > 1:
                 xs, uniforms = zip(*itertools.islice(pending, ahead))
                 try:
                     paths = draw_batch(model, w, xs, uniforms, pair=pair)
@@ -272,21 +271,26 @@ def train(
                 except (FloatingPointError, ValueError):
                     # a batch that cannot be sampled or scored exactly is taken one
                     # step at a time, so that an error is raised by its own step
-                    size, idle = 1, 0
-                    continue
+                    ahead, idle = 1, 0
+            if ahead == 1:
+                x, u = pending[0]
+                post = posterior(model, w, x, pair=pair)
+                paths = post.draw(u)
+                losses = feedback_oracle.feedback_paths([x], paths, labels, mode)
 
             for k, loss in enumerate(losses):
                 x, _ = pending.popleft()
                 t += 1
                 # zero scales s_t to nothing, and only the CE shrink moves w then
-                moves = shrink != 1.0 or (1.0 - loss if kind is ObjectiveKind.CE else loss) != 0.0
+                value = 1.0 - loss if kind is ObjectiveKind.CE else loss
+                moves = shrink != 1.0 or value != 0.0
                 cols, s = _NO_COLUMNS, _NO_VALUES
-                if moves or post is not None:
+                if value != 0.0:
                     if post is None:  # a batch's step that moves w: its own posterior
                         post = posterior(model, w, x, pair=pair)
                     try:
                         cols, s = _gradient(config, post,
-                                            paths[chains * k:chains * (k + 1), :len(x)], loss)
+                                            paths[chains * k:chains * (k + 1), :len(x)], value)
                     except FloatingPointError as exc:
                         raise FloatingPointError(f"training diverged at step {t}: {exc} "
                                                  f"with gamma={gamma}") from None
@@ -299,7 +303,6 @@ def train(
                                              f"{norm} with gamma={gamma}")
                 traj.sampled_losses[t] = loss
                 if t % epoch_size == 0:
-                    traj.epoch_steps.append(t)
                     traj.epoch_grads.append((cols, gamma * s))
                 if t % snapshot_stride == 0 and len(traj.snapshot_weights) < config.snapshots:
                     nonzero = np.flatnonzero(w != 0.0)
@@ -314,9 +317,6 @@ def train(
                         raise FloatingPointError(f"training diverged at step {t}: non-finite "
                                                  f"weight with gamma={gamma}")
 
-                if t % eval_every == 0:
-                    traj.checkpoints.append((t, w.copy()))
-                    traj.dev_losses.append(evaluate(model, w, dev_data, feedback_oracle.loss))
                 if moves:
                     break
             idle = 0 if moves else idle + len(losses)
@@ -328,8 +328,7 @@ def train(
 
 def select_best(trajectory: Trajectory) -> tuple[int, SparseVector]:
     """The checkpoint with the lowest dev loss; ties go to the earliest one."""
-    if not trajectory.checkpoints:
+    if trajectory.best is None:
         raise ValueError("trajectory has no checkpoints")
-    best = min(range(len(trajectory.dev_losses)), key=lambda i: (trajectory.dev_losses[i], i))
-    t, w = trajectory.checkpoints[best]
+    t, _, w = trajectory.best
     return t, trajectory.model.to_sparse(w)

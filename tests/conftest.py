@@ -57,3 +57,19 @@ def random_instance_weights(model, x, seed, scale=0.8):
     rng = np.random.default_rng(seed)
     fids = model.instance_feature_ids(x)
     return SparseVector({fid: scale * float(v) for fid, v in zip(fids, rng.normal(0, 1, len(fids)))})
+
+
+def record_evaluations(monkeypatch):
+    """Patch ``trainer.evaluate`` so that each w ``train`` scores on the dev set
+    is copied, in order, into the list returned: the weights at every checkpoint."""
+    import banditchain
+    import banditchain.trainer as trainer_mod
+
+    seen = []
+
+    def recording(model, w, data, loss):
+        seen.append(w.copy())
+        return banditchain.evaluate(model, w, data, loss)
+
+    monkeypatch.setattr(trainer_mod, "evaluate", recording)
+    return seen

@@ -21,6 +21,7 @@ from banditchain import (
     SparseVector,
     TrainerConfig,
 )
+from conftest import record_evaluations
 
 LABELS = ("A", "B", "C", "D")
 TOKENS = ("ash", "birch", "cedar", "dune")
@@ -391,15 +392,19 @@ def test_criterion_9_variance_ordering(synthetic_datasets):
 # -- 10: determinism ---------------------------------------------------------------------------------
 
 
-def test_criterion_10_determinism(synthetic_datasets):
+def test_criterion_10_determinism(synthetic_datasets, monkeypatch):
     model, train_data, dev_data = synthetic_datasets
     oracle = FeedbackOracle("hamming")
     cfg = TrainerConfig(objective="ce", gamma=1e-3, iterations=500, seed=11,
                         clip_k=0.05, l2_lambda=1e-6, eval_every=100)
+    a_checkpoints = record_evaluations(monkeypatch)
     a = bc.train(cfg, model, train_data, dev_data, oracle)
+    b_checkpoints = record_evaluations(monkeypatch)
     b = bc.train(cfg, model, train_data, dev_data, oracle)
     assert a.dev_curve() == b.dev_curve()
     assert a.final_weights == b.final_weights
-    assert ([model.to_sparse(w) for _, w in a.checkpoints]
-            == [model.to_sparse(w) for _, w in b.checkpoints])
+    assert len(a_checkpoints) == len(a.dev_losses) == 6
+    assert ([model.to_sparse(w) for w in a_checkpoints]
+            == [model.to_sparse(w) for w in b_checkpoints])
+    assert a.best[:2] == b.best[:2] and np.array_equal(a.best[2], b.best[2])
     done(10, f"(identical dev curves over {len(a.dev_losses)} evaluations and final weights)")

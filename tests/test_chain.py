@@ -475,6 +475,17 @@ def test_repeated_draws_build_the_sampler_table_once(monkeypatch):
     assert calls == [1]  # the table's p0, once for all six calls
 
 
+@pytest.mark.parametrize("pair, shape", [(False, (1, 2)), (False, (2, 3)), (True, (1, 3)),
+                                         (True, (2, 4)), (False, (3,))])
+def test_draw_rejects_uniforms_of_another_shape(pair, shape):
+    model, x, w = random_chain(3, 3, seed=4, scale=2.0)
+    post = posterior(model, w, x, pair=pair)
+    with pytest.raises(ValueError, match="uniforms of shape"):
+        post.draw(np.random.default_rng(0).random(shape))
+    assert post.draw(np.random.default_rng(0).random((2 if pair else 1, 3))).shape == (
+        2 if pair else 1, 3)
+
+
 @pytest.mark.parametrize("size", [1, 1000])
 def test_single_token_draws_have_one_column(size):
     model, x, w = random_chain(3, 1, seed=4, scale=2.0)

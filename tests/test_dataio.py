@@ -94,6 +94,25 @@ def test_typed_bio_labels_round_trip(tmp_path):
     assert read_dataset(p, alphabet) == data
 
 
+@pytest.mark.parametrize("bad", [
+    [ChainInstance(("a", "b"), ("O", "O")), ChainInstance(("c",))],  # no gold
+    [ChainInstance(("a", "b"), ("O", "O")), ChainInstance(("c\td",), ("O",))],
+    [ChainInstance(("a", ""), ("O", "O"))],
+    [ChainInstance(("a",), ("O\n",))],
+    [ChainInstance(("a\rb",), ("O",))],
+    [ChainInstance(("a",), ("",))],
+])
+def test_a_dataset_that_cannot_be_read_back_leaves_the_file_as_it_was(tmp_path, bio_alphabet,
+                                                                      bad):
+    p = tmp_path / "data.tsv"
+    write_dataset(p, [ChainInstance(("x", "y"), ("B", "I"))])
+    before = p.read_bytes()
+    with pytest.raises(DataError, match="cannot write instance"):
+        write_dataset(p, bad)
+    assert p.read_bytes() == before
+    assert read_dataset(p, bio_alphabet) == [ChainInstance(("x", "y"), ("B", "I"))]
+
+
 # -- checkpoints ---------------------------------------------------------------
 
 

@@ -428,6 +428,15 @@ def test_index_path_feedback_rejects_paths_shorter_than_their_instance(kind, mod
         FeedbackOracle(kind).feedback_paths(instances, paths, labels, mode)
 
 
+@pytest.mark.parametrize("mode, count, rows", [("cont", 1, 1), (None, 2, 1), ("bin", 2, 3),
+                                              (None, 1, 2)])
+def test_index_path_feedback_rejects_a_row_count_other_than_one_per_chain(mode, count, rows):
+    instances = [ChainInstance(tokens=("a", "b"), gold=("B", "O"))] * count
+    with pytest.raises(ValueError, match=f"{rows} paths for {count} instances"):
+        FeedbackOracle("hamming").feedback_paths(
+            instances, np.zeros((rows, 2), dtype=np.intp), ("O", "B", "I"), mode)
+
+
 def test_index_path_feedback_requires_gold():
     with pytest.raises(ValueError, match="no gold"):
         FeedbackOracle("hamming").feedback_paths(

@@ -19,6 +19,7 @@ from banditchain import (
     select_best,
     train,
 )
+from conftest import record_evaluations
 
 
 class ConstantOracle(FeedbackOracle):
@@ -74,8 +75,9 @@ def test_update_rule_without_regularization(tiny_task):
         objective="el", gamma=gamma, iterations=1, seed=3, epoch_size=1, eval_every=1
     )
     traj = train(cfg, model, train_data, dev_data, FeedbackOracle("hamming"))
-    (t,), ((columns, scaled_s),) = traj.epoch_steps, traj.epoch_grads
-    assert t == 1
+    # the one epoch row is at t = 1 * epoch_size, the run's only step
+    ((columns, scaled_s),) = traj.epoch_grads
+    assert sum((scaled_s * scaled_s).tolist()) == pytest.approx(traj.scaled_norm_sq[1])
     # w_1 = w_0 - gamma * s_1 with w_0 = 0, and scaled_s is exactly gamma * s_1
     assert traj.final_weights == model.to_sparse(scaled_s, columns).scaled(-1.0)
 
@@ -104,28 +106,36 @@ def test_l2_only_applies_to_ce(tiny_task):
     assert traj.final_weights == w0  # no shrink, no gradient
 
 
-def test_reproducibility_bitwise(tiny_task):
+def test_reproducibility_bitwise(tiny_task, monkeypatch):
     model, train_data, dev_data = tiny_task
     cfg = TrainerConfig(objective="pr-cont", gamma=0.2, iterations=40, seed=7, eval_every=10)
+    a_checkpoints = record_evaluations(monkeypatch)
     a = train(cfg, model, train_data, dev_data, FeedbackOracle("hamming"))
+    b_checkpoints = record_evaluations(monkeypatch)
     b = train(cfg, model, train_data, dev_data, FeedbackOracle("hamming"))
     assert a.final_weights == b.final_weights
     assert a.dev_losses == b.dev_losses
     assert np.array_equal(a.scaled_norm_sq[1:], b.scaled_norm_sq[1:])
-    assert ([model.to_sparse(w) for _, w in a.checkpoints]
-            == [model.to_sparse(w) for _, w in b.checkpoints])
+    assert len(a_checkpoints) == 5
+    assert ([model.to_sparse(w) for w in a_checkpoints]
+            == [model.to_sparse(w) for w in b_checkpoints])
+    assert select_best(a) == select_best(b)
 
 
-def test_checkpoint_count_and_epoch_grads(tiny_task):
+def test_checkpoint_count_and_epoch_grads(tiny_task, monkeypatch):
     model, train_data, dev_data = tiny_task
     cfg = TrainerConfig(
         objective="el", gamma=0.1, iterations=10, seed=0, epoch_size=3, eval_every=4
     )
+    checkpoints = record_evaluations(monkeypatch)
     traj = train(cfg, model, train_data, dev_data, FeedbackOracle("hamming"))
-    assert len(traj.checkpoints) == 10 // 4 + 1
-    assert [t for t, _ in traj.checkpoints] == [0, 4, 8]
-    assert traj.epoch_steps == [3, 6, 9] and len(traj.epoch_grads) == 3
-    assert len(traj.dev_losses) == len(traj.checkpoints)
+    assert len(checkpoints) == 10 // 4 + 1
+    assert [t for t, _ in traj.dev_curve()] == [0, 4, 8]
+    assert len(traj.dev_losses) == len(checkpoints)
+    # the epoch rows are the scaled gradients of steps 3, 6 and 9
+    assert [sum((g * g).tolist()) for _, g in traj.epoch_grads] == pytest.approx(
+        traj.scaled_norm_sq[[3, 6, 9]].tolist())
+    assert not hasattr(traj, "checkpoints") and not hasattr(traj, "epoch_steps")
     # the feature-norm bound of the training set is recorded with the run
     assert traj.feature_norm_bound == 3.0  # 2 emissions + 1 transition
 
@@ -221,29 +231,58 @@ def test_empty_data_rejected(tiny_task):
 # -- selection and evaluation -----------------------------------------------------
 
 
-def make_trajectory(dev_losses):
-    cfg = TrainerConfig(objective="el", gamma=0.1, iterations=len(dev_losses))
-    model = ChainModel(LabelAlphabet(("A", "B")))
-    traj = Trajectory(config=cfg, epoch_size=1, model=model)
-    for i, loss in enumerate(dev_losses):
-        traj.checkpoints.append((i, model.to_columns(SparseVector({1: float(i)}))))
-        traj.dev_losses.append(loss)
-    return traj
+def scripted_run(monkeypatch, task, dev_losses, eval_every=1):
+    """A run on task whose dev scores are dev_losses in turn, one checkpoint
+    every eval_every steps; every step moves w.  Returns the trajectory and a
+    copy of w at each checkpoint."""
+    import banditchain.trainer as trainer_mod
+
+    model, train_data, dev_data = task
+    script = iter(dev_losses)
+    checkpoints = []
+    monkeypatch.setattr(trainer_mod, "evaluate",
+                        lambda model, w, data, loss: checkpoints.append(w.copy()) or next(script))
+    cfg = TrainerConfig(objective="el", gamma=0.1, seed=0, eval_every=eval_every,
+                        iterations=eval_every * (len(dev_losses) - 1) or 1)
+    traj = train(cfg, model, train_data, dev_data, ConstantOracle(0.5))
+    assert traj.dev_losses == list(dev_losses) and next(script, None) is None
+    return traj, checkpoints
 
 
-def test_select_best_single():
-    t, w = select_best(make_trajectory([0.3]))
-    assert t == 0
+def test_select_best_single(tiny_task, monkeypatch):
+    traj, checkpoints = scripted_run(monkeypatch, tiny_task, [0.3], eval_every=2)
+    t, w = select_best(traj)
+    assert t == 0 and w == SparseVector() and len(checkpoints) == 1
 
 
-def test_select_best_argmin():
-    t, w = select_best(make_trajectory([0.4, 0.2, 0.3]))
-    assert t == 1 and w == SparseVector({1: 1.0})
+def test_select_best_argmin(tiny_task, monkeypatch):
+    traj, checkpoints = scripted_run(monkeypatch, tiny_task, [0.4, 0.2, 0.3])
+    t, w = select_best(traj)
+    model = tiny_task[0]
+    assert t == 1 and w == model.to_sparse(checkpoints[1]) and len(w) > 0
+    assert w != model.to_sparse(checkpoints[2])  # the run moved on after it
 
 
-def test_select_best_tie_goes_earliest():
-    t, _ = select_best(make_trajectory([0.2, 0.2]))
-    assert t == 0
+def test_select_best_tie_goes_earliest(tiny_task, monkeypatch):
+    traj, checkpoints = scripted_run(monkeypatch, tiny_task, [0.4, 0.2, 0.2, 0.3])
+    t, w = select_best(traj)
+    assert t == 1 and w == tiny_task[0].to_sparse(checkpoints[1])
+    assert w != tiny_task[0].to_sparse(checkpoints[2])
+
+
+@pytest.mark.parametrize("dev_losses", [
+    [0.2, 0.2], [0.5, 0.3, 0.3, 0.1, 0.1], [math.nan, 0.2], [0.4, math.nan, 0.2],
+    [0.3, 0.1, math.nan, 0.1], [math.nan, math.nan], [0.0, -0.0, 0.0],
+])
+def test_the_selected_checkpoint_is_the_first_lowest_loss(tiny_task, monkeypatch, dev_losses):
+    # the running best is replaced only by a strictly lower loss: the pick of
+    # min over (loss, index), NaN included
+    traj, checkpoints = scripted_run(monkeypatch, tiny_task, dev_losses, eval_every=3)
+    expected = min(range(len(dev_losses)), key=lambda i: (dev_losses[i], i))
+    t, loss, w = traj.best
+    assert t == 3 * expected and traj.dev_curve()[expected][0] == t
+    assert loss.hex() == dev_losses[expected].hex()
+    assert w.tobytes() == checkpoints[expected].tobytes()
 
 
 def test_select_best_empty():
@@ -423,13 +462,13 @@ def test_evaluate_sums_the_losses_as_a_left_fold(ab_model):
     assert evaluate(ab_model, SparseVector(), data, hamming_loss) == left / len(data)
 
 
-def test_warm_start_checkpoint_zero_is_w0(tiny_task):
+def test_warm_start_checkpoint_zero_is_w0(tiny_task, monkeypatch):
     model, train_data, dev_data = tiny_task
     w0 = SparseVector({feature_id("em0\x1fu\x1fA"): 0.7})
     cfg = TrainerConfig(objective="el", gamma=0.1, iterations=4, seed=0, eval_every=4)
+    checkpoints = record_evaluations(monkeypatch)
     traj = train(cfg, model, train_data, dev_data, FeedbackOracle("hamming"), w0=w0)
-    t0, ck0 = traj.checkpoints[0]
-    assert t0 == 0 and model.to_sparse(ck0) == w0
+    assert traj.dev_curve()[0][0] == 0 and model.to_sparse(checkpoints[0]) == w0
 
 
 # -- golden runs ------------------------------------------------------------------
@@ -540,25 +579,27 @@ def test_snapshot_rows_cost_their_nonzeros():
 # -- batched zero-feedback steps ------------------------------------------------------
 
 
-def trajectory_bytes(traj):
+def trajectory_bytes(traj, checkpoints):
     """Every array a run leaves, as bytes: the per-step records, the weights,
-    and the checkpoint, snapshot and epoch rows."""
+    the selected checkpoint, the snapshot and epoch rows, and the weights
+    scored at each checkpoint."""
     rows = traj.snapshot_weights + traj.snapshot_grads + traj.epoch_grads
+    t, loss, w = traj.best
     return {
         "dev_losses": np.array(traj.dev_losses).tobytes(),
         "scaled_norm_sq": traj.scaled_norm_sq.tobytes(),
         "sampled_losses": traj.sampled_losses.tobytes(),
         "weights": traj.weights.tobytes(),
-        "checkpoints": [(t, w.tobytes()) for t, w in traj.checkpoints],
+        "best": (t, loss, w.tobytes()),
+        "checkpoints": [w.tobytes() for w in checkpoints],
         "rows": [(cols.tobytes(), values.tobytes()) for cols, values in rows],
-        "epoch_steps": traj.epoch_steps,
     }
 
 
 def batched_run(monkeypatch, cap, objective, loss, task, after=2):
     """A 240-step run with at most cap steps per batch, batching after `after`
-    zero-feedback steps in a row; returns the trajectory and the sizes of the
-    batches drawn.  EL starts from the weights of a 500-step EL run, so that
+    zero-feedback steps in a row; returns the trajectory, the sizes of the
+    batches drawn and the weights scored at each checkpoint.  EL starts from the weights of a 500-step EL run, so that
     it draws zero-loss labelings often."""
     import banditchain.trainer as trainer_mod
 
@@ -573,7 +614,9 @@ def batched_run(monkeypatch, cap, objective, loss, task, after=2):
     w0 = warm_start(task, loss) if objective == "el" else None
     cfg = TrainerConfig(objective=objective, gamma=0.1, iterations=240, seed=3,
                         epoch_size=25, eval_every=30, snapshots=40)
-    return train(cfg, model, train_data, dev_data, FeedbackOracle(loss), w0=w0), sizes
+    checkpoints = record_evaluations(monkeypatch)
+    traj = train(cfg, model, train_data, dev_data, FeedbackOracle(loss), w0=w0)
+    return traj, sizes, checkpoints
 
 
 def chunk_task():
@@ -606,18 +649,38 @@ def warm_start(task, loss):
     ("ce", "chunk-f1", "typed"),  # without the shrink, a CE step with loss 1 leaves w as it was
 ])
 def test_batched_run_equals_the_sequential_run_bytewise(monkeypatch, objective, loss, task):
-    sequential, sizes = batched_run(monkeypatch, 1, objective, loss, task)
-    assert sizes == []
-    expected = trajectory_bytes(sequential)
+    sequential, sizes, sequential_checkpoints = batched_run(monkeypatch, 1, objective, loss, task)
+    assert sizes == [] and len(sequential_checkpoints) == 9
+    expected = trajectory_bytes(sequential, sequential_checkpoints)
     for cap in (2, 7, 64):
-        traj, sizes = batched_run(monkeypatch, cap, objective, loss, task)
+        traj, sizes, checkpoints = batched_run(monkeypatch, cap, objective, loss, task)
         assert sizes and max(sizes) <= cap
-        assert trajectory_bytes(traj) == expected
+        assert trajectory_bytes(traj, checkpoints) == expected
     if task == "typed":
         # a checkpoint holds the columns of the steps up to it, whatever was drawn ahead
-        lengths = [len(w) for _, w in traj.checkpoints]
-        assert lengths == [len(w) for _, w in sequential.checkpoints]
+        lengths = [len(w) for w in checkpoints]
+        assert lengths == [len(w) for w in sequential_checkpoints]
         assert len(set(lengths)) > 2  # the model grows between checkpoints
+
+
+@pytest.mark.parametrize("objective, loss, task", [
+    ("el", "hamming", "chunk"), ("pr-cont", "hamming", "chunk"), ("ce", "chunk-f1", "typed"),
+])
+@pytest.mark.parametrize("cap", [1, 64])
+def test_only_a_step_that_moves_w_builds_a_gradient(monkeypatch, objective, loss, task, cap):
+    import banditchain.trainer as trainer_mod
+
+    if objective == "el":
+        warm_start(task, loss)  # its own run trains before the spy is in place
+    values = []
+    gradient = trainer_mod._gradient
+    monkeypatch.setattr(trainer_mod, "_gradient",
+                        lambda *args: values.append(args[-1]) or gradient(*args))
+    traj, _, _ = batched_run(monkeypatch, cap, objective, loss, task)
+    # the value s_t scales with: the loss, or the gain 1 - loss for CE
+    feedback = 1.0 - traj.sampled_losses[1:] if objective == "ce" else traj.sampled_losses[1:]
+    assert 0 < len(values) == np.count_nonzero(feedback) < traj.iterations
+    assert values == feedback[feedback != 0.0].tolist()
 
 
 def test_batches_never_draw_past_a_checkpoint(monkeypatch):
@@ -631,11 +694,15 @@ def test_batches_never_draw_past_a_checkpoint(monkeypatch):
                             model, w, data, *a, **kw))
     model, train_data, dev_data = chunk_task()
     cfg = TrainerConfig(objective="pr-cont", gamma=0.1, iterations=240, seed=3, eval_every=30)
-    traj = train(cfg, model, train_data, dev_data, HotOracle(hot=None))
+    oracle, scored = HotOracle(hot=None), []
+    monkeypatch.setattr(trainer_mod, "evaluate",
+                        lambda *args: scored.append(oracle.scored) or evaluate(*args))
+    traj = train(cfg, model, train_data, dev_data, oracle)
     # no step moves w, so the batches grow (1, 1, 2, 4, 8, then 14 to t = 30)
     # and then take one stretch between checkpoints each
     assert drawn == [2, 4, 8, 14] + [30] * 7
-    assert [t for t, _ in traj.checkpoints] == list(range(0, 241, 30))
+    # and each checkpoint comes after the steps up to it are scored, no more
+    assert scored == [t for t, _ in traj.dev_curve()] == list(range(0, 241, 30))
 
 
 class HotOracle(FeedbackOracle):
@@ -644,6 +711,7 @@ class HotOracle(FeedbackOracle):
     def __init__(self, hot):
         super().__init__("hamming")
         self.hot = hot
+        self.scored = 0  # instances scored so far
 
     def check(self, instances) -> None:  # it finds a missing gold when it scores
         pass
@@ -651,6 +719,7 @@ class HotOracle(FeedbackOracle):
     def feedback_paths(self, instances, paths, labels, mode=None):
         if any(x.gold is None for x in instances):
             raise ValueError("instance has no gold labeling")
+        self.scored += len(instances)
         return [1.0 if x is self.hot else 0.0 for x in instances]
 
 
