@@ -54,7 +54,6 @@ from .feedback import (
 )
 from .objectives import (
     ObjectiveKind,
-    PairSample,
     ce_columns,
     el_columns,
     pair_feedback,
@@ -101,7 +100,6 @@ __all__ = [
     "LossKind",
     "ObjectiveKind",
     "OracleBudget",
-    "PairSample",
     "RunConfig",
     "SparseVector",
     "TrainerConfig",

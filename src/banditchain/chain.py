@@ -62,7 +62,8 @@ def _feature_ids(templates: Sequence[str]) -> list[int]:
 
 
 class LabelAlphabet:
-    """Ordered set of at least two distinct label symbols."""
+    """Ordered set of at least two distinct label symbols, none holding the
+    template separator: a template ends in its label, and one holding it could merge two."""
 
     def __init__(self, labels: Sequence[str]):
         labels = tuple(str(lab) for lab in labels)
@@ -70,6 +71,9 @@ class LabelAlphabet:
             raise ValueError("alphabet needs at least 2 labels")
         if len(set(labels)) != len(labels):
             raise ValueError(f"labels must be distinct, got {labels}")
+        for lab in labels:
+            if _SEP in lab:
+                raise ValueError(f"label {lab!r} holds the template separator {_SEP!r}")
         self.labels = labels
         self._index = {lab: i for i, lab in enumerate(labels)}
 
@@ -245,10 +249,11 @@ class ChainModel:
         if cached is not None:
             return cached
         n, offsets, rows = len(x), self.emission_offsets, self._rows
-        pad = max(map(abs, offsets), default=0)
-        padded = (_BOS,) * pad + x.tokens + (_EOS,) * pad
-        keys = list(itertools.chain.from_iterable(
-            zip(itertools.repeat(off), padded[pad + off:pad + off + n]) for off in offsets))
+        padded = (_BOS,) * n + x.tokens + (_EOS,) * n  # an offset past ±n reads as ±n does
+        keys = []
+        for off in offsets:
+            at = n + min(max(off, -n), n)
+            keys += zip(itertools.repeat(off), padded[at:at + n])
         new = list(itertools.filterfalse(rows.__contains__, dict.fromkeys(keys)))
         if new:
             suffixes = [f"{_SEP}{lab}" for lab in self.alphabet.labels]

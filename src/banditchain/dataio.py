@@ -194,21 +194,11 @@ class RunConfig:
         return ChainModel(LabelAlphabet(self.labels), emission_offsets=self.emission_offsets)
 
     def trainer_config(self) -> TrainerConfig:
-        return TrainerConfig(
-            objective=ObjectiveKind.parse(self.objective),
-            gamma=self.gamma,
-            iterations=self.iterations,
-            seed=self.seed,
-            clip_k=self.clip_k,
-            l2_lambda=self.l2_lambda,
-            epoch_size=self.epoch_size,
-            eval_every=self.eval_every,
-            snapshots=self.snapshots,
-        )
+        """The TrainerConfig of this run: each of its fields, taken from ours."""
+        return TrainerConfig(**{f.name: getattr(self, f.name)
+                                for f in dataclasses.fields(TrainerConfig)})
 
     def validate(self) -> None:
-        if len(self.labels) < 2:
-            raise DataError("config needs at least 2 labels")
         if not self.train_path or not self.dev_path:
             raise DataError("config needs train_path and dev_path")
         if Path(self.report_path).resolve() == Path(self.checkpoint_path).resolve():
@@ -222,6 +212,7 @@ class RunConfig:
         if self.lipschitz_pairs <= 0:
             raise DataError("lipschitz_pairs must be positive")
         try:
+            LabelAlphabet(self.labels)
             self.trainer_config().validate()
         except ValueError as exc:
             raise DataError(str(exc)) from None

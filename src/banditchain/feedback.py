@@ -1,10 +1,10 @@
 """Simulated bandit feedback: task losses scored against held-back gold.
 
 The learner only ever sees scalar loss values in [0, 1].  This is the one
-module that reads gold labelings: the oracle object scores the learner's
-samples against them, and ``dataset_losses`` evaluation's decoded paths;
-neither returns a labeling.  Both score label tuples, and paths of label
-indices: under Hamming against the gold label indices of ``_gold_indices``.
+module that reads gold labelings.  It scores paths of label indices, by one
+route per caller: the oracle's ``feedback_paths`` scores the trainer's
+draws, and ``dataset_losses`` evaluation's decoded paths; neither returns a
+labeling.  Both reject a gold label that is not among the model's labels.
 """
 
 from __future__ import annotations
@@ -18,10 +18,11 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .chain import ChainInstance, _labelings
-from .objectives import PairSample, pair_feedback
+from .chain import ChainInstance
+from .objectives import pair_feedback
 
 Labeling = Sequence[str]
+LossFn = Callable[[Labeling, Labeling], float]
 
 _BIO_LABEL = re.compile(r"^(O|[BI](-.+)?)$")
 
@@ -97,11 +98,18 @@ def _gold_spans(gold: tuple[str, ...]) -> frozenset[tuple[int, int, str]]:
     return frozenset(bio_spans(gold))
 
 
+def _check_labels(labels: tuple[str, ...], gold: tuple[str, ...]) -> tuple[str, ...]:
+    """gold, or a ValueError that names a gold label not among labels."""
+    for g in gold:
+        if g not in labels:
+            raise ValueError(f"gold label {g!r} is not among the labels {labels}")
+    return gold
+
+
 @lru_cache(maxsize=1 << 14)
 def _gold_indices(labels: tuple[str, ...], gold: tuple[str, ...]) -> tuple[int, ...]:
-    """gold as indices into labels; a gold label that is not among labels is
-    -1, which no label index equals."""
-    return tuple(labels.index(g) if g in labels else -1 for g in gold)
+    """gold as indices into labels, after ``_check_labels``."""
+    return tuple(map(labels.index, _check_labels(labels, gold)))
 
 
 def require_gold(instances: Sequence[ChainInstance]) -> None:
@@ -194,42 +202,55 @@ def chunk_f1_losses(gold: SpanKeys, pred: SpanKeys) -> np.ndarray:
     return out
 
 
+def check_dataset(data: Sequence[ChainInstance], loss: LossFn) -> None:
+    """A ValueError unless loss is ``hamming_loss`` or ``chunk_f1_loss`` (the
+    very function objects: ``dataset_losses``' two routes) and data has gold."""
+    if loss is not hamming_loss and loss is not chunk_f1_loss:
+        raise ValueError(f"a dataset is scored by hamming_loss or chunk_f1_loss, not {loss!r}")
+    require_gold(data)
+
+
+def dataset_gold(data: Sequence[ChainInstance], labels: Sequence[str], memo: dict) -> np.ndarray:
+    """The gold label indices of data, zero-padded to (B, n_max) and kept in
+    memo (``ChainModel.batch_memo(data)``); a ``ValueError`` names a gold
+    label outside labels."""
+    if "gold" not in memo:
+        labels = tuple(labels)
+        flat = list(itertools.chain.from_iterable(_gold_indices(labels, x.gold) for x in data))
+        lengths = np.array([len(x) for x in data], dtype=np.intp)
+        gold = memo["gold"] = np.zeros((len(data), lengths.max()), dtype=np.intp)
+        gold[np.arange(gold.shape[1]) < lengths[:, None]] = flat
+    return memo["gold"]
+
+
 def dataset_losses(
     data: Sequence[ChainInstance], paths: np.ndarray, lengths: np.ndarray,
-    labels: Sequence[str], memo: dict, loss: Callable[[Labeling, Labeling], float],
+    labels: Sequence[str], memo: dict, loss: LossFn,
 ) -> list[float]:
-    """The loss of each instance of data (each with gold) against its row of
-    paths, a padded (B, n_max) label-index array cut to lengths[b] in row b.
+    """The loss of each instance of data against its row of paths, a padded
+    (B, n_max) label-index array cut to lengths[b] in row b; data and loss
+    as ``check_dataset`` passes them.
 
-    memo, kept with the dataset (``ChainModel.batch_memo(data)``), holds the
-    padded gold label indices and gold span keys.  ``hamming_loss`` and
-    ``chunk_f1_loss`` (the very function objects) score the label indices,
-    bit-equal to the loss; any other loss, and chunk F1 against a gold label
-    outside labels, gets each prediction as a label tuple.
+    memo, kept with the dataset, holds the padded gold label indices
+    (``dataset_gold``) and the gold span keys.  ``hamming_losses``, or
+    ``chunk_f1_losses`` over ``bio_span_keys``, scores the label indices,
+    bit-equal to the loss of each labeling.
     """
-    labels = tuple(labels)
-    if (loss is hamming_loss or loss is chunk_f1_loss) and "gold" not in memo:
-        flat = list(itertools.chain.from_iterable(_gold_indices(labels, x.gold) for x in data))
-        gold = memo["gold"] = np.zeros((len(lengths), lengths.max()), dtype=np.intp)
-        gold[np.arange(gold.shape[1]) < lengths[:, None]] = flat
+    gold = dataset_gold(data, labels, memo)
     if loss is hamming_loss:
-        return hamming_losses(memo["gold"], paths, lengths).tolist()
-    if loss is chunk_f1_loss and "gold spans" not in memo:
-        gold = memo["gold"]
-        memo["gold spans"] = None if (gold < 0).any() else bio_span_keys(gold, lengths, labels)
-    if loss is chunk_f1_loss and memo["gold spans"] is not None:
-        spans = bio_span_keys(paths, lengths, labels)
-        return chunk_f1_losses(memo["gold spans"], spans).tolist()
-    return [loss(x.gold, y) for x, y in zip(data, _labelings(labels, paths, lengths))]
+        return hamming_losses(gold, paths, lengths).tolist()
+    if "gold spans" not in memo:
+        memo["gold spans"] = bio_span_keys(gold, lengths, labels)
+    return chunk_f1_losses(memo["gold spans"], bio_span_keys(paths, lengths, labels)).tolist()
 
 
-_LOSS_FNS: dict[LossKind, Callable[[Labeling, Labeling], float]] = {
+_LOSS_FNS: dict[LossKind, LossFn] = {
     LossKind.HAMMING: hamming_loss,
     LossKind.CHUNK_F1: chunk_f1_loss,
 }
 
 
-def loss_fn(kind: "str | LossKind") -> Callable[[Labeling, Labeling], float]:
+def loss_fn(kind: "str | LossKind") -> LossFn:
     return _LOSS_FNS[LossKind.parse(kind)]
 
 
@@ -237,8 +258,8 @@ class FeedbackOracle:
     """Scores predictions against gold, exposing only scalars.
 
     No public operation returns a labeling; the learner can request the loss
-    of a prediction (or the pairwise feedback for an ordered pair) and
-    nothing else.
+    of each of a batch of label-index paths (or the pairwise feedback for
+    ordered pairs of them) and nothing else.
     """
 
     def __init__(self, kind: "str | LossKind" = LossKind.HAMMING):
@@ -249,26 +270,16 @@ class FeedbackOracle:
         return f"FeedbackOracle({self.kind.value!r})"
 
     @property
-    def loss(self) -> Callable[[Labeling, Labeling], float]:
+    def loss(self) -> LossFn:
         """The pointwise loss function (gold, pred) -> [0, 1]."""
         return self._loss
 
-    def check(self, instances: Sequence[ChainInstance]) -> None:
-        """A ValueError unless every instance has gold; ``train``'s first check."""
+    def check(self, instances: Sequence[ChainInstance], labels: Sequence[str]) -> None:
+        """A ValueError unless every instance has gold, all of it among
+        labels; ``train``'s first check."""
         require_gold(instances)
-
-    def feedback(self, instance: ChainInstance, labeling: Labeling) -> float:
-        """Pointwise bandit feedback for one predicted labeling."""
-        require_gold((instance,))
-        return self._loss(instance.gold, labeling)
-
-    def feedback_pair(self, instance: ChainInstance, pair: PairSample, mode: str) -> float:
-        """Pairwise feedback for an ordered pair of predictions."""
-        return pair_feedback(
-            self.feedback(instance, pair.first),
-            self.feedback(instance, pair.second),
-            mode,
-        )
+        for x in instances:
+            _check_labels(tuple(labels), x.gold)
 
     def feedback_paths(
         self, instances: Sequence[ChainInstance], paths: np.ndarray,
@@ -279,11 +290,12 @@ class FeedbackOracle:
         paths is a (C * len(instances), n_max) int array of indices into
         labels; row C * b + c is a labeling of instances[b] over its first
         len(instances[b]) positions.  Without a pair mode C is 1 and each
-        value is ``feedback`` of that labeling; with one, C is 2 and each value
-        is ``feedback_pair`` of the ordered pair (row 2b, row 2b + 1), bit for
-        bit.  Under Hamming each row is compared with its instance's gold
-        label indices (``_gold_indices``); under chunk F1 each row is scored as
-        a label tuple by the loss itself.  Paths with other than C rows per
+        value is the loss of that labeling; with one, C is 2 and each value
+        is ``pair_feedback`` of the losses of the ordered pair (row 2b,
+        row 2b + 1).  Under Hamming each row is compared with its instance's
+        gold label indices (``_gold_indices``); under chunk F1 each row is
+        scored as a label tuple by the loss itself.  An instance without
+        gold, a gold label outside labels, paths with other than C rows per
         instance, or shorter than an instance, raise ``ValueError``.
         """
         require_gold(instances)
@@ -291,7 +303,8 @@ class FeedbackOracle:
             raise ValueError(f"{len(paths)} paths for {len(instances)} instances "
                              f"in pair mode {mode!r}")
         hamming, labels = self.kind is LossKind.HAMMING, tuple(labels)
-        golds = [_gold_indices(labels, x.gold) if hamming else x.gold for x in instances]
+        golds = [_gold_indices(labels, x.gold) if hamming else _check_labels(labels, x.gold)
+                 for x in instances]
         if paths.shape[1] < max(map(len, golds), default=0):
             raise ValueError(f"paths of length {paths.shape[1]} are shorter than an instance")
         if mode is not None:  # each instance scores two rows

@@ -23,7 +23,6 @@ posterior's local columns; ``post.to_sparse`` keys one by feature id.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -60,14 +59,6 @@ class ObjectiveKind(Enum):
         if not self.is_pairwise:
             raise ValueError(f"{self.value} has no pair feedback mode")
         return "bin" if self is ObjectiveKind.PR_BIN else "cont"
-
-
-@dataclass(frozen=True)
-class PairSample:
-    """An ordered pair of labelings for one input, as label tuples."""
-
-    first: tuple[str, ...]
-    second: tuple[str, ...]
 
 
 def _check_unit_interval(name: str, value: float) -> float:

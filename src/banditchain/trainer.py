@@ -26,7 +26,7 @@ from .chain import (
     ChainInstance, ChainModel, ChainPosterior, draw_batch, map_decode_paths, posterior,
 )
 from .chain import sample  # noqa: F401  (perfbench's tracer self-test checks this binding)
-from .feedback import FeedbackOracle, dataset_losses, require_gold
+from .feedback import FeedbackOracle, check_dataset, dataset_gold, dataset_losses
 from .objectives import ObjectiveKind, ce_columns, check_clip_k, el_columns, pr_columns
 from .sparse import SparseVector
 
@@ -119,19 +119,20 @@ def evaluate(
 ) -> float:
     """Mean task loss of MAP predictions against gold over a dataset.
 
-    w is a SparseVector or a column array of the model.  Every instance must
-    have a gold labeling; that is checked before anything is decoded.  The
-    whole dataset is decoded in one batched Viterbi pass
-    (``map_decode_paths``) and scored by ``feedback.dataset_losses``, which
-    keeps what it derives from the gold with the batch.  The losses are
-    summed as a left fold in dataset order, from 0.0.
+    w is a SparseVector or a column array of the model.  ``check_dataset``
+    rejects any loss but ``hamming_loss`` and ``chunk_f1_loss``, and data
+    without gold, before anything is compiled; ``dataset_gold`` a gold label
+    outside the model's labels before anything is decoded.  The dataset is
+    decoded in one batched Viterbi pass (``map_decode_paths``), scored by
+    ``dataset_losses`` and summed as a left fold in dataset order, from 0.0.
     """
     if not data:
         raise ValueError("empty evaluation set")
-    require_gold(data)
+    check_dataset(data, loss)
+    labels, memo = model.alphabet.labels, model.batch_memo(data)
+    dataset_gold(data, labels, memo)
     paths, lengths = map_decode_paths(model, w, data)
-    losses = dataset_losses(data, paths, lengths, model.alphabet.labels, model.batch_memo(data),
-                            loss)
+    losses = dataset_losses(data, paths, lengths, labels, memo, loss)
     total = 0.0
     for value in losses:
         total += value
@@ -208,7 +209,8 @@ def train(
         raise ValueError("empty training set")
     if not dev_data:
         raise ValueError("empty development set")
-    feedback_oracle.check(train_data)
+    labels = model.alphabet.labels
+    feedback_oracle.check(train_data, labels)
 
     T = config.iterations
     epoch_size = config.epoch_size or len(train_data)
@@ -221,7 +223,6 @@ def train(
     rng = np.random.default_rng(config.seed)
     pair = kind.is_pairwise
     chains, mode = (2, kind.pair_mode) if pair else (1, None)
-    labels = model.alphabet.labels
 
     try:
         scaled_norm_sq, sampled_losses = np.full(T + 1, np.nan), np.full(T + 1, np.nan)

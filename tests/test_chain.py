@@ -69,6 +69,10 @@ def test_alphabet_rejects_duplicates_and_singletons():
         LabelAlphabet(("A", "A"))
     with pytest.raises(ValueError):
         LabelAlphabet(("A",))
+    # a label holding the template separator would share template strings with
+    # other (token, label) pairs: (A, A\x1fB) and (A\x1fA, B) would be one transition
+    with pytest.raises(ValueError, match="separator"):
+        LabelAlphabet(("A", "A\x1fB", "A\x1fA", "B"))
 
 
 def test_alphabet_unknown_label():
@@ -999,6 +1003,26 @@ def test_compile_matches_a_per_template_reference(offsets):
     assert np.array_equal(model.transition, ref.transition)
     for x in data:  # the cached arrays are unchanged by later growth
         assert np.array_equal(model.compile(x), ref.compile(x))
+
+
+def test_compile_costs_no_more_for_a_far_offset():
+    import tracemalloc
+
+    labels, offsets = ("O", "B-LOC", "I-LOC"), (0, 10**6, -10**6 - 3)
+    model = ChainModel(LabelAlphabet(labels), emission_offsets=offsets)
+    ref = ReferenceModel(labels, offsets)
+    data = [ChainInstance(tokens=("a", "b")), ChainInstance(tokens=("b", "c", "a"))]
+    tracemalloc.start()
+    try:
+        compiled = [model.compile(x) for x in data]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # padding by the offset itself would allocate a tuple of 2 * 10**6 tokens (16 MB)
+    assert peak < 1 << 20
+    for x, cols in zip(data, compiled):
+        assert np.array_equal(cols, ref.compile(x))
+    assert model._ids == ref.ids and model._templates == ref.templates
 
 
 def test_id_read_from_weights_takes_its_template_on_the_fallback():

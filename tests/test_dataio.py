@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -255,6 +256,16 @@ def test_config_validation_errors(tmp_path):
         load_config(minimal_config(tmp_path, objective="newton"))
     with pytest.raises(DataError, match="invalid JSON"):
         load_config(write_text(tmp_path / "bad.json", "{"))
+
+
+@pytest.mark.parametrize("labels, match", [
+    (["O", "B", "O"], "distinct"),
+    (["A", "A\x1fB", "A\x1fA", "B"], re.escape(r"label 'A\x1fB' holds the template separator")),
+], ids=["duplicate", "separator"])
+def test_config_rejects_duplicate_and_separator_labels_at_load(tmp_path, labels, match):
+    # a duplicate label once failed only at config.model(); both fail before any data is read
+    with pytest.raises(DataError, match=match):
+        load_config(minimal_config(tmp_path, labels=labels))
 
 
 def test_chunk_f1_needs_bio_labels_at_load(tmp_path):

@@ -15,7 +15,7 @@ def test_all_lists_exactly_the_imported_names():
 
 def test_deleted_names_are_not_exported():
     for name in ("ClippingConfig", "StepRecord", "el_gradient", "pr_gradient", "ce_gradient",
-                 "pair_expected_features"):
+                 "pair_expected_features", "PairSample"):
         assert name not in banditchain.__all__
         assert not hasattr(banditchain, name)
 
@@ -23,6 +23,12 @@ def test_deleted_names_are_not_exported():
 def test_deleted_posterior_methods_are_gone():
     for name in ("negated", "expected_features"):
         assert not hasattr(banditchain.ChainPosterior, name)
+
+
+def test_deleted_oracle_methods_are_gone():
+    """The oracle scores label-index paths only: its label-tuple twins are gone."""
+    for name in ("feedback", "feedback_pair"):
+        assert not hasattr(banditchain.FeedbackOracle, name)
 
 
 def test_only_the_feedback_module_reads_gold():

@@ -7,11 +7,11 @@ from banditchain import (
     ChainInstance,
     FeedbackOracle,
     LossKind,
-    PairSample,
     bio_spans,
     chunk_f1_loss,
     hamming_loss,
     loss_fn,
+    pair_feedback,
 )
 
 
@@ -90,35 +90,44 @@ def test_loss_kind_parsing():
         LossKind.parse("bleu")
 
 
+def paths_of(labels, *labelings):
+    """The label-index paths of equally long label tuples, a row each."""
+    return np.array([[labels.index(lab) for lab in y] for y in labelings])
+
+
 def test_feedback_pointwise():
     oracle = FeedbackOracle("hamming")
     x = ChainInstance(tokens=("a", "b"), gold=("A", "B"))
-    assert oracle.feedback(x, ("A", "B")) == 0.0
-    assert oracle.feedback(x, ("B", "B")) == 0.5
+    labels = ("A", "B")
+    assert oracle.feedback_paths([x], paths_of(labels, ("A", "B")), labels) == [0.0]
+    assert oracle.feedback_paths([x], paths_of(labels, ("B", "B")), labels) == [0.5]
 
 
 def test_feedback_requires_gold():
     oracle = FeedbackOracle("hamming")
     with pytest.raises(ValueError, match="gold"):
-        oracle.feedback(ChainInstance(tokens=("a",)), ("A",))
+        oracle.feedback_paths([ChainInstance(tokens=("a",))], np.array([[0]]), ("A", "B"))
 
 
 def test_feedback_pair_equal_losses_zero():
     oracle = FeedbackOracle("hamming")
     x = ChainInstance(tokens=("a", "b"), gold=("A", "B"))
-    pair = PairSample(("B", "A"), ("B", "A"))
-    assert oracle.feedback_pair(x, pair, "bin") == 0.0
-    assert oracle.feedback_pair(x, pair, "cont") == 0.0
+    labels = ("A", "B")
+    pair = paths_of(labels, ("B", "A"), ("B", "A"))
+    assert oracle.feedback_paths([x], pair, labels, "bin") == [0.0]
+    assert oracle.feedback_paths([x], pair, labels, "cont") == [0.0]
 
 
 def test_feedback_pair_continuous_gap():
     oracle = FeedbackOracle("hamming")
     x = ChainInstance(tokens=tuple("abcde"), gold=("A", "A", "A", "A", "A"))
+    labels = ("A", "B")
     worse = ("B", "B", "B", "A", "A")  # loss 0.6
     better = ("B", "A", "A", "A", "A")  # loss 0.2
-    assert oracle.feedback_pair(x, PairSample(worse, better), "cont") == pytest.approx(0.4)
-    assert oracle.feedback_pair(x, PairSample(worse, better), "bin") == 1.0
-    assert oracle.feedback_pair(x, PairSample(better, worse), "cont") == 0.0
+    assert oracle.feedback_paths([x], paths_of(labels, worse, better), labels,
+                                 "cont") == [pytest.approx(0.4)]
+    assert oracle.feedback_paths([x], paths_of(labels, worse, better), labels, "bin") == [1.0]
+    assert oracle.feedback_paths([x], paths_of(labels, better, worse), labels, "cont") == [0.0]
 
 
 def test_feedback_values_stay_in_unit_interval():
@@ -128,9 +137,8 @@ def test_feedback_values_stay_in_unit_interval():
     for _ in range(100):
         n = int(rng.integers(1, 8))
         gold = tuple(labels[i] for i in rng.integers(3, size=n))
-        pred = tuple(labels[i] for i in rng.integers(3, size=n))
         x = ChainInstance(tokens=tuple(f"t{i}" for i in range(n)), gold=gold)
-        value = oracle.feedback(x, pred)
+        [value] = oracle.feedback_paths([x], rng.integers(3, size=(1, n)), labels)
         assert 0.0 <= value <= 1.0
 
 
@@ -138,15 +146,11 @@ def test_oracle_interface_exposes_only_scalars():
     """API review: no public operation on the oracle returns a labeling."""
     oracle = FeedbackOracle("hamming")
     public = [name for name in dir(oracle) if not name.startswith("_")]
-    assert sorted(public) == ["check", "feedback", "feedback_pair", "feedback_paths", "kind",
-                              "loss"]
+    assert sorted(public) == ["check", "feedback_paths", "kind", "loss"]
     x = ChainInstance(tokens=("a", "b"), gold=("A", "B"))
-    assert oracle.check([x]) is None
-    assert isinstance(oracle.feedback(x, ("B", "A")), float)
-    assert isinstance(
-        oracle.feedback_pair(x, PairSample(("B", "A"), ("A", "B")), "bin"), float
-    )
+    assert oracle.check([x], ("A", "B")) is None
     paths = np.array([[1, 0], [0, 1]])
+    assert all(isinstance(v, float) for v in oracle.feedback_paths([x], paths[:1], ("A", "B")))
     assert all(isinstance(v, float) for v in oracle.feedback_paths([x], paths, ("A", "B"), "bin"))
     # the loss accessor is a scalar-valued function, not a structure accessor
     assert isinstance(oracle.loss(("A",), ("B",)), float)
@@ -388,9 +392,10 @@ def test_index_path_feedback_equals_the_label_tuples_bitwise(kind, mode, labels,
         instances, rows, paths = index_path_case(labels, rng, count, per)
         got = oracle.feedback_paths(instances, paths, labels, mode)
         if mode is None:
-            expected = [oracle.feedback(x, y) for x, y in zip(instances, rows)]
+            expected = [oracle.loss(x.gold, y) for x, y in zip(instances, rows)]
         else:
-            expected = [oracle.feedback_pair(x, PairSample(*rows[2 * b:2 * b + 2]), mode)
+            expected = [pair_feedback(oracle.loss(x.gold, rows[2 * b]),
+                                      oracle.loss(x.gold, rows[2 * b + 1]), mode)
                         for b, x in enumerate(instances)]
         assert all(type(v) is float for v in got)
         assert [v.hex() for v in got] == [v.hex() for v in expected]
@@ -399,20 +404,21 @@ def test_index_path_feedback_equals_the_label_tuples_bitwise(kind, mode, labels,
 
 
 @pytest.mark.parametrize("kind", ["hamming", "chunk-f1"])
-def test_index_path_feedback_scores_a_gold_label_outside_the_labels_as_tuples(kind):
+def test_a_gold_label_outside_the_labels_is_rejected_by_name(kind):
     oracle = FeedbackOracle(kind)
     labels = ("O", "B-PER", "I-PER")
-    outside = ChainInstance(tokens=("a", "b", "c"), gold=("B-LOC", "I-LOC", "O"))
-    inside = ChainInstance(tokens=("a", "b"), gold=("B-PER", "O"))
+    outside = ChainInstance(tokens=("a", "b", "c"), gold=("O", "B-LOC", "I-LOC"))
+    inside = ChainInstance(tokens=("a", "b", "c"), gold=("B-PER", "O", "O"))
+    with pytest.raises(ValueError, match="gold label 'B-LOC'"):
+        oracle.check([inside, outside], labels)
     paths = np.array([[1, 2, 0], [1, 0, 2]])
-    rows = [("B-PER", "I-PER", "O"), ("B-PER", "O")]
-    expected = [oracle.feedback(x, y) for x, y in zip((outside, inside), rows)]
-    assert oracle.feedback_paths([outside, inside], paths, labels) == expected
-    # alone, and as a pair of draws
-    assert oracle.feedback_paths([outside], paths[:1], labels) == expected[:1]
-    pair = np.array([[1, 2, 0], [0, 0, 0]])
-    expected = [oracle.feedback_pair(outside, PairSample(rows[0], ("O", "O", "O")), "cont")]
-    assert oracle.feedback_paths([outside], pair, labels, "cont") == expected
+    for instances, rows, mode in (([inside, outside], paths, None), ([outside], paths[:1], None),
+                                  ([outside], paths, "cont")):
+        with pytest.raises(ValueError, match="gold label 'B-LOC'"):
+            oracle.feedback_paths(instances, rows, labels, mode)
+    # the instance inside the labels is scored as before
+    assert oracle.check([inside], labels) is None
+    assert len(oracle.feedback_paths([inside], paths[:1], labels)) == 1
 
 
 @pytest.mark.parametrize("kind", ["hamming", "chunk-f1"])

@@ -6,7 +6,6 @@ import pytest
 from banditchain import (
     ChainInstance,
     ObjectiveKind,
-    PairSample,
     SparseVector,
     brute_gradient,
     ce_columns,
@@ -43,7 +42,8 @@ def el_sparse(post, y, delta):
 
 
 def pr_sparse(post, pair, delta_pair):
-    paths = np.stack([post.model.alphabet.indices(y) for y in (pair.first, pair.second)])
+    """pair: the label tuples of y_i (drawn under w) and y_j (under -w)."""
+    paths = np.stack([post.model.alphabet.indices(y) for y in pair])
     return post.to_sparse(pr_columns(post, paths, delta_pair))
 
 
@@ -200,7 +200,7 @@ def test_pair_feedback_validation():
 
 
 def test_pr_gradient_zero_feedback(ab_model, fixed_instance, fixed_weights):
-    pair = PairSample(("A", "A", "A"), ("B", "B", "B"))
+    pair = (("A", "A", "A"), ("B", "B", "B"))
     post = posterior(ab_model, fixed_weights, fixed_instance, pair=True)
     assert len(pr_sparse(post, pair, 0.0)) == 0
 
@@ -209,7 +209,7 @@ def test_pr_gradient_zero_feedback(ab_model, fixed_instance, fixed_weights):
 def test_pr_on_a_one_chain_posterior_names_the_pair_posterior(
         delta_pair, ab_model, fixed_instance, fixed_weights):
     post = posterior(ab_model, fixed_weights, fixed_instance)
-    pair = PairSample(("A", "A", "A"), ("B", "B", "B"))
+    pair = (("A", "A", "A"), ("B", "B", "B"))
     with pytest.raises(ValueError, match=r"posterior\(\.\.\., pair=True\)"):
         pr_sparse(post, pair, delta_pair)
 
@@ -217,10 +217,10 @@ def test_pr_on_a_one_chain_posterior_names_the_pair_posterior(
 def test_pr_gradient_zero_weights_reduces_to_feature_gap(ab_model, fixed_instance):
     post = posterior(ab_model, SparseVector(), fixed_instance, pair=True)
     assert len(pair_expected(post)) == 0
-    pair = PairSample(("A", "A", "A"), ("B", "B", "B"))
+    pair = (("A", "A", "A"), ("B", "B", "B"))
     grad = pr_sparse(post, pair, 0.5)
-    gap = extract_features(ab_model, fixed_instance, pair.first) - extract_features(
-        ab_model, fixed_instance, pair.second
+    gap = extract_features(ab_model, fixed_instance, pair[0]) - extract_features(
+        ab_model, fixed_instance, pair[1]
     )
     assert grad == gap.scaled(0.5)
 
@@ -239,7 +239,7 @@ def test_pr_unbiasedness(kind, ab_model, fixed_instance):
                 fb = pair_feedback(di, dj, kind.pair_mode)
                 if fb == 0.0:
                     continue
-                grad = pr_sparse(post, PairSample(yi, yj), fb)
+                grad = pr_sparse(post, (yi, yj), fb)
                 expect.add_scaled(grad, float(pi * qj))
         target = brute_gradient(kind, ab_model, w, [fixed_instance], hamming_loss)
         assert max_coord_diff(expect, target) <= 1e-10
@@ -261,7 +261,7 @@ def test_pr_gradient_norm_bounded_by_pair_diameter(ab_model, fixed_instance, fix
     )
     for yi, di in zip(dist.labelings, deltas):
         for yj, dj in zip(dist.labelings, deltas):
-            pair = PairSample(yi, yj)
+            pair = (yi, yj)
             s_bin = pr_sparse(post, pair, pair_feedback(di, dj, "bin"))
             s_cont = pr_sparse(post, pair, pair_feedback(di, dj, "cont"))
             assert s_bin.norm() <= diameter + 1e-12
@@ -320,7 +320,7 @@ def _enumerated_variance(kind, model, x, w, clip_k=0.0):
     if kind.is_pairwise:
         q = neg_probs(dist)
         weighted = [
-            (float(pi * qj), pr_sparse(post, PairSample(yi, yj),
+            (float(pi * qj), pr_sparse(post, (yi, yj),
                                          pair_feedback(di, dj, kind.pair_mode)))
             for pi, yi, di in zip(dist.probs, dist.labelings, deltas)
             for qj, yj, dj in zip(q, dist.labelings, deltas)
