@@ -271,28 +271,29 @@ class ChainModel:
             len(offsets), n, len(self.alphabet)).transpose(1, 2, 0)
         return compiled
 
-    def compile_batch(self, data: Sequence[ChainInstance]) -> tuple[np.ndarray, np.ndarray]:
-        """(cols, lengths): the emission columns of a dataset, padded to a
-        (B, n_max, L, k) int array, and the (B,) instance lengths.
-
-        Row b holds ``compile(data[b])`` at positions below ``lengths[b]`` and
-        column 0 after them.  Like ``compile``'s arrays, it is a view of a
+    def _pad(self, data: Sequence[ChainInstance]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(cols, lengths, live) of instances, uncached: a (B, n_max, L, k) int
+        array whose row b holds ``compile(data[b])`` left-aligned and column 0
+        past its end, the (B,) lengths, and the (B, n_max) mask of the positions
+        below them.  Like ``compile``'s arrays, cols is a view of a
         template-major (k, B, n_max, L) block, so a gather sums its templates
-        in the same order.  The last dataset is cached: evaluating one dev or
-        test set again and again compiles it once.
-        """
-        key = tuple(data)
-        if self._batch is not None and self._batch[0] == key:
-            return self._batch[1], self._batch[2]
-        lengths = np.array([len(x) for x in key], dtype=np.intp)
+        in the same order.  The one builder of a padded batch."""
+        lengths = np.array([len(x) for x in data], dtype=np.intp)
         live = np.arange(lengths.max()) < lengths[:, None]
         block = np.zeros((len(self.emission_offsets), *live.shape, len(self.alphabet)),
                          dtype=np.intp)
         block[:, live] = np.concatenate(
-            [self.compile(x).transpose(2, 0, 1) for x in key], axis=1)
-        cols = block.transpose(1, 2, 3, 0)
-        self._batch = (key, cols, lengths, {})
-        return cols, lengths
+            [self.compile(x).transpose(2, 0, 1) for x in data], axis=1)
+        return block.transpose(1, 2, 3, 0), lengths, live
+
+    def compile_batch(self, data: Sequence[ChainInstance]) -> tuple[np.ndarray, np.ndarray]:
+        """(cols, lengths) of ``_pad(data)``, cached for the last dataset:
+        evaluating one dev or test set again and again compiles it once."""
+        key = tuple(data)
+        if self._batch is None or self._batch[0] != key:
+            cols, lengths, _ = self._pad(key)
+            self._batch = (key, cols, lengths, {})
+        return self._batch[1], self._batch[2]
 
     def batch_memo(self, data: Sequence[ChainInstance]) -> dict:
         """A dict kept with the cached batch of data, and dropped with it:
@@ -474,40 +475,32 @@ def _forward(lattice: ChainLattice) -> np.ndarray:
     return alpha
 
 
-def _backward(lattice: ChainLattice) -> np.ndarray:
+def _backward(lattice: ChainLattice, lengths: Optional[np.ndarray] = None) -> np.ndarray:
     """Backward messages of a stack: beta[i, b, l] = logsumexp over chain b's
-    suffixes starting after l."""
+    suffixes starting after l.  With lengths, chain b's messages are 0 from its
+    last position, lengths[b] - 1, on, whatever the positions past it hold."""
     node, trans = lattice.node, lattice.trans
     beta = np.zeros(node.shape)
     # row views that broadcast against the (B, L, L) transition tables
     rows, after, out = node[:, :, None, :], beta[:, :, None, :], beta[:, :, :, None]
     for i in range(lattice.n - 2, -1, -1):
         _logsumexp(trans + (rows[i + 1] + after[i + 1]), axis=2, out=out[i])
+        if lengths is not None:
+            beta[i, lengths <= i + 1] = 0.0
     return beta
 
 
-def _sampler_table(
-    stack: ChainLattice, beta: np.ndarray, starts: Optional[np.ndarray] = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(cum0, cum) of a stack whose chain b starts at position starts[b]
-    (default: every chain at 0): the cumulative p(y_start) of each chain,
-    shape (B, L), and the cumulative conditional rows cum[i - 1, b, a] of
-    chain b's p(y_i | y_{i-1} = a), shape (n-1, B, L, L).  A chain that starts
-    after position 0 has its cum0 row in place of every conditional row at its
-    start, so one left-to-right walk draws each chain from its start on,
-    whatever it drew before it."""
+def _sampler_table(stack: ChainLattice, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cum0, cum) of a stack: the cumulative p(y_0) of each chain, shape
+    (B, L), and the cumulative conditional rows cum[i - 1, b, a] of chain b's
+    p(y_i | y_{i-1} = a), shape (n-1, B, L, L)."""
     node, trans = stack.node, stack.trans
-    first = 0 if starts is None else (starts, np.arange(len(starts)))
-    logp0 = node[first] + beta[first]
+    logp0 = node[0] + beta[0]
     p0 = np.exp(logp0 - _logsumexp(logp0, axis=1))
     p0 /= p0.sum(axis=1, keepdims=True)
     cond = np.exp(trans + (node[1:] + beta[1:])[:, :, None, :] - beta[:-1, :, :, None])
     cond /= cond.sum(axis=3, keepdims=True)
-    cum0, cum = p0.cumsum(axis=1), cond.cumsum(axis=3)
-    if starts is not None:
-        late = np.flatnonzero(starts)
-        cum[starts[late] - 1, late] = cum0[late, None]
-    return cum0, cum
+    return p0.cumsum(axis=1), cond.cumsum(axis=3)
 
 
 def _walk(cum0: np.ndarray, cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -696,35 +689,33 @@ def draw_batch(
 
     Row C * b + c of the (C * len(data), n_max) int array returned holds chain
     c's label indices for data[b] in its first len(data[b]) positions; the rest
-    of the row is arbitrary.  The lattices are right-aligned in one
-    position-major stack with zero potentials in front, so the backward pass
-    needs no mask, and the sampler table starts each chain at its first
-    position (``_sampler_table``).  w is a column array covering data's
-    columns.  A table entry that is not finite raises ``FloatingPointError``:
-    there, the batched walk and ``draw``'s bisection may take different labels.
+    of the row is arbitrary.  The lattices are gathered from
+    ``model._pad(data)``, not ``compile_batch``, whose cached dataset stays,
+    into one position-major stack with zero potentials past each chain's end;
+    the backward pass ends each chain at its own length.  w is a column array
+    covering data's columns.  Uniforms of another shape raise ``ValueError``;
+    a table entry that is not finite raises ``FloatingPointError``: there,
+    the batched walk and ``draw``'s bisection may take different labels.
     """
     C = 2 if pair else 1
-    lengths = np.array([len(x) for x in data], dtype=np.intp)
-    n_max = int(lengths.max())
-    live = np.arange(n_max) >= (n_max - lengths)[:, None]
-    block = np.zeros((len(model.emission_offsets), *live.shape, len(model.alphabet)),
-                     dtype=np.intp)
-    block[:, live] = np.concatenate([model.compile(x).transpose(2, 0, 1) for x in data], axis=1)
-    node = w[block.transpose(1, 2, 3, 0)].sum(axis=-1)
+    for b, (x, u) in enumerate(zip(data, uniforms)):
+        if u.shape != (C, len(x)):
+            raise ValueError(f"uniforms of shape {u.shape} for instance {b} ({C} x {len(x)})")
+    cols, lengths, live = model._pad(data)
+    n_max = live.shape[1]
+    node = w[cols].sum(axis=-1)
     node[~live] = 0.0
     node, trans = node.transpose(1, 0, 2)[:, :, None], w[model.transition][None]
     if pair:
         node, trans = np.concatenate((node, -node), axis=2), np.concatenate((trans, -trans))
     stack = ChainLattice(node=node.reshape(n_max, -1, node.shape[-1]),
                          trans=np.tile(trans, (len(data), 1, 1)))
-    starts = np.repeat(n_max - lengths, C)
-    cum0, cum = _sampler_table(stack, _backward(stack), starts)
+    cum0, cum = _sampler_table(stack, _backward(stack, np.repeat(lengths, C)))
     if not (np.isfinite(cum0[:, -1]).all() and np.isfinite(cum[..., -1]).all()):
         raise FloatingPointError("sampler table is not finite")
-    u = np.zeros((len(starts), n_max))
+    u = np.zeros((C * len(data), n_max))
     u[np.repeat(live, C, axis=0)] = np.concatenate([v.ravel() for v in uniforms])
-    right = _walk(cum0, cum, u[:, :, None])[:, 0]
-    return np.take_along_axis(right, np.minimum(starts[:, None] + np.arange(n_max), n_max - 1), 1)
+    return _walk(cum0, cum, u[:, :, None])[:, 0]
 
 
 def _viterbi(node: np.ndarray, trans: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -295,10 +295,13 @@ class FeedbackOracle:
         row 2b + 1).  Under Hamming each row is compared with its instance's
         gold label indices (``_gold_indices``); under chunk F1 each row is
         scored as a label tuple by the loss itself.  An instance without
-        gold, a gold label outside labels, paths with other than C rows per
-        instance, or shorter than an instance, raise ``ValueError``.
+        gold, a gold label outside labels, paths that are not 2-D with C
+        rows per instance, or shorter than an instance, or a live entry that
+        is not a label index, raise ``ValueError``.
         """
         require_gold(instances)
+        if paths.ndim != 2:
+            raise ValueError(f"paths must be a 2-D array, got shape {paths.shape}")
         if len(paths) != (1 if mode is None else 2) * len(instances):
             raise ValueError(f"{len(paths)} paths for {len(instances)} instances "
                              f"in pair mode {mode!r}")
@@ -310,11 +313,16 @@ class FeedbackOracle:
         if mode is not None:  # each instance scores two rows
             golds = [gold for gold in golds for _ in range(2)]
         rows = paths.tolist()
-        if hamming:
-            losses = [sum(map(ne, gold, row)) / len(gold) for gold, row in zip(golds, rows)]
-        else:
-            losses = [self._loss(gold, [labels[i] for i in row[:len(gold)]])
-                      for gold, row in zip(golds, rows)]
+        lookup = dict(enumerate(range(len(labels)) if hamming else labels)).__getitem__
+        try:  # a lookup per live entry: all but a label index is a KeyError
+            if hamming:
+                losses = [sum(map(ne, gold, map(lookup, row))) / len(gold)
+                          for gold, row in zip(golds, rows)]
+            else:
+                losses = [self._loss(gold, list(map(lookup, row[:len(gold)])))
+                          for gold, row in zip(golds, rows)]
+        except KeyError as exc:
+            raise ValueError(f"path entry {exc.args[0]!r} is not a label index") from None
         if mode is None:
             return losses
         return [pair_feedback(first, second, mode)

@@ -667,6 +667,56 @@ def test_compile_batch_caches_the_last_dataset(monkeypatch):
     assert model.compile_batch(data[:3])[0] is not other[0]
 
 
+@pytest.mark.parametrize("num_labels, offsets", [(3, (0,)), (9, (-1, 0, 1))])
+@pytest.mark.parametrize("scale", [0.5, 30.0])
+@pytest.mark.parametrize("pair", [False, True])
+def test_draw_batch_equals_each_posteriors_draw(num_labels, offsets, scale, pair):
+    # lengths 1..12, one-token instances included, so chains end at every position
+    model, data, w = mixed_length_task(num_labels, offsets, scale, seed=num_labels + 3)
+    columns = model.to_columns(w)
+    C = 1 + pair
+    rng = np.random.default_rng(int(scale) + C)
+    uniforms = [rng.random((C, len(x))) for x in data]
+    dev = data[:4]
+    cols, _ = model.compile_batch(dev)
+    memo = model.batch_memo(dev)
+    paths = chain_mod.draw_batch(model, columns, data, uniforms, pair=pair)
+    assert paths.shape == (C * len(data), max(map(len, data)))
+    posts = [posterior(model, columns, x, pair=pair) for x in data]
+    for b, (x, u, post) in enumerate(zip(data, uniforms, posts)):
+        assert np.array_equal(paths[C * b:C * (b + 1), :len(x)], post.draw(u))
+    # the draws leave the cached dataset, and the memo kept with it, in place
+    assert model.compile_batch(dev)[0] is cols and model.batch_memo(dev) is memo
+
+    # a padded stack's backward pass, with any potentials past each chain's end,
+    # gives each chain its own messages at its live positions, bit for bit
+    n_max = max(map(len, data))
+    node = rng.normal(size=(n_max, C * len(data), num_labels))
+    for b, post in enumerate(posts):
+        node[:len(data[b]), C * b:C * (b + 1)] = post.stack.node
+    stack = chain_mod.ChainLattice(node=node,
+                                   trans=np.concatenate([post.stack.trans for post in posts]))
+    beta = chain_mod._backward(stack, np.repeat([len(x) for x in data], C))
+    for b, post in enumerate(posts):
+        assert beta[:len(data[b]), C * b:C * (b + 1)].tobytes() == post.beta.tobytes()
+
+
+@pytest.mark.parametrize("pair", [False, True])
+def test_draw_batch_rejects_uniforms_of_another_shape(pair):
+    model, _, w = mixed_length_task(3, (0,), 1.0, seed=5)
+    data = [ChainInstance(tokens=("t0", "t1", "t2")), ChainInstance(tokens=("t0",) * 5)]
+    columns = model.to_columns(w)
+    C = 1 + pair
+    # the totals match, so a flat assignment would hand instance 1 a uniform of instance 0
+    for shapes, bad in ((((C, 4), (C, 4)), 0), (((C, 3), (C, 4)), 1),
+                        (((2 * C, 3), (C, 5)), 0), (((C, 3), (3 - C, 5)), 1)):
+        uniforms = [np.full(shape, 0.5) for shape in shapes]
+        with pytest.raises(ValueError, match=f"instance {bad}"):
+            chain_mod.draw_batch(model, columns, data, uniforms, pair=pair)
+    uniforms = [np.full((C, len(x)), 0.5) for x in data]
+    assert chain_mod.draw_batch(model, columns, data, uniforms, pair=pair).shape == (2 * C, 5)
+
+
 def test_negated_posterior_matches_negated_weights(ab_model, fixed_instance, fixed_weights):
     # a pair posterior's chain 0 is the posterior under w, its chain 1 the one under -w
     post = posterior(ab_model, fixed_weights, fixed_instance)
@@ -727,7 +777,8 @@ def test_training_step_runs_one_backward_pass(objective, chains, monkeypatch, sy
     stacks = []
     backward = chain_mod._backward
     monkeypatch.setattr(chain_mod, "_backward",
-                        lambda lattice: stacks.append(lattice.node.shape[1]) or backward(lattice))
+                        lambda lattice, *args: stacks.append(lattice.node.shape[1])
+                        or backward(lattice, *args))
     cfg = TrainerConfig(objective=objective, gamma=0.1, iterations=30, seed=2, eval_every=30)
     train(cfg, model, train_data, dev_data[:5], FeedbackOracle("hamming"))
     # one posterior per step: a PR step stacks the chains of w and -w in one pass

@@ -443,6 +443,32 @@ def test_index_path_feedback_rejects_a_row_count_other_than_one_per_chain(mode, 
             instances, np.zeros((rows, 2), dtype=np.intp), ("O", "B", "I"), mode)
 
 
+@pytest.mark.parametrize("kind", ["hamming", "chunk-f1"])
+@pytest.mark.parametrize("mode", [None, "cont"])
+def test_index_path_feedback_rejects_paths_that_are_not_label_indices(kind, mode):
+    labels = ("O", "B", "I")
+    oracle = FeedbackOracle(kind)
+    per = 1 if mode is None else 2
+    one = ChainInstance(tokens=("a",), gold=("B",))
+    if mode is None:  # a 1-D array holds one row per one-token instance by length
+        with pytest.raises(ValueError, match="2-D"):
+            oracle.feedback_paths([one], np.array([1]), labels, mode)
+    with pytest.raises(ValueError, match="2-D"):
+        oracle.feedback_paths([one], np.ones((per, 1, 1), dtype=np.intp), labels, mode)
+    with pytest.raises(ValueError, match="0.5 is not a label index"):
+        oracle.feedback_paths([one], np.full((per, 1), 0.5), labels, mode)
+    instances = [ChainInstance(tokens=("a", "b"), gold=("B", "I")), one]
+    paths = np.array([[1, 2, 0], [0, 1, 2], [1, 7, 9], [2, 5, -1]])[:per * 2]
+    # entries past an instance's length are not live, and any value there is scored alike
+    assert len(oracle.feedback_paths(instances, paths, labels, mode)) == 2
+    for row, col in ((0, 1), (per, 0), (2 * per - 1, 0)):
+        for bad in (-1, len(labels), 10**6):
+            rows = paths.copy()
+            rows[row, col] = bad
+            with pytest.raises(ValueError, match=f"{bad} is not a label index"):
+                oracle.feedback_paths(instances, rows, labels, mode)
+
+
 def test_index_path_feedback_requires_gold():
     with pytest.raises(ValueError, match="no gold"):
         FeedbackOracle("hamming").feedback_paths(

@@ -1,0 +1,77 @@
+"""Digests of a fixed set of training runs, to show that a change keeps their bits.
+
+    PYTHONPATH=src python3 tools/identity.py OUT --seeds 1 2 3
+
+For each seed, writes the inputs of perfbench's workloads (chunk-train,
+chunk-evaldense, typed-wide) under OUT with ``perfbench/workloads.py``'s
+``write_inputs``, trains every objective's config (el, pr-cont, ce) on them
+with the test set scored (``run_train``), and prints one JSON object: per
+run, ``"workload/seed/objective"``, the sha256 of its checkpoint and of its
+report without ``created_at`` and paths.  Run it with each tree's ``src`` on
+PYTHONPATH and compare the two outputs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+from typing import Iterable, Optional
+
+from banditchain import load_config, run_train
+
+
+def _workloads_module():
+    """``perfbench/workloads.py``, imported by path (perfbench is not a
+    package) and registered, as its dataclasses need, on first use."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+def report_digest(path: Path, run_dir: Path) -> str:
+    """sha256 of a report without ``created_at``, its paths written relative to run_dir."""
+    report = json.loads(path.read_text(encoding="utf-8"))
+    del report["created_at"]
+    text = json.dumps(report, sort_keys=True).replace(str(run_dir.resolve()), "<run>")
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def digests(out: Path, seeds: Iterable[int], workloads: Optional[Iterable] = None) -> dict:
+    """{"workload/seed/objective": {"checkpoint": sha256, "report": sha256}}
+    of every run, each in its own directory OUT/workload/seed; workloads
+    defaults to perfbench's ``WORKLOADS``."""
+    module = _workloads_module()
+    out = Path(out)
+    result = {}
+    for workload in workloads or module.WORKLOADS.values():
+        for seed in seeds:
+            run_dir = out / workload.name / str(seed)
+            for config_path in module.write_inputs(workload, seed, run_dir).values():
+                config = load_config(config_path, {"test_path": str(run_dir / "test.tsv")})
+                run_train(config)
+                result[f"{workload.name}/{seed}/{config.objective}"] = {
+                    "checkpoint": hashlib.sha256(
+                        Path(config.checkpoint_path).read_bytes()).hexdigest(),
+                    "report": report_digest(Path(config.report_path), run_dir),
+                }
+    return result
+
+
+def main(argv: Optional[list[str]] = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", type=Path, help="directory for the inputs and artifacts")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    args = parser.parse_args(argv)
+    print(json.dumps(digests(args.out, args.seeds), indent=2, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()
