@@ -21,13 +21,15 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, partial
 from operator import methodcaller
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .sparse import IndexedVector, SparseVector
+from .sparse import IndexedVector, SortedVector, SparseVector
 
 Labeling = Sequence[str]
+# weights as the public functions take them: id-keyed, or a column array of the model
+Weights = Union[SortedVector, SparseVector, np.ndarray]
 
 _SEP = "\x1f"
 _BOS = "<S>"
@@ -112,7 +114,8 @@ class ChainInstance:
     """A token sequence with an optional gold labeling.
 
     The gold labeling is never consulted by the learner directly: only the
-    feedback module reads it, to score predictions against it.
+    feedback module reads it, to score predictions against it.  The hash, the
+    key of every per-instance cache, is computed once, on construction.
     """
 
     tokens: tuple[str, ...]
@@ -128,6 +131,14 @@ class ChainInstance:
                 raise ValueError(
                     f"gold length {len(self.gold)} != token length {len(self.tokens)}"
                 )
+        object.__setattr__(self, "_hash", hash((self.tokens, self.gold)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes, so a copy hashes anew
+        return ChainInstance, (self.tokens, self.gold)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -168,9 +179,11 @@ class ChainModel:
     table, so a token seen before is not hashed again and an instance's
     columns are one gather from that table.  Templates are hashed a batch at
     a time.  ``transition`` is the (L, L) column table [from label, to
-    label].  ``to_columns`` and ``to_sparse`` convert between id-keyed
-    SparseVectors and column arrays; ``to_columns`` looks ids up in one
-    sorted-id index, rebuilt only after the model has grown.
+    label].  ``to_columns`` turns a SortedVector or a SparseVector into a
+    column array, looking its ids up in one sorted-id index, rebuilt only
+    after the model has grown; ``to_sorted`` turns a column array into a
+    SortedVector (a run's final and selected weights, and a checkpoint's),
+    and ``to_sparse`` some of its columns into a SparseVector.
     """
 
     def __init__(self, alphabet: LabelAlphabet, emission_offsets: Sequence[int] = (0,)):
@@ -331,36 +344,47 @@ class ChainModel:
             self._id_index = (ids[order], order)
         return self._id_index
 
-    def to_columns(self, w: "SparseVector | np.ndarray") -> np.ndarray:
+    def to_columns(self, w: Weights) -> np.ndarray:
         """w as a float64 array over every column the model holds.
 
-        A SparseVector's ids are looked up in one ``searchsorted`` over the
-        model's sorted ids; the ids it does not know are interned first, in
-        the vector's order, so none of its entries is lost.  The result is a
-        new array.  An id outside int64 is a ``ValueError``: a checkpoint
-        cannot store it either.  A column array shorter than the model comes
-        back zero-padded in a new array, and any other array comes back as it
-        is.
+        The ids of a SortedVector or a SparseVector are looked up in one
+        ``searchsorted`` over the model's sorted ids; the ids it does not know
+        are interned first, in the vector's order (ascending for a
+        SortedVector, insertion order for a SparseVector), so none of its
+        entries is lost.  The result is a new array.  A SparseVector id
+        outside int64 is a ``ValueError``: a checkpoint cannot store it
+        either.  A column array shorter than the model comes back
+        zero-padded in a new array, and any other array comes back as it is.
         """
-        if isinstance(w, SparseVector):
-            data = w._data
-            fids = w._int64_ids()
-            ids, columns = self._sorted_ids()
-            at = np.minimum(np.searchsorted(ids, fids), len(ids) - 1)
-            cols = columns[at]
-            miss = np.flatnonzero(ids[at] != fids)
-            if len(miss):
-                # the index covers the whole model, so every miss is a new id
-                new = fids[miss].tolist()
-                cols[miss] = self._append(new, [None] * len(new))
-            out = np.zeros(len(self._ids))
-            out[cols] = np.fromiter(data.values(), np.float64, len(data))
-            return out
-        if len(w) < len(self._ids):
+        if isinstance(w, SortedVector):
+            fids, values = w.ids, w.values
+        elif isinstance(w, SparseVector):
+            fids, values = w._int64_ids(), np.fromiter(w._data.values(), np.float64, len(w))
+        elif len(w) < len(self._ids):
             out = np.zeros(len(self._ids))
             out[: len(w)] = w
             return out
-        return w
+        else:
+            return w
+        ids, columns = self._sorted_ids()
+        at = np.minimum(np.searchsorted(ids, fids), len(ids) - 1)
+        cols = columns[at]
+        miss = np.flatnonzero(ids[at] != fids)
+        if len(miss):
+            # the index covers the whole model, so every miss is a new id
+            new = fids[miss].tolist()
+            cols[miss] = self._append(new, [None] * len(new))
+        out = np.zeros(len(self._ids))
+        out[cols] = values
+        return out
+
+    def to_sorted(self, w: np.ndarray) -> SortedVector:
+        """The nonzero entries of a column array as a SortedVector: their ids
+        gathered in column order, then sorted."""
+        columns = np.flatnonzero(w)
+        ids = np.array(self._ids, dtype=np.int64)[columns]
+        order = np.argsort(ids)
+        return SortedVector(ids[order], w[columns[order]])
 
     def to_sparse(self, values: np.ndarray, columns: Optional[np.ndarray] = None) -> SparseVector:
         """The SparseVector of values at columns (default: the nonzero entries
@@ -438,13 +462,11 @@ def extract_features(model: ChainModel, x: ChainInstance, y: Labeling) -> Sparse
     return model.to_sparse(values, local.columns[idx])
 
 
-def build_lattice(
-    model: ChainModel, w: "SparseVector | np.ndarray", x: ChainInstance
-) -> ChainLattice:
+def build_lattice(model: ChainModel, w: Weights, x: ChainInstance) -> ChainLattice:
     """Node and transition potentials w . phi restricted to each factor.
 
-    w is a SparseVector or a column array of the model; a SparseVector is
-    converted once per call, after x is compiled.
+    w is a SortedVector, a SparseVector or a column array of the model
+    (``Weights``); a vector is converted once per call, after x is compiled.
     """
     cols = model.compile(x)
     w = model.to_columns(w)
@@ -661,19 +683,18 @@ class ChainPosterior:
 
 
 def posterior(
-    model: ChainModel, w: "SparseVector | np.ndarray", x: ChainInstance, pair: bool = False
+    model: ChainModel, w: Weights, x: ChainInstance, pair: bool = False
 ) -> ChainPosterior:
     """The posterior p_w(.|x), and with ``pair`` the pair posterior that adds
     p_{-w}(.|x): the one entry point for sampling, prob, log Z and expectations.
 
-    w is a SparseVector or a column array of the model, as for ``build_lattice``.
+    w is a vector or a column array of the model, as for ``build_lattice``.
     """
     return ChainPosterior(model, x, build_lattice(model, w, x), pair)
 
 
 def sample(
-    model: ChainModel, w: "SparseVector | np.ndarray", x: ChainInstance,
-    rng: np.random.Generator,
+    model: ChainModel, w: Weights, x: ChainInstance, rng: np.random.Generator,
 ) -> tuple[str, ...]:
     """One exact sample from p_w(y|x) as a label tuple."""
     return posterior(model, w, x).sample(rng)[0]
@@ -764,7 +785,7 @@ def _labelings(labels: Sequence[str], path: np.ndarray, lengths: np.ndarray) -> 
 
 
 def map_decode_paths(
-    model: ChainModel, w: "SparseVector | np.ndarray", data: Sequence[ChainInstance]
+    model: ChainModel, w: Weights, data: Sequence[ChainInstance]
 ) -> tuple[np.ndarray, np.ndarray]:
     """(paths, lengths): the Viterbi argmax of p_w(y|x) for every x in data as
     label indices, a (B, n_max) int array, and the (B,) instance lengths.
@@ -779,9 +800,7 @@ def map_decode_paths(
     return _viterbi(w[cols].sum(axis=-1), w[model.transition], lengths), lengths
 
 
-def map_decode(
-    model: ChainModel, w: "SparseVector | np.ndarray", x: ChainInstance
-) -> tuple[str, ...]:
+def map_decode(model: ChainModel, w: Weights, x: ChainInstance) -> tuple[str, ...]:
     """Viterbi argmax of p_w(y|x), as a batch of one; ties break toward the
     lowest label index."""
     lattice = build_lattice(model, w, x)

@@ -35,7 +35,7 @@ from .chain import ChainInstance, ChainModel, LabelAlphabet
 from .diagnostics import ConvergenceReport, compare_runs, convergence_report
 from .feedback import _BIO_LABEL, FeedbackOracle, LossKind
 from .objectives import ObjectiveKind
-from .sparse import SparseVector
+from .sparse import SortedVector, SparseVector
 from .trainer import TrainerConfig, evaluate, select_best, train
 
 REPORT_SCHEMA_VERSION = 1
@@ -114,26 +114,32 @@ def write_dataset(path: "str | Path", instances: Sequence[ChainInstance]) -> Non
 _CHECKPOINT_ENTRY = np.dtype([("fid", "<i8"), ("value", "<f8")])
 
 
-def write_checkpoint(path: "str | Path", w: SparseVector) -> None:
+def write_checkpoint(path: "str | Path", w: "SortedVector | SparseVector") -> None:
     """Persist a weight vector; entries are sorted by feature id.
 
     The file is byte-stable: the same vector always gives the same bytes.
     After the header, the entries are one packed array of little-endian
-    (int64 id, float64 value) pairs.  An id outside int64 is a
+    (int64 id, float64 value) pairs: a SortedVector's two arrays as they are.
+    A SparseVector is sorted first, and an id of it outside int64 is a
     ``ValueError`` raised before the file is opened.
     """
-    fids = w._int64_ids()
-    order = np.argsort(fids)
+    if isinstance(w, SparseVector):
+        w = SortedVector.from_sparse(w)
     entries = np.empty(len(w), dtype=_CHECKPOINT_ENTRY)
-    entries["fid"] = fids[order]
-    entries["value"] = np.fromiter((v for _, v in w.items()), np.float64, len(w))[order]
+    entries["fid"], entries["value"] = w.ids, w.values
     with Path(path).open("wb") as fh:
         fh.write(_CHECKPOINT_MAGIC)
         fh.write(struct.pack("<HQ", _CHECKPOINT_VERSION, len(entries)))
         fh.write(entries.tobytes())
 
 
-def read_checkpoint(path: "str | Path") -> SparseVector:
+def read_checkpoint(path: "str | Path") -> SortedVector:
+    """The weights a checkpoint holds, read from its bytes with ``np.frombuffer``;
+    entries of value zero are dropped.  A file that is not a checkpoint, is
+    truncated or has another version is a ``DataError``, and so is one with
+    a non-finite value or with ids that are not strictly ascending (every
+    file ``write_checkpoint`` writes has them ascending); the message names
+    the first bad id."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"checkpoint file not found: {path}")
@@ -148,13 +154,10 @@ def read_checkpoint(path: "str | Path") -> SparseVector:
     if len(blob) != offset + count * _CHECKPOINT_ENTRY.itemsize:
         raise DataError(f"{path}: truncated checkpoint ({len(blob)} bytes)")
     entries = np.frombuffer(blob, dtype=_CHECKPOINT_ENTRY, count=count, offset=offset)
-    values = entries["value"]
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise DataError(f"{path}: non-finite value {float(values[bad[0]])!r} "
-                        f"for feature {int(entries['fid'][bad[0]])}")
-    data = dict(zip(entries["fid"].tolist(), values.tolist()))
-    return SparseVector._from_clean({fid: v for fid, v in data.items() if v != 0.0})
+    try:
+        return SortedVector(entries["fid"], entries["value"])
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 # -- run configuration ---------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Sparse real-valued vectors: by feature id, and by position in a short index range."""
+"""Sparse real-valued vectors: by feature id, as a dict or as two sorted arrays,
+and by position in a short index range."""
 
 from __future__ import annotations
 
@@ -136,6 +137,65 @@ class SparseVector:
 
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
+
+
+class SortedVector:
+    """An immutable id-keyed vector held in two read-only arrays: int64 ``ids``
+    in strictly ascending order and their float64 ``values``.
+
+    The form a checkpoint stores and ``ChainModel.to_columns`` looks up in one
+    ``searchsorted``: the weights at the edges of a run.  Construction copies
+    the arrays and drops the entries that are exactly zero; a non-finite
+    value, or ids that are not strictly ascending, is a ``ValueError`` naming
+    the first bad id.  ``items()`` gives Python (int, float) pairs by
+    ascending id, and a vector equals a SparseVector of the same entries.
+    """
+
+    __slots__ = ("ids", "values")
+
+    def __init__(self, ids: np.ndarray, values: np.ndarray):
+        ids, values = np.array(ids, dtype=np.int64), np.array(values, dtype=np.float64)
+        if ids.ndim != 1 or ids.shape != values.shape:
+            raise ValueError(f"ids of shape {ids.shape} and values of shape {values.shape}")
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ValueError(f"non-finite value {float(values[bad[0]])!r} "
+                             f"for feature {int(ids[bad[0]])}")
+        bad = np.flatnonzero(ids[1:] <= ids[:-1])
+        if bad.size:
+            raise ValueError(f"feature ids are not strictly ascending: {int(ids[bad[0] + 1])} "
+                             f"after {int(ids[bad[0]])}")
+        nonzero = values != 0.0
+        if not nonzero.all():
+            ids, values = ids[nonzero], values[nonzero]
+        ids.flags.writeable = values.flags.writeable = False
+        self.ids, self.values = ids, values
+
+    @classmethod
+    def from_sparse(cls, w: SparseVector) -> "SortedVector":
+        """The entries of w sorted by id; an id outside int64 is a ``ValueError``."""
+        fids = w._int64_ids()
+        order = np.argsort(fids)
+        return cls(fids[order], np.fromiter(w._data.values(), np.float64, len(w))[order])
+
+    def items(self) -> Iterable[Tuple[int, float]]:
+        return zip(self.ids.tolist(), self.values.tolist())
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, SortedVector):
+            return bool(np.array_equal(self.ids, other.ids)
+                        and np.array_equal(self.values, other.values))
+        if isinstance(other, SparseVector):
+            return len(self) == len(other) and dict(self.items()) == other._data
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        shown = dict(zip(self.ids[:6].tolist(), self.values[:6].tolist()))
+        more = "" if len(self) <= 6 else f", ... ({len(self)} entries)"
+        return f"SortedVector({shown!r}{more})"
 
 
 class IndexedVector:

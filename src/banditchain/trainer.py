@@ -23,12 +23,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .chain import (
-    ChainInstance, ChainModel, ChainPosterior, draw_batch, map_decode_paths, posterior,
+    ChainInstance, ChainModel, ChainPosterior, Weights, draw_batch, map_decode_paths, posterior,
 )
 from .chain import sample  # noqa: F401  (perfbench's tracer self-test checks this binding)
 from .feedback import FeedbackOracle, check_dataset, dataset_gold, dataset_losses
 from .objectives import ObjectiveKind, ce_columns, check_clip_k, el_columns, pr_columns
-from .sparse import SparseVector
+from .sparse import SortedVector, SparseVector
 
 logger = logging.getLogger(__name__)
 
@@ -75,9 +75,10 @@ class Trajectory:
     """Everything a finished run leaves behind.
 
     Weights and gradients are column arrays of ``model`` (see
-    ``ChainModel``); ``final_weights`` and ``select_best`` convert them to
-    SparseVectors.  dev_losses[i] scores w_t at t = i * eval_every; best =
-    (t, loss, w_t) is the checkpoint ``min(dev_losses)`` picks (the first lowest).
+    ``ChainModel``); ``final_weights`` and ``select_best`` give weights as
+    SortedVectors (``model.to_sorted``), the form a checkpoint stores.
+    dev_losses[i] scores w_t at t = i * eval_every; best = (t, loss, w_t) is
+    the checkpoint ``min(dev_losses)`` picks (the first lowest).
     scaled_norm_sq[t] holds ||gamma * s_t||^2 for t = 1..T (index 0 is NaN).
     Row k of epoch_grads is the full scaled gradient gamma * s_t at the epoch
     boundary t = (k + 1) * epoch_size.  Row i of snapshot_weights holds the nonzero
@@ -103,28 +104,24 @@ class Trajectory:
         return self.config.iterations
 
     @property
-    def final_weights(self) -> SparseVector:
-        return self.model.to_sparse(self.weights)
+    def final_weights(self) -> SortedVector:
+        return self.model.to_sorted(self.weights)
 
     def dev_curve(self) -> list[tuple[int, float]]:
         step = self.config.eval_every or self.epoch_size
         return [(i * step, loss) for i, loss in enumerate(self.dev_losses)]
 
 
-def evaluate(
-    model: ChainModel,
-    w: "SparseVector | np.ndarray",
-    data: Sequence[ChainInstance],
-    loss,
-) -> float:
+def evaluate(model: ChainModel, w: Weights, data: Sequence[ChainInstance], loss) -> float:
     """Mean task loss of MAP predictions against gold over a dataset.
 
-    w is a SparseVector or a column array of the model.  ``check_dataset``
-    rejects any loss but ``hamming_loss`` and ``chunk_f1_loss``, and data
-    without gold, before anything is compiled; ``dataset_gold`` a gold label
-    outside the model's labels before anything is decoded.  The dataset is
-    decoded in one batched Viterbi pass (``map_decode_paths``), scored by
-    ``dataset_losses`` and summed as a left fold in dataset order, from 0.0.
+    w is a SortedVector, a SparseVector or a column array of the model.
+    ``check_dataset`` rejects any loss but ``hamming_loss`` and
+    ``chunk_f1_loss``, and data without gold, before anything is compiled;
+    ``dataset_gold`` a gold label outside the model's labels before anything
+    is decoded.  The dataset is decoded in one batched Viterbi pass
+    (``map_decode_paths``), scored by ``dataset_losses`` and summed as a left
+    fold in dataset order, from 0.0.
     """
     if not data:
         raise ValueError("empty evaluation set")
@@ -174,13 +171,15 @@ def train(
     train_data: Sequence[ChainInstance],
     dev_data: Sequence[ChainInstance],
     feedback_oracle: FeedbackOracle,
-    w0: Optional[SparseVector] = None,
+    w0: "SortedVector | SparseVector | None" = None,
 ) -> Trajectory:
     """Run the bandit loop for config.iterations steps and return the trajectory.
 
-    Weights start at zero unless a warm-start vector w0 is given.  Inputs are
-    drawn i.i.d. uniformly with replacement; the gold labelings of training
-    inputs are only ever touched by the feedback oracle, which ``check``s them.
+    Weights start at zero unless a warm-start vector w0 is given
+    (``read_checkpoint`` gives a SortedVector); ``model.to_columns`` interns
+    its ids new to the model in the vector's order.  Inputs are drawn i.i.d.
+    uniformly with replacement; the gold labelings of training inputs are
+    only ever touched by the feedback oracle, which ``check``s them.
 
     w is a float64 column array of the model that grows with zeros as new
     instances bring new columns.  A step draws its input, then the uniforms
@@ -327,9 +326,9 @@ def train(
     return traj
 
 
-def select_best(trajectory: Trajectory) -> tuple[int, SparseVector]:
-    """The checkpoint with the lowest dev loss; ties go to the earliest one."""
+def select_best(trajectory: Trajectory) -> tuple[int, SortedVector]:
+    """The checkpoint with the lowest dev loss, as (t, weights); ties go to the earliest one."""
     if trajectory.best is None:
         raise ValueError("trajectory has no checkpoints")
     t, _, w = trajectory.best
-    return t, trajectory.model.to_sparse(w)
+    return t, trajectory.model.to_sorted(w)

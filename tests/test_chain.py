@@ -9,6 +9,7 @@ from banditchain import (
     ChainInstance,
     ChainModel,
     LabelAlphabet,
+    SortedVector,
     SparseVector,
     build_lattice,
     distribution,
@@ -89,6 +90,24 @@ def test_instance_validation():
     x = ChainInstance(tokens=["a", "b"], gold=["A", "B"])
     assert x.tokens == ("a", "b") and x.gold == ("A", "B")
     assert len(x) == 2
+
+
+def test_instance_hash_is_computed_once_and_equals_the_field_tuples():
+    import dataclasses
+    import pickle
+
+    x = ChainInstance(tokens=["a", "b"], gold=["A", "B"])
+    same = ChainInstance(tokens=("a", "b"), gold=("A", "B"))
+    other = ChainInstance(tokens=("a", "b"))
+    assert x == same and hash(x) == hash(same) == hash((("a", "b"), ("A", "B")))
+    assert x != other and hash(other) == hash((("a", "b"), None))
+    assert repr(x) == "ChainInstance(tokens=('a', 'b'), gold=('A', 'B'))"
+    assert [f.name for f in dataclasses.fields(x)] == ["tokens", "gold"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        x.tokens = ("c",)
+    # a copy from another process, whose string hashes differ, hashes anew
+    object.__setattr__(x, "_hash", 0)
+    assert hash(pickle.loads(pickle.dumps(x))) == hash(same)
 
 
 # -- feature extraction --------------------------------------------------------
@@ -910,6 +929,27 @@ def test_to_columns_matches_dict_loop_bitwise(case, known, unknown, negative, se
         assert model._ids == reference._ids
         assert model._columns == reference._columns
     assert len(out) == model.num_columns
+
+
+@pytest.mark.parametrize("case, known, unknown, negative", [
+    ("all known", 120, 0, False),
+    ("mixed", 90, 90, False),
+    ("empty", 0, 0, False),
+    ("negative ids", 40, 60, True),
+])
+def test_to_columns_of_a_sorted_vector_equals_the_sparse_vector_in_id_order(case, known, unknown,
+                                                                            negative):
+    model, rng = wide_model(6)
+    reference, _ = wide_model(6)
+    w = random_vector(model, rng, known, unknown, negative)
+    in_id_order = SparseVector(sorted(w.items()))
+    vector = SortedVector.from_sparse(w)
+    assert vector == in_id_order
+    for _ in range(2):  # the second call finds every id known
+        out = model.to_columns(vector)
+        assert out.tobytes() == reference.to_columns(in_id_order).tobytes()
+        assert model._ids == reference._ids  # ids new to the model interned by ascending id
+        assert model._columns == reference._columns
 
 
 def test_to_columns_after_the_model_grew_past_its_index():

@@ -481,6 +481,22 @@ def test_eval_chunk_f1_over_non_bio_labels_fails_before_reading_data(ab_workdir,
     assert reads == []
 
 
+@pytest.mark.parametrize("fids", [(3, 7, 7), (3, 9, 5)])
+def test_eval_of_a_checkpoint_with_ids_out_of_order_is_a_data_error(ab_workdir, capsys, fids):
+    import struct
+
+    tmp_path, cfg_path = ab_workdir
+    (tmp_path / "model.ckpt").write_bytes(b"BCWT" + struct.pack("<HQ", 1, len(fids)) + b"".join(
+        struct.pack("<qd", fid, 1.0) for fid in fids))
+    code = cli.main(["eval", "--config", str(cfg_path), "--checkpoint",
+                     str(tmp_path / "model.ckpt"), "--data", str(tmp_path / "data.tsv")])
+    assert code == cli.DATA_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {tmp_path / 'model.ckpt'}: feature ids are not strictly "
+                            f"ascending: {fids[2]} after {fids[1]}\n")
+
+
 @pytest.mark.parametrize("loss", ["bogus", "Hamming"])
 def test_eval_loss_outside_its_choices_is_a_usage_error(ab_workdir, capsys, loss):
     tmp_path, cfg_path = ab_workdir

@@ -184,6 +184,34 @@ def test_checkpoint_rejects_unknown_version(tmp_path, weights):
         read_checkpoint(path)
 
 
+def checkpoint_bytes(entries):
+    import struct
+
+    return b"BCWT" + struct.pack("<HQ", 1, len(entries)) + b"".join(
+        struct.pack("<qd", fid, value) for fid, value in entries)
+
+
+@pytest.mark.parametrize("entries, bad", [
+    ([(3, 1.0), (7, 2.0), (7, 3.0)], "7 after 7"),  # a repeated id
+    ([(3, 1.0), (9, 2.0), (5, 3.0), (1, 4.0)], "5 after 9"),  # the first id out of order
+])
+def test_checkpoint_rejects_ids_that_are_not_strictly_ascending(tmp_path, entries, bad):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(checkpoint_bytes(entries))
+    with pytest.raises(DataError,
+                       match=f"bad.ckpt: feature ids are not strictly ascending: {bad}$"):
+        read_checkpoint(path)
+
+
+def test_checkpoint_read_drops_zero_values_and_gives_read_only_sorted_arrays(tmp_path):
+    path = tmp_path / "w.ckpt"
+    path.write_bytes(checkpoint_bytes([(-4, 0.5), (3, 0.0), (7, -2.0)]))
+    w = read_checkpoint(path)
+    assert list(w.items()) == [(-4, 0.5), (7, -2.0)]
+    assert w == SparseVector({7: -2.0, -4: 0.5})
+    assert not (w.ids.flags.writeable or w.values.flags.writeable)
+
+
 @pytest.mark.parametrize("fid", [2**63, 2**64, -(2**63) - 1])
 def test_checkpoint_rejects_an_id_outside_int64_before_writing(tmp_path, fid):
     # a ValueError (exit 2, data), not numpy's OverflowError (an ArithmeticError, exit 3)

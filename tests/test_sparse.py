@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from banditchain import SparseVector
+from banditchain import SortedVector, SparseVector
 from banditchain.sparse import IndexedVector
 
 
@@ -105,3 +105,44 @@ def test_indexed_vector_replays_sparse_vector_order_and_values():
         vec.scale(0.25)
         ref.scale(0.25)
         assert listed(vec) == list(ref.items())
+
+
+def test_sorted_vector_arrays_are_read_only_copies():
+    ids, values = np.array([1, 5, 9]), np.array([2.0, 0.0, -3.0])
+    v = SortedVector(ids, values)
+    ids[0], values[0] = 7, 7.0  # the vector holds copies
+    assert (v.ids.tolist(), v.values.tolist()) == ([1, 9], [2.0, -3.0])  # the zero is dropped
+    assert v.ids.dtype == np.int64 and v.values.dtype == np.float64
+    for array in (v.ids, v.values):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_sorted_vector_equals_the_sparse_vector_of_its_entries_both_ways():
+    sparse = SparseVector({9: 1.0, -3: 2.5, 4: -1.0})
+    v = SortedVector.from_sparse(sparse)
+    assert v == sparse and sparse == v
+    assert not (v != sparse or sparse != v)
+    assert v == SortedVector([-3, 4, 9], [2.5, -1.0, 1.0])
+    items = list(v.items())
+    assert items == [(-3, 2.5), (4, -1.0), (9, 1.0)]  # ascending id
+    assert all(type(fid) is int and type(value) is float for fid, value in items)
+    assert len(v) == 3
+    for other in (SparseVector({9: 1.0, -3: 2.5, 4: -2.0}), SparseVector({9: 1.0, -3: 2.5}),
+                  SparseVector({9: 1.0, -3: 2.5, 5: -1.0})):
+        assert v != other and other != v
+        assert v != SortedVector.from_sparse(other)
+    assert SortedVector([], []) == SparseVector() and SparseVector() == SortedVector([], [])
+    assert v != {-3: 2.5, 4: -1.0, 9: 1.0}
+
+
+@pytest.mark.parametrize("ids, values, message", [
+    ([3, 7, 7], [1.0, 2.0, 3.0], "not strictly ascending: 7 after 7"),
+    ([3, 9, 5], [1.0, 2.0, 3.0], "not strictly ascending: 5 after 9"),
+    ([3, 7], [1.0, float("nan")], "non-finite value nan for feature 7"),
+    ([3, 7], [1.0], "shape"),
+])
+def test_sorted_vector_rejects_ids_out_of_order_and_non_finite_values(ids, values, message):
+    with pytest.raises(ValueError, match=message):
+        SortedVector(np.array(ids), np.array(values))

@@ -65,6 +65,29 @@ def test_zero_learning_rate_freezes_weights(tiny_task):
     assert len(set(traj.dev_losses)) == 1
 
 
+def test_a_warm_start_from_a_checkpoint_equals_one_from_the_sparse_vector_of_its_entries(
+        tmp_path):
+    from banditchain import read_checkpoint, write_checkpoint
+
+    cfg = TrainerConfig(objective="el", gamma=0.5, iterations=150, seed=2, eval_every=50)
+    model, train_data, dev_data = typed_task()
+    first = train(cfg, model, train_data[:40], dev_data, FeedbackOracle("chunk-f1"))
+    write_checkpoint(tmp_path / "w.ckpt", first.final_weights)
+    from_file = read_checkpoint(tmp_path / "w.ckpt")
+    entries = SparseVector(from_file.items())
+    assert from_file == first.final_weights == entries and len(entries) > 100
+    runs = []
+    for w0 in (from_file, entries):
+        model, train_data, dev_data = typed_task()
+        runs.append((model, train(cfg, model, train_data, dev_data, FeedbackOracle("chunk-f1"),
+                                  w0=w0)))
+    (a_model, a), (b_model, b) = runs
+    assert a_model._ids == b_model._ids
+    assert a.weights.tobytes() == b.weights.tobytes() and a.final_weights == b.final_weights
+    assert a.dev_losses == b.dev_losses
+    assert a.scaled_norm_sq.tobytes() == b.scaled_norm_sq.tobytes()
+
+
 def test_update_rule_without_regularization(tiny_task):
     model, train_data, dev_data = tiny_task
     gamma = 0.25

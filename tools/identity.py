@@ -5,15 +5,19 @@
 For each seed, writes the inputs of perfbench's workloads (chunk-train,
 chunk-evaldense, typed-wide) under OUT with ``perfbench/workloads.py``'s
 ``write_inputs``, trains every objective's config (el, pr-cont, ce) on them
-with the test set scored (``run_train``), and prints one JSON object: per
-run, ``"workload/seed/objective"``, the sha256 of its checkpoint and of its
-report without ``created_at`` and paths.  Run it with each tree's ``src`` on
-PYTHONPATH and compare the two outputs.
+with the test set scored (``run_train``), then the el config once more,
+warm-started from the el run's checkpoint (``init_checkpoint``), so that the
+checkpoint read path is covered too.  Prints one JSON object: per run,
+``"workload/seed/objective"`` (``"workload/seed/el-warm"`` for the warm
+start), the sha256 of its checkpoint and of its report without
+``created_at`` and paths.  Run it with each tree's ``src`` on PYTHONPATH and
+compare the two outputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -44,24 +48,32 @@ def report_digest(path: Path, run_dir: Path) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def run_digests(config, run_dir: Path) -> dict:
+    """Train config (``run_train``); the sha256 of its checkpoint and of its report."""
+    run_train(config)
+    return {"checkpoint": hashlib.sha256(Path(config.checkpoint_path).read_bytes()).hexdigest(),
+            "report": report_digest(Path(config.report_path), run_dir)}
+
+
 def digests(out: Path, seeds: Iterable[int], workloads: Optional[Iterable] = None) -> dict:
-    """{"workload/seed/objective": {"checkpoint": sha256, "report": sha256}}
-    of every run, each in its own directory OUT/workload/seed; workloads
-    defaults to perfbench's ``WORKLOADS``."""
+    """{"workload/seed/run": {"checkpoint": sha256, "report": sha256}} of every
+    run, each in its own directory OUT/workload/seed; workloads defaults to
+    perfbench's ``WORKLOADS``."""
     module = _workloads_module()
     out = Path(out)
     result = {}
     for workload in workloads or module.WORKLOADS.values():
         for seed in seeds:
             run_dir = out / workload.name / str(seed)
-            for config_path in module.write_inputs(workload, seed, run_dir).values():
-                config = load_config(config_path, {"test_path": str(run_dir / "test.tsv")})
-                run_train(config)
-                result[f"{workload.name}/{seed}/{config.objective}"] = {
-                    "checkpoint": hashlib.sha256(
-                        Path(config.checkpoint_path).read_bytes()).hexdigest(),
-                    "report": report_digest(Path(config.report_path), run_dir),
-                }
+            configs = {key: load_config(path, {"test_path": str(run_dir / "test.tsv")})
+                       for key, path in module.write_inputs(workload, seed, run_dir).items()}
+            for config in configs.values():
+                result[f"{workload.name}/{seed}/{config.objective}"] = run_digests(config, run_dir)
+            warm = dataclasses.replace(
+                configs["el"], init_checkpoint=configs["el"].checkpoint_path,
+                checkpoint_path=str(run_dir / "el-warm.ckpt"),
+                report_path=str(run_dir / "el-warm.report.json"))
+            result[f"{workload.name}/{seed}/el-warm"] = run_digests(warm, run_dir)
     return result
 
 
