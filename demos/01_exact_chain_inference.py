@@ -32,9 +32,11 @@ def main():
     gap = max(abs(ef_dp[f] - ef_enum[f]) for f in ef_dp.support() | ef_enum.support())
     print(f"E[phi]     max coordinate gap dp vs enum: {gap:.2e}")
 
+    paths, _ = bc.map_decode_paths(model, w, [x])  # Viterbi over a batch of one
+    best = tuple(alphabet.label(i) for i in paths[0])
     print("\nall 8 labelings with their exact probabilities:")
     for y, p in zip(dist.labelings, dist.probs):
-        marker = " <- MAP" if y == bc.map_decode(model, w, x) else ""
+        marker = " <- MAP" if y == best else ""
         print(f"  {''.join(y)}  p={p:.6f}{marker}")
     print(f"  sum of probabilities: {dist.probs.sum():.12f}")
 

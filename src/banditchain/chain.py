@@ -173,17 +173,17 @@ class ChainModel:
 
     The model interns every id on first sight as the next column of a dense
     weight array: ids hashed from templates, and ids read from a weight
-    vector by ``to_columns``.  Columns are never renumbered, so a column
+    vector by ``to_columns``, ``_unclaimed`` until a template hashes to
+    them; no template is kept.  Columns are never renumbered, so a column
     array stays valid as the model grows; it is only shorter than the model.
     Each (offset, token) the model has seen owns a row of an (R, L) column
     table, so a token seen before is not hashed again and an instance's
-    columns are one gather from that table.  Templates are hashed a batch at
-    a time.  ``transition`` is the (L, L) column table [from label, to
-    label].  ``to_columns`` turns a SortedVector or a SparseVector into a
-    column array, looking its ids up in one sorted-id index, rebuilt only
-    after the model has grown; ``to_sorted`` turns a column array into a
-    SortedVector (a run's final and selected weights, and a checkpoint's),
-    and ``to_sparse`` some of its columns into a SparseVector.
+    columns are one gather from that table.  ``transition`` is the (L, L)
+    column table [from label, to label].  ``to_columns`` turns a
+    SortedVector or a SparseVector into a column array through one sorted-id
+    index, rebuilt only after the model has grown; ``to_sorted`` turns a
+    column array into a SortedVector, and ``to_sparse`` some of its columns
+    into a SparseVector.
     """
 
     def __init__(self, alphabet: LabelAlphabet, emission_offsets: Sequence[int] = (0,)):
@@ -191,7 +191,7 @@ class ChainModel:
         self.emission_offsets = tuple(int(o) for o in emission_offsets)
         self._columns: dict[int, int] = {}  # feature id -> column
         self._ids: list[int] = []  # column -> feature id
-        self._templates: list[Optional[str]] = []  # column -> template; None if not yet hashed
+        self._unclaimed: set[int] = set()  # ids read from weights that no template hashed to yet
         self._rows: dict[tuple[int, str], int] = {}  # (offset, token) -> row of _table
         # row -> the L columns of an (offset, token); grows by doubling, so
         # only its first len(_rows) rows are live
@@ -202,50 +202,56 @@ class ChainModel:
         self._local: dict[ChainInstance, InstanceColumns] = {}
         # the last padded dataset: (instances, cols, lengths, memo)
         self._batch: Optional[tuple[tuple[ChainInstance, ...], np.ndarray, np.ndarray, dict]] = None
-        labels = alphabet.labels
         self.transition = self._intern_templates(
-            [f"tr{_SEP}{a}{_SEP}{b}" for a in labels for b in labels]).reshape(len(labels), -1)
+            self._transition_templates()).reshape(len(alphabet), -1)
 
     @property
     def num_columns(self) -> int:
         return len(self._ids)
 
-    def _append(self, fids: list[int], templates: list[Optional[str]]) -> np.ndarray:
-        """Intern distinct ids new to the model as its next columns, with their
-        templates (None: not yet hashed); returns those columns."""
+    def _transition_templates(self) -> list[str]:
+        labels = self.alphabet.labels
+        return [f"tr{_SEP}{a}{_SEP}{b}" for a in labels for b in labels]
+
+    def _emission_templates(self, keys) -> list[str]:
+        """The templates of (offset, token) rows, L each, row-major."""
+        suffixes = [f"{_SEP}{lab}" for lab in self.alphabet.labels]
+        return [p + sfx for p in [f"em{off}{_SEP}{tok}" for off, tok in keys] for sfx in suffixes]
+
+    def _append(self, fids: list[int]) -> np.ndarray:
+        """Intern distinct ids new to the model as its next columns; returns those columns."""
         start = len(self._ids)
         self._columns.update(zip(fids, range(start, start + len(fids))))
         self._ids.extend(fids)
-        self._templates.extend(templates)
         return np.arange(start, len(self._ids), dtype=np.intp)
 
     def _intern_templates(self, templates: list[str]) -> np.ndarray:
-        """The columns of templates, an int array; the batch is hashed in one
-        ``_feature_ids`` call and interned in order.
+        """The columns of templates new to the model (``compile`` passes only
+        rows it has not seen, ``__init__`` the transitions of an empty model),
+        hashed in one ``_feature_ids`` call: a held id must be ``_unclaimed``,
+        and keeps its column; the others take the next columns in order.  An
+        id held under another template, or shared by two templates of the
+        batch, is a hash collision (``RuntimeError``), and nothing is interned."""
+        fids, columns = _feature_ids(templates), self._columns
+        held = set() if columns.keys().isdisjoint(fids) else columns.keys() & fids
+        if len(set(fids)) != len(fids) or not held <= self._unclaimed:
+            first: dict[int, str] = {}
+            for fid, template in zip(fids, templates):
+                claimed = fid in held and fid not in self._unclaimed
+                other = self._template(columns[fid]) if claimed else first.setdefault(fid, template)
+                if other != template:
+                    raise RuntimeError(f"feature id collision: {template!r} vs {other!r} -> {fid}")
+        if not held:
+            return self._append(fids)
+        self._unclaimed -= held
+        self._append([fid for fid in fids if fid not in held])
+        return np.fromiter(map(columns.__getitem__, fids), np.intp, len(fids))
 
-        When every id is new to the model and distinct, the batch takes the
-        next len(templates) columns in one bulk step.  Otherwise each
-        template is interned in turn: a template whose id the model holds
-        under another template is a hash collision (``RuntimeError``), and an
-        id first read from a weight vector takes the template.
-        """
-        columns, ids, known = self._columns, self._ids, self._templates
-        fids = _feature_ids(templates)
-        if columns.keys().isdisjoint(fids) and len(set(fids)) == len(fids):
-            return self._append(fids, templates)
-        out = []
-        for fid, template in zip(fids, templates):
-            col = columns.setdefault(fid, len(ids))
-            if col == len(ids):
-                ids.append(fid)
-                known.append(template)
-            elif known[col] != template:
-                if known[col] is not None:
-                    raise RuntimeError(
-                        f"feature id collision: {template!r} vs {known[col]!r} -> {fid}")
-                known[col] = template
-            out.append(col)
-        return np.array(out, dtype=np.intp)
+    def _template(self, col: int) -> str:
+        """The template of a claimed column, rebuilt from the transition and row tables."""
+        held = np.concatenate((self.transition.ravel(), self._table[:len(self._rows)].ravel()))
+        templates = self._transition_templates() + self._emission_templates(self._rows)
+        return templates[int(np.flatnonzero(held == col)[0])]
 
     def compile(self, x: ChainInstance) -> np.ndarray:
         """The emission columns of x, an (n, L, k) int array; cached.
@@ -269,16 +275,14 @@ class ChainModel:
             keys += zip(itertools.repeat(off), padded[at:at + n])
         new = list(itertools.filterfalse(rows.__contains__, dict.fromkeys(keys)))
         if new:
-            suffixes = [f"{_SEP}{lab}" for lab in self.alphabet.labels]
-            prefixes = [f"em{off}{_SEP}{tok}" for off, tok in new]
-            columns = self._intern_templates([p + sfx for p in prefixes for sfx in suffixes])
+            columns = self._intern_templates(self._emission_templates(new)).reshape(len(new), -1)
             r0 = len(rows)
             rows.update(zip(new, range(r0, r0 + len(new))))
             if len(rows) > len(self._table):
-                table = np.empty((max(2 * len(self._table), len(rows)), len(suffixes)), np.intp)
+                table = np.empty((max(2 * len(self._table), len(rows)), columns.shape[1]), np.intp)
                 table[:r0] = self._table[:r0]
                 self._table = table
-            self._table[r0:len(rows)] = columns.reshape(len(new), -1)
+            self._table[r0:len(rows)] = columns
         at = np.fromiter(map(rows.__getitem__, keys), np.intp, len(keys))
         compiled = self._compiled[x] = self._table[at].reshape(
             len(offsets), n, len(self.alphabet)).transpose(1, 2, 0)
@@ -373,7 +377,8 @@ class ChainModel:
         if len(miss):
             # the index covers the whole model, so every miss is a new id
             new = fids[miss].tolist()
-            cols[miss] = self._append(new, [None] * len(new))
+            cols[miss] = self._append(new)
+            self._unclaimed.update(new)
         out = np.zeros(len(self._ids))
         out[cols] = values
         return out
@@ -778,12 +783,6 @@ def _viterbi(node: np.ndarray, trans: np.ndarray, lengths: np.ndarray) -> np.nda
     return path
 
 
-def _labelings(labels: Sequence[str], path: np.ndarray, lengths: np.ndarray) -> list[tuple]:
-    """The label tuples of the paths over labels, each cut to its length."""
-    named = np.array(labels, dtype=object)[path].tolist()
-    return [tuple(row[:n]) for row, n in zip(named, lengths.tolist())]
-
-
 def map_decode_paths(
     model: ChainModel, w: Weights, data: Sequence[ChainInstance]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -792,18 +791,11 @@ def map_decode_paths(
 
     One gather from the padded columns of ``model.compile_batch(data)``
     gives every lattice; one max-product pass decodes them all.  w is
-    converted once, after data is compiled.  Past its length a row repeats
-    its last label.  data must not be empty.
+    converted once, after data is compiled.  Ties go to the lowest label
+    index.  Past its length a row repeats its last label.  data must not be
+    empty.
     """
     cols, lengths = model.compile_batch(data)
     w = model.to_columns(w)
     return _viterbi(w[cols].sum(axis=-1), w[model.transition], lengths), lengths
 
-
-def map_decode(model: ChainModel, w: Weights, x: ChainInstance) -> tuple[str, ...]:
-    """Viterbi argmax of p_w(y|x), as a batch of one; ties break toward the
-    lowest label index."""
-    lattice = build_lattice(model, w, x)
-    lengths = np.array([lattice.n])
-    return _labelings(model.alphabet.labels, _viterbi(lattice.node[None], lattice.trans, lengths),
-                      lengths)[0]

@@ -19,7 +19,7 @@ from .chain import sample as sample_labeling  # noqa: F401  (perfbench's tracer 
 from .checks import run_property_checks
 from .dataio import (
     check_loss_labels, compare_report_files, load_config, read_checkpoint, read_dataset,
-    write_report,
+    replace_report,
 )
 from .feedback import LossKind, loss_fn
 from .objectives import check_clip_k
@@ -152,7 +152,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 def _cmd_diagnose(args: argparse.Namespace) -> int:
     summary = compare_report_files(args.reports)
     if args.out:
-        write_report(args.out, summary)
+        replace_report(args.out, summary)
         print(f"comparison written to {args.out}")
     else:
         print(json.dumps(summary, indent=2, sort_keys=True))

@@ -27,7 +27,7 @@ import struct
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -48,14 +48,30 @@ class DataError(ValueError):
     """A problem with an input file: malformed content, unknown keys, bad paths."""
 
 
+def _lines(path: Path, what: str) -> Iterator[str]:
+    """The lines of a UTF-8 ``what`` file, streamed in text mode; a missing file is a
+    DataError naming it, and one that is not UTF-8 names the line of its first bad byte."""
+    if not path.exists():
+        raise DataError(f"{what} file not found: {path}")
+    try:
+        with path.open(encoding="utf-8") as fh:
+            yield from fh
+    except UnicodeDecodeError:  # its offset counts from the chunk that failed
+        blob = path.read_bytes()
+        try:
+            blob.decode("utf-8")
+        except UnicodeDecodeError as exc:  # a line ends at CRLF, LF or CR, as in text mode
+            line, at = len((blob[: exc.start] + b".").splitlines()), exc.start
+            raise DataError(f"{path}:{line}: not UTF-8 ({exc.reason} at byte {at})") from None
+        raise  # the file was rewritten since
+
+
 # -- datasets ----------------------------------------------------------------
 
 
 def read_dataset(path: "str | Path", alphabet: LabelAlphabet) -> list[ChainInstance]:
     """Parse a TSV dataset; gold labels are validated against the alphabet."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"dataset file not found: {path}")
     instances: list[ChainInstance] = []
     tokens: list[str] = []
     labels: list[str] = []
@@ -66,22 +82,21 @@ def read_dataset(path: "str | Path", alphabet: LabelAlphabet) -> list[ChainInsta
             tokens.clear()
             labels.clear()
 
-    with path.open(encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                flush()
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise DataError(f"{path}:{line_no}: expected 'token<TAB>label', got {line!r}")
-            token, label = parts
-            if label not in alphabet:
-                raise DataError(
-                    f"{path}:{line_no}: label {label!r} not in alphabet {alphabet.labels}"
-                )
-            tokens.append(token)
-            labels.append(label)
+    for line_no, raw in enumerate(_lines(path, "dataset"), start=1):
+        line = raw.rstrip("\n")
+        if not line.strip():
+            flush()
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise DataError(f"{path}:{line_no}: expected 'token<TAB>label', got {line!r}")
+        token, label = parts
+        if label not in alphabet:
+            raise DataError(
+                f"{path}:{line_no}: label {label!r} not in alphabet {alphabet.labels}"
+            )
+        tokens.append(token)
+        labels.append(label)
     flush()
     if not instances:
         raise DataError(f"{path}: no instances found")
@@ -273,10 +288,8 @@ _PATH_FIELDS = ("train_path", "dev_path", "test_path", "init_checkpoint",
 
 def _read_json_object(path: Path, what: str) -> dict:
     """The JSON object in a ``what`` file (config or report), or a DataError."""
-    if not path.exists():
-        raise DataError(f"{what} file not found: {path}")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads("".join(_lines(path, what)))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
@@ -340,6 +353,11 @@ def write_report(path: "str | Path", report: dict) -> None:
     Path(path).write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
+
+
+def replace_report(path: "str | Path", report: dict) -> None:
+    """write_report through a temp file beside path: a failed write leaves path as it was."""
+    _write_artifacts((path, write_report, report))
 
 
 def read_report(path: "str | Path") -> dict:

@@ -17,7 +17,7 @@ from banditchain import (
     feature_id,
     finite_diff_gradient,
     lattice_score,
-    map_decode,
+    map_decode_paths,
     posterior,
     sample,
 )
@@ -578,7 +578,7 @@ def test_gathered_lattice_matches_dict_reference_bitwise(num_labels, offsets, sc
                 assert np.array_equal(post.sample_many(size, np.random.default_rng(seed)),
                                       ref_post.sample_many(size, np.random.default_rng(seed)))
             labels = model.alphabet.labels
-            assert map_decode(model, weights, x) == tuple(labels[i] for i in viterbi(reference))
+            assert decode_one(model, weights, x) == tuple(labels[i] for i in viterbi(reference))
 
 
 def mixed_length_task(num_labels, offsets, scale, seed):
@@ -597,7 +597,14 @@ def mixed_length_task(num_labels, offsets, scale, seed):
 
 def decode_batch(model, w, data):
     """The batched Viterbi paths of data as label tuples."""
-    return chain_mod._labelings(model.alphabet.labels, *chain_mod.map_decode_paths(model, w, data))
+    paths, lengths = map_decode_paths(model, w, data)
+    labels = model.alphabet.labels
+    return [tuple(labels[i] for i in row[:n]) for row, n in zip(paths.tolist(), lengths.tolist())]
+
+
+def decode_one(model, w, x):
+    """The Viterbi labeling of x, decoded as a batch of one."""
+    return decode_batch(model, w, [x])[0]
 
 
 @pytest.mark.parametrize("num_labels", [3, 9])
@@ -610,7 +617,7 @@ def test_batched_decode_matches_per_instance_and_reference(num_labels, offsets, 
     columns = model.to_columns(w)
     for weights in (w, columns):
         assert decode_batch(model, weights, data) == reference
-        assert [map_decode(model, weights, x) for x in data] == reference
+        assert [decode_one(model, weights, x) for x in data] == reference
     # the padded gather holds every instance's lattice, bit for bit
     cols, lengths = model.compile_batch(data)
     node = columns[cols].sum(axis=-1)
@@ -638,7 +645,7 @@ def test_batched_decode_ranks_nan_as_argmax_does(seed):
         reference = [tuple(labels[i] for i in viterbi(dict_lattice(model, weights, x)))
                      for x in data]
         assert decode_batch(model, columns, data) == reference
-        assert [map_decode(model, columns, x) for x in data] == reference
+        assert [decode_one(model, columns, x) for x in data] == reference
 
 
 class CountingArray(np.ndarray):
@@ -668,7 +675,7 @@ def test_evaluate_gathers_once_and_builds_no_lattice(monkeypatch):
     # one emission gather over the padded (B, n_max, L, k) block, one of the transitions
     assert CountingArray.gathers == [(len(data), 12, 3, 3), (3, 3)]
     assert builds == []
-    assert value == sum(loss(x.gold, map_decode(model, w, x)) for x in data) / len(data)
+    assert value == sum(loss(x.gold, decode_one(model, w, x)) for x in data) / len(data)
 
 
 def test_compile_batch_caches_the_last_dataset(monkeypatch):
@@ -827,23 +834,23 @@ def test_zero_feedback_step_never_runs_the_forward_pass(monkeypatch, synthetic_t
 
 
 def test_map_decode_total_tie_goes_to_lowest_index(ab_model, fixed_instance):
-    assert map_decode(ab_model, SparseVector(), fixed_instance) == ("A", "A", "A")
+    assert decode_one(ab_model, SparseVector(), fixed_instance) == ("A", "A", "A")
 
 
 def test_map_decode_matches_enumeration(ab_model, fixed_instance, fixed_weights):
     dist = distribution(ab_model, fixed_weights, fixed_instance)
     best = dist.labelings[int(np.argmax(dist.probs))]
-    assert map_decode(ab_model, fixed_weights, fixed_instance) == best == FIXED_MAP
+    assert decode_one(ab_model, fixed_weights, fixed_instance) == best == FIXED_MAP
 
 
 def test_map_decode_invariant_to_constant_node_shift(ab_model, fixed_instance, fixed_weights):
-    before = map_decode(ab_model, fixed_weights, fixed_instance)
+    before = decode_one(ab_model, fixed_weights, fixed_instance)
     shifted = fixed_weights.copy()
     # fern occurs only at position 1; shifting all its labels shifts one column
     for lab in ("A", "B"):
         fid = feature_id(f"em0\x1ffern\x1f{lab}")
         shifted[fid] = shifted[fid] + 3.5
-    assert map_decode(ab_model, shifted, fixed_instance) == before
+    assert decode_one(ab_model, shifted, fixed_instance) == before
 
 
 # -- probabilities -----------------------------------------------------------------
@@ -888,7 +895,7 @@ def dict_loop_to_columns(model, w):
         if fid not in columns:
             columns[fid] = len(ids)
             ids.append(fid)
-            model._templates.append(None)
+            model._unclaimed.add(fid)
     out = np.zeros(len(ids))
     out[[columns[fid] for fid in w]] = [value for _, value in w.items()]
     return out
@@ -1055,6 +1062,10 @@ class ReferenceModel:
             self.templates[col] = template
         return col
 
+    def unclaimed(self):
+        """The ids read from weights that no template has hashed to yet."""
+        return {fid for fid, template in zip(self.ids, self.templates) if template is None}
+
     def read(self, w):
         """to_columns' interning: unknown ids take a column and no template."""
         for fid in w:
@@ -1090,7 +1101,7 @@ def test_compile_matches_a_per_template_reference(offsets):
         expected = ref.compile(x)
         assert cols.dtype == expected.dtype and cols.strides == expected.strides
         assert np.array_equal(cols, expected)
-        assert model._ids == ref.ids and model._templates == ref.templates
+        assert model._ids == ref.ids and model._unclaimed == ref.unclaimed()
     assert np.array_equal(model.transition, ref.transition)
     for x in data:  # the cached arrays are unchanged by later growth
         assert np.array_equal(model.compile(x), ref.compile(x))
@@ -1113,7 +1124,7 @@ def test_compile_costs_no_more_for_a_far_offset():
     assert peak < 1 << 20
     for x, cols in zip(data, compiled):
         assert np.array_equal(cols, ref.compile(x))
-    assert model._ids == ref.ids and model._templates == ref.templates
+    assert model._ids == ref.ids and model._unclaimed == ref.unclaimed()
 
 
 def test_id_read_from_weights_takes_its_template_on_the_fallback():
@@ -1122,12 +1133,14 @@ def test_id_read_from_weights_takes_its_template_on_the_fallback():
     w = SparseVector({12345: 1.0, feature_id("em0\x1fb\x1fB"): 2.0})
     model.to_columns(w)
     ref.read(w)
-    col = model._columns[feature_id("em0\x1fb\x1fB")]
-    assert model._templates[col] is None
+    fid = feature_id("em0\x1fb\x1fB")
+    col = model._columns[fid]
+    assert model._unclaimed == ref.unclaimed() == {12345, fid}
     x = ChainInstance(tokens=("a", "b", "c"))
     assert np.array_equal(model.compile(x), ref.compile(x))
-    assert model._templates[col] == "em0\x1fb\x1fB"
-    assert model._ids == ref.ids and model._templates == ref.templates
+    # the template claims the id: it keeps its column and leaves the set
+    assert model._columns[fid] == col and model._unclaimed == ref.unclaimed() == {12345}
+    assert model._ids == ref.ids
 
 
 def test_batched_collisions_raise_as_the_per_template_loop(monkeypatch):
@@ -1149,6 +1162,44 @@ def test_batched_collisions_raise_as_the_per_template_loop(monkeypatch):
         with pytest.raises(RuntimeError) as raised:
             ChainModel(LabelAlphabet(("A", "B"))).compile(x)
         assert str(raised.value) == str(expected.value) == message
+
+
+@pytest.mark.parametrize("batches", [(("a",), ("b",)), (("a", "b"),)])
+def test_an_id_a_template_claimed_from_weights_collides_with_the_next(monkeypatch, batches):
+    real = chain_mod._feature_ids
+    taken = feature_id("em0\x1fa\x1fA")
+    monkeypatch.setattr(chain_mod, "_feature_ids", lambda ts: [
+        taken if t == "em0\x1fb\x1fB" else real([t])[0] for t in ts])
+    model = ChainModel(LabelAlphabet(("A", "B")))
+    model.to_columns(SparseVector({taken: 1.0}))
+    assert model._unclaimed == {taken}
+    if len(batches) == 2:  # "em0 a A" claims the id first, in a batch of its own
+        model.compile(ChainInstance(tokens=batches[0]))
+        assert model._unclaimed == set()
+    size, unclaimed = model.num_columns, set(model._unclaimed)
+    with pytest.raises(RuntimeError) as raised:
+        model.compile(ChainInstance(tokens=batches[-1]))
+    assert str(raised.value) == (
+        f"feature id collision: 'em0\\x1fb\\x1fB' vs 'em0\\x1fa\\x1fA' -> {taken}")
+    # the failed batch interned nothing
+    assert model.num_columns == size and model._unclaimed == unclaimed
+
+
+def test_compile_keeps_none_of_the_template_text():
+    import tracemalloc
+
+    model = ChainModel(LabelAlphabet(("O", "B-X", "I-X")), emission_offsets=(-1, 0, 1))
+    x = ChainInstance(tokens=tuple(f"{k}:" + "t" * 10_000 for k in range(50)))
+    text = 3 * 3 * sum(map(len, x.tokens))  # 3 offsets x 3 labels per token
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        model.compile(x)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # the model keeps ids, columns and its (offset, token) rows, not the 4.5 MB of templates
+    assert kept < text / 10
 
 
 # -- misc ---------------------------------------------------------------------------

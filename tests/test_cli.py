@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import banditchain.cli as cli
+import banditchain.dataio as dataio
 from banditchain import generate_chunk_instances, read_report, write_dataset, write_report
 from banditchain.checks import CheckReport, CheckResult
 
@@ -453,6 +454,35 @@ def test_diagnose_to_missing_directory_is_a_data_error(workdir, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_diagnose_write_failing_midway_leaves_the_out_file_as_it_was(workdir, capsys,
+                                                                     monkeypatch):
+    tmp_path, cfg_path = workdir
+    assert cli.main(["train", "--config", str(cfg_path)]) == 0
+    out = tmp_path / "summary.json"
+    out.write_bytes(b'{"earlier": "summary"}\n')
+
+    def half_then_fail(path, report):
+        path.write_text(json.dumps(report)[:20], encoding="utf-8")
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(dataio, "write_report", half_then_fail)
+    capsys.readouterr()
+    code = cli.main(["diagnose", str(tmp_path / "report.json"), "--out", str(out)])
+    assert code == cli.DATA_ERROR
+    assert capsys.readouterr().err == "error: No space left on device\n"
+    assert out.read_bytes() == b'{"earlier": "summary"}\n'
+    assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == []
+
+
+def test_train_config_that_is_not_utf8_is_a_data_error_naming_it(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_bytes(b"\xff{}")
+    assert cli.main(["train", "--config", str(cfg_path)]) == cli.DATA_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {cfg_path}:1: not UTF-8 (invalid start byte at byte 0)\n"
+
+
 @pytest.fixture
 def ab_workdir(tmp_path):
     """A hamming config over the non-BIO labels A, B, with a dataset and a checkpoint."""
@@ -495,6 +525,18 @@ def test_eval_of_a_checkpoint_with_ids_out_of_order_is_a_data_error(ab_workdir, 
     assert captured.out == ""
     assert captured.err == (f"error: {tmp_path / 'model.ckpt'}: feature ids are not strictly "
                             f"ascending: {fids[2]} after {fids[1]}\n")
+
+
+def test_eval_data_that_is_not_utf8_is_a_data_error_naming_its_line(ab_workdir, capsys):
+    tmp_path, cfg_path = ab_workdir
+    data = tmp_path / "latin1.tsv"
+    data.write_bytes("x\tA\n\nca\u00f1a\tB\n".encode("latin-1"))
+    code = cli.main(["eval", "--config", str(cfg_path), "--checkpoint",
+                     str(tmp_path / "model.ckpt"), "--data", str(data)])
+    assert code == cli.DATA_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {data}:3: not UTF-8 (invalid continuation byte at byte 7)\n"
 
 
 @pytest.mark.parametrize("loss", ["bogus", "Hamming"])

@@ -74,6 +74,35 @@ def test_missing_file(tmp_path, bio_alphabet):
         read_dataset(tmp_path / "nope.tsv", bio_alphabet)
 
 
+@pytest.mark.parametrize("blob, line", [
+    (b"\xffa\tO\n", 1),
+    (b"a\tO\nb\tB\n\nc\xe9\tI\n", 4),
+    (b"a\tO\r\nb\tB\r\n\r\nc\tI\r\xc3\n", 5),  # a lone \r ends a line, as in text mode
+    (b"a\tO\n" * 5000 + b"c\xe9\tI\n", 5001),  # past the first chunk a stream decodes
+])
+def test_a_dataset_that_is_not_utf8_is_a_data_error_naming_its_line(tmp_path, bio_alphabet,
+                                                                    blob, line):
+    p = tmp_path / "d.tsv"
+    p.write_bytes(blob)
+    with pytest.raises(DataError, match=rf"^{re.escape(str(p))}:{line}: not UTF-8 \("):
+        read_dataset(p, bio_alphabet)
+
+
+def test_dataset_line_breaks_read_as_in_text_mode(tmp_path, bio_alphabet):
+    lf = read_dataset(write_text(tmp_path / "lf.tsv", "a\tO\nb\tB\n\nc\tI\n"), bio_alphabet)
+    p = tmp_path / "crlf.tsv"
+    p.write_bytes(b"a\tO\r\nb\tB\r\r\nc\tI")
+    assert read_dataset(p, bio_alphabet) == lf
+
+
+@pytest.mark.parametrize("read", [load_config, read_report])
+def test_a_config_or_report_that_is_not_utf8_is_a_data_error_naming_it(tmp_path, read):
+    p = tmp_path / "file.json"
+    p.write_bytes(b'{"labels":\n ["O", "\xff"]}')
+    with pytest.raises(DataError, match=rf"^{re.escape(str(p))}:2: not UTF-8 \("):
+        read(p)
+
+
 def test_dataset_round_trip(tmp_path, bio_alphabet):
     rng = np.random.default_rng(0)
     original = generate_chunk_instances(20, rng)

@@ -15,7 +15,7 @@ def test_all_lists_exactly_the_imported_names():
 
 def test_deleted_names_are_not_exported():
     for name in ("ClippingConfig", "StepRecord", "el_gradient", "pr_gradient", "ce_gradient",
-                 "pair_expected_features", "PairSample"):
+                 "pair_expected_features", "PairSample", "map_decode"):
         assert name not in banditchain.__all__
         assert not hasattr(banditchain, name)
 

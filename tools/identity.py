@@ -10,8 +10,9 @@ warm-started from the el run's checkpoint (``init_checkpoint``), so that the
 checkpoint read path is covered too.  Prints one JSON object: per run,
 ``"workload/seed/objective"`` (``"workload/seed/el-warm"`` for the warm
 start), the sha256 of its checkpoint and of its report without
-``created_at`` and paths.  Run it with each tree's ``src`` on PYTHONPATH and
-compare the two outputs.
+``created_at`` and paths.  Run it with each tree's ``src`` on PYTHONPATH,
+save both outputs and compare them with ``diff parent.json change.json``,
+which shows the runs whose digests differ and exits 1 if any do.
 """
 
 from __future__ import annotations
