@@ -63,6 +63,16 @@ def _feature_ids(templates: Sequence[str]) -> list[int]:
     return (np.frombuffer(raw, ">u8") >> 1).tolist()
 
 
+def _room(table: np.ndarray, kept: int, size: int) -> np.ndarray:
+    """table when it has at least size rows, else a new one of at least twice
+    its rows holding its first kept rows: a table that grows by doubling."""
+    if size <= len(table):
+        return table
+    grown = np.empty((max(2 * len(table), size), *table.shape[1:]), table.dtype)
+    grown[:kept] = table[:kept]
+    return grown
+
+
 class LabelAlphabet:
     """Ordered set of at least two distinct label symbols, none holding the
     template separator: a template ends in its label, and one holding it could merge two."""
@@ -190,7 +200,9 @@ class ChainModel:
         self.alphabet = alphabet
         self.emission_offsets = tuple(int(o) for o in emission_offsets)
         self._columns: dict[int, int] = {}  # feature id -> column
-        self._ids: list[int] = []  # column -> feature id
+        # column -> feature id; grows by doubling, so only its first
+        # num_columns entries are live (``_ids``)
+        self._id_table = np.empty(0, dtype=np.int64)
         self._unclaimed: set[int] = set()  # ids read from weights that no template hashed to yet
         self._rows: dict[tuple[int, str], int] = {}  # (offset, token) -> row of _table
         # row -> the L columns of an (offset, token); grows by doubling, so
@@ -207,7 +219,12 @@ class ChainModel:
 
     @property
     def num_columns(self) -> int:
-        return len(self._ids)
+        return len(self._columns)
+
+    @property
+    def _ids(self) -> np.ndarray:
+        """The feature id of each column: an int64 view, blind to columns added later."""
+        return self._id_table[:len(self._columns)]
 
     def _transition_templates(self) -> list[str]:
         labels = self.alphabet.labels
@@ -220,10 +237,12 @@ class ChainModel:
 
     def _append(self, fids: list[int]) -> np.ndarray:
         """Intern distinct ids new to the model as its next columns; returns those columns."""
-        start = len(self._ids)
-        self._columns.update(zip(fids, range(start, start + len(fids))))
-        self._ids.extend(fids)
-        return np.arange(start, len(self._ids), dtype=np.intp)
+        start = len(self._columns)
+        stop = start + len(fids)
+        self._columns.update(zip(fids, range(start, stop)))
+        self._id_table = _room(self._id_table, start, stop)
+        self._id_table[start:stop] = fids
+        return np.arange(start, stop, dtype=np.intp)
 
     def _intern_templates(self, templates: list[str]) -> np.ndarray:
         """The columns of templates new to the model (``compile`` passes only
@@ -278,10 +297,7 @@ class ChainModel:
             columns = self._intern_templates(self._emission_templates(new)).reshape(len(new), -1)
             r0 = len(rows)
             rows.update(zip(new, range(r0, r0 + len(new))))
-            if len(rows) > len(self._table):
-                table = np.empty((max(2 * len(self._table), len(rows)), columns.shape[1]), np.intp)
-                table[:r0] = self._table[:r0]
-                self._table = table
+            self._table = _room(self._table, r0, len(rows))
             self._table[r0:len(rows)] = columns
         at = np.fromiter(map(rows.__getitem__, keys), np.intp, len(keys))
         compiled = self._compiled[x] = self._table[at].reshape(
@@ -294,7 +310,10 @@ class ChainModel:
         past its end, the (B,) lengths, and the (B, n_max) mask of the positions
         below them.  Like ``compile``'s arrays, cols is a view of a
         template-major (k, B, n_max, L) block, so a gather sums its templates
-        in the same order.  The one builder of a padded batch."""
+        in the same order.  The one builder of a padded batch; an empty batch
+        is a ``ValueError``, raised before anything is compiled."""
+        if len(data) == 0:
+            raise ValueError("empty batch: no instances to pad")
         lengths = np.array([len(x) for x in data], dtype=np.intp)
         live = np.arange(lengths.max()) < lengths[:, None]
         block = np.zeros((len(self.emission_offsets), *live.shape, len(self.alphabet)),
@@ -336,14 +355,14 @@ class ChainModel:
         cols = self.compile(x).ravel()
         if len(x) > 1:
             cols = np.concatenate((cols, self.transition.ravel()))
-        return sorted({self._ids[c] for c in cols.tolist()})
+        return sorted(set(self._ids[cols].tolist()))
 
     def _sorted_ids(self) -> tuple[np.ndarray, np.ndarray]:
         """(ids, columns): every id the model holds in ascending order, and
         their columns; rebuilt only when the model has grown since the last call."""
         # columns are never renumbered, so an index is only ever short
-        if self._id_index is None or len(self._id_index[0]) != len(self._ids):
-            ids = np.array(self._ids, dtype=np.int64)
+        if self._id_index is None or len(self._id_index[0]) != self.num_columns:
+            ids = self._ids
             order = np.argsort(ids)
             self._id_index = (ids[order], order)
         return self._id_index
@@ -364,8 +383,8 @@ class ChainModel:
             fids, values = w.ids, w.values
         elif isinstance(w, SparseVector):
             fids, values = w._int64_ids(), np.fromiter(w._data.values(), np.float64, len(w))
-        elif len(w) < len(self._ids):
-            out = np.zeros(len(self._ids))
+        elif len(w) < self.num_columns:
+            out = np.zeros(self.num_columns)
             out[: len(w)] = w
             return out
         else:
@@ -379,7 +398,7 @@ class ChainModel:
             new = fids[miss].tolist()
             cols[miss] = self._append(new)
             self._unclaimed.update(new)
-        out = np.zeros(len(self._ids))
+        out = np.zeros(self.num_columns)
         out[cols] = values
         return out
 
@@ -387,7 +406,7 @@ class ChainModel:
         """The nonzero entries of a column array as a SortedVector: their ids
         gathered in column order, then sorted."""
         columns = np.flatnonzero(w)
-        ids = np.array(self._ids, dtype=np.int64)[columns]
+        ids = self._ids[columns]
         order = np.argsort(ids)
         return SortedVector(ids[order], w[columns[order]])
 
@@ -397,10 +416,7 @@ class ChainModel:
         if columns is None:
             columns = np.flatnonzero(values)
             values = values[columns]
-        ids = self._ids
-        return SparseVector._from_clean(
-            dict(zip([ids[c] for c in columns.tolist()], values.tolist()))
-        )
+        return SparseVector._from_clean(dict(zip(self._ids[columns].tolist(), values.tolist())))
 
     def feature_norm_bound(self, x: ChainInstance) -> float:
         """Upper bound on ||phi(x, y)||_2 over every labeling y.
@@ -748,39 +764,51 @@ def _viterbi(node: np.ndarray, trans: np.ndarray, lengths: np.ndarray) -> np.nda
     """Max-product over a batch of padded lattices: the (B, n_max) argmax paths.
 
     node is (B, n_max, L), trans the (L, L) table every lattice shares, and
-    instance b ends at position ``lengths[b] - 1``.  The recursion runs
-    label-major, on (L, B) rows, and scans the previous labels in order,
-    taking a score only when it ranks strictly higher: ties go to the lowest
-    label index and the first NaN wins, as ``np.argmax`` decides.  Past its
-    end an instance keeps its trellis and points back to the same label, so
-    its path repeats its last label there.
+    instance b ends at position ``lengths[b] - 1``.  Every choice among
+    labels, the back-pointers and each instance's last label, goes as
+    ``np.argmax`` decides: the lowest index of the maximum, or of the first
+    NaN.  Past its end a row repeats its last label.
+
+    The recursion runs longest-first: the instances are ordered by length,
+    longest first (a stable sort), and the potentials copied once into an
+    (n_max, L, B) block in that order, so the instances still live at
+    position i are a prefix of k of them.  Each position scores the whole
+    (L, L, k) table ``trellis[a] + trans[a, b]``, takes its maximum over a
+    and the lowest a whose score equals it or is NaN, and adds the next
+    node.  An instance's last label is its trellis' argmax when it leaves
+    the prefix.  No reduction runs across instances, so each keeps the bits
+    of a batch of one.
     """
     B, n_max, L = node.shape
-    node = np.ascontiguousarray(node.transpose(1, 2, 0))  # (n_max, L, B)
-    into = trans.T[:, :, None]  # into[b, a] = trans[a, b]
+    order = np.argsort(-lengths, kind="stable")
+    live = B - np.cumsum(np.bincount(lengths, minlength=n_max)[:n_max])  # live[i]: lengths > i
+    # node may be a subclass of ndarray: the reorder below is not one of its gathers
+    node = np.asarray(node).transpose(1, 2, 0)[:, :, order]  # (n_max, L, B)
+    prev = np.arange(L)[:, None, None]
     back = np.empty((n_max, L, B), dtype=np.intp)
-    stay = np.arange(L)[:, None]
+    label = np.empty(B, dtype=np.intp)
     trellis = node[0]
     for i in range(1, n_max):
-        scores = trellis + into  # scores[b, a] = trellis[a] + trans[a, b]
-        best, arg = scores[:, 0], np.zeros((L, B), dtype=np.intp)
-        for a in range(1, L):
-            score = scores[:, a]
-            # a number beats a lower best, a NaN beats any number, and a NaN best stays
-            better = ~(score <= best) & (best == best)
-            best = np.where(better, score, best)
-            np.putmask(arg, better, a)
-        live = lengths > i
-        back[i] = np.where(live, arg, stay)
-        trellis = np.where(live, node[i] + best, trellis)
-    path = np.empty((B, n_max), dtype=np.intp)
-    label = trellis.argmax(axis=0)
-    rows = np.arange(B)
+        k = live[i]
+        label[k:live[i - 1]] = trellis[:, k:].argmax(axis=0)
+        scores = trellis[:, None, :k] + trans[:, :, None]  # [a, b, instance]
+        best = np.maximum.reduce(scores, axis=0)  # a NaN score makes a NaN best
+        hit = scores == best
+        hit |= np.isnan(scores)
+        np.minimum.reduce(np.where(hit, prev, L), axis=0, out=back[i, :, :k])
+        trellis = node[i, :, :k] + best
+    label[:live[-1]] = trellis.argmax(axis=0)
+    # backtrack; an instance that has ended keeps its last label in its row
+    path = np.empty((n_max, B), dtype=np.intp)
+    cols = np.arange(B)
     for i in range(n_max - 1, 0, -1):
-        path[:, i] = label
-        label = back[i, label, rows]
-    path[:, 0] = label
-    return path
+        path[i] = label
+        k = live[i]
+        label[:k] = back[i, label[:k], cols[:k]]
+    path[0] = label
+    rank = np.empty(B, dtype=np.intp)
+    rank[order] = cols
+    return path.T[rank]
 
 
 def map_decode_paths(
@@ -790,10 +818,11 @@ def map_decode_paths(
     label indices, a (B, n_max) int array, and the (B,) instance lengths.
 
     One gather from the padded columns of ``model.compile_batch(data)``
-    gives every lattice; one max-product pass decodes them all.  w is
-    converted once, after data is compiled.  Ties go to the lowest label
-    index.  Past its length a row repeats its last label.  data must not be
-    empty.
+    gives every lattice, and one longest-first max-product pass
+    (``_viterbi``, which states the tie and NaN rule) decodes them all: each
+    position works only on the instances that reach it.  w is converted
+    once, after data is compiled.  Past its length a row repeats its last
+    label.  An empty data is a ``ValueError``.
     """
     cols, lengths = model.compile_batch(data)
     w = model.to_columns(w)

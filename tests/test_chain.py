@@ -648,6 +648,97 @@ def test_batched_decode_ranks_nan_as_argmax_does(seed):
         assert [decode_one(model, columns, x) for x in data] == reference
 
 
+def scan_viterbi(node, trans, lengths):
+    """Test-local reference: the batched max-product that scans the previous
+    labels in order, taking a score only when it ranks strictly higher (a NaN
+    beats any number, a NaN best stays); an instance past its end keeps its
+    trellis and points back to the same label."""
+    B, n_max, L = node.shape
+    node = np.ascontiguousarray(node.transpose(1, 2, 0))
+    into = trans.T[:, :, None]
+    back = np.empty((n_max, L, B), dtype=np.intp)
+    stay = np.arange(L)[:, None]
+    trellis = node[0]
+    for i in range(1, n_max):
+        scores = trellis + into
+        best, arg = scores[:, 0], np.zeros((L, B), dtype=np.intp)
+        for a in range(1, L):
+            score = scores[:, a]
+            better = ~(score <= best) & (best == best)
+            best = np.where(better, score, best)
+            np.putmask(arg, better, a)
+        live = lengths > i
+        back[i] = np.where(live, arg, stay)
+        trellis = np.where(live, node[i] + best, trellis)
+    path = np.empty((B, n_max), dtype=np.intp)
+    label = trellis.argmax(axis=0)
+    rows = np.arange(B)
+    for i in range(n_max - 1, 0, -1):
+        path[:, i] = label
+        label = back[i, label, rows]
+    path[:, 0] = label
+    return path
+
+
+@pytest.mark.parametrize("L", [2, 3, 9])
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled", "equal", "ones", "one"])
+def test_viterbi_equals_the_label_scan_bitwise(L, order):
+    rng = np.random.default_rng(L * 10 + len(order))
+    for trial in range(40):
+        B = 1 if order == "one" else int(rng.integers(2, 30))
+        lengths = rng.integers(1, 13, B)
+        if order == "ascending":
+            lengths.sort()
+        elif order == "descending":
+            lengths[::-1].sort()
+        elif order == "equal":
+            lengths[:] = lengths[0]
+        elif order == "ones":
+            lengths[:] = 1
+        # values rounded to few digits tie often; every padded cell holds a value too
+        node = np.round(rng.normal(size=(B, lengths.max(), L)), trial % 2)
+        trans = np.round(rng.normal(size=(L, L)), trial % 2)
+        if trial % 3:
+            for table in (node, trans):
+                hit = rng.random(table.shape) < 0.15
+                table[hit] = rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0], hit.sum())
+        with np.errstate(invalid="ignore"):
+            paths = chain_mod._viterbi(node, trans, lengths)
+            assert paths.dtype == np.intp
+            assert paths.tobytes() == scan_viterbi(node, trans, lengths).tobytes()
+
+
+def test_batched_decode_of_an_outlier_equals_one_instance_decodes():
+    model = ChainModel(LabelAlphabet(("O", "B", "I")), emission_offsets=(-1, 0, 1))
+    rng = np.random.default_rng(11)
+    data = [ChainInstance(tokens=tuple(f"t{k}" for k in rng.integers(0, 30, n)))
+            for n in rng.integers(1, 6, 200)]
+    data.insert(137, ChainInstance(tokens=tuple(f"t{k}" for k in rng.integers(0, 30, 500))))
+    fids = sorted({fid for x in data for fid in model.instance_feature_ids(x)})
+    w = SparseVector(dict(zip(fids, np.round(rng.normal(size=len(fids)), 1).tolist())))
+    paths, lengths = map_decode_paths(model, w, data)
+    assert paths.shape == (201, 500)
+    for row, n, x in zip(paths, lengths, data):
+        (one,), _ = map_decode_paths(model, w, [x])
+        assert row[:n].tolist() == one.tolist()
+        assert (row[n:] == row[n - 1]).all()  # past its end a row repeats its last label
+
+
+def test_an_empty_batch_is_rejected_before_anything_is_compiled(monkeypatch):
+    model, data, w = mixed_length_task(3, (0,), 1.0, seed=5)
+    columns = model.to_columns(w)
+    compiled = []
+    compile_ = ChainModel.compile
+    monkeypatch.setattr(ChainModel, "compile", lambda self, x: compiled.append(x) or compile_(self, x))
+    for empty in ([], ()):
+        with pytest.raises(ValueError, match="empty batch"):
+            map_decode_paths(model, w, empty)
+        for pair in (False, True):
+            with pytest.raises(ValueError, match="empty batch"):
+                chain_mod.draw_batch(model, columns, empty, [], pair=pair)
+    assert compiled == []
+
+
 class CountingArray(np.ndarray):
     """A column array that records the index shape of every gather from it."""
 
@@ -890,13 +981,12 @@ def test_prob_length_mismatch(ab_model, fixed_instance, fixed_weights):
 def dict_loop_to_columns(model, w):
     """Test-local reference: to_columns(SparseVector) as one dict probe per
     entry, interning unknown ids in the vector's order."""
-    columns, ids = model._columns, model._ids
+    columns = model._columns
     for fid in w:
         if fid not in columns:
-            columns[fid] = len(ids)
-            ids.append(fid)
+            model._append([fid])
             model._unclaimed.add(fid)
-    out = np.zeros(len(ids))
+    out = np.zeros(len(columns))
     out[[columns[fid] for fid in w]] = [value for _, value in w.items()]
     return out
 
@@ -911,7 +1001,7 @@ def wide_model(seed):
 
 
 def random_vector(model, rng, known, unknown, negative=False):
-    fids = [model._ids[c] for c in rng.choice(model.num_columns, known, replace=False)]
+    fids = [int(model._ids[c]) for c in rng.choice(model.num_columns, known, replace=False)]
     low, high = (-(1 << 63), 0) if negative else (0, 1 << 63)
     fids += [int(f) for f in rng.integers(low, high, unknown, dtype=np.int64)]
     rng.shuffle(fids)
@@ -933,7 +1023,7 @@ def test_to_columns_matches_dict_loop_bitwise(case, known, unknown, negative, se
     for _ in range(2):  # the second call finds every id known
         out = model.to_columns(w)
         assert out.tobytes() == dict_loop_to_columns(reference, w).tobytes()
-        assert model._ids == reference._ids
+        assert model._ids.tolist() == reference._ids.tolist()
         assert model._columns == reference._columns
     assert len(out) == model.num_columns
 
@@ -955,7 +1045,8 @@ def test_to_columns_of_a_sorted_vector_equals_the_sparse_vector_in_id_order(case
     for _ in range(2):  # the second call finds every id known
         out = model.to_columns(vector)
         assert out.tobytes() == reference.to_columns(in_id_order).tobytes()
-        assert model._ids == reference._ids  # ids new to the model interned by ascending id
+        # ids new to the model interned by ascending id
+        assert model._ids.tolist() == reference._ids.tolist()
         assert model._columns == reference._columns
 
 
@@ -969,11 +1060,11 @@ def test_to_columns_after_the_model_grew_past_its_index():
     # the model grows after the index was built: new rows, then a vector over them
     for m in (model, reference):
         m.compile(ChainInstance(tokens=("fresh", "tokens", "t1")))
-    grown = [fid for fid in model._ids if fid not in w]
+    grown = [fid for fid in model._ids.tolist() if fid not in w]
     w2 = random_vector(model, rng, 30, 40)
     w2 = SparseVector({**dict(w2.items()), **{fid: 0.5 for fid in grown[-15:]}})
     assert model.to_columns(w2).tobytes() == dict_loop_to_columns(reference, w2).tobytes()
-    assert model._ids == reference._ids
+    assert model._ids.tolist() == reference._ids.tolist()
     assert model._id_index is not built
 
 
@@ -993,18 +1084,18 @@ def test_to_columns_builds_its_index_once_while_the_model_does_not_grow(monkeypa
 @pytest.mark.parametrize("fid", [1 << 63, 1 << 64, -(1 << 63) - 1])
 def test_to_columns_rejects_an_id_outside_int64(fid):
     model, _ = wide_model(5)
-    before = list(model._ids)
+    before = model._ids.tolist()
     w = SparseVector({feature_id("em0\x1fa\x1fO"): 1.0, fid: 2.0})
     with pytest.raises(ValueError, match=f"feature id {fid} does not fit in int64"):
         model.to_columns(w)
-    assert model._ids == before
+    assert model._ids.tolist() == before
 
 
 def test_compile_interns_new_rows_in_first_occurrence_order():
     """compile interns as a per-(offset, token) loop would: the same columns
     and the same column order."""
     model = ChainModel(LabelAlphabet(("A", "B", "C")), emission_offsets=(-1, 0, 1))
-    ids = list(model._ids)
+    ids = model._ids.tolist()
     data = [ChainInstance(tokens=toks) for toks in
             (("a", "b", "a"), ("b", "c"), ("d",), ("a", "d", "e", "a", "e"))]
     for x in data:
@@ -1020,7 +1111,7 @@ def test_compile_interns_new_rows_in_first_occurrence_order():
                         ids.append(fid)
                     expected.append(ids.index(fid))
         cols = model.compile(x)
-        assert model._ids == ids
+        assert model._ids.tolist() == ids
         assert cols.transpose(2, 0, 1).ravel().tolist() == expected
 
 
@@ -1101,7 +1192,7 @@ def test_compile_matches_a_per_template_reference(offsets):
         expected = ref.compile(x)
         assert cols.dtype == expected.dtype and cols.strides == expected.strides
         assert np.array_equal(cols, expected)
-        assert model._ids == ref.ids and model._unclaimed == ref.unclaimed()
+        assert model._ids.tolist() == ref.ids and model._unclaimed == ref.unclaimed()
     assert np.array_equal(model.transition, ref.transition)
     for x in data:  # the cached arrays are unchanged by later growth
         assert np.array_equal(model.compile(x), ref.compile(x))
@@ -1124,7 +1215,7 @@ def test_compile_costs_no_more_for_a_far_offset():
     assert peak < 1 << 20
     for x, cols in zip(data, compiled):
         assert np.array_equal(cols, ref.compile(x))
-    assert model._ids == ref.ids and model._unclaimed == ref.unclaimed()
+    assert model._ids.tolist() == ref.ids and model._unclaimed == ref.unclaimed()
 
 
 def test_id_read_from_weights_takes_its_template_on_the_fallback():
@@ -1140,7 +1231,7 @@ def test_id_read_from_weights_takes_its_template_on_the_fallback():
     assert np.array_equal(model.compile(x), ref.compile(x))
     # the template claims the id: it keeps its column and leaves the set
     assert model._columns[fid] == col and model._unclaimed == ref.unclaimed() == {12345}
-    assert model._ids == ref.ids
+    assert model._ids.tolist() == ref.ids
 
 
 def test_batched_collisions_raise_as_the_per_template_loop(monkeypatch):

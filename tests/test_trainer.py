@@ -82,7 +82,7 @@ def test_a_warm_start_from_a_checkpoint_equals_one_from_the_sparse_vector_of_its
         runs.append((model, train(cfg, model, train_data, dev_data, FeedbackOracle("chunk-f1"),
                                   w0=w0)))
     (a_model, a), (b_model, b) = runs
-    assert a_model._ids == b_model._ids
+    assert a_model._ids.tolist() == b_model._ids.tolist()
     assert a.weights.tobytes() == b.weights.tobytes() and a.final_weights == b.final_weights
     assert a.dev_losses == b.dev_losses
     assert a.scaled_norm_sq.tobytes() == b.scaled_norm_sq.tobytes()
