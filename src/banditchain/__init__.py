@@ -62,7 +62,6 @@ from .objectives import (
 from .oracle import (
     BudgetExceededError,
     EnumeratedDistribution,
-    OracleBudget,
     brute_gradient,
     brute_objective,
     distribution,
@@ -99,7 +98,6 @@ __all__ = [
     "LabelAlphabet",
     "LossKind",
     "ObjectiveKind",
-    "OracleBudget",
     "RunConfig",
     "SortedVector",
     "SparseVector",

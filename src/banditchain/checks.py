@@ -26,10 +26,9 @@ from .objectives import (
     pr_columns,
 )
 from .oracle import (
-    BudgetExceededError,
-    OracleBudget,
     brute_gradient,
     brute_objective,
+    check_budget,
     distribution,
     finite_diff_gradient,
     pair_distribution,
@@ -77,12 +76,7 @@ class CheckReport:
         return [r.line() for r in self.results]
 
 
-def make_fixture(
-    seed: int,
-    n: Optional[int] = None,
-    num_labels: Optional[int] = None,
-    weight_scale: float = 0.8,
-) -> Fixture:
+def make_fixture(seed: int, n: Optional[int] = None, num_labels: Optional[int] = None) -> Fixture:
     """A seeded random instance, model and weight vector, oracle sized."""
     rng = np.random.default_rng(seed)
     if n is None:
@@ -94,19 +88,15 @@ def make_fixture(
     tokens = tuple(_TOKEN_POOL[int(i)] for i in rng.integers(len(_TOKEN_POOL), size=n))
     gold = tuple(alphabet.label(int(i)) for i in rng.integers(num_labels, size=n))
     instance = ChainInstance(tokens=tokens, gold=gold)
-    weights = random_weights(model, instance, rng, scale=weight_scale)
+    weights = random_weights(model, instance, rng)
     return Fixture(model=model, instance=instance, weights=weights)
 
 
-def random_weights(
-    model: ChainModel,
-    x: ChainInstance,
-    rng: np.random.Generator,
-    scale: float = 0.8,
-) -> SparseVector:
-    """Gaussian weights on every feature that can fire for the instance."""
+def random_weights(model: ChainModel, x: ChainInstance, rng: np.random.Generator) -> SparseVector:
+    """Gaussian weights, standard deviation 0.8, on every feature that can
+    fire for the instance."""
     fids = model.instance_feature_ids(x)
-    return SparseVector({fid: scale * rng.standard_normal() for fid in fids})
+    return SparseVector({fid: 0.8 * rng.standard_normal() for fid in fids})
 
 
 def default_fixtures(seed: int = 0, count: int = 8) -> list[Fixture]:
@@ -181,10 +171,10 @@ def check_exact_inference(fixtures: Sequence[Fixture]) -> CheckResult:
     return _verdict("exact-inference", worst, 1e-10, len(fixtures))
 
 
-def check_gradient_finite_difference(
-    fixtures: Sequence[Fixture], h: float = 1e-5, rtol: float = 1e-6, atol: float = 1e-9
-) -> list[CheckResult]:
-    """brute_gradient vs central differences of brute_objective, per objective."""
+def check_gradient_finite_difference(fixtures: Sequence[Fixture]) -> list[CheckResult]:
+    """brute_gradient vs central differences of brute_objective (step 1e-5),
+    per objective."""
+    rtol, atol = 1e-6, 1e-9
     results = []
     for kind in ObjectiveKind:
         worst = 0.0
@@ -195,7 +185,7 @@ def check_gradient_finite_difference(
             fd = finite_diff_gradient(
                 lambda v: brute_objective(kind, model, v, data, hamming_loss),
                 w,
-                h=h,
+                h=1e-5,
                 coords=model.instance_feature_ids(x),
             )
             for fid in set(grad.support()) | set(fd.support()):
@@ -258,8 +248,9 @@ def check_pair_factorization(fixtures: Sequence[Fixture]) -> CheckResult:
     return _verdict("pair-factorization", worst, 1e-12, len(fixtures))
 
 
-def check_ce_convexity(fixtures: Sequence[Fixture], n_pairs: int = 100) -> CheckResult:
-    """Midpoint convexity of the cross-entropy objective on random weight pairs."""
+def check_ce_convexity(fixtures: Sequence[Fixture]) -> CheckResult:
+    """Midpoint convexity of the cross-entropy objective on 100 random weight pairs."""
+    n_pairs = 100
     rng = np.random.default_rng(777)
     worst = -float("inf")
     for fx in fixtures[:1]:
@@ -299,11 +290,7 @@ def check_jensen_step(fixtures: Sequence[Fixture]) -> CheckResult:
 
 
 def run_property_checks(
-    seed: int = 0,
-    n_fixtures: int = 8,
-    n_weights: int = 20,
-    clip_k: float = 0.0,
-    budget: OracleBudget = OracleBudget(),
+    seed: int = 0, n_fixtures: int = 8, n_weights: int = 20, clip_k: float = 0.0
 ) -> CheckReport:
     """Run the whole suite on seeded fixtures and collect per-property
     results; n_fixtures or n_weights below 1, a negative seed or a clip_k
@@ -316,8 +303,7 @@ def run_property_checks(
     check_clip_k(clip_k)
     fixtures = default_fixtures(seed=seed, count=n_fixtures)
     for fx in fixtures:  # honor the enumeration budget before any work
-        if len(fx.model.alphabet) ** len(fx.instance) > budget.max_outputs:
-            raise BudgetExceededError("fixture exceeds the enumeration budget")
+        check_budget(fx.model, fx.instance)
     results = [
         check_probability_normalization(fixtures),
         check_exact_inference(fixtures),

@@ -11,8 +11,9 @@ Formats owned by this module:
   dev-score curve, the selected checkpoint and a summary row.
 
 ``run_train`` checks its inputs before it reads any dataset: a bad config, a
-``chunk-f1`` loss over non-BIO labels, or an output path that is a directory
-or lies in a missing one raises ``DataError`` and leaves no file written.
+``chunk-f1`` loss over non-BIO labels, or an output path that is a directory,
+lies in a missing one or is one of the run's datasets raises ``DataError``
+and leaves no file written.
 It writes the checkpoint and the report to temp files beside them and moves
 both into place only once both are written.
 """
@@ -219,9 +220,15 @@ class RunConfig:
     def validate(self) -> None:
         if not self.train_path or not self.dev_path:
             raise DataError("config needs train_path and dev_path")
-        if Path(self.report_path).resolve() == Path(self.checkpoint_path).resolve():
+        outputs = {"report_path": Path(self.report_path).resolve(),
+                   "checkpoint_path": Path(self.checkpoint_path).resolve()}
+        if outputs["report_path"] == outputs["checkpoint_path"]:
             raise DataError(f"report_path and checkpoint_path are the same file: "
                             f"{self.report_path}")
+        for name, out in outputs.items():  # init_checkpoint may be overwritten: it is read first
+            for data in ("train_path", "dev_path", "test_path"):
+                if getattr(self, data) and Path(getattr(self, data)).resolve() == out:
+                    raise DataError(f"{name} would overwrite the run's {data}: {out}")
         check_loss_labels(self.loss, self.labels)
         offsets = list(self.emission_offsets)
         if not offsets or len(set(offsets)) != len(offsets):
@@ -229,13 +236,15 @@ class RunConfig:
                             f"got {offsets}")
         if self.lipschitz_pairs <= 0:
             raise DataError("lipschitz_pairs must be positive")
+        # ahead of the trainer's checks, so that it names a run too short for two
+        # epochs before its eval cadence; iterations <= 0 is the trainer's to name
+        if self.epoch_size is not None and self.iterations > 0:
+            _check_two_epochs(self.iterations, self.epoch_size)
         try:
             LabelAlphabet(self.labels)
             self.trainer_config().validate()
         except ValueError as exc:
             raise DataError(str(exc)) from None
-        if self.epoch_size is not None:
-            _check_two_epochs(self.iterations, self.epoch_size)
 
 
 def check_loss_labels(loss: "str | LossKind", labels: Sequence[str]) -> None:

@@ -22,16 +22,7 @@ from .sparse import SparseVector
 
 LossFn = Callable[[Sequence[str], Sequence[str]], float]
 
-
-@dataclass(frozen=True)
-class OracleBudget:
-    """Hard cap on the number of outputs an instance may enumerate."""
-
-    max_outputs: int = 4096
-
-    def __post_init__(self):
-        if self.max_outputs <= 0:
-            raise ValueError("budget cap must be positive")
+MAX_OUTPUTS = 4096  # the most labelings one instance may enumerate
 
 
 def logsumexp(a) -> float:
@@ -50,21 +41,19 @@ class BudgetExceededError(ValueError):
     """The output space is larger than the enumeration budget allows."""
 
 
-def _check_budget(model: ChainModel, x: ChainInstance, budget: OracleBudget) -> int:
+def check_budget(model: ChainModel, x: ChainInstance) -> None:
+    """Refuse an instance with more than MAX_OUTPUTS labelings."""
     count = len(model.alphabet) ** len(x)
-    if count > budget.max_outputs:
+    if count > MAX_OUTPUTS:
         raise BudgetExceededError(
             f"|Y(x)| = {len(model.alphabet)}^{len(x)} = {count} exceeds the "
-            f"enumeration budget of {budget.max_outputs}"
+            f"enumeration budget of {MAX_OUTPUTS}"
         )
-    return count
 
 
-def enumerate_outputs(
-    model: ChainModel, x: ChainInstance, budget: OracleBudget = OracleBudget()
-) -> list[tuple[str, ...]]:
+def enumerate_outputs(model: ChainModel, x: ChainInstance) -> list[tuple[str, ...]]:
     """All labelings of x in lexicographic label-index order."""
-    _check_budget(model, x, budget)
+    check_budget(model, x)
     return [tuple(y) for y in itertools.product(model.alphabet.labels, repeat=len(x))]
 
 
@@ -91,14 +80,9 @@ class EnumeratedDistribution:
         return acc
 
 
-def distribution(
-    model: ChainModel,
-    w: SparseVector,
-    x: ChainInstance,
-    budget: OracleBudget = OracleBudget(),
-) -> EnumeratedDistribution:
+def distribution(model: ChainModel, w: SparseVector, x: ChainInstance) -> EnumeratedDistribution:
     """Scores, log Z and probabilities for every labeling, by direct summation."""
-    labelings = enumerate_outputs(model, x, budget)
+    labelings = enumerate_outputs(model, x)
     phis = [extract_features(model, x, y) for y in labelings]
     scores = np.array([w.dot(phi) for phi in phis])
     log_z = logsumexp(scores)
@@ -108,12 +92,7 @@ def distribution(
     )
 
 
-def pair_distribution(
-    model: ChainModel,
-    w: SparseVector,
-    x: ChainInstance,
-    budget: OracleBudget = OracleBudget(),
-):
+def pair_distribution(model: ChainModel, w: SparseVector, x: ChainInstance):
     """Probabilities of every ordered labeling pair, normalized directly.
 
     Returns (labelings, P) with P[i, j] proportional to
@@ -121,7 +100,7 @@ def pair_distribution(
     i = j.  Computed without the product shortcut so it can certify the
     factorization into p_w(y_i|x) * p_{-w}(y_j|x).
     """
-    dist = distribution(model, w, x, budget)
+    dist = distribution(model, w, x)
     gaps = dist.scores[:, None] - dist.scores[None, :]
     log_pair_z = logsumexp(gaps)
     return dist.labelings, np.exp(gaps - log_pair_z)
@@ -143,14 +122,9 @@ def _pair_loss_matrix(deltas: np.ndarray, mode: str) -> np.ndarray:
     return np.where(gaps > 0.0, gaps, 0.0)
 
 
-def gain_mass(
-    model: ChainModel,
-    x: ChainInstance,
-    loss: LossFn,
-    budget: OracleBudget = OracleBudget(),
-) -> float:
+def gain_mass(model: ChainModel, x: ChainInstance, loss: LossFn) -> float:
     """The constant alpha(x) = sum over outputs of the gain 1 - loss."""
-    labelings = enumerate_outputs(model, x, budget)
+    labelings = enumerate_outputs(model, x)
     deltas = _instance_losses(x, labelings, loss)
     return float(np.sum(1.0 - deltas))
 
@@ -161,7 +135,6 @@ def brute_objective(
     w: SparseVector,
     data: Sequence[ChainInstance],
     loss: LossFn,
-    budget: OracleBudget = OracleBudget(),
 ) -> float:
     """Exact objective value, uniform over the dataset.
 
@@ -175,7 +148,7 @@ def brute_objective(
         raise ValueError("empty dataset")
     total = 0.0
     for x in data:
-        dist = distribution(model, w, x, budget)
+        dist = distribution(model, w, x)
         deltas = _instance_losses(x, dist.labelings, loss)
         if kind is ObjectiveKind.EL:
             total += float(np.dot(deltas, dist.probs))
@@ -196,7 +169,6 @@ def brute_gradient(
     w: SparseVector,
     data: Sequence[ChainInstance],
     loss: LossFn,
-    budget: OracleBudget = OracleBudget(),
 ) -> SparseVector:
     """Exact gradient of brute_objective by enumeration."""
     kind = ObjectiveKind.parse(kind)
@@ -205,7 +177,7 @@ def brute_gradient(
     grad = SparseVector()
     scale = 1.0 / len(data)
     for x in data:
-        dist = distribution(model, w, x, budget)
+        dist = distribution(model, w, x)
         deltas = _instance_losses(x, dist.labelings, loss)
         exp_phi = dist.expected_features()
         if kind is ObjectiveKind.EL:

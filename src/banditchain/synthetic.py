@@ -14,9 +14,9 @@ from .chain import ChainInstance, LabelAlphabet
 CHUNK_LABELS = ("O", "B", "I")
 
 _VOCAB = {
-    "B": ("bay", "bell", "bird", "bloom"),
-    "I": ("ice", "iris", "island", "ivy"),
-    "O": ("oak", "ocean", "opal", "owl"),
+    "B": ("bay", "bell", "bird"),
+    "I": ("ice", "iris", "island"),
+    "O": ("oak", "ocean", "opal"),
 }
 
 # Valid next labels and their probabilities, keeping chunks BIO-well-formed.
@@ -36,26 +36,17 @@ def _draw(rng: np.random.Generator, options) -> str:
     return labels[rng.choice(len(labels), p=np.array(probs))]
 
 
-def generate_chunk_instances(
-    count: int,
-    rng: np.random.Generator,
-    min_len: int = 3,
-    max_len: int = 10,
-    tokens_per_class: int = 3,
-) -> list[ChainInstance]:
-    """Generate BIO-labeled instances whose tokens determine their labels."""
+def generate_chunk_instances(count: int, rng: np.random.Generator) -> list[ChainInstance]:
+    """Generate BIO-labeled instances, 3 to 10 tokens long, whose tokens
+    determine their labels."""
     if count <= 0:
         raise ValueError("count must be positive")
-    if not 1 <= tokens_per_class <= len(_VOCAB["O"]):
-        raise ValueError(f"tokens_per_class must be in [1, {len(_VOCAB['O'])}]")
     instances = []
     for _ in range(count):
-        n = int(rng.integers(min_len, max_len + 1))
+        n = int(rng.integers(3, 11))
         labels = ["O" if rng.random() < 0.5 else "B"]
         for _ in range(n - 1):
             labels.append(_draw(rng, _NEXT[labels[-1]]))
-        tokens = [
-            _VOCAB[lab][int(rng.integers(tokens_per_class))] for lab in labels
-        ]
+        tokens = [_VOCAB[lab][int(rng.integers(3))] for lab in labels]
         instances.append(ChainInstance(tokens=tuple(tokens), gold=tuple(labels)))
     return instances

@@ -68,6 +68,9 @@ class TrainerConfig:
             raise ValueError(f"eval cadence must be positive, got {self.eval_every}")
         if self.snapshots < 2:
             raise ValueError(f"snapshot reservoir needs >= 2 slots, got {self.snapshots}")
+        if self.eval_every is not None and self.eval_every > self.iterations:
+            raise ValueError(f"eval cadence {self.eval_every} exceeds the {self.iterations} "
+                             "iterations: dev would be scored only at t = 0")
 
 
 @dataclass

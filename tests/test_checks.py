@@ -9,7 +9,6 @@ import banditchain
 from banditchain import (
     BudgetExceededError,
     CheckReport,
-    OracleBudget,
     SparseVector,
     run_property_checks,
 )
@@ -86,9 +85,12 @@ def test_a_check_that_ran_no_case_fails():
     assert all(r.status == "fail" and "no cases ran" in r.line() for r in no_weights)
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
+    from banditchain import oracle
+
+    monkeypatch.setattr(oracle, "MAX_OUTPUTS", 2)
     with pytest.raises(BudgetExceededError):
-        run_property_checks(n_fixtures=2, n_weights=1, budget=OracleBudget(max_outputs=2))
+        run_property_checks(n_fixtures=2, n_weights=1)
 
 
 def test_scipy_never_loads():

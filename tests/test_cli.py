@@ -342,6 +342,16 @@ def test_too_few_epochs_fail_before_training(workdir, capsys, edit, epoch):
     assert not (tmp_path / "model.ckpt").exists()
 
 
+def test_eval_cadence_beyond_the_run_fails_before_training(workdir, capsys):
+    tmp_path, cfg_path = workdir
+    code = cli.main(["train", "--config", str(cfg_path), "--iterations", "30",
+                     "--eval-every", "31"])
+    assert code == cli.DATA_ERROR
+    assert capsys.readouterr().err.startswith("error: eval cadence 31 exceeds the 30 iterations")
+    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "model.ckpt").exists()
+
+
 @pytest.mark.parametrize("flag", ["--report", "--checkpoint"])
 def test_missing_output_directory_fails_before_training(workdir, capsys, flag):
     tmp_path, cfg_path = workdir
@@ -366,6 +376,31 @@ def test_shared_report_and_checkpoint_path_fails_before_any_dataset_is_read(work
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "report_path" in err and "checkpoint_path" in err
     assert list(tmp_path.glob("*out*")) == []
+
+
+@pytest.mark.parametrize("dataset", ["train.tsv", "dev.tsv", "test.tsv"])
+@pytest.mark.parametrize("flag, field", [("--report", "report_path"),
+                                         ("--checkpoint", "checkpoint_path")])
+def test_output_path_onto_a_dataset_fails_and_leaves_it_as_it_was(workdir, capsys, flag, field,
+                                                                   dataset):
+    tmp_path, cfg_path = workdir
+    before = (tmp_path / dataset).read_bytes()
+    # spelled differently from the config's path: the check compares resolved paths
+    code = cli.main(["train", "--config", str(cfg_path), flag, str(tmp_path / "." / dataset)])
+    assert code == cli.DATA_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} would overwrite the run's {dataset[:-4]}_path")
+    assert (tmp_path / dataset).read_bytes() == before
+    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_checkpoint_path_may_be_the_init_checkpoint(workdir):
+    tmp_path, cfg_path = workdir
+    assert cli.main(["train", "--config", str(cfg_path)]) == 0
+    config = json.loads(cfg_path.read_text())
+    cfg_path.write_text(json.dumps({**config, "init_checkpoint": str(tmp_path / "model.ckpt")}))
+    assert cli.main(["train", "--config", str(cfg_path)]) == 0
 
 
 @pytest.mark.parametrize("flag", ["--report", "--checkpoint"])

@@ -424,7 +424,8 @@ def test_run_train_test_loss_is_the_written_checkpoints(loss, objective, tmp_pat
 
 
 def test_config_names_are_stored_canonically(tmp_path):
-    cfg = load_config(run_config(tmp_path, loss="HAMMING", objective="EL", iterations=40))
+    cfg = load_config(run_config(tmp_path, loss="HAMMING", objective="EL", iterations=40,
+                                 eval_every=20))
     assert (cfg.loss, cfg.objective) == ("hamming", "el")
     report = run_train(cfg)
     assert report["config"]["loss"] == "hamming"

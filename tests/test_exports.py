@@ -15,9 +15,34 @@ def test_all_lists_exactly_the_imported_names():
 
 def test_deleted_names_are_not_exported():
     for name in ("ClippingConfig", "StepRecord", "el_gradient", "pr_gradient", "ce_gradient",
-                 "pair_expected_features", "PairSample", "map_decode"):
+                 "pair_expected_features", "PairSample", "map_decode", "OracleBudget"):
         assert name not in banditchain.__all__
         assert not hasattr(banditchain, name)
+
+
+def test_deleted_parameters_are_gone():
+    """Parameters no caller set to anything but their default were inlined."""
+    from banditchain import checks, oracle, synthetic
+
+    deleted = {
+        oracle.check_budget: ["budget"],
+        oracle.enumerate_outputs: ["budget"],
+        oracle.distribution: ["budget"],
+        oracle.pair_distribution: ["budget"],
+        oracle.gain_mass: ["budget"],
+        oracle.brute_objective: ["budget"],
+        oracle.brute_gradient: ["budget"],
+        checks.run_property_checks: ["budget"],
+        checks.check_gradient_finite_difference: ["h", "rtol", "atol"],
+        checks.check_ce_convexity: ["n_pairs"],
+        checks.make_fixture: ["weight_scale"],
+        checks.random_weights: ["scale"],
+        synthetic.generate_chunk_instances: ["min_len", "max_len", "tokens_per_class"],
+    }
+    assert sum(map(len, deleted.values())) == 17
+    for fn, names in deleted.items():
+        params = inspect.signature(fn).parameters
+        assert [name for name in names if name in params] == [], fn.__name__
 
 
 def test_deleted_posterior_methods_are_gone():

@@ -10,7 +10,6 @@ from banditchain import (
     LabelAlphabet,
     ChainModel,
     ObjectiveKind,
-    OracleBudget,
     SparseVector,
     brute_gradient,
     brute_objective,
@@ -67,7 +66,7 @@ def test_enumerate_order_single_position():
 def test_enumerate_budget_refusal(ab_model):
     x = ChainInstance(tokens=tuple(f"t{i}" for i in range(13)))
     with pytest.raises(BudgetExceededError, match="8192"):
-        enumerate_outputs(ab_model, x, OracleBudget(max_outputs=4096))
+        enumerate_outputs(ab_model, x)
 
 
 def test_enumerate_lexicographic_by_label_index(ab_model):

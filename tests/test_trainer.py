@@ -200,6 +200,15 @@ def test_config_validation():
     TrainerConfig(objective="el", gamma=0.0, iterations=10).validate()
 
 
+def test_eval_cadence_beyond_the_run_is_rejected():
+    """A run that would score dev only at t = 0 is refused; an unset cadence and
+    one equal to the run length are not."""
+    with pytest.raises(ValueError, match="eval cadence 500 exceeds the 200 iterations"):
+        TrainerConfig(objective="el", gamma=0.1, iterations=200, eval_every=500).validate()
+    TrainerConfig(objective="el", gamma=0.1, iterations=200, eval_every=200).validate()
+    TrainerConfig(objective="el", gamma=0.1, iterations=1).validate()
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("field", ["gamma", "clip_k", "l2_lambda"])
 def test_non_finite_setting_is_rejected_before_any_data_is_read(field, value, tmp_path):
@@ -269,10 +278,14 @@ def scripted_run(monkeypatch, task, dev_losses, eval_every=1):
     return traj, checkpoints
 
 
-def test_select_best_single(tiny_task, monkeypatch):
-    traj, checkpoints = scripted_run(monkeypatch, tiny_task, [0.3], eval_every=2)
+def test_select_best_single(tiny_task):
+    model = tiny_task[0]
+    weights = np.zeros(model.num_columns)
+    weights[-1] = 0.5
+    traj = Trajectory(TrainerConfig(objective="el", gamma=0.1, iterations=4), epoch_size=2,
+                      model=model, dev_losses=[0.3], best=(0, 0.3, weights))
     t, w = select_best(traj)
-    assert t == 0 and w == SparseVector() and len(checkpoints) == 1
+    assert t == 0 and w == model.to_sparse(weights) and len(w) == 1
 
 
 def test_select_best_argmin(tiny_task, monkeypatch):

@@ -1,6 +1,6 @@
 """Digests of a fixed set of training runs, to show that a change keeps their bits.
 
-    PYTHONPATH=src python3 tools/identity.py OUT --seeds 1 2 3
+    PYTHONPATH=src python3 tools/identity.py OUT --seeds 1 2 3 [--expect FILE]
 
 For each seed, writes the inputs of perfbench's workloads (chunk-train,
 chunk-evaldense, typed-wide) under OUT with ``perfbench/workloads.py``'s
@@ -10,9 +10,11 @@ warm-started from the el run's checkpoint (``init_checkpoint``), so that the
 checkpoint read path is covered too.  Prints one JSON object: per run,
 ``"workload/seed/objective"`` (``"workload/seed/el-warm"`` for the warm
 start), the sha256 of its checkpoint and of its report without
-``created_at`` and paths.  Run it with each tree's ``src`` on PYTHONPATH,
-save both outputs and compare them with ``diff parent.json change.json``,
-which shows the runs whose digests differ and exits 1 if any do.
+``created_at`` and paths.  With ``--expect FILE``, a JSON object saved from
+an earlier run of this tool, it prints instead the keys whose digests differ
+from FILE's (or that only one side has), one a line, and exits 1 if there are
+any, or prints how many digests are equal and exits 0; so run it on one
+tree, save the output, and check another tree with ``--expect``.
 """
 
 from __future__ import annotations
@@ -78,13 +80,25 @@ def digests(out: Path, seeds: Iterable[int], workloads: Optional[Iterable] = Non
     return result
 
 
-def main(argv: Optional[list[str]] = None) -> None:
+def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path, help="directory for the inputs and artifacts")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    parser.add_argument("--expect", type=Path, help="digest JSON to compare against")
     args = parser.parse_args(argv)
-    print(json.dumps(digests(args.out, args.seeds), indent=2, sort_keys=True))
+    got = digests(args.out, args.seeds)
+    if args.expect is None:
+        print(json.dumps(got, indent=2, sort_keys=True))
+        return 0
+    expected = json.loads(args.expect.read_text(encoding="utf-8"))
+    changed = sorted(key for key in got.keys() | expected.keys()
+                     if got.get(key) != expected.get(key))
+    for key in changed:
+        print(key)
+    if not changed:
+        print(f"{len(got)} digests equal")
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
