@@ -67,7 +67,6 @@ from .oracle import (
     distribution,
     enumerate_outputs,
     finite_diff_gradient,
-    gain_mass,
     pair_distribution,
 )
 from .sparse import SortedVector, SparseVector
@@ -120,7 +119,6 @@ __all__ = [
     "extract_features",
     "feature_id",
     "finite_diff_gradient",
-    "gain_mass",
     "generate_chunk_instances",
     "grad_norm_sq",
     "hamming_loss",

@@ -322,21 +322,15 @@ class ChainModel:
             [self.compile(x).transpose(2, 0, 1) for x in data], axis=1)
         return block.transpose(1, 2, 3, 0), lengths, live
 
-    def compile_batch(self, data: Sequence[ChainInstance]) -> tuple[np.ndarray, np.ndarray]:
-        """(cols, lengths) of ``_pad(data)``, cached for the last dataset:
-        evaluating one dev or test set again and again compiles it once."""
+    def compile_batch(self, data: Sequence[ChainInstance]) -> tuple[np.ndarray, np.ndarray, dict]:
+        """(cols, lengths, memo), cached for the last dataset: cols and lengths of
+        ``_pad(data)``, so evaluating one dev set again and again compiles it once,
+        and a dict in which a caller keeps what it derives once per dataset (the
+        model never reads it; ``feedback.dataset_losses`` keeps its padded gold)."""
         key = tuple(data)
         if self._batch is None or self._batch[0] != key:
-            cols, lengths, _ = self._pad(key)
-            self._batch = (key, cols, lengths, {})
-        return self._batch[1], self._batch[2]
-
-    def batch_memo(self, data: Sequence[ChainInstance]) -> dict:
-        """A dict kept with the cached batch of data, and dropped with it:
-        what a caller derives once per dataset lives here; the model never
-        reads it (``feedback.dataset_losses`` keeps its padded gold there)."""
-        self.compile_batch(data)
-        return self._batch[3]
+            self._batch = (key, *self._pad(key)[:2], {})
+        return self._batch[1:]
 
     def clear_cache(self) -> None:
         self._compiled.clear()
@@ -824,7 +818,7 @@ def map_decode_paths(
     once, after data is compiled.  Past its length a row repeats its last
     label.  An empty data is a ``ValueError``.
     """
-    cols, lengths = model.compile_batch(data)
+    cols, lengths, _ = model.compile_batch(data)
     w = model.to_columns(w)
     return _viterbi(w[cols].sum(axis=-1), w[model.transition], lengths), lengths
 

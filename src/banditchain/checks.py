@@ -275,8 +275,7 @@ def check_jensen_step(fixtures: Sequence[Fixture]) -> CheckResult:
     cases = 0
     for fx in fixtures:
         dist = distribution(fx.model, fx.weights, fx.instance)
-        deltas = np.array([hamming_loss(fx.instance.gold, y) for y in dist.labelings])
-        gains = 1.0 - deltas
+        gains = 1.0 - np.array([hamming_loss(fx.instance.gold, y) for y in dist.labelings])
         alpha = gains.sum()
         if alpha <= 0.0:
             continue

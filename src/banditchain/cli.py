@@ -18,8 +18,8 @@ from .chain import posterior
 from .chain import sample as sample_labeling  # noqa: F401  (perfbench's tracer checks this binding)
 from .checks import run_property_checks
 from .dataio import (
-    check_loss_labels, compare_report_files, load_config, read_checkpoint, read_dataset,
-    replace_report,
+    check_loss_labels, check_not_an_input, compare_report_files, load_config, read_checkpoint,
+    read_dataset, replace_report,
 )
 from .feedback import LossKind, loss_fn
 from .objectives import check_clip_k
@@ -150,6 +150,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
+    if args.out:
+        check_not_an_input("--out", args.out, [("a report it reads", p) for p in args.reports])
     summary = compare_report_files(args.reports)
     if args.out:
         replace_report(args.out, summary)

@@ -12,10 +12,9 @@ Formats owned by this module:
 
 ``run_train`` checks its inputs before it reads any dataset: a bad config, a
 ``chunk-f1`` loss over non-BIO labels, or an output path that is a directory,
-lies in a missing one or is one of the run's datasets raises ``DataError``
-and leaves no file written.
-It writes the checkpoint and the report to temp files beside them and moves
-both into place only once both are written.
+lies in a missing one, is the other output or is a file the run reads raises
+``DataError`` and leaves no file written.  It writes the checkpoint and the
+report to temp files beside them and moves both into place once both are written.
 """
 
 from __future__ import annotations
@@ -162,11 +161,12 @@ def read_checkpoint(path: "str | Path") -> SortedVector:
     blob = path.read_bytes()
     if not blob.startswith(_CHECKPOINT_MAGIC):
         raise DataError(f"{path}: not a recognized checkpoint file")
-    header = struct.calcsize("<HQ")
+    offset = len(_CHECKPOINT_MAGIC) + struct.calcsize("<HQ")
+    if len(blob) < offset:
+        raise DataError(f"{path}: truncated checkpoint ({len(blob)} bytes)")
     version, count = struct.unpack_from("<HQ", blob, len(_CHECKPOINT_MAGIC))
     if version != _CHECKPOINT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
-    offset = len(_CHECKPOINT_MAGIC) + header
     if len(blob) != offset + count * _CHECKPOINT_ENTRY.itemsize:
         raise DataError(f"{path}: truncated checkpoint ({len(blob)} bytes)")
     entries = np.frombuffer(blob, dtype=_CHECKPOINT_ENTRY, count=count, offset=offset)
@@ -220,15 +220,11 @@ class RunConfig:
     def validate(self) -> None:
         if not self.train_path or not self.dev_path:
             raise DataError("config needs train_path and dev_path")
-        outputs = {"report_path": Path(self.report_path).resolve(),
-                   "checkpoint_path": Path(self.checkpoint_path).resolve()}
-        if outputs["report_path"] == outputs["checkpoint_path"]:
-            raise DataError(f"report_path and checkpoint_path are the same file: "
-                            f"{self.report_path}")
-        for name, out in outputs.items():  # init_checkpoint may be overwritten: it is read first
-            for data in ("train_path", "dev_path", "test_path"):
-                if getattr(self, data) and Path(getattr(self, data)).resolve() == out:
-                    raise DataError(f"{name} would overwrite the run's {data}: {out}")
+        paths = [(f"the run's {k}", getattr(self, k)) for k in
+                 ("train_path", "dev_path", "test_path", "checkpoint_path", "init_checkpoint")]
+        check_not_an_input("report_path", self.report_path, paths)
+        # the datasets only: the new checkpoint may replace init_checkpoint, which is read first
+        check_not_an_input("checkpoint_path", self.checkpoint_path, paths[:3])
         check_loss_labels(self.loss, self.labels)
         offsets = list(self.emission_offsets)
         if not offsets or len(set(offsets)) != len(offsets):
@@ -245,6 +241,16 @@ class RunConfig:
             self.trainer_config().validate()
         except ValueError as exc:
             raise DataError(str(exc)) from None
+
+
+def check_not_an_input(name: str, output: "str | Path", inputs: Sequence[tuple]) -> None:
+    """A DataError if output resolves to the path of an input, a (what, path) pair
+    (an empty path is skipped): the one check of what a command writes against
+    what it reads."""
+    out = Path(output).resolve()
+    for what, path in inputs:
+        if path and Path(path).resolve() == out:
+            raise DataError(f"{name} would overwrite {what}: {out}")
 
 
 def check_loss_labels(loss: "str | LossKind", labels: Sequence[str]) -> None:

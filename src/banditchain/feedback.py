@@ -212,8 +212,8 @@ def check_dataset(data: Sequence[ChainInstance], loss: LossFn) -> None:
 
 def dataset_gold(data: Sequence[ChainInstance], labels: Sequence[str], memo: dict) -> np.ndarray:
     """The gold label indices of data, zero-padded to (B, n_max) and kept in
-    memo (``ChainModel.batch_memo(data)``); a ``ValueError`` names a gold
-    label outside labels."""
+    memo (``ChainModel.compile_batch(data)[2]``); a ``ValueError`` names a
+    gold label outside labels."""
     if "gold" not in memo:
         labels = tuple(labels)
         flat = list(itertools.chain.from_iterable(_gold_indices(labels, x.gold) for x in data))

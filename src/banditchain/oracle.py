@@ -122,13 +122,6 @@ def _pair_loss_matrix(deltas: np.ndarray, mode: str) -> np.ndarray:
     return np.where(gaps > 0.0, gaps, 0.0)
 
 
-def gain_mass(model: ChainModel, x: ChainInstance, loss: LossFn) -> float:
-    """The constant alpha(x) = sum over outputs of the gain 1 - loss."""
-    labelings = enumerate_outputs(model, x)
-    deltas = _instance_losses(x, labelings, loss)
-    return float(np.sum(1.0 - deltas))
-
-
 def brute_objective(
     kind: ObjectiveKind,
     model: ChainModel,

@@ -9,6 +9,17 @@ from typing import Iterable, Iterator, Mapping, Tuple
 import numpy as np
 
 
+def left_sum(values) -> float:
+    """values, a 1-d float array or sequence, summed as a left fold from 0.0 in order:
+    the one summation of every sum whose bits a run pins (the builtin ``sum``
+    compensates float rounding from CPython 3.12 on).  An overflow is inf, unwarned."""
+    if not len(values):
+        return 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        # accumulate is sequential from v[0]; 0.0 + turns a -0.0 into 0.0, as the fold does
+        return 0.0 + float(np.add.accumulate(values, dtype=np.float64)[-1])
+
+
 class SparseVector:
     """A mapping from feature id to a finite, nonzero float.
 
@@ -130,10 +141,10 @@ class SparseVector:
         a, b = self._data, other._data
         if len(b) < len(a):
             a, b = b, a
-        return sum(v * b[f] for f, v in a.items() if f in b)
+        return left_sum([v * b[f] for f, v in a.items() if f in b])
 
     def norm_sq(self) -> float:
-        return sum(v * v for v in self._data.values())
+        return left_sum([v * v for v in self._data.values()])
 
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())

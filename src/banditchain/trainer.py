@@ -28,7 +28,7 @@ from .chain import (
 from .chain import sample  # noqa: F401  (perfbench's tracer self-test checks this binding)
 from .feedback import FeedbackOracle, check_dataset, dataset_gold, dataset_losses
 from .objectives import ObjectiveKind, ce_columns, check_clip_k, el_columns, pr_columns
-from .sparse import SortedVector, SparseVector
+from .sparse import SortedVector, SparseVector, left_sum
 
 logger = logging.getLogger(__name__)
 
@@ -123,20 +123,16 @@ def evaluate(model: ChainModel, w: Weights, data: Sequence[ChainInstance], loss)
     ``chunk_f1_loss``, and data without gold, before anything is compiled;
     ``dataset_gold`` a gold label outside the model's labels before anything
     is decoded.  The dataset is decoded in one batched Viterbi pass
-    (``map_decode_paths``), scored by ``dataset_losses`` and summed as a left
-    fold in dataset order, from 0.0.
+    (``map_decode_paths``), scored by ``dataset_losses`` and summed in dataset
+    order by ``left_sum``.
     """
     if not data:
         raise ValueError("empty evaluation set")
     check_dataset(data, loss)
-    labels, memo = model.alphabet.labels, model.batch_memo(data)
+    labels, memo = model.alphabet.labels, model.compile_batch(data)[2]
     dataset_gold(data, labels, memo)
     paths, lengths = map_decode_paths(model, w, data)
-    losses = dataset_losses(data, paths, lengths, labels, memo, loss)
-    total = 0.0
-    for value in losses:
-        total += value
-    return total / len(data)
+    return left_sum(dataset_losses(data, paths, lengths, labels, memo, loss)) / len(data)
 
 
 _NO_COLUMNS = np.zeros(0, dtype=np.intp)
@@ -299,7 +295,7 @@ def train(
                                                  f"with gamma={gamma}") from None
 
                 # the sum over entries in SparseVector order, as SparseVector.norm_sq
-                norm = gamma * gamma * (sum((s * s).tolist()) if len(s) else 0)
+                norm = gamma * gamma * left_sum(s * s)
                 traj.scaled_norm_sq[t] = norm
                 if not math.isfinite(norm):
                     raise FloatingPointError(f"training diverged at step {t}: ||gamma*s_t||^2 = "

@@ -619,7 +619,7 @@ def test_batched_decode_matches_per_instance_and_reference(num_labels, offsets, 
         assert decode_batch(model, weights, data) == reference
         assert [decode_one(model, weights, x) for x in data] == reference
     # the padded gather holds every instance's lattice, bit for bit
-    cols, lengths = model.compile_batch(data)
+    cols, lengths, _ = model.compile_batch(data)
     node = columns[cols].sum(axis=-1)
     assert lengths.tolist() == [len(x) for x in data]
     for b, x in enumerate(data):
@@ -777,9 +777,11 @@ def test_compile_batch_caches_the_last_dataset(monkeypatch):
     first = model.compile_batch(data)
     assert len(compiled) == len(data)
     again = model.compile_batch(list(data))  # an equal dataset is a cache hit
-    assert again[0] is first[0] and again[1] is first[1] and len(compiled) == len(data)
+    assert all(a is b for a, b in zip(again, first)) and len(compiled) == len(data)
+    assert first[2] == {}  # the memo is the caller's to fill
     other = model.compile_batch(data[:3])
     assert other[0].shape[:2] == (3, 5) and len(compiled) == len(data) + 3
+    assert other[2] is not first[2]  # the memo goes with its dataset
     model.clear_cache()
     assert model.compile_batch(data[:3])[0] is not other[0]
 
@@ -795,15 +797,15 @@ def test_draw_batch_equals_each_posteriors_draw(num_labels, offsets, scale, pair
     rng = np.random.default_rng(int(scale) + C)
     uniforms = [rng.random((C, len(x))) for x in data]
     dev = data[:4]
-    cols, _ = model.compile_batch(dev)
-    memo = model.batch_memo(dev)
+    cols, _, memo = model.compile_batch(dev)
     paths = chain_mod.draw_batch(model, columns, data, uniforms, pair=pair)
     assert paths.shape == (C * len(data), max(map(len, data)))
     posts = [posterior(model, columns, x, pair=pair) for x in data]
     for b, (x, u, post) in enumerate(zip(data, uniforms, posts)):
         assert np.array_equal(paths[C * b:C * (b + 1), :len(x)], post.draw(u))
     # the draws leave the cached dataset, and the memo kept with it, in place
-    assert model.compile_batch(dev)[0] is cols and model.batch_memo(dev) is memo
+    again = model.compile_batch(dev)
+    assert again[0] is cols and again[2] is memo
 
     # a padded stack's backward pass, with any potentials past each chain's end,
     # gives each chain its own messages at its live positions, bit for bit

@@ -403,6 +403,28 @@ def test_checkpoint_path_may_be_the_init_checkpoint(workdir):
     assert cli.main(["train", "--config", str(cfg_path)]) == 0
 
 
+def test_report_path_onto_the_init_checkpoint_fails_before_any_dataset_is_read(workdir, capsys,
+                                                                              monkeypatch):
+    tmp_path, cfg_path = workdir
+    assert cli.main(["train", "--config", str(cfg_path)]) == 0
+    init = tmp_path / "model.ckpt"
+    before = init.read_bytes()
+    config = json.loads(cfg_path.read_text())
+    cfg_path.write_text(json.dumps({**config, "init_checkpoint": str(init)}))
+    monkeypatch.setattr(dataio, "read_dataset", lambda *a: pytest.fail("a dataset was read"))
+    capsys.readouterr()
+    # spelled differently from the config's path: the check compares resolved paths
+    code = cli.main(["train", "--config", str(cfg_path), "--checkpoint", str(tmp_path / "new.ckpt"),
+                     "--report", str(tmp_path / "." / "model.ckpt")])
+    assert code == cli.DATA_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: report_path would overwrite the run's init_checkpoint: {init}\n"
+    assert init.read_bytes() == before
+    assert not (tmp_path / "new.ckpt").exists()
+    assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == []
+
+
 @pytest.mark.parametrize("flag", ["--report", "--checkpoint"])
 def test_output_path_that_is_a_directory_fails_before_training(workdir, capsys, flag):
     tmp_path, cfg_path = workdir
@@ -439,6 +461,29 @@ def test_overflowed_marginals_are_a_numeric_failure_at_a_named_step(workdir, cap
                     r"with gamma=1e\+20$", err.strip())
     assert not (tmp_path / "report.json").exists()
     assert not (tmp_path / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_diagnose_out_onto_a_report_it_reads_fails_and_leaves_it_as_it_was(workdir, capsys,
+                                                                           which):
+    import hashlib
+
+    tmp_path, cfg_path = workdir
+    reports = [tmp_path / "a.json", tmp_path / "b.json"]
+    for report, objective in zip(reports, ("el", "ce")):
+        assert cli.main(["train", "--config", str(cfg_path), "--objective", objective, "--report",
+                         str(report), "--checkpoint", str(report.with_suffix(".ckpt"))]) == 0
+    digests = [hashlib.sha256(report.read_bytes()).hexdigest() for report in reports]
+    capsys.readouterr()
+    # spelled differently from the report's path: the check compares resolved paths
+    out = tmp_path / "." / reports[which].name
+    code = cli.main(["diagnose", *map(str, reports), "--out", str(out)])
+    assert code == cli.DATA_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --out would overwrite a report it reads: {reports[which]}\n"
+    assert [hashlib.sha256(report.read_bytes()).hexdigest() for report in reports] == digests
+    assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == []
 
 
 def test_diagnose_non_object_convergence_is_a_data_error(tmp_path, capsys):
@@ -560,6 +605,22 @@ def test_eval_of_a_checkpoint_with_ids_out_of_order_is_a_data_error(ab_workdir, 
     assert captured.out == ""
     assert captured.err == (f"error: {tmp_path / 'model.ckpt'}: feature ids are not strictly "
                             f"ascending: {fids[2]} after {fids[1]}\n")
+
+
+@pytest.mark.parametrize("size", range(4, 14))
+def test_eval_of_a_checkpoint_cut_inside_its_header_is_a_data_error(ab_workdir, capsys, size):
+    from banditchain import SparseVector, write_checkpoint
+
+    tmp_path, cfg_path = ab_workdir
+    ckpt = tmp_path / "model.ckpt"
+    write_checkpoint(ckpt, SparseVector({3: 1.0}))
+    ckpt.write_bytes(ckpt.read_bytes()[:size])  # the magic, and part of the 10-byte header
+    code = cli.main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                     "--data", str(tmp_path / "data.tsv")])
+    assert code == cli.DATA_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {ckpt}: truncated checkpoint ({size} bytes)\n"
 
 
 def test_eval_data_that_is_not_utf8_is_a_data_error_naming_its_line(ab_workdir, capsys):

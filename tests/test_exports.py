@@ -15,7 +15,8 @@ def test_all_lists_exactly_the_imported_names():
 
 def test_deleted_names_are_not_exported():
     for name in ("ClippingConfig", "StepRecord", "el_gradient", "pr_gradient", "ce_gradient",
-                 "pair_expected_features", "PairSample", "map_decode", "OracleBudget"):
+                 "pair_expected_features", "PairSample", "map_decode", "OracleBudget",
+                 "gain_mass"):
         assert name not in banditchain.__all__
         assert not hasattr(banditchain, name)
 
@@ -29,7 +30,6 @@ def test_deleted_parameters_are_gone():
         oracle.enumerate_outputs: ["budget"],
         oracle.distribution: ["budget"],
         oracle.pair_distribution: ["budget"],
-        oracle.gain_mass: ["budget"],
         oracle.brute_objective: ["budget"],
         oracle.brute_gradient: ["budget"],
         checks.run_property_checks: ["budget"],
@@ -39,10 +39,15 @@ def test_deleted_parameters_are_gone():
         checks.random_weights: ["scale"],
         synthetic.generate_chunk_instances: ["min_len", "max_len", "tokens_per_class"],
     }
-    assert sum(map(len, deleted.values())) == 17
+    assert sum(map(len, deleted.values())) == 16
     for fn, names in deleted.items():
         params = inspect.signature(fn).parameters
         assert [name for name in names if name in params] == [], fn.__name__
+
+
+def test_deleted_model_methods_are_gone():
+    """The memo kept with the cached dataset comes from compile_batch alone."""
+    assert not hasattr(banditchain.ChainModel, "batch_memo")
 
 
 def test_deleted_posterior_methods_are_gone():

@@ -17,7 +17,6 @@ from banditchain import (
     enumerate_outputs,
     extract_features,
     finite_diff_gradient,
-    gain_mass,
     hamming_loss,
     pair_distribution,
     pair_feedback,
@@ -42,11 +41,6 @@ def reference_el_objective(model, w, data, loss):
             loss(x.gold, y) * math.exp(s) / z for y, s in zip(labelings, scores)
         )
     return total / len(data)
-
-
-def reference_gain_mass(model, x, loss):
-    labelings = list(itertools.product(model.alphabet.labels, repeat=len(x)))
-    return sum(1.0 - loss(x.gold, y) for y in labelings)
 
 
 # -- enumeration -----------------------------------------------------------------
@@ -162,19 +156,6 @@ def test_finite_diff_quadratic():
 def test_finite_diff_rejects_bad_step():
     with pytest.raises(ValueError):
         finite_diff_gradient(lambda w: 0.0, SparseVector(), h=0.0)
-
-
-# -- gain mass ---------------------------------------------------------------------
-
-
-def test_gain_mass_constant_losses(ab_model, fixed_instance):
-    assert gain_mass(ab_model, fixed_instance, lambda g, p: 1.0) == 0.0
-    assert gain_mass(ab_model, fixed_instance, lambda g, p: 0.0) == 8.0
-
-
-def test_gain_mass_against_reference(ab_model, fixed_instance):
-    ours = gain_mass(ab_model, fixed_instance, hamming_loss)
-    assert ours == pytest.approx(reference_gain_mass(ab_model, fixed_instance, hamming_loss), abs=1e-12)
 
 
 # -- distribution invariants --------------------------------------------------------

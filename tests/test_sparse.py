@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from banditchain import SortedVector, SparseVector
-from banditchain.sparse import IndexedVector
+from banditchain.sparse import IndexedVector, left_sum
 
 
 def test_zero_entries_dropped_on_construction():
@@ -63,6 +63,23 @@ def test_dot_is_symmetric_and_ignores_disjoint_support():
     b = SparseVector({7: -2.0, 9: 100.0})
     assert a.dot(b) == b.dot(a) == -4.0
     assert SparseVector().dot(a) == 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_left_sum_is_a_left_fold_from_zero():
+    rng = np.random.default_rng(4)
+    for size in (1, 2, 7, 1161):
+        values = rng.normal(size=size) * 10.0 ** rng.integers(-3, 4, size)
+        fold = 0.0
+        for value in values.tolist():
+            fold += value
+        assert left_sum(values) == left_sum(values.tolist()) == fold
+        assert type(left_sum(values)) is float
+    assert left_sum([]) == 0.0 and left_sum(np.zeros(0)) == 0.0
+    # 0.0 + -0.0 is 0.0: the fold starts from 0.0, not from the first value
+    assert math.copysign(1.0, left_sum([-0.0])) == math.copysign(1.0, left_sum([-0.0, -0.0])) == 1.0
+    assert left_sum([1e308, 1e308, -1e308]) == math.inf  # overflow stays inf, unwarned
+    assert math.isnan(left_sum([math.inf, -math.inf]))
 
 
 def test_copy_is_independent():

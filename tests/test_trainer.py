@@ -566,6 +566,50 @@ def test_typed_chunk_f1_run_matches_golden_digest(objective):
     assert trajectory_digest(traj) == CHUNK_F1_GOLDEN_DIGESTS[objective]
 
 
+def neumaier_sum(values, start=0):
+    """The builtin ``sum`` of floats as CPython 3.12 and later compute it:
+    Neumaier's compensated sum, the compensation added at the end if finite."""
+    total, comp = start, 0.0
+    for value in values:
+        step = total + value
+        comp += (total - step) + value if abs(total) >= abs(value) else (value - step) + total
+        total = step
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+def compensated_builtin_sum(monkeypatch):
+    """Give the modules whose sums a run pins CPython 3.12's ``sum``."""
+    import banditchain.sparse as sparse_mod
+    import banditchain.trainer as trainer_mod
+
+    for module in (trainer_mod, sparse_mod):
+        monkeypatch.setattr(module, "sum", neumaier_sum, raising=False)
+
+
+@pytest.mark.parametrize("objective", ["el", "pr-cont"])
+def test_golden_runs_do_not_depend_on_the_builtin_sum(objective, synthetic_task, monkeypatch):
+    compensated_builtin_sum(monkeypatch)
+    # ||gamma * s_t||^2 and the dev losses are summed as left folds, whatever sum() does
+    model, train_data, dev_data, _ = synthetic_task
+    cfg = TrainerConfig(objective=objective, gamma=0.1, iterations=300, seed=0, eval_every=100)
+    traj = train(cfg, model, train_data, dev_data, FeedbackOracle("hamming"))
+    assert trajectory_digest(traj) == GOLDEN_DIGESTS[objective]
+
+
+def test_sparse_norm_and_dot_do_not_depend_on_the_builtin_sum(monkeypatch):
+    compensated_builtin_sum(monkeypatch)
+    rng = np.random.default_rng(11)
+    a = SparseVector(dict(enumerate(rng.normal(size=400))))
+    b = SparseVector(dict(enumerate(rng.normal(size=400), start=200)))
+    squares, products = [v * v for _, v in a.items()], [v * b[f] for f, v in a.items() if f in b]
+    fold = functools.partial(functools.reduce, float.__add__)
+    # the precondition: a compensated sum rounds these differently
+    assert neumaier_sum(squares) != fold(squares, 0.0)
+    assert neumaier_sum(products) != fold(products, 0.0)
+    assert a.norm_sq() == fold(squares, 0.0)
+    assert a.dot(b) == b.dot(a) == fold(products, 0.0)
+
+
 def typed_bio_task(count, rng, vocab=400):
     """Typed BIO sentences (L = 9) over a long-tailed vocabulary."""
     types = ("PER", "LOC", "ORG", "MISC")
