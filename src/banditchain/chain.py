@@ -190,10 +190,10 @@ class ChainModel:
     table, so a token seen before is not hashed again and an instance's
     columns are one gather from that table.  ``transition`` is the (L, L)
     column table [from label, to label].  ``to_columns`` turns a
-    SortedVector or a SparseVector into a column array through one sorted-id
-    index, rebuilt only after the model has grown; ``to_sorted`` turns a
-    column array into a SortedVector, and ``to_sparse`` some of its columns
-    into a SparseVector.
+    SortedVector into a column array through one sorted-id index, rebuilt
+    only after the model has grown (a SparseVector is sorted into one
+    first); ``to_sorted`` turns a column array into a SortedVector, and
+    ``to_sparse`` the values at given columns into a SparseVector.
     """
 
     def __init__(self, alphabet: LabelAlphabet, emission_offsets: Sequence[int] = (0,)):
@@ -364,19 +364,19 @@ class ChainModel:
     def to_columns(self, w: Weights) -> np.ndarray:
         """w as a float64 array over every column the model holds.
 
-        The ids of a SortedVector or a SparseVector are looked up in one
-        ``searchsorted`` over the model's sorted ids; the ids it does not know
-        are interned first, in the vector's order (ascending for a
-        SortedVector, insertion order for a SparseVector), so none of its
-        entries is lost.  The result is a new array.  A SparseVector id
+        A SparseVector is sorted first (``SortedVector.from_sparse``; an id
         outside int64 is a ``ValueError``: a checkpoint cannot store it
-        either.  A column array shorter than the model comes back
-        zero-padded in a new array, and any other array comes back as it is.
+        either).  The ids of the SortedVector are looked up in one
+        ``searchsorted`` over the model's sorted ids; the ids it does not know
+        are interned first, in ascending order, so none of its entries is
+        lost.  The result is a new array.  A column array shorter than the
+        model comes back zero-padded in a new array, and any other array
+        comes back as it is.
         """
+        if isinstance(w, SparseVector):
+            w = SortedVector.from_sparse(w)
         if isinstance(w, SortedVector):
             fids, values = w.ids, w.values
-        elif isinstance(w, SparseVector):
-            fids, values = w._int64_ids(), np.fromiter(w._data.values(), np.float64, len(w))
         elif len(w) < self.num_columns:
             out = np.zeros(self.num_columns)
             out[: len(w)] = w
@@ -404,12 +404,8 @@ class ChainModel:
         order = np.argsort(ids)
         return SortedVector(ids[order], w[columns[order]])
 
-    def to_sparse(self, values: np.ndarray, columns: Optional[np.ndarray] = None) -> SparseVector:
-        """The SparseVector of values at columns (default: the nonzero entries
-        of a column array), keyed by feature id in the order given."""
-        if columns is None:
-            columns = np.flatnonzero(values)
-            values = values[columns]
+    def to_sparse(self, values: np.ndarray, columns: np.ndarray) -> SparseVector:
+        """The SparseVector of values at columns, keyed by feature id in the order given."""
         return SparseVector._from_clean(dict(zip(self._ids[columns].tolist(), values.tolist())))
 
     def feature_norm_bound(self, x: ChainInstance) -> float:
@@ -492,7 +488,7 @@ def lattice_score(lattice: ChainLattice, label_indices: Sequence[int]) -> float:
     """Path score w . phi(x, y) recomputed from lattice potentials."""
     idx = np.asarray(label_indices, dtype=np.int64)
     if idx.shape[0] != lattice.n:
-        raise ValueError("label path length does not match lattice")
+        raise ValueError(f"labeling length {idx.shape[0]} != instance length {lattice.n}")
     score = float(lattice.node[np.arange(lattice.n), idx].sum())
     if lattice.n > 1:
         score += float(lattice.trans[idx[:-1], idx[1:]].sum())
@@ -570,9 +566,10 @@ class ChainPosterior:
     step samples, and the sampler normalizes by them.  The sampler's table of
     cumulative conditionals, the forward messages and log Z wait for first
     use, so repeated draws build the table once and a step with zero feedback
-    never runs the forward pass.  ``local`` numbers the columns x can fire;
-    ``features`` and ``expected`` are IndexedVectors over those local
-    indices, which the objectives combine and ``to_sparse`` keys by id.
+    never runs the forward pass.  ``local`` numbers the columns x can fire,
+    and its ``features`` gives phi(x, y), which does not depend on w;
+    ``expected`` gives IndexedVectors over those local indices, which the
+    objectives combine and ``to_sparse`` keys by id.
     """
 
     def __init__(self, model: ChainModel, x: ChainInstance, lattice: ChainLattice,
@@ -650,14 +647,7 @@ class ChainPosterior:
 
     def prob(self, y: np.ndarray) -> float:
         """p(y|x) = exp(score(y) - log Z), in (0, 1], for the label indices y."""
-        if len(y) != self.lattice.n:
-            raise ValueError(f"labeling length {len(y)} != instance length {self.lattice.n}")
         return float(np.exp(lattice_score(self.lattice, y) - self.log_z))
-
-    def features(self, y: np.ndarray) -> IndexedVector:
-        """phi(x, y) for the label indices y, over the instance's local column
-        indices (``local``)."""
-        return self.local.features(y)
 
     def expected(self) -> list[IndexedVector]:
         """Exact E[phi(x, y)] of each chain over the local column indices; new vectors.

@@ -329,8 +329,9 @@ def load_config(
     Relative paths in the file resolve against the file's directory;
     override paths resolve against the current directory.  Each value must
     have its field's JSON type (an integer field takes no 2.0 or true, a
-    number field no "0.1"), checked before any value is used.  The loss and
-    the objective are kept under their canonical names ("hamming", "el").
+    number field no "0.1"), checked before any value is used, and neither
+    output path may be the config file itself.  The loss and the objective
+    are kept under their canonical names ("hamming", "el").
     """
     path = Path(path)
     raw = _read_json_object(path, "config")
@@ -357,6 +358,8 @@ def load_config(
         raw["emission_offsets"] = tuple(raw["emission_offsets"])
     cfg = RunConfig(**raw)
     cfg.validate()
+    for name in ("report_path", "checkpoint_path"):
+        check_not_an_input(name, getattr(cfg, name), [("the run's config", path)])
     return dataclasses.replace(cfg, loss=LossKind.parse(cfg.loss).value,
                                objective=ObjectiveKind.parse(cfg.objective).value)
 

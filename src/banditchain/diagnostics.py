@@ -50,13 +50,10 @@ class ConvergenceReport:
         return cls(**{k: d[k] for k in cls.__dataclass_fields__})
 
 
-def grad_norm_sq(trajectory: Trajectory, t: Optional[int] = None) -> float:
-    """||gamma * s_t||^2 at the given step (default: the final horizon T)."""
-    if t is None:
-        t = trajectory.iterations
-    if not 1 <= t < len(trajectory.scaled_norm_sq):
-        raise ValueError(f"no step record at t={t} (run length {trajectory.iterations})")
-    return float(trajectory.scaled_norm_sq[t])
+def grad_norm_sq(trajectory: Trajectory) -> float:
+    """||gamma * s_T||^2 at the final horizon T; the run's other steps are
+    ``trajectory.scaled_norm_sq[t]``."""
+    return float(trajectory.scaled_norm_sq[trajectory.iterations])
 
 
 class _NoWeightGap(ValueError):

@@ -94,7 +94,7 @@ def el_columns(
     delta = _check_unit_interval("delta", delta)
     if delta == 0.0:
         return None
-    grad = post.features(y_sampled)
+    grad = post.local.features(y_sampled)
     grad.add_scaled(post.expected()[0], -1.0)
     return grad.scale(delta)
 
@@ -130,8 +130,8 @@ def pr_columns(
     delta_pair = _check_unit_interval("delta_pair", delta_pair)
     if delta_pair == 0.0:
         return None
-    grad = post.features(pair[0])
-    grad.add_scaled(post.features(pair[1]), -1.0)
+    grad = post.local.features(pair[0])
+    grad.add_scaled(post.local.features(pair[1]), -1.0)
     under_w, under_neg = post.expected()
     grad.add_scaled(under_w.add_scaled(under_neg, -1.0), -1.0)
     return grad.scale(delta_pair)
@@ -156,7 +156,7 @@ def ce_columns(
         return None
     p_hat = max(post.prob(y_sampled), clip_k)
     grad = post.expected()[0]
-    grad.add_scaled(post.features(y_sampled), -1.0)
+    grad.add_scaled(post.local.features(y_sampled), -1.0)
     if p_hat > 0.0:
         # a finite but huge weight gain / p_hat can still overflow the entries;
         # testing the largest one first keeps numpy from warning about it

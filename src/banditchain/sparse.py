@@ -52,16 +52,6 @@ class SparseVector:
     def copy(self) -> "SparseVector":
         return SparseVector._from_clean(dict(self._data))
 
-    def _int64_ids(self) -> np.ndarray:
-        """The ids in insertion order as an int64 array, the form checkpoints
-        and column lookups store; an id outside int64 is a ``ValueError``."""
-        data = self._data
-        try:
-            return np.fromiter(data, np.int64, len(data))
-        except OverflowError:
-            bad = next(fid for fid in data if not -(1 << 63) <= fid < 1 << 63)
-            raise ValueError(f"feature id {bad} does not fit in int64") from None
-
     def get(self, fid: int, default: float = 0.0) -> float:
         return self._data.get(fid, default)
 
@@ -184,10 +174,16 @@ class SortedVector:
 
     @classmethod
     def from_sparse(cls, w: SparseVector) -> "SortedVector":
-        """The entries of w sorted by id; an id outside int64 is a ``ValueError``."""
-        fids = w._int64_ids()
+        """The entries of w sorted by id; an id outside int64 is a ``ValueError``:
+        the one route by which a SparseVector enters the model or a checkpoint."""
+        data = w._data
+        try:
+            fids = np.fromiter(data, np.int64, len(data))
+        except OverflowError:
+            bad = next(fid for fid in data if not -(1 << 63) <= fid < 1 << 63)
+            raise ValueError(f"feature id {bad} does not fit in int64") from None
         order = np.argsort(fids)
-        return cls(fids[order], np.fromiter(w._data.values(), np.float64, len(w))[order])
+        return cls(fids[order], np.fromiter(data.values(), np.float64, len(data))[order])
 
     def items(self) -> Iterable[Tuple[int, float]]:
         return zip(self.ids.tolist(), self.values.tolist())

@@ -404,7 +404,7 @@ def test_criterion_10_determinism(synthetic_datasets, monkeypatch):
     assert a.dev_curve() == b.dev_curve()
     assert a.final_weights == b.final_weights
     assert len(a_checkpoints) == len(a.dev_losses) == 6
-    assert ([model.to_sparse(w) for w in a_checkpoints]
-            == [model.to_sparse(w) for w in b_checkpoints])
+    assert ([model.to_sorted(w) for w in a_checkpoints]
+            == [model.to_sorted(w) for w in b_checkpoints])
     assert a.best[:2] == b.best[:2] and np.array_equal(a.best[2], b.best[2])
     done(10, f"(identical dev curves over {len(a.dev_losses)} evaluations and final weights)")

@@ -639,7 +639,7 @@ def test_batched_decode_ranks_nan_as_argmax_does(seed):
     rng = np.random.default_rng(seed)
     hit = rng.random(len(columns)) < 0.3
     columns[hit] = rng.choice([np.inf, -np.inf, np.nan], hit.sum())
-    weights = dict(model.to_sparse(columns).items())
+    weights = dict(zip(model._ids.tolist(), columns.tolist()))
     labels = model.alphabet.labels
     with np.errstate(invalid="ignore"):
         reference = [tuple(labels[i] for i in viterbi(dict_lattice(model, weights, x)))
@@ -982,9 +982,9 @@ def test_prob_length_mismatch(ab_model, fixed_instance, fixed_weights):
 
 def dict_loop_to_columns(model, w):
     """Test-local reference: to_columns(SparseVector) as one dict probe per
-    entry, interning unknown ids in the vector's order."""
+    entry, interning unknown ids in ascending order."""
     columns = model._columns
-    for fid in w:
+    for fid in sorted(w):
         if fid not in columns:
             model._append([fid])
             model._unclaimed.add(fid)
@@ -1052,6 +1052,17 @@ def test_to_columns_of_a_sorted_vector_equals_the_sparse_vector_in_id_order(case
         assert model._columns == reference._columns
 
 
+def test_to_columns_interns_a_sparse_vectors_new_ids_in_ascending_order():
+    model, _ = wide_model(7)
+    reference, _ = wide_model(7)
+    known = int(model._ids[5])
+    w = SparseVector({30: 1.0, known: 4.0, -5: 2.0, 10: 3.0})  # new ids inserted out of order
+    out = model.to_columns(w)
+    assert model._ids[-3:].tolist() == [-5, 10, 30]
+    assert out.tobytes() == reference.to_columns(SortedVector.from_sparse(w)).tobytes()
+    assert model._ids.tolist() == reference._ids.tolist()
+
+
 def test_to_columns_after_the_model_grew_past_its_index():
     model, rng = wide_model(3)
     reference, _ = wide_model(3)
@@ -1072,7 +1083,8 @@ def test_to_columns_after_the_model_grew_past_its_index():
 
 def test_to_columns_builds_its_index_once_while_the_model_does_not_grow(monkeypatch):
     model, rng = wide_model(4)
-    w = random_vector(model, rng, 80, 0)
+    # sorted before argsort is counted: a SparseVector's own sort is from_sparse's
+    w = SortedVector.from_sparse(random_vector(model, rng, 80, 0))
     builds = []
     argsort = np.argsort
     monkeypatch.setattr(np, "argsort", lambda a, *args, **kw: builds.append(len(a))
@@ -1160,8 +1172,9 @@ class ReferenceModel:
         return {fid for fid, template in zip(self.ids, self.templates) if template is None}
 
     def read(self, w):
-        """to_columns' interning: unknown ids take a column and no template."""
-        for fid in w:
+        """to_columns' interning: unknown ids take a column, in ascending order,
+        and no template."""
+        for fid in sorted(w):
             if fid not in self.columns:
                 self.intern(None, fid)
 

@@ -46,13 +46,24 @@ def test_deleted_parameters_are_gone():
 
 
 def test_deleted_model_methods_are_gone():
-    """The memo kept with the cached dataset comes from compile_batch alone."""
+    """The memo kept with the cached dataset comes from compile_batch alone, and
+    a SparseVector's ids reach int64 through SortedVector.from_sparse alone."""
     assert not hasattr(banditchain.ChainModel, "batch_memo")
+    assert not hasattr(banditchain.SparseVector, "_int64_ids")
 
 
 def test_deleted_posterior_methods_are_gone():
-    for name in ("negated", "expected_features"):
+    """phi(x, y) does not depend on w: it is the instance's ``local.features``."""
+    for name in ("negated", "expected_features", "features"):
         assert not hasattr(banditchain.ChainPosterior, name)
+
+
+def test_second_forms_of_the_column_and_norm_routes_are_gone():
+    """A column array leaves the model through to_sorted; to_sparse needs its
+    columns, and grad_norm_sq reads the final step only."""
+    columns = inspect.signature(banditchain.ChainModel.to_sparse).parameters["columns"]
+    assert columns.default is inspect.Parameter.empty
+    assert list(inspect.signature(banditchain.grad_norm_sq).parameters) == ["trajectory"]
 
 
 def test_deleted_oracle_methods_are_gone():
