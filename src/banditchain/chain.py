@@ -184,7 +184,9 @@ class ChainModel:
     The model interns every id on first sight as the next column of a dense
     weight array: ids hashed from templates, and ids read from a weight
     vector by ``to_columns``, ``_unclaimed`` until a template hashes to
-    them; no template is kept.  Columns are never renumbered, so a column
+    them; no template is kept.  The held ids are a set, and each id's
+    column is kept once, in the column -> id table; only ``_unclaimed`` maps
+    ids to columns.  Columns are never renumbered, so a column
     array stays valid as the model grows; it is only shorter than the model.
     Each (offset, token) the model has seen owns a row of an (R, L) column
     table, so a token seen before is not hashed again and an instance's
@@ -199,11 +201,12 @@ class ChainModel:
     def __init__(self, alphabet: LabelAlphabet, emission_offsets: Sequence[int] = (0,)):
         self.alphabet = alphabet
         self.emission_offsets = tuple(int(o) for o in emission_offsets)
-        self._columns: dict[int, int] = {}  # feature id -> column
+        self._held: set[int] = set()  # every feature id the model holds
         # column -> feature id; grows by doubling, so only its first
         # num_columns entries are live (``_ids``)
         self._id_table = np.empty(0, dtype=np.int64)
-        self._unclaimed: set[int] = set()  # ids read from weights that no template hashed to yet
+        # id -> column of the ids read from weights that no template hashed to yet
+        self._unclaimed: dict[int, int] = {}
         self._rows: dict[tuple[int, str], int] = {}  # (offset, token) -> row of _table
         # row -> the L columns of an (offset, token); grows by doubling, so
         # only its first len(_rows) rows are live
@@ -219,12 +222,12 @@ class ChainModel:
 
     @property
     def num_columns(self) -> int:
-        return len(self._columns)
+        return len(self._held)
 
     @property
     def _ids(self) -> np.ndarray:
         """The feature id of each column: an int64 view, blind to columns added later."""
-        return self._id_table[:len(self._columns)]
+        return self._id_table[:len(self._held)]
 
     def _transition_templates(self) -> list[str]:
         labels = self.alphabet.labels
@@ -237,9 +240,9 @@ class ChainModel:
 
     def _append(self, fids: list[int]) -> np.ndarray:
         """Intern distinct ids new to the model as its next columns; returns those columns."""
-        start = len(self._columns)
+        start = len(self._held)
         stop = start + len(fids)
-        self._columns.update(zip(fids, range(start, stop)))
+        self._held.update(fids)
         self._id_table = _room(self._id_table, start, stop)
         self._id_table[start:stop] = fids
         return np.arange(start, stop, dtype=np.intp)
@@ -251,23 +254,26 @@ class ChainModel:
         and keeps its column; the others take the next columns in order.  An
         id held under another template, or shared by two templates of the
         batch, is a hash collision (``RuntimeError``), and nothing is interned."""
-        fids, columns = _feature_ids(templates), self._columns
-        held = set() if columns.keys().isdisjoint(fids) else columns.keys() & fids
-        if len(set(fids)) != len(fids) or not held <= self._unclaimed:
+        fids, unclaimed = _feature_ids(templates), self._unclaimed
+        held = set() if self._held.isdisjoint(fids) else self._held.intersection(fids)
+        if len(set(fids)) != len(fids) or not held <= unclaimed.keys():
             first: dict[int, str] = {}
             for fid, template in zip(fids, templates):
-                claimed = fid in held and fid not in self._unclaimed
-                other = self._template(columns[fid]) if claimed else first.setdefault(fid, template)
+                claimed = fid in held and fid not in unclaimed
+                other = self._template(fid) if claimed else first.setdefault(fid, template)
                 if other != template:
                     raise RuntimeError(f"feature id collision: {template!r} vs {other!r} -> {fid}")
         if not held:
             return self._append(fids)
-        self._unclaimed -= held
-        self._append([fid for fid in fids if fid not in held])
-        return np.fromiter(map(columns.__getitem__, fids), np.intp, len(fids))
+        kept = {fid: unclaimed.pop(fid) for fid in held}
+        out = np.fromiter((kept.get(fid, -1) for fid in fids), np.intp, len(fids))
+        out[out < 0] = self._append([fid for fid in fids if fid not in kept])
+        return out
 
-    def _template(self, col: int) -> str:
-        """The template of a claimed column, rebuilt from the transition and row tables."""
+    def _template(self, fid: int) -> str:
+        """The template of a claimed id, rebuilt from the transition and row
+        tables; its column is found by a scan of ``_ids``."""
+        col = np.flatnonzero(self._ids == fid)[0]
         held = np.concatenate((self.transition.ravel(), self._table[:len(self._rows)].ravel()))
         templates = self._transition_templates() + self._emission_templates(self._rows)
         return templates[int(np.flatnonzero(held == col)[0])]
@@ -391,7 +397,7 @@ class ChainModel:
             # the index covers the whole model, so every miss is a new id
             new = fids[miss].tolist()
             cols[miss] = self._append(new)
-            self._unclaimed.update(new)
+            self._unclaimed.update(zip(new, cols[miss].tolist()))
         out = np.zeros(self.num_columns)
         out[cols] = values
         return out

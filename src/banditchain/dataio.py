@@ -326,12 +326,14 @@ def load_config(
 ) -> RunConfig:
     """Load a run config; CLI overrides beat file values beat defaults.
 
-    Relative paths in the file resolve against the file's directory;
-    override paths resolve against the current directory.  Each value must
-    have its field's JSON type (an integer field takes no 2.0 or true, a
-    number field no "0.1"), checked before any value is used, and neither
-    output path may be the config file itself.  The loss and the objective
-    are kept under their canonical names ("hamming", "el").
+    Relative paths in the file resolve against the file's directory, and so
+    do the default outputs of a file that names none (``report.json`` and
+    ``model.ckpt`` beside it); override paths resolve against the current
+    directory.  Each value must have its field's JSON type (an integer field
+    takes no 2.0 or true, a number field no "0.1"), checked before any value
+    is used, and neither output path may be the config file itself.  The
+    loss and the objective are kept under their canonical names ("hamming",
+    "el").
     """
     path = Path(path)
     raw = _read_json_object(path, "config")
@@ -340,6 +342,8 @@ def load_config(
         raise DataError(f"{path}: unknown config keys {sorted(unknown)}")
     _check_types(raw, path)
     base = path.parent
+    for key in ("report_path", "checkpoint_path"):  # the defaults resolve here too
+        raw.setdefault(key, getattr(RunConfig, key))
     for key in _PATH_FIELDS:
         if raw.get(key):
             raw[key] = str((base / raw[key]).resolve())

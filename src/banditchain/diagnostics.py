@@ -10,7 +10,9 @@ so runs with the same horizon and rate are directly comparable:
   (1/K) sum_k ||s_{kD} - mean||^2.
 
 They depend only on norms and differences, never on feature identities,
-and take (columns, values) rows; an (S, d) array is S rows over columns 0..d-1.
+and take (columns, values) rows, or (bitmap, values) rows whose uint8 bitmap
+is the mask of the row's columns packed by ``np.packbits`` (the trainer's
+snapshot weights); an (S, d) array is S rows over columns 0..d-1.
 Every norm is a row-wide numpy pass with numpy's pairwise sums (not BLAS).
 """
 
@@ -61,29 +63,49 @@ class _NoWeightGap(ValueError):
 
 
 def _rows(rows, columns: Optional[np.ndarray] = None) -> tuple[list, np.ndarray]:
-    """The rows as (columns, values) pairs, a 2-D (S, d) array's over columns
-    0..d-1, and ``columns``, by default every column some row holds, sorted."""
+    """The rows as (columns, values) or (bitmap, values) pairs, a 2-D (S, d)
+    array's over columns 0..d-1, and ``columns``, by default every column some
+    row holds, sorted: the bitmaps ORed together, then the other rows' columns."""
     if isinstance(rows, np.ndarray):
         rows = [(np.arange(rows.shape[1]), row) for row in rows]
     if columns is None:
-        held = np.zeros(1 + max((cols.max() for cols, _ in rows if len(cols)), default=-1), bool)
-        for cols, _ in rows:
-            held[cols] = True
+        # the union's bytes: a bitmap's own, or up to the byte of a row's last column
+        size = max((len(at) if at.dtype == np.uint8 else at.max() // 8 + 1
+                    for at, _ in rows if len(at)), default=0)
+        union = np.zeros(size, dtype=np.uint8)
+        for at, _ in rows:
+            if at.dtype == np.uint8:
+                union[:len(at)] |= at
+        held = np.unpackbits(union).view(bool)
+        for at, _ in rows:
+            if at.dtype != np.uint8:
+                held[at] = True
         columns = np.flatnonzero(held)
     return rows, columns
 
 
 def _entries(rows: list, columns: np.ndarray) -> tuple[list, np.ndarray]:
-    """The (columns, values) rows as (where, values) pairs into a zeroed buffer
-    over ``columns``, and the buffer; ascending places become a slice or a mask."""
-    at = np.zeros(columns[-1] + 1 if len(columns) else 0, dtype=np.intp)
+    """The rows as (where, values) pairs into a zeroed buffer over ``columns``,
+    and the buffer: a bitmap becomes its mask over the buffer, ascending
+    columns a mask too, and either one that fills the buffer a slice."""
+    width = columns[-1] + 1 if len(columns) else 0
+    at = np.zeros(width, dtype=np.intp)
     at[columns] = np.arange(len(columns))
     out = []
-    for cols, values in rows:
-        where = at[cols]
-        if len(where) > 1 and (where[1:] > where[:-1]).all():
-            full = len(where) == len(columns)
-            where = slice(None) if full else np.bincount(where, minlength=len(columns)) > 0
+    for held, values in rows:
+        if held.dtype == np.uint8:
+            bits = np.unpackbits(held)[:width].view(bool)
+            where = np.zeros(width, dtype=bool)
+            where[:len(bits)] = bits
+            if len(values) == len(columns):
+                where = slice(None)
+            elif width != len(columns):  # the buffer skips columns no row holds
+                where = where[columns]
+        else:
+            where = at[held]
+            if len(where) > 1 and (where[1:] > where[:-1]).all():
+                full = len(where) == len(columns)
+                where = slice(None) if full else np.bincount(where, minlength=len(columns)) > 0
         out.append((where, values))
     return out, np.zeros(len(columns))
 

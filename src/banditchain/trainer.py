@@ -84,9 +84,13 @@ class Trajectory:
     the checkpoint ``min(dev_losses)`` picks (the first lowest).
     scaled_norm_sq[t] holds ||gamma * s_t||^2 for t = 1..T (index 0 is NaN).
     Row k of epoch_grads is the full scaled gradient gamma * s_t at the epoch
-    boundary t = (k + 1) * epoch_size.  Row i of snapshot_weights holds the nonzero
-    entries of a w_t and row i of snapshot_grads the gamma * s_t computed at
-    it; there are at most config.snapshots rows, each a (columns, values) pair.
+    boundary t = (k + 1) * epoch_size.  Row i of snapshot_weights holds the
+    nonzero entries of a w_t as (bitmap, values): the mask of its nonzero
+    columns packed by ``np.packbits`` up to the byte of the last one (so a
+    row does not depend on how many columns the model had compiled), and
+    their values in column order.  Row i of snapshot_grads holds the
+    gamma * s_t computed at it, and an epoch row its gradient, as a
+    (columns, values) pair.  There are at most config.snapshots snapshot rows.
     """
 
     config: TrainerConfig
@@ -147,6 +151,16 @@ _BATCH_AFTER = 16
 _MAX_BATCH = 64
 
 
+def _nonzero_row(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(bitmap, values): w's nonzero mask packed by ``np.packbits`` and cut
+    after its last nonzero byte, in a new array, and the nonzero values."""
+    nonzero = w != 0.0
+    bits = np.packbits(nonzero)
+    held = bits != 0
+    stop = len(bits) - int(held[::-1].argmax()) if held.any() else 0
+    return bits[:stop].copy(), w[nonzero]
+
+
 def _gradient(
     config: TrainerConfig, post: ChainPosterior, paths: np.ndarray, value: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -181,10 +195,12 @@ def train(
     only ever touched by the feedback oracle, which ``check``s them.
 
     w is a float64 column array of the model that grows with zeros as new
-    instances bring new columns.  A step draws its input, then the uniforms
-    its sampler walks (``ChainPosterior.draw``); it draws label indices, gets
-    their feedback from ``FeedbackOracle.feedback_paths``, and gets s_t as
-    (columns, values) from its posterior, applying
+    instances bring new columns: a view of one zeroed buffer that grows by
+    doubling, so a step that compiles new columns does not copy w.  A step
+    draws its input, then the uniforms its sampler walks
+    (``ChainPosterior.draw``); it draws label indices, gets their feedback
+    from ``FeedbackOracle.feedback_paths``, and gets s_t as (columns, values)
+    from its posterior, applying
     ``w[columns] += -gamma * values``, the arithmetic of
     ``SparseVector.add_scaled`` per entry; the cross-entropy shrink is
     ``w *= c``.
@@ -228,6 +244,7 @@ def train(
         raise ValueError(f"iteration budget {T} is too large: its per-step records "
                          f"({16 * (T + 1)} bytes) cannot be allocated") from None
     w = model.to_columns(w0) if w0 is not None else np.zeros(model.num_columns)
+    buf = w  # w is a view of buf's first columns, and the rest of buf is zeros
     r_bound = max(model.feature_norm_bound(x) for x in train_data)
     logger.info(
         "training %s: T=%d gamma=%g epoch=%d eval_every=%d |phi| bound=%.1f",
@@ -260,7 +277,11 @@ def train(
                 x = train_data[int(rng.integers(len(train_data)))]
                 model.compile(x)
                 pending.append((x, rng.random((chains, len(x)))))
-            w = model.to_columns(w)  # zero-padded when x brought new columns
+            if len(w) < model.num_columns:  # x brought new columns: they start at zero
+                if len(buf) < model.num_columns:  # grown by doubling, as chain._room does
+                    buf = np.zeros(max(2 * len(buf), model.num_columns))
+                    buf[:len(w)] = w
+                w = buf[:model.num_columns]
             post = None
             if ahead > 1:
                 xs, uniforms = zip(*itertools.islice(pending, ahead))
@@ -304,8 +325,7 @@ def train(
                 if t % epoch_size == 0:
                     traj.epoch_grads.append((cols, gamma * s))
                 if t % snapshot_stride == 0 and len(traj.snapshot_weights) < config.snapshots:
-                    nonzero = np.flatnonzero(w != 0.0)
-                    traj.snapshot_weights.append((nonzero, w[nonzero]))
+                    traj.snapshot_weights.append(_nonzero_row(w))
                     traj.snapshot_grads.append((cols, gamma * s))
 
                 if shrink != 1.0:

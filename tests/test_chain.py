@@ -983,11 +983,10 @@ def test_prob_length_mismatch(ab_model, fixed_instance, fixed_weights):
 def dict_loop_to_columns(model, w):
     """Test-local reference: to_columns(SparseVector) as one dict probe per
     entry, interning unknown ids in ascending order."""
-    columns = model._columns
     for fid in sorted(w):
-        if fid not in columns:
-            model._append([fid])
-            model._unclaimed.add(fid)
+        if fid not in model._held:
+            model._unclaimed[fid] = int(model._append([fid])[0])
+    columns = dict(zip(model._ids.tolist(), range(model.num_columns)))
     out = np.zeros(len(columns))
     out[[columns[fid] for fid in w]] = [value for _, value in w.items()]
     return out
@@ -1026,7 +1025,7 @@ def test_to_columns_matches_dict_loop_bitwise(case, known, unknown, negative, se
         out = model.to_columns(w)
         assert out.tobytes() == dict_loop_to_columns(reference, w).tobytes()
         assert model._ids.tolist() == reference._ids.tolist()
-        assert model._columns == reference._columns
+        assert model._held == reference._held and model._unclaimed == reference._unclaimed
     assert len(out) == model.num_columns
 
 
@@ -1049,7 +1048,7 @@ def test_to_columns_of_a_sorted_vector_equals_the_sparse_vector_in_id_order(case
         assert out.tobytes() == reference.to_columns(in_id_order).tobytes()
         # ids new to the model interned by ascending id
         assert model._ids.tolist() == reference._ids.tolist()
-        assert model._columns == reference._columns
+        assert model._held == reference._held and model._unclaimed == reference._unclaimed
 
 
 def test_to_columns_interns_a_sparse_vectors_new_ids_in_ascending_order():
@@ -1168,8 +1167,9 @@ class ReferenceModel:
         return col
 
     def unclaimed(self):
-        """The ids read from weights that no template has hashed to yet."""
-        return {fid for fid, template in zip(self.ids, self.templates) if template is None}
+        """id -> column of the ids read from weights that no template has hashed to yet."""
+        return {fid: col for col, (fid, template) in enumerate(zip(self.ids, self.templates))
+                if template is None}
 
     def read(self, w):
         """to_columns' interning: unknown ids take a column, in ascending order,
@@ -1240,12 +1240,12 @@ def test_id_read_from_weights_takes_its_template_on_the_fallback():
     model.to_columns(w)
     ref.read(w)
     fid = feature_id("em0\x1fb\x1fB")
-    col = model._columns[fid]
-    assert model._unclaimed == ref.unclaimed() == {12345, fid}
+    col = model._ids.tolist().index(fid)
+    assert model._unclaimed == ref.unclaimed() == {12345: col - 1, fid: col}
     x = ChainInstance(tokens=("a", "b", "c"))
     assert np.array_equal(model.compile(x), ref.compile(x))
     # the template claims the id: it keeps its column and leaves the set
-    assert model._columns[fid] == col and model._unclaimed == ref.unclaimed() == {12345}
+    assert model._ids[col] == fid and model._unclaimed == ref.unclaimed() == {12345: col - 1}
     assert model._ids.tolist() == ref.ids
 
 
@@ -1278,11 +1278,11 @@ def test_an_id_a_template_claimed_from_weights_collides_with_the_next(monkeypatc
         taken if t == "em0\x1fb\x1fB" else real([t])[0] for t in ts])
     model = ChainModel(LabelAlphabet(("A", "B")))
     model.to_columns(SparseVector({taken: 1.0}))
-    assert model._unclaimed == {taken}
+    assert model._unclaimed == {taken: 4}  # after the 4 transition columns
     if len(batches) == 2:  # "em0 a A" claims the id first, in a batch of its own
         model.compile(ChainInstance(tokens=batches[0]))
-        assert model._unclaimed == set()
-    size, unclaimed = model.num_columns, set(model._unclaimed)
+        assert model._unclaimed == {}
+    size, unclaimed = model.num_columns, dict(model._unclaimed)
     with pytest.raises(RuntimeError) as raised:
         model.compile(ChainInstance(tokens=batches[-1]))
     assert str(raised.value) == (
@@ -1306,6 +1306,19 @@ def test_compile_keeps_none_of_the_template_text():
         tracemalloc.stop()
     # the model keeps ids, columns and its (offset, token) rows, not the 4.5 MB of templates
     assert kept < text / 10
+
+
+def test_the_model_keeps_no_dict_keyed_by_every_id():
+    model, rng = wide_model(8)
+    model.to_columns(random_vector(model, rng, 20, 30))  # ids read from weights
+    model.compile(ChainInstance(tokens=tuple(f"u{k}" for k in range(25))))
+    ids = model._ids.tolist()
+    assert len(ids) > 500 and model._held == set(ids)
+    # an id's column is kept once, in the id table; the dicts are far smaller
+    for value in vars(model).values():
+        assert not (isinstance(value, dict) and len(value) >= len(ids) // 2)
+    assert len(model._unclaimed) == 30
+    assert all(ids[col] == fid for fid, col in model._unclaimed.items())
 
 
 # -- misc ---------------------------------------------------------------------------

@@ -59,6 +59,36 @@ def test_train_flag_overrides_config(workdir):
     assert report["summary"]["objective"] == "pr-cont"
 
 
+def test_default_outputs_land_beside_the_config(workdir, monkeypatch, capsys):
+    tmp_path, cfg_path = workdir
+    config = json.loads(cfg_path.read_text())
+    del config["report_path"], config["checkpoint_path"]
+    cfg_path.write_text(json.dumps(config))
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert cli.main(["train", "--config", str(cfg_path)]) == 0
+    assert (tmp_path / "report.json").exists() and (tmp_path / "model.ckpt").exists()
+    assert list(elsewhere.iterdir()) == []
+    report = read_report(tmp_path / "report.json")
+    assert report["config"]["report_path"] == str((tmp_path / "report.json").resolve())
+    # a flag still resolves against the current directory
+    assert cli.main(["train", "--config", str(cfg_path), "--report", "flag.json"]) == 0
+    assert sorted(p.name for p in elsewhere.iterdir()) == ["flag.json"]
+    capsys.readouterr()
+    # a default that names the config itself is rejected, as a file value is
+    for output, name in (("report_path", "report.json"), ("checkpoint_path", "model.ckpt")):
+        named = tmp_path / "own" / name
+        named.parent.mkdir(exist_ok=True)
+        named.write_text(json.dumps({**config, "train_path": "../train.tsv",
+                                     "dev_path": "../dev.tsv", "test_path": "../test.tsv"}))
+        before = named.read_bytes()
+        assert cli.main(["train", "--config", str(named)]) == cli.DATA_ERROR
+        assert capsys.readouterr().err.startswith(
+            f"error: {output} would overwrite the run's config: ")
+        assert named.read_bytes() == before
+
+
 def test_eval_command(workdir, capsys):
     tmp_path, cfg_path = workdir
     cli.main(["train", "--config", str(cfg_path)])

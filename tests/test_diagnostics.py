@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import banditchain.trainer as trainer_mod
 from banditchain import (
     ChainInstance,
     ChainModel,
@@ -337,13 +338,19 @@ def test_compare_runs_summary_serializes():
 # -- (columns, values) rows against the dense-array path, bit for bit ---------------------
 
 
+def row_columns(row):
+    """The columns of a (columns, values) or (bitmap, values) row, in the order of its values."""
+    held, _ = row
+    return np.flatnonzero(np.unpackbits(held)) if held.dtype == np.uint8 else held
+
+
 def dense_rows(rows, columns):
     """The rows as one (len(rows), len(columns)) array: a row is a column
-    array (a prefix of w) or a (columns, values) pair."""
+    array (a prefix of w), or a (columns, values) or (bitmap, values) pair."""
     out = np.zeros((len(rows), len(columns)))
     for r, row in enumerate(rows):
         if isinstance(row, tuple):
-            out[r, np.searchsorted(columns, row[0])] = row[1]
+            out[r, np.searchsorted(columns, row_columns(row))] = row[1]
         else:
             within = np.searchsorted(columns, len(row))
             out[r, :within] = row[columns[:within]]
@@ -351,8 +358,8 @@ def dense_rows(rows, columns):
 
 
 def row_union(rows):
-    """Every column some (columns, values) row holds, sorted."""
-    return np.unique(np.concatenate([cols for cols, _ in rows]))
+    """Every column some (columns, values) or (bitmap, values) row holds, sorted."""
+    return np.unique(np.concatenate([row_columns(row) for row in rows]))
 
 
 def dense_distances(rows, pairs):
@@ -392,9 +399,9 @@ def dense_variance(epoch_grads):
 
 
 def trainer_rows(rng, scale, layout):
-    """(w prefixes, their (nonzero columns, values), gradient rows), shaped as
-    the trainer records them: w grows with the model's columns, gradient
-    columns come in entry order, not sorted."""
+    """(w prefixes, their (bitmap, values), gradient rows), shaped as the
+    trainer records them: w grows with the model's columns, gradient columns
+    come in entry order, not sorted."""
     width, snapshots = 300, 12
     weights, grads = [], []
     for s in range(snapshots):
@@ -410,7 +417,7 @@ def trainer_rows(rng, scale, layout):
         grads.append((cols, scale * rng.normal(size=len(cols))))
     weights[3] = weights[2].copy()  # equal weights: a pair to redraw or skip
     grads[5] = (np.zeros(0, dtype=np.intp), np.zeros(0))  # a zero-feedback step
-    return weights, [(np.flatnonzero(w != 0.0), w[w != 0.0]) for w in weights], grads
+    return weights, [trainer_mod._nonzero_row(w) for w in weights], grads
 
 
 @pytest.mark.parametrize("layout", ["overlapping", "disjoint", "dense"])
@@ -421,14 +428,16 @@ def test_column_rows_give_the_dense_paths_bits(layout, scale, n_pairs):
     dense_w, weights, grads = trainer_rows(rng, scale, layout)
     epochs = grads[::3]
     active = np.zeros(300, dtype=bool)
-    for cols, _ in weights + grads:
-        active[cols] = True
+    for row in weights + grads:
+        active[row_columns(row)] = True
     columns = np.flatnonzero(active)
     expected = dense_lipschitz(dense_rows(dense_w, columns), dense_rows(grads, columns),
                                n_pairs, np.random.default_rng(7))
-    got = lipschitz_estimate(weights, grads, n_pairs=n_pairs, rng=np.random.default_rng(7),
-                             columns=columns)
-    assert got.hex() == expected.hex()
+    # the trainer's bitmap rows, and the same rows as (columns, values)
+    for rows in (weights, [(row_columns(row), row[1]) for row in weights]):
+        got = lipschitz_estimate(rows, grads, n_pairs=n_pairs, rng=np.random.default_rng(7),
+                                 columns=columns)
+        assert got.hex() == expected.hex()
     expected = dense_variance(dense_rows(epochs, columns))
     assert variance_estimate(epochs, columns).hex() == expected.hex()
 
@@ -509,8 +518,8 @@ def test_convergence_report_gives_the_dense_paths_bits(objective):
     report = convergence_report(traj, n_pairs=50, seed=4)
     columns = row_union(traj.snapshot_weights + traj.snapshot_grads + traj.epoch_grads)
     full = [np.zeros(columns[-1] + 1) for _ in traj.snapshot_weights]
-    for w, (cols, values) in zip(full, traj.snapshot_weights):
-        w[cols] = values
+    for w, row in zip(full, traj.snapshot_weights):
+        w[row_columns(row)] = row[1]
     expected = dense_lipschitz(dense_rows(full, columns), dense_rows(traj.snapshot_grads, columns),
                                50, np.random.default_rng(4))
     assert report.lipschitz_est.hex() == expected.hex()

@@ -110,8 +110,7 @@ def inputs(tmp_path_factory) -> dict:
 @contextlib.contextmanager
 def case_directory(parent, files: dict, monkeypatch):
     """A new directory holding files (name -> bytes), current while the case
-    runs (a config that lost its output paths writes to the defaults, there),
-    and deleted after it: files deleted this soon cost next to nothing, while
+    runs (the commands name their files relative to it), and deleted after it: files deleted this soon cost next to nothing, while
     thousands left for pytest's clean-up can cost a minute on a busy disk."""
     directory = parent / "case"
     directory.mkdir()

@@ -630,6 +630,29 @@ def typed_bio_task(count, rng, vocab=400):
     return labels, data
 
 
+def check_snapshot_rows(traj):
+    """A weight row costs 8 B per nonzero plus its bitmap, one bit per column
+    up to its last nonzero; a gradient row 16 B per nonzero."""
+    def footprint(a):  # the bytes an array keeps alive
+        while a.base is not None:
+            a = a.base
+        return a.nbytes
+
+    for bits, values in traj.snapshot_weights:
+        assert bits.ndim == values.ndim == 1
+        assert bits.dtype == np.uint8 and values.dtype == np.float64
+        cols = np.flatnonzero(np.unpackbits(bits))
+        assert len(cols) == len(values) and np.all(values != 0.0)
+        end = cols[-1] + 1 if len(cols) else 0
+        assert footprint(bits) + footprint(values) == 8 * len(values) + -(-end // 8)
+    for cols, values in traj.snapshot_grads + traj.epoch_grads:
+        assert cols.ndim == values.ndim == 1 and len(cols) == len(values)
+        assert cols.dtype == np.intp and values.dtype == np.float64
+        assert footprint(cols) + footprint(values) == 16 * len(cols)
+    # no field holds a dense (S, a) array
+    assert not any(isinstance(v, np.ndarray) and v.ndim == 2 for v in vars(traj).values())
+
+
 def test_snapshot_rows_cost_their_nonzeros():
     rng = np.random.default_rng(13)
     labels, data = typed_bio_task(300, rng)
@@ -637,27 +660,45 @@ def test_snapshot_rows_cost_their_nonzeros():
     cfg = TrainerConfig(objective="pr-cont", gamma=0.1, iterations=256, seed=1, epoch_size=32,
                         eval_every=256)
     traj = train(cfg, model, data[:250], data[250:], FeedbackOracle("chunk-f1"))
-    rows = traj.snapshot_weights + traj.snapshot_grads + traj.epoch_grads
     assert len(traj.snapshot_weights) == len(traj.snapshot_grads) == 64
     assert len(traj.epoch_grads) == 8
+    check_snapshot_rows(traj)
+    # the rows hold far fewer entries than their union of columns
+    rows = traj.snapshot_weights + traj.snapshot_grads + traj.epoch_grads
+    held = np.zeros(model.num_columns, dtype=bool)
+    for bits, _ in traj.snapshot_weights:
+        held[np.flatnonzero(np.unpackbits(bits))] = True
+    for cols, _ in traj.snapshot_grads + traj.epoch_grads:
+        held[cols] = True
+    assert sum(len(values) for _, values in rows) < 0.7 * len(rows) * held.sum()
 
-    def footprint(a):  # the bytes an array keeps alive
-        while a.base is not None:
-            a = a.base
-        return a.nbytes
+    # a warm start holds every entry of w0 from step 0, at the same cost per entry
+    w0 = traj.final_weights
+    model = ChainModel(LabelAlphabet(labels), emission_offsets=(-1, 0, 1))
+    warm = train(cfg, model, data[:250], data[250:], FeedbackOracle("chunk-f1"), w0=w0)
+    assert all(len(values) >= len(w0) // 2 for _, values in warm.snapshot_weights)
+    check_snapshot_rows(warm)
 
-    entries = 0
-    for cols, values in rows:
-        assert cols.ndim == values.ndim == 1 and len(cols) == len(values)
-        assert cols.dtype == np.intp and values.dtype == np.float64
-        assert footprint(cols) + footprint(values) == 16 * len(cols)
-        entries += len(cols)
-    for cols, values in traj.snapshot_weights:
-        assert np.all(values != 0.0) and np.all(cols[1:] > cols[:-1])
-    # no field holds a dense (S, a) array: the rows hold far fewer entries
-    width = len(np.unique(np.concatenate([cols for cols, _ in rows])))
-    assert not any(isinstance(v, np.ndarray) and v.ndim == 2 for v in vars(traj).values())
-    assert entries < 0.7 * len(rows) * width
+
+def test_a_snapshot_bitmap_ends_at_the_last_nonzero():
+    import banditchain.trainer as trainer_mod
+
+    rng = np.random.default_rng(4)
+    rows = [np.zeros(0), np.zeros(20), np.eye(1, 9, 8)[0], np.eye(1, 9, 7)[0]]
+    for size in (1, 7, 8, 9, 64, 1000):
+        rows.append(np.zeros(size))
+        rows[-1][rng.integers(0, size, 1 + size // 3)] = rng.normal(size=1 + size // 3)
+    for w in rows:
+        size = len(w)
+        bits, values = trainer_mod._nonzero_row(w)
+        # the same entries in a longer w (a run that compiled ahead) give the same row
+        for pad in (1, 8, 100):
+            longer = trainer_mod._nonzero_row(np.concatenate((w, np.zeros(pad))))
+            assert longer[0].tobytes() == bits.tobytes()
+            assert longer[1].tobytes() == values.tobytes()
+        assert np.array_equal(np.flatnonzero(np.unpackbits(bits, count=size)), np.flatnonzero(w))
+        assert values.tobytes() == w[w != 0.0].tobytes()
+        assert len(bits) == 0 or bits[-1] != 0
 
 
 # -- batched zero-feedback steps ------------------------------------------------------
