@@ -19,8 +19,7 @@ import hashlib
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, partial
-from operator import methodcaller
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -34,6 +33,7 @@ Weights = Union[SortedVector, SparseVector, np.ndarray]
 _SEP = "\x1f"
 _BOS = "<S>"
 _EOS = "</S>"
+_EMPTY_HASH = hashlib.blake2b(digest_size=8)  # the state every id's hash starts from
 
 
 def _logsumexp(a: np.ndarray, axis: int, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -46,21 +46,36 @@ def _logsumexp(a: np.ndarray, axis: int, out: Optional[np.ndarray] = None) -> np
 
 
 def feature_id(template: str) -> int:
-    """Stable 63-bit feature id for a template string.
+    """Stable 63-bit feature id for a template string: the 8-byte blake2b
+    digest of its UTF-8 bytes, read big-endian and shifted right by one.
 
     Ids depend only on the template text, so they are identical across runs
     and processes; checkpoints keyed by id stay portable.
     """
-    return _feature_ids([template])[0]
+    return _feature_ids([template], [""])[0]
 
 
-def _feature_ids(templates: Sequence[str]) -> list[int]:
-    """The feature id of each template: its UTF-8 bytes' 8-byte blake2b
-    digest, read big-endian and shifted right by one.  The whole batch is
-    hashed at C level into one joined string, read as one array."""
-    raw = b"".join(map(methodcaller("digest"), map(
-        partial(hashlib.blake2b, digest_size=8), map(str.encode, templates))))
-    return (np.frombuffer(raw, ">u8") >> 1).tolist()
+def _feature_ids(prefixes: Sequence[str], suffixes: Sequence[str]) -> list[int]:
+    """The feature id of ``p + s`` for every prefix p and suffix s, prefix-major.
+    Each prefix's UTF-8 bytes go once into a copy of the empty state, and each
+    suffix's into a copy of that prefix state: blake2b fed in pieces digests
+    the joined bytes (RFC 7693), so the ids are ``feature_id``'s."""
+    tails = [s.encode() for s in suffixes]
+    digests: list[bytes] = []
+    append = digests.append
+    for p in prefixes:
+        head = _EMPTY_HASH.copy()
+        head.update(p.encode())
+        for tail in tails:
+            h = head.copy()
+            h.update(tail)
+            append(h.digest())
+    return (np.frombuffer(b"".join(digests), ">u8") >> 1).tolist()
+
+
+def _templates(prefixes: Sequence[str], suffixes: Sequence[str]) -> list[str]:
+    """The templates ``_feature_ids`` hashes, ``p + s``; built only to name a collision."""
+    return [p + s for p in prefixes for s in suffixes]
 
 
 def _room(table: np.ndarray, kept: int, size: int) -> np.ndarray:
@@ -189,13 +204,17 @@ class ChainModel:
     ids to columns.  Columns are never renumbered, so a column
     array stays valid as the model grows; it is only shorter than the model.
     Each (offset, token) the model has seen owns a row of an (R, L) column
-    table, so a token seen before is not hashed again and an instance's
-    columns are one gather from that table.  ``transition`` is the (L, L)
-    column table [from label, to label].  ``to_columns`` turns a
-    SortedVector into a column array through one sorted-id index, rebuilt
-    only after the model has grown (a SparseVector is sorted into one
-    first); ``to_sorted`` turns a column array into a SortedVector, and
-    ``to_sparse`` the values at given columns into a SparseVector.
+    table, through one token -> row dict per offset, so a token seen before
+    is not hashed again and an instance's columns are one gather from that
+    table.  A row's templates are its prefix ``em{off}␟{tok}`` followed by
+    each label suffix ``␟{label}``, hashed from one copied prefix state
+    (``_feature_ids``).  ``transition`` is the (L, L) column table [from
+    label, to label], the rows ``tr␟{a}`` of the same suffixes.
+    ``to_columns`` turns a SortedVector into a column array through one
+    sorted-id index, rebuilt only after the model has grown (a SparseVector
+    is sorted into one first); ``to_sorted`` turns a column array into a
+    SortedVector, and ``to_sparse`` the values at given columns into a
+    SparseVector.
     """
 
     def __init__(self, alphabet: LabelAlphabet, emission_offsets: Sequence[int] = (0,)):
@@ -207,9 +226,13 @@ class ChainModel:
         self._id_table = np.empty(0, dtype=np.int64)
         # id -> column of the ids read from weights that no template hashed to yet
         self._unclaimed: dict[int, int] = {}
-        self._rows: dict[tuple[int, str], int] = {}  # (offset, token) -> row of _table
+        # the L label suffixes that end every template, in label order
+        self._suffixes = [f"{_SEP}{lab}" for lab in alphabet.labels]
+        # offset -> {token -> row of _table}; a repeated offset shares its dict
+        self._rows: dict[int, dict[str, int]] = {off: {} for off in self.emission_offsets}
+        self._num_rows = 0
         # row -> the L columns of an (offset, token); grows by doubling, so
-        # only its first len(_rows) rows are live
+        # only its first _num_rows rows are live
         self._table = np.empty((0, len(alphabet)), dtype=np.intp)
         # (ids in ascending order, their columns): to_columns' lookup
         self._id_index: Optional[tuple[np.ndarray, np.ndarray]] = None
@@ -217,8 +240,7 @@ class ChainModel:
         self._local: dict[ChainInstance, InstanceColumns] = {}
         # the last padded dataset: (instances, cols, lengths, memo)
         self._batch: Optional[tuple[tuple[ChainInstance, ...], np.ndarray, np.ndarray, dict]] = None
-        self.transition = self._intern_templates(
-            self._transition_templates()).reshape(len(alphabet), -1)
+        self.transition = self._intern_rows([f"tr{_SEP}{a}" for a in alphabet.labels])
 
     @property
     def num_columns(self) -> int:
@@ -229,15 +251,6 @@ class ChainModel:
         """The feature id of each column: an int64 view, blind to columns added later."""
         return self._id_table[:len(self._held)]
 
-    def _transition_templates(self) -> list[str]:
-        labels = self.alphabet.labels
-        return [f"tr{_SEP}{a}{_SEP}{b}" for a in labels for b in labels]
-
-    def _emission_templates(self, keys) -> list[str]:
-        """The templates of (offset, token) rows, L each, row-major."""
-        suffixes = [f"{_SEP}{lab}" for lab in self.alphabet.labels]
-        return [p + sfx for p in [f"em{off}{_SEP}{tok}" for off, tok in keys] for sfx in suffixes]
-
     def _append(self, fids: list[int]) -> np.ndarray:
         """Intern distinct ids new to the model as its next columns; returns those columns."""
         start = len(self._held)
@@ -247,36 +260,43 @@ class ChainModel:
         self._id_table[start:stop] = fids
         return np.arange(start, stop, dtype=np.intp)
 
-    def _intern_templates(self, templates: list[str]) -> np.ndarray:
-        """The columns of templates new to the model (``compile`` passes only
-        rows it has not seen, ``__init__`` the transitions of an empty model),
-        hashed in one ``_feature_ids`` call: a held id must be ``_unclaimed``,
-        and keeps its column; the others take the next columns in order.  An
-        id held under another template, or shared by two templates of the
-        batch, is a hash collision (``RuntimeError``), and nothing is interned."""
-        fids, unclaimed = _feature_ids(templates), self._unclaimed
+    def _intern_rows(self, prefixes: list[str]) -> np.ndarray:
+        """The (R, L) columns of R rows new to the model, row r's templates
+        being prefixes[r] + each label suffix (``compile`` passes only rows it
+        has not seen, ``__init__`` the transition rows ``tr␟a`` of an empty
+        model), hashed in one ``_feature_ids`` call: a held id must be
+        ``_unclaimed``, and keeps its column; the others take the next columns
+        in order.  An id held under another template, or shared by two
+        templates of the batch, is a hash collision (``RuntimeError``) naming
+        both, the only case that builds template strings; nothing is interned."""
+        fids, unclaimed = _feature_ids(prefixes, self._suffixes), self._unclaimed
         held = set() if self._held.isdisjoint(fids) else self._held.intersection(fids)
         if len(set(fids)) != len(fids) or not held <= unclaimed.keys():
             first: dict[int, str] = {}
-            for fid, template in zip(fids, templates):
+            for fid, template in zip(fids, _templates(prefixes, self._suffixes)):
                 claimed = fid in held and fid not in unclaimed
                 other = self._template(fid) if claimed else first.setdefault(fid, template)
                 if other != template:
                     raise RuntimeError(f"feature id collision: {template!r} vs {other!r} -> {fid}")
         if not held:
-            return self._append(fids)
+            return self._append(fids).reshape(len(prefixes), -1)
         kept = {fid: unclaimed.pop(fid) for fid in held}
         out = np.fromiter((kept.get(fid, -1) for fid in fids), np.intp, len(fids))
         out[out < 0] = self._append([fid for fid in fids if fid not in kept])
-        return out
+        return out.reshape(len(prefixes), -1)
 
     def _template(self, fid: int) -> str:
         """The template of a claimed id, rebuilt from the transition and row
-        tables; its column is found by a scan of ``_ids``."""
+        tables; its column is found by a scan of ``_ids``, its row's token
+        by a scan of the row dicts."""
         col = np.flatnonzero(self._ids == fid)[0]
-        held = np.concatenate((self.transition.ravel(), self._table[:len(self._rows)].ravel()))
-        templates = self._transition_templates() + self._emission_templates(self._rows)
-        return templates[int(np.flatnonzero(held == col)[0])]
+        held = np.concatenate((self.transition, self._table[:self._num_rows]))
+        row, label = np.argwhere(held == col)[0]
+        L = len(self.alphabet)
+        prefix = f"tr{_SEP}{self.alphabet.labels[row]}" if row < L else next(
+            f"em{off}{_SEP}{tok}" for off, toks in self._rows.items()
+            for tok, r in toks.items() if r == row - L)
+        return _templates([prefix], [self._suffixes[label]])[0]
 
     def compile(self, x: ChainInstance) -> np.ndarray:
         """The emission columns of x, an (n, L, k) int array; cached.
@@ -284,28 +304,38 @@ class ChainModel:
         ``cols[i, l]`` holds the columns of the k emission templates that
         fire when position i takes label l, one per emission offset.  The
         array is a view of a template-major (k, n, L) block, gathered in one
-        step from the model's (offset, token) row table, so the lattice's sum
-        over templates runs over its outer axis.  The (offset, token) keys
-        the model has not seen are interned together, in first occurrence
-        order, L templates each, and appended to the table.
+        step from the model's row table, so the lattice's sum over templates
+        runs over its outer axis.  Each offset keeps a token -> row dict.
+        The (offset, token) rows the model has not seen are interned
+        together, offset-major and in first occurrence order, L templates
+        each, and appended to the table.
         """
         cached = self._compiled.get(x)
         if cached is not None:
             return cached
         n, offsets, rows = len(x), self.emission_offsets, self._rows
         padded = (_BOS,) * n + x.tokens + (_EOS,) * n  # an offset past ±n reads as ±n does
-        keys = []
+        windows = []  # (offset, the n tokens it reads)
         for off in offsets:
             at = n + min(max(off, -n), n)
-            keys += zip(itertools.repeat(off), padded[at:at + n])
-        new = list(itertools.filterfalse(rows.__contains__, dict.fromkeys(keys)))
-        if new:
-            columns = self._intern_templates(self._emission_templates(new)).reshape(len(new), -1)
-            r0 = len(rows)
-            rows.update(zip(new, range(r0, r0 + len(new))))
-            self._table = _room(self._table, r0, len(rows))
-            self._table[r0:len(rows)] = columns
-        at = np.fromiter(map(rows.__getitem__, keys), np.intp, len(keys))
+            windows.append((off, padded[at:at + n]))
+        fresh: dict[int, dict[str, None]] = {}  # offset -> its new tokens, in order
+        for off, window in windows:
+            fresh.setdefault(off, {}).update(
+                dict.fromkeys(itertools.filterfalse(rows[off].__contains__, window)))
+        prefixes = [f"em{off}{_SEP}{tok}" for off, toks in fresh.items() for tok in toks]
+        if prefixes:
+            columns = self._intern_rows(prefixes)
+            r0 = r = self._num_rows
+            for off, toks in fresh.items():
+                rows[off].update(zip(toks, range(r, r + len(toks))))
+                r += len(toks)
+            self._table = _room(self._table, r0, r)
+            self._table[r0:r] = columns
+            self._num_rows = r
+        at = np.fromiter(itertools.chain.from_iterable(map(rows[off].__getitem__, window)
+                                                       for off, window in windows),
+                         np.intp, n * len(offsets))
         compiled = self._compiled[x] = self._table[at].reshape(
             len(offsets), n, len(self.alphabet)).transpose(1, 2, 0)
         return compiled

@@ -105,7 +105,8 @@ def read_dataset(path: "str | Path", alphabet: LabelAlphabet) -> list[ChainInsta
 
 def write_dataset(path: "str | Path", instances: Sequence[ChainInstance]) -> None:
     """Write a TSV dataset that ``read_dataset`` reads back.  An instance without
-    gold, or a token or label that is empty or holds a tab or line break, raises
+    gold, a token or label that is empty or holds a tab or line break, or a
+    token and label both of whitespace (a line read back as blank) raise
     ``DataError`` before the file is opened, so the file is left as it was."""
     for i, x in enumerate(instances):
         if x.gold is None:
@@ -114,6 +115,10 @@ def write_dataset(path: "str | Path", instances: Sequence[ChainInstance]) -> Non
             if not text or "\t" in text or "\n" in text or "\r" in text:
                 raise DataError(f"cannot write instance {i}: token or label {text!r} is "
                                 "empty or holds a tab or line break")
+        for token, label in zip(x.tokens, x.gold):
+            if not f"{token}\t{label}".strip():  # read_dataset's test for a blank line
+                raise DataError(f"cannot write instance {i}: token {token!r} and label "
+                                f"{label!r} are whitespace, a line read back as blank")
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         for i, x in enumerate(instances):

@@ -151,17 +151,33 @@ def test_emission_windows_pad_outside_sequence():
     assert phi[feature_id("em1\x1f</S>\x1fA")] == 1.0
 
 
+def hash_templates_with(monkeypatch, hash_one):
+    """Patch the hashing seam to give each template ``p + s`` the id hash_one(p + s)."""
+    monkeypatch.setattr(chain_mod, "_feature_ids", lambda prefixes, suffixes: [
+        hash_one(p + s) for p in prefixes for s in suffixes])
+
+
+def record_hashed_templates(monkeypatch) -> list:
+    """Patch the hashing seam to append each template it hashes to the list returned."""
+    hashed, real = [], chain_mod._feature_ids
+
+    def spy(prefixes, suffixes):
+        hashed.extend(p + s for p in prefixes for s in suffixes)
+        return real(prefixes, suffixes)
+
+    monkeypatch.setattr(chain_mod, "_feature_ids", spy)
+    return hashed
+
+
 def test_collision_detection(monkeypatch):
-    monkeypatch.setattr(chain_mod, "_feature_ids", lambda templates: [42] * len(templates))
+    hash_templates_with(monkeypatch, lambda template: 42)
     with pytest.raises(RuntimeError, match="collision"):
         ChainModel(LabelAlphabet(("A", "B")))
 
 
 def test_transition_ids_hashed_once_per_model(monkeypatch):
     w = SparseVector({feature_id("tr\x1fB\x1fC"): 1.5})  # hashed before the count starts
-    hashed = []
-    real = chain_mod._feature_ids
-    monkeypatch.setattr(chain_mod, "_feature_ids", lambda ts: hashed.extend(ts) or real(ts))
+    hashed = record_hashed_templates(monkeypatch)
     model = ChainModel(LabelAlphabet(("A", "B", "C")))
     lattices = [build_lattice(model, w, ChainInstance(tokens=toks))
                 for toks in (("a", "b", "c"), ("d", "e"))]
@@ -173,9 +189,7 @@ def test_transition_ids_hashed_once_per_model(monkeypatch):
 
 
 def test_compile_hashes_each_template_once_per_model(monkeypatch):
-    hashed = []
-    real = chain_mod._feature_ids
-    monkeypatch.setattr(chain_mod, "_feature_ids", lambda ts: hashed.extend(ts) or real(ts))
+    hashed = record_hashed_templates(monkeypatch)
     model = ChainModel(LabelAlphabet(("A", "B", "C")), emission_offsets=(-1, 0, 1))
     first = ChainInstance(tokens=("a", "b", "a", "c"))
     second = ChainInstance(tokens=("c", "a", "d"))  # shares a and c with the first
@@ -1129,18 +1143,30 @@ def test_compile_interns_new_rows_in_first_occurrence_order():
 
 
 def test_batched_hash_equals_feature_id():
+    def one_shot(template):  # the rule itself, hashed one whole template at a time
+        digest = hashlib.blake2b(template.encode("utf-8"), digest_size=8).digest()
+        return int.from_bytes(digest, "big") >> 1
+
     templates = ["em0\x1fçé日本\x1fB-LOC", "em-1\x1fa\x1fb\x1fO", "tr\x1fA\x1fB",
                  "em1\x1f</S>\x1fA", "", "\x1f"]
+    long_prefixes = []
     for size in (127, 128, 129):  # one byte short of, at and past blake2b's block
         templates += ["a" * size, "é" * (size // 2) + "a" * (size % 2)]
         assert len(templates[-1].encode("utf-8")) == size
-    fids = chain_mod._feature_ids(templates)
-    assert fids == [feature_id(t) for t in templates]
-    # the rule itself, hashed one template at a time
-    digests = [hashlib.blake2b(t.encode("utf-8"), digest_size=8).digest() for t in templates]
-    assert fids == [int.from_bytes(d, "big") >> 1 for d in digests]
+        long_prefixes += templates[-2:]
+    fids = chain_mod._feature_ids(templates, [""])
+    assert fids == [feature_id(t) for t in templates] == [one_shot(t) for t in templates]
     assert all(type(fid) is int and 0 <= fid < 1 << 63 for fid in fids)
-    assert chain_mod._feature_ids([]) == []
+    # each prefix's state copied for each suffix gives the id of the joined template
+    for prefixes, suffixes in (
+            (["em0\x1fçé日本", "日", "a\x1f"], ["\x1fB-LOC", "é", "本\x1f"]),  # non-ASCII
+            (["", "tr\x1fA"], ["", "\x1fO"]),  # an empty prefix and an empty suffix
+            (long_prefixes, ["b", "é", "日"]),  # 1-, 2- and 3-byte suffixes across the block
+            ([], ["\x1fA"]), (["a"], []), ([], [])):
+        joined = [p + s for p in prefixes for s in suffixes]
+        assert chain_mod._feature_ids(prefixes, suffixes) == [feature_id(t) for t in joined]
+        assert chain_mod._feature_ids(prefixes, suffixes) == [one_shot(t) for t in joined]
+    assert [len(s.encode("utf-8")) for s in ("b", "é", "日")] == [1, 2, 3]
 
 
 class ReferenceModel:
@@ -1255,9 +1281,9 @@ def test_batched_collisions_raise_as_the_per_template_loop(monkeypatch):
     fake = {"em0\x1fa\x1fA": 42, "em0\x1fa\x1fB": 42, "em0\x1fb\x1fA": existing}
 
     def hash_one(template):
-        return fake.get(template) or real([template])[0]
+        return fake.get(template) or real([template], [""])[0]
 
-    monkeypatch.setattr(chain_mod, "_feature_ids", lambda ts: [hash_one(t) for t in ts])
+    hash_templates_with(monkeypatch, hash_one)
     for token, message in (
             ("a", "feature id collision: 'em0\\x1fa\\x1fB' vs 'em0\\x1fa\\x1fA' -> 42"),
             ("b", f"feature id collision: 'em0\\x1fb\\x1fA' vs 'tr\\x1fA\\x1fA' -> {existing}")):
@@ -1274,8 +1300,8 @@ def test_batched_collisions_raise_as_the_per_template_loop(monkeypatch):
 def test_an_id_a_template_claimed_from_weights_collides_with_the_next(monkeypatch, batches):
     real = chain_mod._feature_ids
     taken = feature_id("em0\x1fa\x1fA")
-    monkeypatch.setattr(chain_mod, "_feature_ids", lambda ts: [
-        taken if t == "em0\x1fb\x1fB" else real([t])[0] for t in ts])
+    hash_templates_with(monkeypatch,
+                        lambda t: taken if t == "em0\x1fb\x1fB" else real([t], [""])[0])
     model = ChainModel(LabelAlphabet(("A", "B")))
     model.to_columns(SparseVector({taken: 1.0}))
     assert model._unclaimed == {taken: 4}  # after the 4 transition columns
@@ -1289,6 +1315,36 @@ def test_an_id_a_template_claimed_from_weights_collides_with_the_next(monkeypatc
         f"feature id collision: 'em0\\x1fb\\x1fB' vs 'em0\\x1fa\\x1fA' -> {taken}")
     # the failed batch interned nothing
     assert model.num_columns == size and model._unclaimed == unclaimed
+
+
+def test_a_cold_compile_builds_no_template_string(monkeypatch):
+    labels, offsets = ("O", "B-PER", "I-PER", "B-LOC", "I-LOC"), (-1, 0, 1)
+    rng = np.random.default_rng(11)
+    vocab = ["Paris", "Ada", "çé", "日本", "<S>"] + [f"w{k}" for k in range(40)]
+    data = [ChainInstance(tokens=tuple(vocab[k] for k in rng.integers(0, len(vocab), n)),
+                          gold=tuple(labels[k] for k in rng.integers(0, len(labels), n)))
+            for n in (1, 4, 12, 7, 30)]
+    data.append(ChainInstance(tokens=("Paris", "Ada")))
+
+    def no_templates(prefixes, suffixes):
+        raise AssertionError("a template string was built")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(chain_mod, "_templates", no_templates)
+        model = ChainModel(LabelAlphabet(labels), emission_offsets=offsets)
+        compiled = [model.compile(x) for x in data]
+    ref = ReferenceModel(labels, offsets)
+    for x, cols in zip(data, compiled):
+        assert np.array_equal(cols, ref.compile(x))
+    assert model._ids.tolist() == ref.ids
+    # a collision still names both templates, the held one rebuilt from the tables
+    taken, real = feature_id("em0\x1fParis\x1fB-LOC"), chain_mod._feature_ids
+    hash_templates_with(monkeypatch,
+                        lambda t: taken if t == "em1\x1fnew\x1fO" else real([t], [""])[0])
+    with pytest.raises(RuntimeError) as raised:
+        model.compile(ChainInstance(tokens=("Ada", "new")))
+    assert str(raised.value) == (
+        f"feature id collision: 'em1\\x1fnew\\x1fO' vs 'em0\\x1fParis\\x1fB-LOC' -> {taken}")
 
 
 def test_compile_keeps_none_of_the_template_text():

@@ -131,6 +131,9 @@ def test_typed_bio_labels_round_trip(tmp_path):
     [ChainInstance(("a",), ("O\n",))],
     [ChainInstance(("a\rb",), ("O",))],
     [ChainInstance(("a",), ("",))],
+    # a whitespace token with a whitespace label writes a line read back as blank
+    [ChainInstance(("a", " ", "b"), ("O", " ", "O"))],
+    [ChainInstance(("\u3000",), ("\x0c ",))],
 ])
 def test_a_dataset_that_cannot_be_read_back_leaves_the_file_as_it_was(tmp_path, bio_alphabet,
                                                                       bad):
@@ -141,6 +144,14 @@ def test_a_dataset_that_cannot_be_read_back_leaves_the_file_as_it_was(tmp_path, 
         write_dataset(p, bad)
     assert p.read_bytes() == before
     assert read_dataset(p, bio_alphabet) == [ChainInstance(("x", "y"), ("B", "I"))]
+
+
+def test_a_whitespace_token_or_label_alone_round_trips(tmp_path):
+    alphabet = LabelAlphabet(("O", " "))
+    data = [ChainInstance(("a", " ", "b"), ("O", "O", " ")), ChainInstance(("\u3000",), ("O",))]
+    p = tmp_path / "spaces.tsv"
+    write_dataset(p, data)
+    assert read_dataset(p, alphabet) == data
 
 
 # -- checkpoints ---------------------------------------------------------------
