@@ -52,14 +52,15 @@ def feature_id(template: str) -> int:
     Ids depend only on the template text, so they are identical across runs
     and processes; checkpoints keyed by id stay portable.
     """
-    return _feature_ids([template], [""])[0]
+    return int(_feature_ids([template], [""])[0])
 
 
-def _feature_ids(prefixes: Sequence[str], suffixes: Sequence[str]) -> list[int]:
-    """The feature id of ``p + s`` for every prefix p and suffix s, prefix-major.
-    Each prefix's UTF-8 bytes go once into a copy of the empty state, and each
-    suffix's into a copy of that prefix state: blake2b fed in pieces digests
-    the joined bytes (RFC 7693), so the ids are ``feature_id``'s."""
+def _feature_ids(prefixes: Sequence[str], suffixes: Sequence[str]) -> np.ndarray:
+    """The feature id of ``p + s`` for every prefix p and suffix s, prefix-major,
+    as an int64 array.  Each prefix's UTF-8 bytes go once into a copy of the
+    empty state, and each suffix's into a copy of that prefix state: blake2b
+    fed in pieces digests the joined bytes (RFC 7693), so the ids are
+    ``feature_id``'s."""
     tails = [s.encode() for s in suffixes]
     digests: list[bytes] = []
     append = digests.append
@@ -70,7 +71,7 @@ def _feature_ids(prefixes: Sequence[str], suffixes: Sequence[str]) -> list[int]:
             h = head.copy()
             h.update(tail)
             append(h.digest())
-    return (np.frombuffer(b"".join(digests), ">u8") >> 1).tolist()
+    return (np.frombuffer(b"".join(digests), ">u8") >> 1).astype(np.int64)
 
 
 def _templates(prefixes: Sequence[str], suffixes: Sequence[str]) -> list[str]:
@@ -254,8 +255,13 @@ class ChainModel:
     def _append(self, fids: list[int]) -> np.ndarray:
         """Intern distinct ids new to the model as its next columns; returns those columns."""
         start = len(self._held)
-        stop = start + len(fids)
         self._held.update(fids)
+        return self._fill(start, fids)
+
+    def _fill(self, start: int, fids: "np.ndarray | list[int]") -> np.ndarray:
+        """Write the ids just added to the held set to the column -> id table
+        from column start on; returns their columns."""
+        stop = start + len(fids)
         self._id_table = _room(self._id_table, start, stop)
         self._id_table[start:stop] = fids
         return np.arange(start, stop, dtype=np.intp)
@@ -268,21 +274,32 @@ class ChainModel:
         ``_unclaimed``, and keeps its column; the others take the next columns
         in order.  An id held under another template, or shared by two
         templates of the batch, is a hash collision (``RuntimeError``) naming
-        both, the only case that builds template strings; nothing is interned."""
-        fids, unclaimed = _feature_ids(prefixes, self._suffixes), self._unclaimed
-        held = set() if self._held.isdisjoint(fids) else self._held.intersection(fids)
-        if len(set(fids)) != len(fids) or not held <= unclaimed.keys():
+        both, the only case that builds template strings; nothing is interned.
+
+        The ids go into the held set in one update: when it grows by the
+        batch's length, every id is new and distinct.  Only a shortfall looks
+        for the ``_unclaimed`` ids that explain it; what they do not explain
+        is a collision, and the update is undone."""
+        ids = _feature_ids(prefixes, self._suffixes)
+        fids, held, unclaimed = ids.tolist(), self._held, self._unclaimed
+        start = len(held)
+        held.update(fids)
+        if len(held) - start == len(fids):
+            return self._fill(start, ids).reshape(len(prefixes), -1)
+        kept = [fid for fid in fids if fid in unclaimed]
+        # a collision unless each unclaimed id comes once and every other id is new and distinct
+        if len(held) - start + len(kept) != len(fids) or len(set(kept)) != len(kept):
+            self._held = set(self._id_table[:start].tolist())
             first: dict[int, str] = {}
             for fid, template in zip(fids, _templates(prefixes, self._suffixes)):
-                claimed = fid in held and fid not in unclaimed
+                claimed = fid in self._held and fid not in unclaimed
                 other = self._template(fid) if claimed else first.setdefault(fid, template)
                 if other != template:
                     raise RuntimeError(f"feature id collision: {template!r} vs {other!r} -> {fid}")
-        if not held:
-            return self._append(fids).reshape(len(prefixes), -1)
-        kept = {fid: unclaimed.pop(fid) for fid in held}
-        out = np.fromiter((kept.get(fid, -1) for fid in fids), np.intp, len(fids))
-        out[out < 0] = self._append([fid for fid in fids if fid not in kept])
+        kept_cols = {fid: unclaimed.pop(fid) for fid in kept}
+        out = np.fromiter((kept_cols.get(fid, -1) for fid in fids), np.intp, len(fids))
+        new = out < 0
+        out[new] = self._fill(start, ids[new])
         return out.reshape(len(prefixes), -1)
 
     def _template(self, fid: int) -> str:
@@ -517,7 +534,19 @@ def build_lattice(model: ChainModel, w: Weights, x: ChainInstance) -> ChainLatti
     """
     cols = model.compile(x)
     w = model.to_columns(w)
-    return ChainLattice(node=w[cols].sum(axis=-1), trans=w[model.transition])
+    return ChainLattice(node=_node_potentials(w, cols), trans=w[model.transition])
+
+
+def _node_potentials(w: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The node potentials of cols, an (..., k) view of a template-major
+    (k, ...) block (``compile``, ``_pad``): one gather from w per template,
+    ``cols[..., t]`` being row t of that block, contiguous, added in template
+    order to 0.0: the left fold ``w[cols].sum(axis=-1)`` makes, bit for bit."""
+    node = w[cols[..., 0]]
+    node += 0.0  # the fold starts from 0.0, so a -0.0 weight alone sums to 0.0
+    for t in range(1, cols.shape[-1]):
+        node += w[cols[..., t]]
+    return node
 
 
 def lattice_score(lattice: ChainLattice, label_indices: Sequence[int]) -> float:
@@ -765,7 +794,7 @@ def draw_batch(
             raise ValueError(f"uniforms of shape {u.shape} for instance {b} ({C} x {len(x)})")
     cols, lengths, live = model._pad(data)
     n_max = live.shape[1]
-    node = w[cols].sum(axis=-1)
+    node = _node_potentials(w, cols)
     node[~live] = 0.0
     node, trans = node.transpose(1, 0, 2)[:, :, None], w[model.transition][None]
     if pair:
@@ -785,46 +814,43 @@ def _viterbi(node: np.ndarray, trans: np.ndarray, lengths: np.ndarray) -> np.nda
 
     node is (B, n_max, L), trans the (L, L) table every lattice shares, and
     instance b ends at position ``lengths[b] - 1``.  Every choice among
-    labels, the back-pointers and each instance's last label, goes as
+    labels, each previous label and each instance's last label, goes as
     ``np.argmax`` decides: the lowest index of the maximum, or of the first
     NaN.  Past its end a row repeats its last label.
 
-    The recursion runs longest-first: the instances are ordered by length,
+    The forward pass runs longest-first: the instances are ordered by length,
     longest first (a stable sort), and the potentials copied once into an
     (n_max, L, B) block in that order, so the instances still live at
-    position i are a prefix of k of them.  Each position scores the whole
+    position i are a prefix of k of them.  Each position scores the
     (L, L, k) table ``trellis[a] + trans[a, b]``, takes its maximum over a
-    and the lowest a whose score equals it or is NaN, and adds the next
-    node.  An instance's last label is its trellis' argmax when it leaves
-    the prefix.  No reduction runs across instances, so each keeps the bits
-    of a batch of one.
+    (``np.maximum.reduce``; a NaN score makes a NaN maximum) and adds it to
+    the node, in place: the block becomes the max-product trellis, and no
+    back-pointer is stored.  An instance's last label is the argmax of its
+    trellis at its last position.  Backtracking recomputes each instance's
+    previous label for the one label it takes, from the same sums
+    ``trellis[a] + trans[a, label]``: the lowest a whose score equals their
+    maximum or is NaN, the back-pointer the forward pass would have stored.
+    No reduction runs across instances, so each keeps the bits of a batch
+    of one.
     """
     B, n_max, L = node.shape
     order = np.argsort(-lengths, kind="stable")
     live = B - np.cumsum(np.bincount(lengths, minlength=n_max)[:n_max])  # live[i]: lengths > i
     # node may be a subclass of ndarray: the reorder below is not one of its gathers
-    node = np.asarray(node).transpose(1, 2, 0)[:, :, order]  # (n_max, L, B)
-    prev = np.arange(L)[:, None, None]
-    back = np.empty((n_max, L, B), dtype=np.intp)
-    label = np.empty(B, dtype=np.intp)
-    trellis = node[0]
+    trellis = np.asarray(node).transpose(1, 2, 0)[:, :, order]  # (n_max, L, B), a copy
     for i in range(1, n_max):
         k = live[i]
-        label[k:live[i - 1]] = trellis[:, k:].argmax(axis=0)
-        scores = trellis[:, None, :k] + trans[:, :, None]  # [a, b, instance]
-        best = np.maximum.reduce(scores, axis=0)  # a NaN score makes a NaN best
-        hit = scores == best
-        hit |= np.isnan(scores)
-        np.minimum.reduce(np.where(hit, prev, L), axis=0, out=back[i, :, :k])
-        trellis = node[i, :, :k] + best
-    label[:live[-1]] = trellis.argmax(axis=0)
+        scores = trellis[i - 1, :, None, :k] + trans[:, :, None]  # [a, b, instance]
+        trellis[i, :, :k] += np.maximum.reduce(scores, axis=0)
+    cols = np.arange(B)
+    label = trellis[lengths[order] - 1, :, cols].argmax(axis=1)
     # backtrack; an instance that has ended keeps its last label in its row
     path = np.empty((n_max, B), dtype=np.intp)
-    cols = np.arange(B)
     for i in range(n_max - 1, 0, -1):
         path[i] = label
         k = live[i]
-        label[:k] = back[i, label[:k], cols[:k]]
+        # argmax: the lowest a whose score is the maximum, or the first NaN
+        label[:k] = (trellis[i - 1, :, :k] + trans.take(label[:k], axis=1)).argmax(axis=0)
     path[0] = label
     rank = np.empty(B, dtype=np.intp)
     rank[order] = cols
@@ -837,14 +863,16 @@ def map_decode_paths(
     """(paths, lengths): the Viterbi argmax of p_w(y|x) for every x in data as
     label indices, a (B, n_max) int array, and the (B,) instance lengths.
 
-    One gather from the padded columns of ``model.compile_batch(data)``
-    gives every lattice, and one longest-first max-product pass
-    (``_viterbi``, which states the tie and NaN rule) decodes them all: each
-    position works only on the instances that reach it.  w is converted
-    once, after data is compiled.  Past its length a row repeats its last
-    label.  An empty data is a ``ValueError``.
+    One gather per template from the padded columns of
+    ``model.compile_batch(data)`` (``_node_potentials``) gives every
+    lattice, and one longest-first max-product pass (``_viterbi``, which
+    states the tie and NaN rule) decodes them all: each position works only
+    on the instances that reach it, the forward pass keeps only the trellis,
+    and backtracking recomputes each back-pointer along the path.  w is
+    converted once, after data is compiled.  Past its length a row repeats
+    its last label.  An empty data is a ``ValueError``.
     """
     cols, lengths, _ = model.compile_batch(data)
     w = model.to_columns(w)
-    return _viterbi(w[cols].sum(axis=-1), w[model.transition], lengths), lengths
+    return _viterbi(_node_potentials(w, cols), w[model.transition], lengths), lengths
 

@@ -13,7 +13,7 @@ import itertools
 import re
 from enum import Enum
 from functools import lru_cache
-from operator import ne
+from operator import attrgetter, ne
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -112,9 +112,13 @@ def _gold_indices(labels: tuple[str, ...], gold: tuple[str, ...]) -> tuple[int, 
     return tuple(map(labels.index, _check_labels(labels, gold)))
 
 
+_gold = attrgetter("gold")
+
+
 def require_gold(instances: Sequence[ChainInstance]) -> None:
-    """A ValueError unless every instance has a gold labeling to score against."""
-    if any(x.gold is None for x in instances):
+    """A ValueError unless every instance has a gold labeling to score against
+    (one is never empty: an instance has at least one token)."""
+    if not all(map(_gold, instances)):
         raise ValueError("instance has no gold labeling; cannot simulate feedback")
 
 
@@ -226,10 +230,10 @@ def dataset_gold(data: Sequence[ChainInstance], labels: Sequence[str], memo: dic
 def dataset_losses(
     data: Sequence[ChainInstance], paths: np.ndarray, lengths: np.ndarray,
     labels: Sequence[str], memo: dict, loss: LossFn,
-) -> list[float]:
-    """The loss of each instance of data against its row of paths, a padded
-    (B, n_max) label-index array cut to lengths[b] in row b; data and loss
-    as ``check_dataset`` passes them.
+) -> np.ndarray:
+    """The loss of each instance of data against its row of paths, as a float
+    array; paths is a padded (B, n_max) label-index array cut to lengths[b]
+    in row b, data and loss as ``check_dataset`` passes them.
 
     memo, kept with the dataset, holds the padded gold label indices
     (``dataset_gold``) and the gold span keys.  ``hamming_losses``, or
@@ -238,10 +242,10 @@ def dataset_losses(
     """
     gold = dataset_gold(data, labels, memo)
     if loss is hamming_loss:
-        return hamming_losses(gold, paths, lengths).tolist()
+        return hamming_losses(gold, paths, lengths)
     if "gold spans" not in memo:
         memo["gold spans"] = bio_span_keys(gold, lengths, labels)
-    return chunk_f1_losses(memo["gold spans"], bio_span_keys(paths, lengths, labels)).tolist()
+    return chunk_f1_losses(memo["gold spans"], bio_span_keys(paths, lengths, labels))
 
 
 _LOSS_FNS: dict[LossKind, LossFn] = {

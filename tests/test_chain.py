@@ -153,8 +153,8 @@ def test_emission_windows_pad_outside_sequence():
 
 def hash_templates_with(monkeypatch, hash_one):
     """Patch the hashing seam to give each template ``p + s`` the id hash_one(p + s)."""
-    monkeypatch.setattr(chain_mod, "_feature_ids", lambda prefixes, suffixes: [
-        hash_one(p + s) for p in prefixes for s in suffixes])
+    monkeypatch.setattr(chain_mod, "_feature_ids", lambda prefixes, suffixes: np.array(
+        [hash_one(p + s) for p in prefixes for s in suffixes], dtype=np.int64))
 
 
 def record_hashed_templates(monkeypatch) -> list:
@@ -640,6 +640,25 @@ def test_batched_decode_matches_per_instance_and_reference(num_labels, offsets, 
         assert node[b, : len(x)].tobytes() == build_lattice(model, w, x).node.tobytes()
 
 
+@pytest.mark.parametrize("offsets", [(0,), (-1, 1), (-1, 0, 1)])
+def test_node_potentials_equal_the_template_sum_bitwise(offsets):
+    model, data, w = mixed_length_task(5, offsets, 1.0, seed=len(offsets))
+    columns = model.to_columns(w)
+    rng = np.random.default_rng(len(offsets))
+    hit = rng.random(len(columns)) < 0.4
+    columns[hit] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], hit.sum())
+    first = model.compile(data[0])[0]  # position 0 of instance 0: every template -0.0, then NaN
+    columns[first[0]], columns[first[1, 0]] = -0.0, np.nan
+    arrays = [model.compile(x) for x in data] + [model._pad(data)[0], model._pad(data[:1])[0]]
+    with np.errstate(invalid="ignore"):
+        for cols in arrays:
+            assert cols.shape[-1] == len(offsets)
+            node = chain_mod._node_potentials(columns, cols)
+            assert node.tobytes() == columns[cols].sum(axis=-1).tobytes()
+    # the sum is a fold from 0.0: templates that all weigh -0.0 sum to 0.0
+    assert node[0, 0, 0] == 0.0 and not np.signbit(node[0, 0, 0]) and np.isnan(node[0, 0, 1])
+
+
 def test_batched_decode_ties_go_to_the_lowest_index():
     model, data, w = mixed_length_task(3, (0,), 0.0, seed=1)
     assert decode_batch(model, w, data) == [("L0",) * len(x) for x in data]
@@ -722,6 +741,34 @@ def test_viterbi_equals_the_label_scan_bitwise(L, order):
             assert paths.tobytes() == scan_viterbi(node, trans, lengths).tobytes()
 
 
+@pytest.mark.parametrize("L", [2, 3, 9])
+@pytest.mark.parametrize("fill", [np.nan, -np.inf])
+def test_viterbi_of_an_all_nan_or_all_minus_inf_trellis_column_equals_the_label_scan(L, fill):
+    rng = np.random.default_rng(L)
+    for trial in range(30):
+        B = int(rng.integers(1, 8))
+        lengths = rng.integers(1, 9, B)
+        node = np.round(rng.normal(size=(B, lengths.max(), L)), 1)
+        trans = np.round(rng.normal(size=(L, L)), 1)
+        # one instance's whole trellis column at one of its positions, the last included
+        b = int(rng.integers(B))
+        node[b, int(rng.integers(lengths[b]))] = fill
+        with np.errstate(invalid="ignore"):
+            paths = chain_mod._viterbi(node, trans, lengths)
+            assert paths.tobytes() == scan_viterbi(node, trans, lengths).tobytes()
+
+
+@pytest.mark.parametrize("L", [2, 3, 9])
+def test_viterbi_of_one_one_token_instance_equals_the_label_scan(L):
+    rng = np.random.default_rng(L)
+    lengths = np.array([1])
+    for node in (rng.normal(size=(1, 1, L)), np.zeros((1, 1, L)), np.full((1, 1, L), np.nan),
+                 np.full((1, 1, L), -np.inf), np.array([[[1.0, np.nan] + [2.0] * (L - 2)]])):
+        paths = chain_mod._viterbi(node, rng.normal(size=(L, L)), lengths)
+        assert paths.shape == (1, 1)
+        assert paths.tobytes() == scan_viterbi(node, np.zeros((L, L)), lengths).tobytes()
+
+
 def test_batched_decode_of_an_outlier_equals_one_instance_decodes():
     model = ChainModel(LabelAlphabet(("O", "B", "I")), emission_offsets=(-1, 0, 1))
     rng = np.random.default_rng(11)
@@ -777,8 +824,9 @@ def test_evaluate_gathers_once_and_builds_no_lattice(monkeypatch):
     monkeypatch.setattr(CountingArray, "gathers", [])
     loss = FeedbackOracle("hamming").loss
     value = evaluate(model, weights, data, loss)
-    # one emission gather over the padded (B, n_max, L, k) block, one of the transitions
-    assert CountingArray.gathers == [(len(data), 12, 3, 3), (3, 3)]
+    # one emission gather per template from the padded (k, B, n_max, L) block, then
+    # one of the transitions
+    assert CountingArray.gathers == [(len(data), 12, 3)] * 3 + [(3, 3)]
     assert builds == []
     assert value == sum(loss(x.gold, decode_one(model, w, x)) for x in data) / len(data)
 
@@ -1154,9 +1202,12 @@ def test_batched_hash_equals_feature_id():
         templates += ["a" * size, "é" * (size // 2) + "a" * (size % 2)]
         assert len(templates[-1].encode("utf-8")) == size
         long_prefixes += templates[-2:]
-    fids = chain_mod._feature_ids(templates, [""])
+    ids = chain_mod._feature_ids(templates, [""])
+    assert ids.dtype == np.int64
+    fids = ids.tolist()
     assert fids == [feature_id(t) for t in templates] == [one_shot(t) for t in templates]
     assert all(type(fid) is int and 0 <= fid < 1 << 63 for fid in fids)
+    assert all(type(feature_id(t)) is int for t in templates)
     # each prefix's state copied for each suffix gives the id of the joined template
     for prefixes, suffixes in (
             (["em0\x1fçé日本", "日", "a\x1f"], ["\x1fB-LOC", "é", "本\x1f"]),  # non-ASCII
@@ -1164,8 +1215,10 @@ def test_batched_hash_equals_feature_id():
             (long_prefixes, ["b", "é", "日"]),  # 1-, 2- and 3-byte suffixes across the block
             ([], ["\x1fA"]), (["a"], []), ([], [])):
         joined = [p + s for p in prefixes for s in suffixes]
-        assert chain_mod._feature_ids(prefixes, suffixes) == [feature_id(t) for t in joined]
-        assert chain_mod._feature_ids(prefixes, suffixes) == [one_shot(t) for t in joined]
+        ids = chain_mod._feature_ids(prefixes, suffixes)
+        assert ids.dtype == np.int64
+        assert ids.tolist() == [feature_id(t) for t in joined]
+        assert ids.tolist() == [one_shot(t) for t in joined]
     assert [len(s.encode("utf-8")) for s in ("b", "é", "日")] == [1, 2, 3]
 
 
@@ -1315,6 +1368,49 @@ def test_an_id_a_template_claimed_from_weights_collides_with_the_next(monkeypatc
         f"feature id collision: 'em0\\x1fb\\x1fB' vs 'em0\\x1fa\\x1fA' -> {taken}")
     # the failed batch interned nothing
     assert model.num_columns == size and model._unclaimed == unclaimed
+
+
+@pytest.mark.parametrize("clash", [42, 12345])  # a new id, an id read from weights
+def test_a_collision_beside_unclaimed_ids_interns_nothing(monkeypatch, clash):
+    labels = ("A", "B")
+    w = SparseVector({12345: 1.0, feature_id("em0\x1fb\x1fB"): 2.0,
+                      feature_id("em0\x1fc\x1fA"): 3.0})
+
+    def warm_start(model):
+        if isinstance(model, ChainModel):
+            model.to_columns(w)
+        else:
+            model.read(w)
+        model.compile(ChainInstance(tokens=("a",)))
+        return model
+
+    model = warm_start(ChainModel(LabelAlphabet(labels)))
+    assert len(model._unclaimed) == 3
+    before = (set(model._held), dict(model._unclaimed), model.num_columns,
+              model._ids.tolist(), model._num_rows)
+    real = chain_mod._feature_ids
+
+    def hash_one(template):
+        return clash if template.startswith("em0\x1fd\x1f") else int(real([template], [""])[0])
+
+    # the batch holds two unclaimed ids, and the two templates of "d" share one id
+    x = ChainInstance(tokens=("b", "c", "d"))
+    with monkeypatch.context() as patched:
+        hash_templates_with(patched, hash_one)
+        with pytest.raises(RuntimeError) as expected:
+            warm_start(ReferenceModel(labels, (0,), hash_one)).compile(x)
+        with pytest.raises(RuntimeError) as raised:
+            model.compile(x)
+    assert str(raised.value) == str(expected.value) == (
+        f"feature id collision: 'em0\\x1fd\\x1fB' vs 'em0\\x1fd\\x1fA' -> {clash}")
+    assert (set(model._held), dict(model._unclaimed), model.num_columns,
+            model._ids.tolist(), model._num_rows) == before
+    # unclaimed and new ids in one batch keep and take columns as the per-template loop does
+    ref = warm_start(ReferenceModel(labels, (0,)))
+    x = ChainInstance(tokens=("b", "e", "c", "b"))
+    assert np.array_equal(model.compile(x), ref.compile(x))
+    assert model._ids.tolist() == ref.ids and model._unclaimed == ref.unclaimed() == {12345: 4}
+    assert model._held == set(ref.ids)
 
 
 def test_a_cold_compile_builds_no_template_string(monkeypatch):

@@ -16,9 +16,10 @@ def test_identity_digests_repeat_across_directories(tmp_path):
     workloads = [w.tiny() for w in identity._workloads_module().WORKLOADS.values()]
     first = identity.digests(tmp_path / "a", [1], workloads)
     again = identity.digests(tmp_path / "b" / "deeper", [1], workloads)
-    assert sorted(first) == sorted(f"{w.name}/1/{objective}" for w in workloads
-                                   for objective in ("el", "pr-cont", "ce", "el-warm"))
+    assert sorted(first) == sorted(f"{w.name}/1/{key}" for w in workloads
+                                   for key in ("el", "pr-cont", "ce", "el-warm", "decode"))
     assert first == again
+    assert all(len(first[f"{w.name}/1/decode"]) == 64 for w in workloads)
     # every run is scored on its test set
     report = (tmp_path / "a" / "typed-wide" / "1" / "el.report.json").read_text()
     assert '"test_loss": null' not in report

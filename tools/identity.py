@@ -7,14 +7,18 @@ chunk-evaldense, typed-wide) under OUT with ``perfbench/workloads.py``'s
 ``write_inputs``, trains every objective's config (el, pr-cont, ce) on them
 with the test set scored (``run_train``), then the el config once more,
 warm-started from the el run's checkpoint (``init_checkpoint``), so that the
-checkpoint read path is covered too.  Prints one JSON object: per run,
+checkpoint read path is covered too, and decodes the test set under the el
+run's checkpoint (``map_decode_paths``).  Prints one JSON object: per run,
 ``"workload/seed/objective"`` (``"workload/seed/el-warm"`` for the warm
 start), the sha256 of its checkpoint and of its report without
-``created_at`` and paths.  With ``--expect FILE``, a JSON object saved from
-an earlier run of this tool, it prints instead the keys whose digests differ
-from FILE's (or that only one side has), one a line, and exits 1 if there are
-any, or prints how many digests are equal and exits 0; so run it on one
-tree, save the output, and check another tree with ``--expect``.
+``created_at`` and paths; per workload and seed, ``"workload/seed/decode"``,
+the sha256 of the decoded paths and lengths, so decoding is checked path by
+path and not only through the mean test loss.  With ``--expect FILE``, a
+JSON object saved from an earlier run of this tool, it prints instead the
+keys whose digests differ from FILE's (or that only one side has), one a
+line, and exits 1 if there are any, or prints how many digests are equal and
+exits 0; so run it on one tree, save the output, and check another tree with
+``--expect``.
 """
 
 from __future__ import annotations
@@ -28,7 +32,9 @@ import sys
 from pathlib import Path
 from typing import Iterable, Optional
 
-from banditchain import load_config, run_train
+import numpy as np
+
+from banditchain import load_config, map_decode_paths, read_checkpoint, read_dataset, run_train
 
 
 def _workloads_module():
@@ -58,10 +64,22 @@ def run_digests(config, run_dir: Path) -> dict:
             "report": report_digest(Path(config.report_path), run_dir)}
 
 
+def decode_digest(config) -> str:
+    """sha256 of the paths and then the lengths, as int64 bytes, that
+    ``map_decode_paths`` gives over config's test set under its checkpoint."""
+    model = config.model()
+    paths, lengths = map_decode_paths(model, read_checkpoint(config.checkpoint_path),
+                                      read_dataset(config.test_path, model.alphabet))
+    digest = hashlib.sha256(paths.astype(np.int64).tobytes())
+    digest.update(lengths.astype(np.int64).tobytes())
+    return digest.hexdigest()
+
+
 def digests(out: Path, seeds: Iterable[int], workloads: Optional[Iterable] = None) -> dict:
     """{"workload/seed/run": {"checkpoint": sha256, "report": sha256}} of every
-    run, each in its own directory OUT/workload/seed; workloads defaults to
-    perfbench's ``WORKLOADS``."""
+    run, each in its own directory OUT/workload/seed, and {"workload/seed/decode":
+    sha256} of the el run's test-set decode; workloads defaults to perfbench's
+    ``WORKLOADS``."""
     module = _workloads_module()
     out = Path(out)
     result = {}
@@ -72,6 +90,7 @@ def digests(out: Path, seeds: Iterable[int], workloads: Optional[Iterable] = Non
                        for key, path in module.write_inputs(workload, seed, run_dir).items()}
             for config in configs.values():
                 result[f"{workload.name}/{seed}/{config.objective}"] = run_digests(config, run_dir)
+            result[f"{workload.name}/{seed}/decode"] = decode_digest(configs["el"])
             warm = dataclasses.replace(
                 configs["el"], init_checkpoint=configs["el"].checkpoint_path,
                 checkpoint_path=str(run_dir / "el-warm.ckpt"),
