@@ -29,23 +29,22 @@ def enumerate_expectation(kind, model, x, w, clip_k=0.0):
     dist = bc.distribution(model, w, x)
     post = bc.posterior(model, w, x, pair=kind.is_pairwise)
     deltas = [bc.hamming_loss(x.gold, y) for y in dist.labelings]
-    # the estimators take each labeling as a path of label indices
+    # the estimator takes each labeling as a path of label indices
     paths = [model.alphabet.indices(y) for y in dist.labelings]
     expect = SparseVector()
-    if kind is ObjectiveKind.EL:
-        for p, y, d in zip(dist.probs, paths, deltas):
-            expect.add_scaled(post.to_sparse(bc.el_columns(post, y, d)), float(p))
-    elif kind.is_pairwise:
+    if kind.is_pairwise:
         q = dist.neg_probs
         for pi, yi, di in zip(dist.probs, paths, deltas):
             for qj, yj, dj in zip(q, paths, deltas):
                 fb = bc.pair_feedback(di, dj, kind.pair_mode)
                 if fb:
-                    grad = bc.pr_columns(post, np.stack((yi, yj)), fb)
+                    grad = bc.stochastic_gradient(kind, post, np.stack((yi, yj)), fb)
                     expect.add_scaled(post.to_sparse(grad), float(pi * qj))
     else:
+        # one draw: its path as the one row of the posterior's one chain
         for p, y, d in zip(dist.probs, paths, deltas):
-            expect.add_scaled(post.to_sparse(bc.ce_columns(post, y, 1.0 - d, clip_k)), float(p))
+            grad = bc.stochastic_gradient(kind, post, y[None], d, clip_k)
+            expect.add_scaled(post.to_sparse(grad), float(p))
     return expect
 
 
@@ -53,9 +52,9 @@ def enumerated_ce_variance(model, x, w, clip_k):
     dist = bc.distribution(model, w, x)
     post = bc.posterior(model, w, x)
     weighted = [
-        (float(p), post.to_sparse(
-            bc.ce_columns(post, model.alphabet.indices(y), 1.0 - bc.hamming_loss(x.gold, y),
-                          clip_k)))
+        (float(p), post.to_sparse(bc.stochastic_gradient(
+            ObjectiveKind.CE, post, model.alphabet.indices(y)[None],
+            bc.hamming_loss(x.gold, y), clip_k)))
         for p, y in zip(dist.probs, dist.labelings)
     ]
     mean = SparseVector()

@@ -52,13 +52,7 @@ from .feedback import (
     hamming_loss,
     loss_fn,
 )
-from .objectives import (
-    ObjectiveKind,
-    ce_columns,
-    el_columns,
-    pair_feedback,
-    pr_columns,
-)
+from .objectives import ObjectiveKind, pair_feedback, stochastic_gradient
 from .oracle import (
     BudgetExceededError,
     EnumeratedDistribution,
@@ -106,14 +100,12 @@ __all__ = [
     "brute_gradient",
     "brute_objective",
     "build_lattice",
-    "ce_columns",
     "chunk_alphabet",
     "chunk_f1_loss",
     "compare_report_files",
     "compare_runs",
     "convergence_report",
     "distribution",
-    "el_columns",
     "enumerate_outputs",
     "evaluate",
     "extract_features",
@@ -130,7 +122,6 @@ __all__ = [
     "pair_distribution",
     "pair_feedback",
     "posterior",
-    "pr_columns",
     "read_checkpoint",
     "read_dataset",
     "read_report",
@@ -138,6 +129,7 @@ __all__ = [
     "run_train",
     "sample",
     "select_best",
+    "stochastic_gradient",
     "train",
     "variance_estimate",
     "write_checkpoint",

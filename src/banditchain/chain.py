@@ -81,10 +81,11 @@ def _templates(prefixes: Sequence[str], suffixes: Sequence[str]) -> list[str]:
 
 def _room(table: np.ndarray, kept: int, size: int) -> np.ndarray:
     """table when it has at least size rows, else a new one of at least twice
-    its rows holding its first kept rows: a table that grows by doubling."""
+    its rows holding its first kept rows and zeros after them: a table that
+    grows by doubling."""
     if size <= len(table):
         return table
-    grown = np.empty((max(2 * len(table), size), *table.shape[1:]), table.dtype)
+    grown = np.zeros((max(2 * len(table), size), *table.shape[1:]), table.dtype)
     grown[:kept] = table[:kept]
     return grown
 

@@ -11,20 +11,13 @@ measured error against its tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .chain import ChainInstance, ChainModel, LabelAlphabet, posterior
 from .feedback import hamming_loss
-from .objectives import (
-    ObjectiveKind,
-    ce_columns,
-    check_clip_k,
-    el_columns,
-    pair_feedback,
-    pr_columns,
-)
+from .objectives import ObjectiveKind, check_clip_k, pair_feedback, stochastic_gradient
 from .oracle import (
     brute_gradient,
     brute_objective,
@@ -76,13 +69,11 @@ class CheckReport:
         return [r.line() for r in self.results]
 
 
-def make_fixture(seed: int, n: Optional[int] = None, num_labels: Optional[int] = None) -> Fixture:
+def make_fixture(seed: int) -> Fixture:
     """A seeded random instance, model and weight vector, oracle sized."""
     rng = np.random.default_rng(seed)
-    if n is None:
-        n = int(rng.integers(2, 4))
-    if num_labels is None:
-        num_labels = int(rng.integers(2, 4))
+    n = int(rng.integers(2, 4))
+    num_labels = int(rng.integers(2, 4))
     alphabet = LabelAlphabet(_LABEL_POOL[:num_labels])
     model = ChainModel(alphabet)
     tokens = tuple(_TOKEN_POOL[int(i)] for i in rng.integers(len(_TOKEN_POOL), size=n))
@@ -110,25 +101,21 @@ def _expected_stochastic_gradient(
     model, x, w = fx.model, fx.instance, fx.weights
     dist = distribution(model, w, x)
     post = posterior(model, w, x, pair=kind.is_pairwise)
-    deltas = np.array([hamming_loss(x.gold, y) for y in dist.labelings])
+    deltas = [hamming_loss(x.gold, y) for y in dist.labelings]
     paths = [model.alphabet.indices(y) for y in dist.labelings]
     expect = SparseVector()
-    if kind is ObjectiveKind.EL:
-        for p, y, d in zip(dist.probs, paths, deltas):
-            grad = post.to_sparse(el_columns(post, y, delta=float(d)))
-            expect.add_scaled(grad, float(p))
-    elif kind.is_pairwise:
+    if kind.is_pairwise:
         q = dist.neg_probs
         for pi, yi, di in zip(dist.probs, paths, deltas):
             for qj, yj, dj in zip(q, paths, deltas):
-                fb = pair_feedback(float(di), float(dj), kind.pair_mode)
+                fb = pair_feedback(di, dj, kind.pair_mode)
                 if fb == 0.0:
                     continue
-                grad = post.to_sparse(pr_columns(post, np.stack((yi, yj)), delta_pair=fb))
+                grad = post.to_sparse(stochastic_gradient(kind, post, np.stack((yi, yj)), fb))
                 expect.add_scaled(grad, float(pi * qj))
     else:
         for p, y, d in zip(dist.probs, paths, deltas):
-            grad = post.to_sparse(ce_columns(post, y, gain=1.0 - float(d), clip_k=clip_k))
+            grad = post.to_sparse(stochastic_gradient(kind, post, y[None], d, clip_k))
             expect.add_scaled(grad, float(p))
     return expect
 

@@ -98,18 +98,14 @@ def _gold_spans(gold: tuple[str, ...]) -> frozenset[tuple[int, int, str]]:
     return frozenset(bio_spans(gold))
 
 
-def _check_labels(labels: tuple[str, ...], gold: tuple[str, ...]) -> tuple[str, ...]:
-    """gold, or a ValueError that names a gold label not among labels."""
+@lru_cache(maxsize=1 << 14)
+def _gold_indices(labels: tuple[str, ...], gold: tuple[str, ...]) -> tuple[int, ...]:
+    """gold as indices into labels, or a ValueError that names a gold label
+    not among labels; cached, so a gold labeling is checked once."""
     for g in gold:
         if g not in labels:
             raise ValueError(f"gold label {g!r} is not among the labels {labels}")
-    return gold
-
-
-@lru_cache(maxsize=1 << 14)
-def _gold_indices(labels: tuple[str, ...], gold: tuple[str, ...]) -> tuple[int, ...]:
-    """gold as indices into labels, after ``_check_labels``."""
-    return tuple(map(labels.index, _check_labels(labels, gold)))
+    return tuple(map(labels.index, gold))
 
 
 _gold = attrgetter("gold")
@@ -282,8 +278,9 @@ class FeedbackOracle:
         """A ValueError unless every instance has gold, all of it among
         labels; ``train``'s first check."""
         require_gold(instances)
+        labels = tuple(labels)
         for x in instances:
-            _check_labels(tuple(labels), x.gold)
+            _gold_indices(labels, x.gold)
 
     def feedback_paths(
         self, instances: Sequence[ChainInstance], paths: np.ndarray,
@@ -310,8 +307,9 @@ class FeedbackOracle:
             raise ValueError(f"{len(paths)} paths for {len(instances)} instances "
                              f"in pair mode {mode!r}")
         hamming, labels = self.kind is LossKind.HAMMING, tuple(labels)
-        golds = [_gold_indices(labels, x.gold) if hamming else _check_labels(labels, x.gold)
-                 for x in instances]
+        golds = [_gold_indices(labels, x.gold) for x in instances]  # checks each gold
+        if not hamming:
+            golds = [x.gold for x in instances]
         if paths.shape[1] < max(map(len, golds), default=0):
             raise ValueError(f"paths of length {paths.shape[1]} are shorter than an instance")
         if mode is not None:  # each instance scores two rows

@@ -1,8 +1,8 @@
-"""Stochastic gradient constructors for learning from bandit feedback.
+"""The stochastic gradient step of learning from bandit feedback.
 
-Each constructor turns one sampled output (or output pair) plus its scalar
-feedback into an unbiased single-sample estimate of the gradient of the
-corresponding full-information objective:
+``stochastic_gradient`` turns one sampled output (or output pair) plus its
+scalar feedback into an unbiased single-sample estimate of the gradient of
+the objective's full-information counterpart:
 
 * expected loss:        s = delta * (phi(x, y~) - E_p[phi])
 * pairwise preference:  s = delta * (phi_pair - E[phi_pair]) over ordered pairs
@@ -15,9 +15,9 @@ expectation is the exact difference of the two chain expectations.
 The cross-entropy divisor may be clipped from below by a constant k, which
 bounds the importance weight at the cost of bias.
 
-``el_columns``, ``pr_columns`` and ``ce_columns`` take sampled outputs as
-paths of label indices and build each estimate as an IndexedVector over the
-posterior's local columns; ``post.to_sparse`` keys one by feature id.
+The sampled outputs are paths of label indices, and each estimate is an
+IndexedVector over the posterior's local columns; ``post.to_sparse`` keys
+one by feature id.
 """
 
 from __future__ import annotations
@@ -60,6 +60,11 @@ class ObjectiveKind(Enum):
             raise ValueError(f"{self.value} has no pair feedback mode")
         return "bin" if self is ObjectiveKind.PR_BIN else "cont"
 
+    def scale(self, feedback: float) -> float:
+        """The factor s_t scales by for a step's feedback: CE's gain
+        1 - loss, and the feedback itself for the others."""
+        return 1.0 - feedback if self is ObjectiveKind.CE else feedback
+
 
 def _check_unit_interval(name: str, value: float) -> float:
     value = float(value)
@@ -74,29 +79,6 @@ def check_clip_k(clip_k: float) -> float:
     if not 0.0 <= clip_k < 1.0:
         raise ValueError(f"clipping constant must be in [0, 1), got {clip_k}")
     return clip_k
-
-
-def _require_pair(post: ChainPosterior) -> None:
-    if post.stack.trans.shape[0] != 2:
-        raise ValueError("the PR estimators need a pair posterior: posterior(..., pair=True)")
-
-
-def el_columns(
-    post: ChainPosterior, y_sampled: np.ndarray, delta: float
-) -> Optional[IndexedVector]:
-    """Expected-loss stochastic gradient: delta * (phi(x, y~) - E_p[phi]).
-
-    y_sampled is a path of label indices.  Over the posterior's local
-    columns; None when delta = 0.  The update pushes the sampled structure's
-    features toward the mean the harder the worse its feedback was; delta = 0
-    contributes nothing.
-    """
-    delta = _check_unit_interval("delta", delta)
-    if delta == 0.0:
-        return None
-    grad = post.local.features(y_sampled)
-    grad.add_scaled(post.expected()[0], -1.0)
-    return grad.scale(delta)
 
 
 def pair_feedback(delta_first: float, delta_second: float, mode: str) -> float:
@@ -114,53 +96,48 @@ def pair_feedback(delta_first: float, delta_second: float, mode: str) -> float:
     return 0.0
 
 
-def pr_columns(
-    post: ChainPosterior, pair: np.ndarray, delta_pair: float
-) -> Optional[IndexedVector]:
-    """Pairwise-preference stochastic gradient over ordered output pairs,
-    delta_pair * (phi(x, y_i) - phi(x, y_j) - E[phi(x, y_i) - phi(x, y_j)]),
-    over the pair posterior's local columns; None when delta_pair = 0.
-    pair holds the label indices of y_i (drawn under w) and y_j (under -w)
-    as its two rows, as the pair posterior's ``draw`` returns them.
-
-    By the factorization of the pair model the expectation is the chain
-    expectation under w less the one under -w; no sampling needed.
-    """
-    _require_pair(post)
-    delta_pair = _check_unit_interval("delta_pair", delta_pair)
-    if delta_pair == 0.0:
-        return None
-    grad = post.local.features(pair[0])
-    grad.add_scaled(post.local.features(pair[1]), -1.0)
-    under_w, under_neg = post.expected()
-    grad.add_scaled(under_w.add_scaled(under_neg, -1.0), -1.0)
-    return grad.scale(delta_pair)
-
-
-def ce_columns(
+def stochastic_gradient(
+    kind: ObjectiveKind,
     post: ChainPosterior,
-    y_sampled: np.ndarray,
-    gain: float,
+    paths: np.ndarray,
+    feedback: float,
     clip_k: float = 0.0,
 ) -> Optional[IndexedVector]:
-    """Cross-entropy stochastic gradient with clipped importance weight.
+    """The single-sample gradient s_t of kind over the posterior's local
+    columns; None when ``kind.scale(feedback)`` is 0, which makes s_t zero.
 
-    s = (gain / max(p_w(y~|x), k)) * (-phi(x, y~) + E_p[phi]) for a path y~
-    of label indices, over the posterior's local columns; None when
-    gain = 0.  With k = 0 the estimate is unbiased; k > 0 trades bias for
-    bounded variance.
+    paths holds the step's draws as label indices, a row per chain of post
+    as its ``draw`` returns them: y~ for EL and CE, the ordered pair (y_i
+    under w, y_j under -w) for PR, which needs a pair posterior.  feedback
+    is the loss of y~, or PR's pair feedback.  By the factorization of the
+    pair model, PR's expectation is the chain expectation under w less the
+    one under -w.  CE divides by max(p_w(y~|x), clip_k): unbiased at k = 0,
+    bounded variance at the cost of bias for k > 0.
     """
-    gain = _check_unit_interval("gain", gain)
+    if kind.is_pairwise and post.stack.trans.shape[0] != 2:
+        raise ValueError("the PR estimators need a pair posterior: posterior(..., pair=True)")
+    scale = kind.scale(_check_unit_interval("feedback", feedback))
     check_clip_k(clip_k)
-    if gain == 0.0:
+    if scale == 0.0:
         return None
-    p_hat = max(post.prob(y_sampled), clip_k)
+    features = post.local.features
+    if kind.is_pairwise:
+        grad = features(paths[0])
+        grad.add_scaled(features(paths[1]), -1.0)
+        under_w, under_neg = post.expected()
+        grad.add_scaled(under_w.add_scaled(under_neg, -1.0), -1.0)
+        return grad.scale(scale)
+    if kind is ObjectiveKind.EL:
+        grad = features(paths[0])
+        grad.add_scaled(post.expected()[0], -1.0)
+        return grad.scale(scale)
+    p_hat = max(post.prob(paths[0]), clip_k)
     grad = post.expected()[0]
-    grad.add_scaled(post.local.features(y_sampled), -1.0)
+    grad.add_scaled(features(paths[0]), -1.0)
     if p_hat > 0.0:
-        # a finite but huge weight gain / p_hat can still overflow the entries;
+        # a finite but huge weight scale / p_hat can still overflow the entries;
         # testing the largest one first keeps numpy from warning about it
-        weight = gain / p_hat
+        weight = scale / p_hat
         if math.isfinite(weight * float(np.abs(grad.values).max(initial=0.0))):
             return grad.scale(weight)
     raise FloatingPointError(

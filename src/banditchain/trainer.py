@@ -23,11 +23,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .chain import (
-    ChainInstance, ChainModel, ChainPosterior, Weights, draw_batch, map_decode_paths, posterior,
+    ChainInstance, ChainModel, Weights, _room, draw_batch, map_decode_paths, posterior,
 )
 from .chain import sample  # noqa: F401  (perfbench's tracer self-test checks this binding)
 from .feedback import FeedbackOracle, check_dataset, dataset_gold, dataset_losses
-from .objectives import ObjectiveKind, ce_columns, check_clip_k, el_columns, pr_columns
+from .objectives import ObjectiveKind, check_clip_k, stochastic_gradient
 from .sparse import SortedVector, SparseVector, left_sum
 
 logger = logging.getLogger(__name__)
@@ -161,23 +161,6 @@ def _nonzero_row(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bits[:stop].copy(), w[nonzero]
 
 
-def _gradient(
-    config: TrainerConfig, post: ChainPosterior, paths: np.ndarray, value: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(columns, values): s_t's entries for the draw paths (label indices, a
-    row per chain of post) and its nonzero feedback value (the loss; the gain
-    1 - loss for CE), in the order of the SparseVector arithmetic they replay."""
-    kind = config.objective
-    if kind.is_pairwise:
-        grad = pr_columns(post, paths, delta_pair=value)
-    elif kind is ObjectiveKind.EL:
-        grad = el_columns(post, paths[0], delta=value)
-    else:
-        grad = ce_columns(post, paths[0], gain=value, clip_k=config.clip_k)
-    idx, values = grad.entries()
-    return post.local.columns[idx], values
-
-
 def train(
     config: TrainerConfig,
     model: ChainModel,
@@ -278,9 +261,7 @@ def train(
                 model.compile(x)
                 pending.append((x, rng.random((chains, len(x)))))
             if len(w) < model.num_columns:  # x brought new columns: they start at zero
-                if len(buf) < model.num_columns:  # grown by doubling, as chain._room does
-                    buf = np.zeros(max(2 * len(buf), model.num_columns))
-                    buf[:len(w)] = w
+                buf = _room(buf, len(w), model.num_columns)
                 w = buf[:model.num_columns]
             post = None
             if ahead > 1:
@@ -301,19 +282,22 @@ def train(
             for k, loss in enumerate(losses):
                 x, _ = pending.popleft()
                 t += 1
-                # zero scales s_t to nothing, and only the CE shrink moves w then
-                value = 1.0 - loss if kind is ObjectiveKind.CE else loss
-                moves = shrink != 1.0 or value != 0.0
+                # a zero scale makes s_t zero, and only the CE shrink moves w then
+                scaled = kind.scale(loss) != 0.0
+                moves = shrink != 1.0 or scaled
                 cols, s = _NO_COLUMNS, _NO_VALUES
-                if value != 0.0:
+                if scaled:
                     if post is None:  # a batch's step that moves w: its own posterior
                         post = posterior(model, w, x, pair=pair)
                     try:
-                        cols, s = _gradient(config, post,
-                                            paths[chains * k:chains * (k + 1), :len(x)], value)
+                        grad = stochastic_gradient(kind, post,
+                                                   paths[chains * k:chains * (k + 1), :len(x)],
+                                                   loss, config.clip_k)
                     except FloatingPointError as exc:
                         raise FloatingPointError(f"training diverged at step {t}: {exc} "
                                                  f"with gamma={gamma}") from None
+                    idx, s = grad.entries()
+                    cols = post.local.columns[idx]
 
                 # the sum over entries in SparseVector order, as SparseVector.norm_sq
                 norm = gamma * gamma * left_sum(s * s)

@@ -138,21 +138,19 @@ def expected_stochastic_gradient(kind, model, x, w):
     deltas = [bc.hamming_loss(x.gold, y) for y in dist.labelings]
     paths = [model.alphabet.indices(y) for y in dist.labelings]
     expect = SparseVector()
-    if kind is ObjectiveKind.EL:
-        for p, y, d in zip(dist.probs, paths, deltas):
-            expect.add_scaled(post.to_sparse(bc.el_columns(post, y, d)), float(p))
-    elif kind.is_pairwise:
+    if kind.is_pairwise:
         q = neg_probs(dist)
         for pi, yi, di in zip(dist.probs, paths, deltas):
             for qj, yj, dj in zip(q, paths, deltas):
                 fb = bc.pair_feedback(di, dj, kind.pair_mode)
                 if fb == 0.0:
                     continue
-                grad = bc.pr_columns(post, np.stack((yi, yj)), fb)
+                grad = bc.stochastic_gradient(kind, post, np.stack((yi, yj)), fb)
                 expect.add_scaled(post.to_sparse(grad), float(pi * qj))
     else:
         for p, y, d in zip(dist.probs, paths, deltas):
-            expect.add_scaled(post.to_sparse(bc.ce_columns(post, y, 1.0 - d, 0.0)), float(p))
+            grad = bc.stochastic_gradient(kind, post, y[None], d)
+            expect.add_scaled(post.to_sparse(grad), float(p))
     return expect
 
 

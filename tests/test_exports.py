@@ -16,7 +16,7 @@ def test_all_lists_exactly_the_imported_names():
 def test_deleted_names_are_not_exported():
     for name in ("ClippingConfig", "StepRecord", "el_gradient", "pr_gradient", "ce_gradient",
                  "pair_expected_features", "PairSample", "map_decode", "OracleBudget",
-                 "gain_mass"):
+                 "gain_mass", "el_columns", "pr_columns", "ce_columns"):
         assert name not in banditchain.__all__
         assert not hasattr(banditchain, name)
 
@@ -35,11 +35,11 @@ def test_deleted_parameters_are_gone():
         checks.run_property_checks: ["budget"],
         checks.check_gradient_finite_difference: ["h", "rtol", "atol"],
         checks.check_ce_convexity: ["n_pairs"],
-        checks.make_fixture: ["weight_scale"],
+        checks.make_fixture: ["weight_scale", "n", "num_labels"],
         checks.random_weights: ["scale"],
         synthetic.generate_chunk_instances: ["min_len", "max_len", "tokens_per_class"],
     }
-    assert sum(map(len, deleted.values())) == 16
+    assert sum(map(len, deleted.values())) == 18
     for fn, names in deleted.items():
         params = inspect.signature(fn).parameters
         assert [name for name in names if name in params] == [], fn.__name__

@@ -17,7 +17,7 @@ def test_identity_digests_repeat_across_directories(tmp_path):
     first = identity.digests(tmp_path / "a", [1], workloads)
     again = identity.digests(tmp_path / "b" / "deeper", [1], workloads)
     assert sorted(first) == sorted(f"{w.name}/1/{key}" for w in workloads
-                                   for key in ("el", "pr-cont", "ce", "el-warm", "decode"))
+                                   for key in ("el", "pr-cont", "ce", "pr-bin", "el-warm", "decode"))
     assert first == again
     assert all(len(first[f"{w.name}/1/decode"]) == 64 for w in workloads)
     # every run is scored on its test set

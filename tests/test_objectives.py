@@ -8,15 +8,13 @@ from banditchain import (
     ObjectiveKind,
     SparseVector,
     brute_gradient,
-    ce_columns,
     distribution,
-    el_columns,
     extract_features,
     feature_id,
     hamming_loss,
     pair_feedback,
-    pr_columns,
     posterior,
+    stochastic_gradient,
 )
 
 from conftest import random_instance_weights
@@ -34,21 +32,28 @@ def max_coord_diff(a, b):
     return max((abs(a[f] - b[f]) for f in fids), default=0.0)
 
 
-# the estimators take label-index paths; these helpers take label tuples
+# the estimator takes label-index paths; these helpers take label tuples
+
+
+def single_sparse(kind, post, y, loss, clip_k=0.0):
+    """s_t of a single-draw kind (EL or CE) for y and its loss."""
+    path = post.model.alphabet.indices(y)[None]
+    return post.to_sparse(stochastic_gradient(kind, post, path, loss, clip_k))
 
 
 def el_sparse(post, y, delta):
-    return post.to_sparse(el_columns(post, post.model.alphabet.indices(y), delta))
+    return single_sparse(ObjectiveKind.EL, post, y, delta)
 
 
 def pr_sparse(post, pair, delta_pair):
     """pair: the label tuples of y_i (drawn under w) and y_j (under -w)."""
     paths = np.stack([post.model.alphabet.indices(y) for y in pair])
-    return post.to_sparse(pr_columns(post, paths, delta_pair))
+    return post.to_sparse(stochastic_gradient(ObjectiveKind.PR_CONT, post, paths, delta_pair))
 
 
-def ce_sparse(post, y, gain, clip_k=0.0):
-    return post.to_sparse(ce_columns(post, post.model.alphabet.indices(y), gain, clip_k))
+def ce_sparse(post, y, loss, clip_k=0.0):
+    """The CE estimate for y and its loss: it scales by the gain 1 - loss."""
+    return single_sparse(ObjectiveKind.CE, post, y, loss, clip_k)
 
 
 def pair_expected(post):
@@ -100,7 +105,7 @@ def test_el_gradient_uniform_single_position(ab_model):
 
 
 def test_el_gradient_rejects_out_of_range_delta(ab_model, fixed_instance, fixed_weights):
-    with pytest.raises(ValueError, match="delta"):
+    with pytest.raises(ValueError, match="feedback"):
         el_sparse(posterior(ab_model, fixed_weights, fixed_instance), ("A", "B", "A"), 1.5)
 
 
@@ -273,7 +278,7 @@ def test_pr_gradient_norm_bounded_by_pair_diameter(ab_model, fixed_instance, fix
 
 def test_ce_gradient_zero_gain(ab_model, fixed_instance, fixed_weights):
     post = posterior(ab_model, fixed_weights, fixed_instance)
-    assert len(ce_sparse(post, ("A", "A", "A"), 0.0)) == 0
+    assert len(ce_sparse(post, ("A", "A", "A"), 1.0)) == 0
 
 
 def test_ce_gradient_clips_small_probabilities(ab_model):
@@ -296,8 +301,8 @@ def test_ce_gradient_names_underflowed_importance_weight(ab_model, weight):
     post = posterior(ab_model, SparseVector({feature_id("em0\x1ft\x1fA"): weight}), x)
     assert post.prob(np.array([1, 1, 1])) < 2.3e-308
     with pytest.raises(FloatingPointError, match="underflowed; set clip_k > 0"):
-        ce_sparse(post, ("B", "B", "B"), 1.0)
-    assert len(ce_sparse(post, ("B", "B", "B"), 1.0, clip_k=1e-3)) > 0
+        ce_sparse(post, ("B", "B", "B"), 0.0)
+    assert len(ce_sparse(post, ("B", "B", "B"), 0.0, clip_k=1e-3)) > 0
 
 
 def test_ce_unbiasedness_without_clipping(ab_model, fixed_instance):
@@ -307,8 +312,7 @@ def test_ce_unbiasedness_without_clipping(ab_model, fixed_instance):
         post = posterior(ab_model, w, fixed_instance)
         expect = SparseVector()
         for p, y in zip(dist.probs, dist.labelings):
-            gain = 1.0 - hamming_loss(fixed_instance.gold, y)
-            expect.add_scaled(ce_sparse(post, y, gain), float(p))
+            expect.add_scaled(ce_sparse(post, y, hamming_loss(fixed_instance.gold, y)), float(p))
         target = brute_gradient(ObjectiveKind.CE, ab_model, w, [fixed_instance], hamming_loss)
         assert max_coord_diff(expect, target) <= 1e-10
 
@@ -325,14 +329,9 @@ def _enumerated_variance(kind, model, x, w, clip_k=0.0):
             for pi, yi, di in zip(dist.probs, dist.labelings, deltas)
             for qj, yj, dj in zip(q, dist.labelings, deltas)
         ]
-    elif kind is ObjectiveKind.EL:
-        weighted = [
-            (float(p), el_sparse(post, y, d))
-            for p, y, d in zip(dist.probs, dist.labelings, deltas)
-        ]
     else:
         weighted = [
-            (float(p), ce_sparse(post, y, 1.0 - d, clip_k))
+            (float(p), single_sparse(kind, post, y, d, clip_k))
             for p, y, d in zip(dist.probs, dist.labelings, deltas)
         ]
     mean = SparseVector()
@@ -355,3 +354,86 @@ def test_ce_variance_non_increasing_in_clipping(ab_model, fixed_instance, fixed_
     ]
     for lo, hi in zip(variances[1:], variances[:-1]):
         assert lo <= hi + 1e-12
+
+
+# -- the one seam, replayed as plain dicts -------------------------------------------
+
+
+def dict_add_scaled(d, other, c):
+    """SparseVector's ``d += c * other``: a sum of exactly zero drops the entry."""
+    for j, v in other.items():
+        new = d.get(j, 0.0) + c * v
+        if new == 0.0:
+            d.pop(j, None)
+        else:
+            d[j] = new
+    return d
+
+
+def dict_scale(d, c):
+    return {} if c == 0.0 else {j: v * c for j, v in d.items()}
+
+
+def dict_phi(local, y):
+    """phi(x, y) over local indices, counted in (position, label, template)
+    order and then transition order."""
+    phi = {}
+    for i, label in enumerate(y):
+        for j in local.emission[i, label]:
+            phi[int(j)] = phi.get(int(j), 0.0) + 1.0
+    for a, b in zip(y[:-1], y[1:]):
+        j = int(local.transition[a, b])
+        phi[j] = phi.get(j, 0.0) + 1.0
+    return phi
+
+
+def dict_expected(vector):
+    """The nonzero entries of a chain expectation in local-index order."""
+    return {j: v for j, v in enumerate(vector.values.tolist()) if v != 0.0}
+
+
+def dict_gradient(kind, post, paths, feedback, clip_k):
+    """The paper's s_t for the draws and their feedback, in dict arithmetic."""
+    ys = [row.tolist() for row in paths]
+    expected = [dict_expected(e) for e in post.expected()]
+    if kind.is_pairwise:
+        grad = dict_add_scaled(dict_phi(post.local, ys[0]), dict_phi(post.local, ys[1]), -1.0)
+        gap = dict_add_scaled(dict(expected[0]), expected[1], -1.0)
+        return dict_scale(dict_add_scaled(grad, gap, -1.0), feedback)
+    if kind is ObjectiveKind.EL:
+        return dict_scale(dict_add_scaled(dict_phi(post.local, ys[0]), expected[0], -1.0),
+                          feedback)
+    p_hat = max(post.prob(paths[0]), clip_k)
+    grad = dict_add_scaled(dict(expected[0]), dict_phi(post.local, ys[0]), -1.0)
+    return dict_scale(grad, (1.0 - feedback) / p_hat)
+
+
+@pytest.mark.parametrize("kind, clip_k", [
+    (ObjectiveKind.EL, 0.0), (ObjectiveKind.PR_BIN, 0.0), (ObjectiveKind.PR_CONT, 0.0),
+    (ObjectiveKind.CE, 0.0), (ObjectiveKind.CE, 0.05),
+])
+def test_stochastic_gradient_replays_the_dict_formula_bitwise(kind, clip_k):
+    from banditchain.checks import make_fixture
+
+    rng = np.random.default_rng(7)
+    built = 0
+    for seed in range(8):
+        fx = make_fixture(seed)
+        model, x = fx.model, fx.instance
+        post = posterior(model, fx.weights, x, pair=kind.is_pairwise)
+        gold = model.alphabet.indices(x.gold)
+        for _ in range(6):
+            paths = post.draw(rng.random((2 if kind.is_pairwise else 1, len(x))))
+            losses = [float(np.mean(row != gold)) for row in paths]
+            feedback = (pair_feedback(*losses, kind.pair_mode) if kind.is_pairwise
+                        else losses[0])
+            grad = stochastic_gradient(kind, post, paths, feedback, clip_k)
+            if kind.scale(feedback) == 0.0:
+                assert grad is None
+                continue
+            expect = dict_gradient(kind, post, paths, feedback, clip_k)
+            idx, values = grad.entries()
+            assert idx.tolist() == list(expect)
+            assert values.tobytes() == np.array(list(expect.values()), dtype=float).tobytes()
+            built += 1
+    assert built >= 12

@@ -807,14 +807,15 @@ def test_only_a_step_that_moves_w_builds_a_gradient(monkeypatch, warm_starts, ob
     import banditchain.trainer as trainer_mod
 
     values = []
-    gradient = trainer_mod._gradient
-    monkeypatch.setattr(trainer_mod, "_gradient",
-                        lambda *args: values.append(args[-1]) or gradient(*args))
+    gradient = trainer_mod.stochastic_gradient
+    monkeypatch.setattr(trainer_mod, "stochastic_gradient",
+                        lambda *args: values.append(args[3]) or gradient(*args))
     traj, _, _ = batched_run(monkeypatch, cap, objective, loss, task, warm_starts)
-    # the value s_t scales with: the loss, or the gain 1 - loss for CE
-    feedback = 1.0 - traj.sampled_losses[1:] if objective == "ce" else traj.sampled_losses[1:]
-    assert 0 < len(values) == np.count_nonzero(feedback) < traj.iterations
-    assert values == feedback[feedback != 0.0].tolist()
+    # each step's feedback is its loss; s_t scales with it, or with the gain 1 - loss for CE
+    feedback = traj.sampled_losses[1:]
+    scale = 1.0 - feedback if objective == "ce" else feedback
+    assert 0 < len(values) == np.count_nonzero(scale) < traj.iterations
+    assert values == feedback[scale != 0.0].tolist()
 
 
 def test_batches_never_draw_past_a_checkpoint(monkeypatch):

@@ -5,7 +5,9 @@
 For each seed, writes the inputs of perfbench's workloads (chunk-train,
 chunk-evaldense, typed-wide) under OUT with ``perfbench/workloads.py``'s
 ``write_inputs``, trains every objective's config (el, pr-cont, ce) on them
-with the test set scored (``run_train``), then the el config once more,
+with the test set scored (``run_train``), and the pr config once more with
+binary pair feedback (``pr-bin``), so every objective the trainer's gradient
+step dispatches on is covered, then the el config once more,
 warm-started from the el run's checkpoint (``init_checkpoint``), so that the
 checkpoint read path is covered too, and decodes the test set under the el
 run's checkpoint (``map_decode_paths``).  Prints one JSON object: per run,
@@ -88,6 +90,9 @@ def digests(out: Path, seeds: Iterable[int], workloads: Optional[Iterable] = Non
             run_dir = out / workload.name / str(seed)
             configs = {key: load_config(path, {"test_path": str(run_dir / "test.tsv")})
                        for key, path in module.write_inputs(workload, seed, run_dir).items()}
+            configs["pr-bin"] = dataclasses.replace(
+                configs["pr"], objective="pr-bin", checkpoint_path=str(run_dir / "pr-bin.ckpt"),
+                report_path=str(run_dir / "pr-bin.report.json"))
             for config in configs.values():
                 result[f"{workload.name}/{seed}/{config.objective}"] = run_digests(config, run_dir)
             result[f"{workload.name}/{seed}/decode"] = decode_digest(configs["el"])
